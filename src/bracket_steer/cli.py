@@ -231,9 +231,9 @@ def _cmd_sweep(args):
     except ValueError:
         raise InvalidInputError(
             f"--epsilon must be a comma-separated list of numbers, got '{eps_spec}'")
-    t_final = args.t_final if args.t_final is not None else bundle.sim.t_final
     rows = epsilon_sweep(bundle.system, bundle.selection, bundle.gains,
-                         np.array(bundle.x0), t_final, eps_list)
+                         np.array(bundle.x0), bundle.sim.t_final, eps_list,
+                         substeps_per_period=bundle.sim.substeps_per_period)
 
     lines = ["epsilon,max_deviation"]
     for eps, dev in rows:
@@ -309,12 +309,12 @@ def _build_parser():
         p.add_argument("--gamma", type=float, help="override the gain")
         p.add_argument("--t-final", dest="t_final", type=float, help="override the horizon")
         p.add_argument("--substeps", type=int, help="override RK4 sub-steps per period")
-        p.add_argument("--rho", type=float, help="floor radius for the decay report")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path")
 
     p_run = sub.add_parser("run", help="simulate a scenario and export the trajectory")
     add_common(p_run, "override the sampling period")
+    p_run.add_argument("--rho", type=float, help="floor radius for the decay report")
     p_run.set_defaults(fn=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="rerun over a list of sampling periods")

@@ -1,22 +1,28 @@
 """Leader-following formations.
 
-Each follower is a driftless control-affine agent steered so that its state
-tracks the leader's state plus a fixed offset.  Stacking the displacement
+Each follower is a control-affine agent steered so that its state tracks
+the leader's state plus a fixed offset.  Stacking the displacement
 variables y_l = x_l - x_L - d_l turns the formation into one partial
-stabilization problem whose extension matrix is block-diagonal, so agents
-are integrated independently against a single shared leader trajectory.
+stabilization problem whose extension matrix is block-diagonal.  A run
+integrates the stacked state (x_L, x_1, ..., x_N), one row per member,
+through the sampled-loop driver in simulate: one RK4 step per sub-step
+advances every row, each follower's field is f0 + sum_k u_k f_k held at
+its own frozen pair (x_l(tau_j), x_L(tau_j)), and because RK4 is
+elementwise each row follows exactly the trajectory it would have alone.
+simulate_leader is the same run with no followers.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInputError, RankDegeneracyError
+from .errors import InvalidInputError, RankDegeneracyError
 from .model import as_state
-from .simulate import (DIVERGENCE_NORM_CAP, SampledTrajectory, SimConfig,
-                       _Recorder, _rk4_step, interval_grid, resolve_config)
+from .simulate import (SampledTrajectory, SimConfig, _closed_loop_rhs,
+                       _guard_state as _guard, _run_sampled)
+# Not called here: perfbench/tracer.py wraps formation._rk4_step by name.
+from .simulate import _rk4_step  # noqa: F401
 from .synthesis import (check_selection, extension_matrix, held_control,
                         _solve_steering)
 
@@ -146,21 +152,16 @@ def formation_error(traj, agent_index):
     return traj.error_series[agent_index]
 
 
-def _guard(x, t, what):
-    if np.all(np.isfinite(x)) and np.linalg.norm(x) <= DIVERGENCE_NORM_CAP:
-        return
-    raise DivergenceError(
-        f"{what} diverged at t={t:.6g} (non-finite or norm > {DIVERGENCE_NORM_CAP:g})",
-        t=t, state=np.array(x, dtype=float))
-
-
 def simulate_formation(agents, leader, x0s, gains, cfg=None):
-    """Integrate the leader once and every agent against it, on one grid.
+    """Integrate the leader and every agent together, on one grid.
 
     Per the sampling semantics, each agent's control over
     [tau_j, tau_j + epsilon) is built from the frozen pair
     (x_l(tau_j), x_L(tau_j)).  Agents never interact, so a joint run is
-    state-for-state identical to simulating each agent alone.
+    state-for-state identical to simulating each agent alone.  A
+    DivergenceError or RankDegeneracyError carries the FormationTrajectory
+    up to the failure as .partial; a RankDegeneracyError also names the
+    agent in .agent_index.
     """
     if cfg is None:
         cfg = SimConfig()
@@ -175,179 +176,98 @@ def simulate_formation(agents, leader, x0s, gains, cfg=None):
     x0s = [as_state(x0, p) for x0 in x0s]
     if len(x0s) != len(agents):
         raise InvalidInputError(f"got {len(x0s)} initial states for {len(agents)} agents")
-
-    eps = gains.epsilon
+    if len(leader.x0) != p:
+        raise InvalidInputError(
+            f"leader state has dimension {len(leader.x0)}, agents have {p}")
     kappa_max = max(agent.selection.kappa_max for agent in agents)
-    t_final, nsub = resolve_config(cfg, gains, kappa_max)
-    n_int, tail = interval_grid(t_final, eps)
-    n_intervals = n_int + (1 if tail > 0.0 else 0)
-    if n_intervals == 0:
-        raise InvalidInputError(f"t_final={t_final} is too short for epsilon={eps}")
-    total_substeps = n_intervals * nsub
-    stride = cfg.record_stride
-
-    zero_target = np.zeros(p)
-    recs = [_Recorder(agent.selection, eps, agent.system.m, p, p, zero_target)
-            for agent in agents]
-    leader_times = []
-    leader_states = []
-
-    xL = leader.x0_vec()
-    xs = [x0.copy() for x0 in x0s]
-    sample_times = [0.0]
-    leader_samples = [xL.copy()]
-    agent_samples = [[x.copy()] for x in xs]
-
-    def steer_all(t):
-        a_list = []
-        for idx, agent in enumerate(agents):
-            try:
-                a_list.append(follower_steering(agent, gains, xs[idx], xL))
-            except RankDegeneracyError as exc:
-                exc.agent_index = idx
-                raise
-        return a_list
-
-    def record_all(t, a_list, j):
-        leader_times.append(t)
-        leader_states.append(xL.copy())
-        for idx in range(len(agents)):
-            recs[idx].record(t, xs[idx], j, a_list[idx])
-
-    a_list = steer_all(0.0)
-    record_all(0.0, a_list, 0)
-    g = 0
-
-    leader_rhs = leader.dynamics
-
-    for j in range(n_intervals):
-        is_tail = tail > 0.0 and j == n_int
-        h = (tail if is_tail else eps) / nsub
-        base_t = j * eps
-
-        rhs_list = []
-        for idx, agent in enumerate(agents):
-            fields = agent.system.control_fields
-            m = agent.system.m
-            sel = agent.selection
-
-            def rhs(t, state, a=a_list[idx], fields=fields, m=m, sel=sel):
-                u = held_control(sel, eps, m, a, t)
-                out = np.zeros(p)
-                for k in range(m):
-                    if u[k] != 0.0:
-                        out += u[k] * np.asarray(fields[k](state), dtype=float)
-                return out
-
-            rhs_list.append(rhs)
-
-        for i in range(1, nsub + 1):
-            t_prev = base_t + (i - 1) * h
-            xL = _rk4_step(lambda t, s: np.asarray(leader_rhs(t, s), dtype=float),
-                           t_prev, xL, h)
-            for idx in range(len(agents)):
-                xs[idx] = _rk4_step(rhs_list[idx], t_prev, xs[idx], h)
-            g += 1
-            if i < nsub:
-                t_now = base_t + i * h
-                _guard(xL, t_now, "leader")
-                for idx in range(len(agents)):
-                    _guard(xs[idx], t_now, f"agent {idx}")
-                if g % stride == 0:
-                    record_all(t_now, a_list, j)
-            elif is_tail:
-                _guard(xL, t_final, "leader")
-                for idx in range(len(agents)):
-                    _guard(xs[idx], t_final, f"agent {idx}")
-                record_all(t_final, a_list, j)
-            else:
-                t_b = (j + 1) * eps
-                _guard(xL, t_b, "leader")
-                for idx in range(len(agents)):
-                    _guard(xs[idx], t_b, f"agent {idx}")
-                sample_times.append(t_b)
-                leader_samples.append(xL.copy())
-                for idx in range(len(agents)):
-                    agent_samples[idx].append(xs[idx].copy())
-                a_list = steer_all(t_b)
-                if g % stride == 0 or g == total_substeps:
-                    record_all(t_b, a_list, j + 1)
-
-    leader_states = np.array(leader_states)
-    leader_samples_arr = np.array(leader_samples)
-    sample_times_arr = np.array(sample_times)
-    dense_times = np.array(leader_times)
-
-    agent_trajs = []
-    displacement_trajs = []
-    errors = []
-    for idx, agent in enumerate(agents):
-        raw = recs[idx].build(sample_times_arr, np.array(agent_samples[idx]))
-        d = agent.offset_vec()
-        disp_dense = raw.dense_states - leader_states - d
-        disp_samples = raw.sample_states - leader_samples_arr - d
-        err = np.linalg.norm(disp_dense, axis=1)
-        agent_trajs.append(SampledTrajectory(
-            epsilon=eps, n1=p,
-            sample_times=raw.sample_times, sample_states=raw.sample_states,
-            dense_times=raw.dense_times, dense_states=raw.dense_states,
-            dense_controls=raw.dense_controls, y_error=err,
-            interval_index=raw.interval_index))
-        displacement_trajs.append(SampledTrajectory(
-            epsilon=eps, n1=p,
-            sample_times=raw.sample_times, sample_states=disp_samples,
-            dense_times=raw.dense_times, dense_states=disp_dense,
-            dense_controls=raw.dense_controls, y_error=err,
-            interval_index=raw.interval_index))
-        errors.append(err)
-
-    return FormationTrajectory(
-        epsilon=eps,
-        dense_times=dense_times,
-        leader_states=leader_states,
-        sample_times=sample_times_arr,
-        leader_samples=leader_samples_arr,
-        agent_trajs=tuple(agent_trajs),
-        displacement_trajs=tuple(displacement_trajs),
-        error_series=tuple(errors),
-    )
+    return _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max)
 
 
 def simulate_leader(leader, gains, cfg=None, kappa_max=1):
     """Integrate the leader alone on the sampling-aligned grid.
 
-    Returns (dense_times, dense_states); used by the scenario validator when
-    no full formation run is wanted.
+    Returns (dense_times, dense_states) with every sub-step recorded; used
+    by the scenario validator when no full formation run is wanted.
     """
     if cfg is None:
         cfg = SimConfig()
+    ftraj = _simulate_stacked((), leader, (), gains, replace(cfg, record_stride=1), kappa_max)
+    return ftraj.dense_times, ftraj.leader_states
+
+
+def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
+    """Run the stacked state, row 0 the leader and row l + 1 agent l."""
     eps = gains.epsilon
-    t_final, nsub = resolve_config(cfg, gains, kappa_max)
-    n_int, tail = interval_grid(t_final, eps)
-    n_intervals = n_int + (1 if tail > 0.0 else 0)
+    x0 = np.array([leader.x0_vec(), *x0s])
+    n_rows, p = x0.shape
+    names = ["leader"] + [f"agent {idx}" for idx in range(len(agents))]
 
-    def rhs(t, s):
-        return np.asarray(leader.dynamics(t, s), dtype=float)
+    def steer(x):
+        held = []
+        for idx, agent in enumerate(agents):
+            try:
+                held.append(follower_steering(agent, gains, x[idx + 1], x[0]))
+            except RankDegeneracyError as exc:
+                exc.agent_index = idx
+                raise
+        return held
 
-    xL = leader.x0_vec()
-    times = [0.0]
-    states = [xL.copy()]
-    for j in range(n_intervals):
-        is_tail = tail > 0.0 and j == n_int
-        h = (tail if is_tail else eps) / nsub
-        base_t = j * eps
-        for i in range(1, nsub + 1):
-            xL = _rk4_step(rhs, base_t + (i - 1) * h, xL, h)
-            if i == nsub:
-                # Boundary instants use the grid expression, not accumulated
-                # sub-steps, to match the sampling clock exactly.
-                t_now = t_final if is_tail else (j + 1) * eps
-            else:
-                t_now = base_t + i * h
-            _guard(xL, t_now, "leader")
-            times.append(t_now)
-            states.append(xL.copy())
-    return np.array(times), np.array(states)
+    def rhs_for(held):
+        parts = [leader.dynamics] + [
+            _closed_loop_rhs(agent.system, agent.selection, eps, a)
+            for agent, a in zip(agents, held)]
+
+        def rhs(t, x):
+            return np.array([f(t, row) for f, row in zip(parts, x)], dtype=float)
+
+        return rhs
+
+    def control(held, t):
+        return [held_control(agent.selection, eps, agent.system.m, a, t)
+                for agent, a in zip(agents, held)]
+
+    def guard(x, t):
+        for row, what in zip(x, names):
+            _guard(row, t, what)
+
+    def build(rec):
+        dense = np.array(rec.states).reshape(-1, n_rows, p)
+        samples = np.array(rec.sample_states)
+        sample_times = np.array(rec.sample_times)
+        dense_times = np.array(rec.times)
+        intervals = np.array(rec.intervals, dtype=int)
+        leader_states = dense[:, 0]
+        leader_samples = samples[:, 0]
+        agent_trajs = []
+        displacement_trajs = []
+        errors = []
+        for idx, agent in enumerate(agents):
+            states = dense[:, idx + 1]
+            d = agent.offset_vec()
+            disp_dense = states - leader_states - d
+            err = np.linalg.norm(disp_dense, axis=1)
+            controls = np.array([u[idx] for u in rec.controls]).reshape(-1, agent.system.m)
+            shared = dict(epsilon=eps, n1=p, sample_times=sample_times,
+                          dense_times=dense_times, dense_controls=controls,
+                          y_error=err, interval_index=intervals)
+            agent_trajs.append(SampledTrajectory(
+                sample_states=samples[:, idx + 1], dense_states=states, **shared))
+            displacement_trajs.append(SampledTrajectory(
+                sample_states=samples[:, idx + 1] - leader_samples - d,
+                dense_states=disp_dense, **shared))
+            errors.append(err)
+        return FormationTrajectory(
+            epsilon=eps,
+            dense_times=dense_times,
+            leader_states=leader_states,
+            sample_times=sample_times,
+            leader_samples=leader_samples,
+            agent_trajs=tuple(agent_trajs),
+            displacement_trajs=tuple(displacement_trajs),
+            error_series=tuple(errors),
+        )
+
+    return _run_sampled(cfg, gains, kappa_max, x0, steer, rhs_for, control, guard, build)
 
 
 def gain_condition_report(leader, agents, rho, dense_times, leader_states):

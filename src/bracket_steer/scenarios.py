@@ -1,14 +1,15 @@
-"""Built-in scenarios and the JSON scenario-file format.
+"""The JSON scenario-file format and the built-in scenarios.
 
 A scenario bundles everything one run needs: system(s) by registry name,
 bracket selection, gains, initial data, sim config, a probe box on which the
 selection must validate before any simulation, and an expected-properties
-block carrying the thresholds acceptance runs check against.
+block carrying the thresholds acceptance runs check against.  The built-ins
+are scenario files shipped in the package's data/ directory.
 """
 
 import json
-import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -46,69 +47,19 @@ class ScenarioBundle:
     agent_x0s: Optional[tuple] = None
 
 
-def _disc_bundle():
-    selection = BracketSelection(s1=(1,), s2=((1, 2),), kappa=(1,))
-    return ScenarioBundle(
-        name="rolling-disc",
-        kind=SINGLE,
-        system=library.system("rolling-disc"),
-        selection=selection,
-        gains=ControllerGains(epsilon=1.0, gamma=5.0, y_star=(0.0, 0.0)),
-        x0=(2.0, 1.0, 0.0, math.pi),
-        sim=SimConfig(t_final=50.0),
-        probe_box=((-3.0, 3.0),) * 4,
-        expected={
-            "rho": 0.1,
-            "settle_time": 20.0,
-            "hold_until": 50.0,
-            "tail_window_start": 40.0,
-            "tail_variation_cap": 0.05,
-        },
-    )
-
-
-def _unicycle_bundle():
-    selection = BracketSelection(s1=(1, 2), s2=((1, 2),), kappa=(1,))
-    agent = FollowerAgent(
-        system=library.system("unicycle"),
-        selection=selection,
-        gamma=10.0,
-        offset=(0.1, 0.1, 0.0),
-    )
-    leader = LeaderModel(
-        name="figure-eight",
-        dynamics=library.leader_field("figure-eight"),
-        x0=(0.0, 0.0, math.pi / 4.0),
-    )
-    return ScenarioBundle(
-        name="unicycle-leader",
-        kind=FORMATION,
-        agents=(agent,),
-        leader=leader,
-        agent_x0s=((1.0, 0.5, 0.0),),
-        gains=ControllerGains(epsilon=0.1, gamma=10.0, y_star=(0.0, 0.0, 0.0)),
-        sim=SimConfig(t_final=60.0),
-        probe_box=((-3.0, 3.0),) * 3,
-        expected={
-            "rho": 0.3,
-            "settle_time": 30.0,
-            "initial_error": 1.2597024549742233,
-        },
-    )
-
-
 _BUILTINS = {
-    "rolling-disc": _disc_bundle,
-    "unicycle-leader": _unicycle_bundle,
+    "rolling-disc": "rolling_disc.json",
+    "unicycle-leader": "unicycle_leader.json",
 }
+_DATA_DIR = Path(__file__).with_name("data")
 
 
 def builtin_scenario(name):
-    """Return a built-in bundle by name ('rolling-disc' or 'unicycle-leader')."""
+    """Load a built-in bundle by name from its file in the package's data/."""
     if name not in _BUILTINS:
         raise UnknownScenarioError(
             f"unknown scenario '{name}'; built-ins: {sorted(_BUILTINS)}")
-    return _BUILTINS[name]()
+    return load_scenario(_DATA_DIR / _BUILTINS[name])
 
 
 def builtin_names():

@@ -1,10 +1,16 @@
 """Sample-and-hold closed-loop integration and decay diagnostics.
 
 The closed loop is integrated as a sampled solution: on each interval
-[tau_j, tau_j + epsilon) the control's state argument is frozen at
-x(tau_j) while its time argument advances continuously.  Integration is
-classical fixed-step RK4, which keeps runs deterministic and aligned with
-the sampling grid.
+[tau_j, tau_j + epsilon) the feedback's state argument is frozen at
+x(tau_j) while its time argument advances continuously.  One private
+driver, _run_sampled, owns that clock for every caller: the interval grid
+and its partial tail, the sub-step and boundary times, the divergence
+guard, resampling at each sampling instant, the record stride, and the
+partial trajectory attached to a failure.  Integration is classical
+fixed-step RK4, which keeps runs deterministic and aligned with the
+sampling grid.  simulate_pi_epsilon runs one system through the driver;
+the formation module runs the stacked leader-and-followers state through
+the same driver.
 """
 
 import math
@@ -134,49 +140,115 @@ def _rk4_step(rhs, t, x, h):
 
 
 class _Recorder:
-    """Accumulates the dense grid and assembles SampledTrajectory objects."""
+    """Lists of the dense grid and sampling instants of one run.
 
-    def __init__(self, sel, epsilon, m, n, n1, y_star):
-        self.sel = sel
-        self.epsilon = epsilon
-        self.m = m
-        self.n = n
-        self.n1 = n1
-        self.y_star = y_star
+    record() stores control(held, t) beside each dense point; build() hands
+    the recorder to the caller's build(recorder), which assembles the
+    caller's trajectory type from the lists.
+    """
+
+    def __init__(self, control, build):
+        self.control = control
+        self._build = build
         self.times = []
         self.states = []
         self.controls = []
         self.intervals = []
+        self.sample_times = []
+        self.sample_states = []
 
-    def record(self, t, x, j, a):
+    def record(self, t, x, j, held):
         self.times.append(t)
         self.states.append(x.copy())
-        self.controls.append(held_control(self.sel, self.epsilon, self.m, a, t))
+        self.controls.append(self.control(held, t))
         self.intervals.append(j)
 
-    def build(self, sample_times, sample_states):
-        states = np.array(self.states) if self.states else np.zeros((0, self.n))
-        y_err = np.linalg.norm(states[:, : self.n1] - self.y_star, axis=1) if len(states) else np.zeros(0)
-        return SampledTrajectory(
-            epsilon=self.epsilon,
-            n1=self.n1,
-            sample_times=np.array(sample_times),
-            sample_states=np.array(sample_states),
-            dense_times=np.array(self.times),
-            dense_states=states,
-            dense_controls=np.array(self.controls) if self.controls else np.zeros((0, self.m)),
-            y_error=y_err,
-            interval_index=np.array(self.intervals, dtype=int),
-        )
+    def build(self):
+        return self._build(self)
 
 
-def _guard_state(x, t, rec, sample_times, sample_states):
+def _guard_state(x, t, what="state"):
     if np.all(np.isfinite(x)) and np.linalg.norm(x) <= DIVERGENCE_NORM_CAP:
         return
-    partial = rec.build(sample_times, sample_states)
     raise DivergenceError(
-        f"state diverged at t={t:.6g} (non-finite or norm > {DIVERGENCE_NORM_CAP:g})",
-        t=t, state=x.copy(), partial=partial)
+        f"{what} diverged at t={t:.6g} (non-finite or norm > {DIVERGENCE_NORM_CAP:g})",
+        t=t, state=x.copy())
+
+
+def _closed_loop_rhs(sys, sel, epsilon, a):
+    """The field f0(t, x) + sum_k u_k(t) f_k(x), u held at coefficients a."""
+    drift = sys.drift
+    fields = sys.control_fields
+    m = sys.m
+
+    def rhs(t, state):
+        u = held_control(sel, epsilon, m, a, t)
+        out = np.array(drift(t, state), dtype=float)
+        for k in range(m):
+            uk = u[k]
+            if uk != 0.0:
+                out += uk * np.asarray(fields[k](state), dtype=float)
+        return out
+
+    return rhs
+
+
+def _run_sampled(cfg, gains, kappa_max, x0, steer, rhs_for, control, guard, build):
+    """Integrate a sampled closed loop from x0; the package's one clock.
+
+    At each sampling instant tau_j = j * epsilon the held value
+    steer(x(tau_j)) is computed; over [tau_j, tau_j + epsilon) the field
+    rhs_for(held) is integrated with nsub RK4 sub-steps while its time
+    argument runs on.  A final partial interval ends exactly at t_final.
+    guard(x, t) runs after every sub-step.  A dense point (t, x, interval,
+    control(held, t)) is recorded at t = 0, every cfg.record_stride
+    sub-steps and at the end of the horizon.  Returns build(recorder); a
+    DivergenceError or RankDegeneracyError leaves with build(recorder) of
+    the run so far attached as .partial.
+    """
+    eps = gains.epsilon
+    t_final, nsub = resolve_config(cfg, gains, kappa_max)
+    n_int, tail = interval_grid(t_final, eps)
+    n_intervals = n_int + (1 if tail > 0.0 else 0)
+    if n_intervals == 0:
+        raise InvalidInputError(f"t_final={t_final} is too short for epsilon={eps}")
+    total_substeps = n_intervals * nsub
+    stride = cfg.record_stride
+
+    rec = _Recorder(control, build)
+    x = x0
+    try:
+        rec.sample_times.append(0.0)
+        rec.sample_states.append(x.copy())
+        held = steer(x)
+        rec.record(0.0, x, 0, held)
+        g = 0  # global sub-step counter, drives record_stride
+        for j in range(n_intervals):
+            is_tail = j == n_int
+            h = (tail if is_tail else eps) / nsub
+            base_t = j * eps
+            # Boundary instants use the grid expression, not accumulated
+            # sub-steps, to match the sampling clock exactly.
+            t_end = t_final if is_tail else (j + 1) * eps
+            rhs = rhs_for(held)
+            for i in range(1, nsub + 1):
+                x = _rk4_step(rhs, base_t + (i - 1) * h, x, h)
+                g += 1
+                t = base_t + i * h if i < nsub else t_end
+                guard(x, t)
+                k = j
+                if i == nsub and not is_tail:
+                    # Sampling instant tau_{j+1}: resample the held value.
+                    rec.sample_times.append(t)
+                    rec.sample_states.append(x.copy())
+                    held = steer(x)
+                    k = j + 1
+                if g % stride == 0 or g == total_substeps:
+                    rec.record(t, x, k, held)
+    except (DivergenceError, RankDegeneracyError) as exc:
+        exc.partial = rec.build()
+        raise
+    return rec.build()
 
 
 def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
@@ -193,72 +265,34 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
     if sys.domain_check is not None and not sys.domain_check(x0):
         raise InvalidInputError("x0 lies outside the system's declared domain")
     eps = gains.epsilon
-    t_final, nsub = resolve_config(cfg, gains, sel.kappa_max)
-    n_int, tail = interval_grid(t_final, eps)
-    n_intervals = n_int + (1 if tail > 0.0 else 0)
-    if n_intervals == 0:
-        raise InvalidInputError(f"t_final={t_final} is too short for epsilon={eps}")
-    total_substeps = n_intervals * nsub
-    stride = cfg.record_stride
-
-    rec = _Recorder(sel, eps, sys.m, sys.n, sys.n1, gains.y_star_vec())
-    sample_times = [0.0]
-    sample_states = [x0.copy()]
-
-    def steer(x, t):
-        try:
-            return steering_coefficients(sys, sel, gains, x)
-        except RankDegeneracyError as exc:
-            exc.partial = rec.build(sample_times, sample_states)
-            raise
-
-    drift = sys.drift
-    fields = sys.control_fields
     m = sys.m
+    n1 = sys.n1
+    y_star = gains.y_star_vec()
 
-    a = steer(x0, 0.0)
-    rec.record(0.0, x0, 0, a)
-    x = x0
-    g = 0  # global sub-step counter, drives record_stride
+    def build(rec):
+        states = np.array(rec.states).reshape(-1, sys.n)
+        # The error is taken right after stacking: later, its temporary
+        # would sit on top of every other array and raise peak memory.
+        y_err = np.linalg.norm(states[:, :n1] - y_star, axis=1)
+        return SampledTrajectory(
+            epsilon=eps,
+            n1=n1,
+            sample_times=np.array(rec.sample_times),
+            sample_states=np.array(rec.sample_states),
+            dense_times=np.array(rec.times),
+            dense_states=states,
+            dense_controls=np.array(rec.controls).reshape(-1, m),
+            y_error=y_err,
+            interval_index=np.array(rec.intervals, dtype=int),
+        )
 
-    for j in range(n_intervals):
-        is_tail = tail > 0.0 and j == n_int
-        h = (tail if is_tail else eps) / nsub
-        base_t = j * eps
-
-        def rhs(t, state, a=a):
-            u = held_control(sel, eps, m, a, t)
-            out = np.asarray(drift(t, state), dtype=float) + 0.0
-            for k in range(m):
-                uk = u[k]
-                if uk != 0.0:
-                    out += uk * np.asarray(fields[k](state), dtype=float)
-            return out
-
-        for i in range(1, nsub + 1):
-            x = _rk4_step(rhs, base_t + (i - 1) * h, x, h)
-            g += 1
-            if i < nsub:
-                t_now = base_t + i * h
-                _guard_state(x, t_now, rec, sample_times, sample_states)
-                if g % stride == 0:
-                    rec.record(t_now, x, j, a)
-            elif is_tail:
-                # Final point of the partial interval: exactly t_final, still
-                # governed by the coefficients held since tau_{n_int}.
-                _guard_state(x, t_final, rec, sample_times, sample_states)
-                rec.record(t_final, x, j, a)
-            else:
-                # Sampling instant tau_{j+1}: resample the steering state.
-                t_b = (j + 1) * eps
-                _guard_state(x, t_b, rec, sample_times, sample_states)
-                sample_times.append(t_b)
-                sample_states.append(x.copy())
-                a = steer(x, t_b)
-                if g % stride == 0 or g == total_substeps:
-                    rec.record(t_b, x, j + 1, a)
-
-    return rec.build(sample_times, sample_states)
+    return _run_sampled(
+        cfg, gains, sel.kappa_max, x0,
+        steer=lambda x: steering_coefficients(sys, sel, gains, x),
+        rhs_for=lambda a: _closed_loop_rhs(sys, sel, eps, a),
+        control=lambda a, t: held_control(sel, eps, m, a, t),
+        guard=_guard_state,
+        build=build)
 
 
 def averaged_reference(y0, gains, t):
@@ -300,11 +334,13 @@ def decay_report(traj, gains, rho):
                        zeta_fit=zeta_fit, monotone_fraction=monotone)
 
 
-def epsilon_sweep(sys, sel, gains_base, x0, t_final, eps_list):
+def epsilon_sweep(sys, sel, gains_base, x0, t_final, eps_list,
+                  substeps_per_period=None):
     """Max sampled deviation from the averaged flow, one row per epsilon.
 
     eps_list must be strictly decreasing and positive; returns a list of
-    (epsilon, max_j ||y(tau_j) - yhat(tau_j)||) rows.
+    (epsilon, max_j ||y(tau_j) - yhat(tau_j)||) rows.  Every run uses
+    SimConfig(t_final, substeps_per_period); None fields take the defaults.
     """
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
@@ -315,10 +351,11 @@ def epsilon_sweep(sys, sel, gains_base, x0, t_final, eps_list):
         raise InvalidInputError("eps_list must be strictly decreasing")
     x0 = as_state(x0, sys.n)
     y0 = x0[: sys.n1]
+    cfg = SimConfig(t_final=t_final, substeps_per_period=substeps_per_period)
     rows = []
     for e in eps_list:
         gains = replace(gains_base, epsilon=e)
-        traj = simulate_pi_epsilon(sys, sel, gains, x0, SimConfig(t_final=t_final))
+        traj = simulate_pi_epsilon(sys, sel, gains, x0, cfg)
         dev = 0.0
         for tau, state in zip(traj.sample_times, traj.sample_states):
             ref = averaged_reference(y0, gains, float(tau))

@@ -1,10 +1,11 @@
 """Acceptance gate: one test per criterion, each printing PASS/FAIL.
 
 Criterion 1 is expected to fail: at epsilon * gamma = 5 the sampled loop
-amplifies the position error instead of contracting it (growth factor about
-1.5 per period, verified independently with an adaptive integrator), so the
-stated thresholds are unreachable at those parameters.  The test asserts the
-stated behavior anyway; see the failure message for the evidence.
+amplifies the position error instead of contracting it (growth factor 3.3
+per sampling interval, verified independently with an adaptive integrator),
+so the stated thresholds are unreachable at those parameters.  The test
+asserts the stated behavior anyway; see the failure message for the
+evidence.
 """
 
 import math

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -108,10 +109,45 @@ def test_sweep_csv(tmp_path):
     assert devs[0] > devs[1] > devs[2]
 
 
+def test_sweep_substeps_override(tmp_path):
+    base = tmp_path / "base.csv"
+    fine = tmp_path / "fine.csv"
+    common = ["sweep", "rolling-disc", "--gamma", "2", "--t-final", "2",
+              "--epsilon", "0.2,0.1"]
+    assert main(common + ["--out", str(base)]) == 0
+    assert main(common + ["--substeps", "80", "--out", str(fine)]) == 0
+    assert _lines(base)[0] == _lines(fine)[0] == "epsilon,max_deviation"
+    base_devs = [l.split(",")[1] for l in _lines(base)[1:]]
+    fine_devs = [l.split(",")[1] for l in _lines(fine)[1:]]
+    assert all(a != b for a, b in zip(base_devs, fine_devs))
+
+
+def test_sweep_rejects_rho(tmp_path):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "rolling-disc", "--epsilon", "0.2,0.1", "--rho", "0.1",
+              "--out", str(tmp_path / "x.csv")])
+    assert info.value.code == 2
+
+
 def test_sweep_requires_epsilon(tmp_path, capsys):
     rc = main(["sweep", "rolling-disc", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "error:InvalidInputError" in capsys.readouterr().err
+
+
+# SHA-256 of `run <name> --format csv` for the shipped built-ins.  Any
+# change to these bytes is a change to a computed trajectory.
+GOLDEN_CSV_SHA256 = {
+    "rolling-disc": "44233fc42abc7fd6a4c39e5d0445fddd0a3737fc49b8e61beae9e3c5a6542e80",
+    "unicycle-leader": "91700b1feb822fcb5acfe86a9571eac94d3115df5647bb18f73a5c77ac47c431",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
+def test_builtin_csv_golden_bytes(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    assert main(["run", name, "--format", "csv", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[name]
 
 
 def test_validate_prints_certificate(capsys):

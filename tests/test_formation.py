@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from bracket_steer import (ControllerGains, FollowerAgent, InvalidInputError,
+from bracket_steer import (ControllerGains, DivergenceError, FollowerAgent,
+                           FormationTrajectory, InvalidInputError,
                            LeaderModel, RankDegeneracyError, SimConfig,
                            follower_controller, follower_steering,
                            formation_error, gain_condition_report, leader_field,
-                           simulate_formation, simulate_leader)
+                           simulate_formation, simulate_leader, simulate_pi_epsilon)
 
 from oracles import control_series, pi_eps_solve
 
@@ -153,6 +155,23 @@ def test_block_diagonal_equivalence(uni_agent, form_gains, fig8_leader):
     assert np.array_equal(joint.error_series[0], solo0.error_series[0])
 
 
+def test_follower_drift_is_integrated(uni, uni_sel):
+    # Following a still leader at the origin with zero offset is the
+    # single-system loop with target zero, the agent's drift included.
+    windy = dataclasses.replace(uni, name="windy-unicycle",
+                                drift=lambda t, x: np.array([0.3, 0.0, 0.0]))
+    agent = FollowerAgent(system=windy, selection=uni_sel, gamma=2.0,
+                          offset=(0.0, 0.0, 0.0))
+    origin = LeaderModel(name="stationary", dynamics=leader_field("stationary"),
+                         x0=(0.0, 0.0, 0.0))
+    gains = ControllerGains(epsilon=0.1, gamma=2.0, y_star=(0.0, 0.0, 0.0))
+    cfg = SimConfig(t_final=1.0)
+    joint = simulate_formation([agent], origin, [AGENT_X0], gains, cfg)
+    solo = simulate_pi_epsilon(windy, uni_sel, gains, AGENT_X0, cfg)
+    assert np.array_equal(joint.agent_trajs[0].dense_states, solo.dense_states)
+    assert np.array_equal(joint.agent_trajs[0].dense_controls, solo.dense_controls)
+
+
 def test_error_invariant_under_relabeling(uni_agent, form_gains, fig8_leader):
     other = FollowerAgent(system=uni_agent.system, selection=uni_agent.selection,
                           gamma=10.0, offset=(-0.2, 0.3, 0.0))
@@ -212,6 +231,11 @@ def test_leader_path_and_gain_condition(uni_agent, form_gains, fig8_leader):
     assert not rows[0].satisfied
 
 
+def test_leader_horizon_too_short(fig8_leader, form_gains):
+    with pytest.raises(InvalidInputError, match="too short"):
+        simulate_leader(fig8_leader, form_gains, SimConfig(t_final=1e-12))
+
+
 def test_figure_eight_denominator_bounded():
     # 4 c^4 - 3 c^2 + 1 attains its minimum 7/16 at c^2 = 3/8.
     f = leader_field("figure-eight")
@@ -263,6 +287,23 @@ def test_rank_degeneracy_names_agent(uni_agent, form_gains, pinch, pinch_sel,
                                            y_star=(0.0, 0.0)),
                            SimConfig(t_final=1.0))
     assert info.value.agent_index == 0
+    assert isinstance(info.value.partial, FormationTrajectory)
+
+
+def test_divergent_leader_carries_partial(uni_agent, form_gains):
+    # x_L' = 50 x_L leaves the guarded region near t = ln(1e9 / |x_L(0)|) / 50.
+    runaway = LeaderModel(name="runaway", dynamics=lambda t, x: 50.0 * x, x0=FIG8_X0)
+    with pytest.raises(DivergenceError) as info:
+        simulate_formation([uni_agent], runaway, [AGENT_X0], form_gains,
+                           SimConfig(t_final=1.0))
+    exc = info.value
+    assert str(exc).startswith("leader diverged")
+    assert 0.4 < exc.t < 0.45
+    partial = exc.partial
+    assert isinstance(partial, FormationTrajectory)
+    assert 0 < partial.dense_times.shape[0] == partial.leader_states.shape[0]
+    assert partial.dense_times[-1] < exc.t
+    assert partial.agent_trajs[0].dense_states.shape == (partial.dense_times.shape[0], 3)
 
 
 def test_mismatched_inputs(uni_agent, form_gains, fig8_leader):
@@ -271,6 +312,10 @@ def test_mismatched_inputs(uni_agent, form_gains, fig8_leader):
     with pytest.raises(InvalidInputError):
         simulate_formation([uni_agent], fig8_leader, [AGENT_X0, AGENT_X0],
                            form_gains)
+    planar = LeaderModel(name="stationary", dynamics=leader_field("stationary"),
+                         x0=(0.0, 0.0))
+    with pytest.raises(InvalidInputError):
+        simulate_formation([uni_agent], planar, [AGENT_X0], form_gains)
     with pytest.raises(InvalidInputError):
         formation_error(simulate_formation([uni_agent], fig8_leader, [AGENT_X0],
                                            form_gains, SimConfig(t_final=0.5)), 3)
