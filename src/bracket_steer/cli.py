@@ -100,17 +100,21 @@ def _write_text(path, text):
     return path
 
 
+def _csv_table(header, columns):
+    """CSV text: the header, then one row per line of the column-stacked arrays."""
+    table = np.column_stack(columns)
+    row_fmt = ",".join([_FMT] * table.shape[1])
+    lines = [",".join(header)]
+    lines += [row_fmt % tuple(row) for row in table.tolist()]
+    lines.append("")
+    return "\n".join(lines)
+
+
 def _csv_single(traj, n, m):
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] \
         + [f"u{k}" for k in range(1, m + 1)] + ["err_y"]
-    lines = [",".join(header)]
-    for i in range(traj.dense_times.shape[0]):
-        row = [_fmt(traj.dense_times[i])]
-        row += [_fmt(v) for v in traj.dense_states[i]]
-        row += [_fmt(v) for v in traj.dense_controls[i]]
-        row.append(_fmt(traj.y_error[i]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _csv_table(header, [traj.dense_times, traj.dense_states,
+                               traj.dense_controls, traj.y_error])
 
 
 def _csv_formation(ftraj, agents):
@@ -123,16 +127,9 @@ def _csv_formation(ftraj, agents):
         + [f"u{k}" for k in range(1, m + 1)] + ["err_y"] \
         + [f"xL{i}" for i in range(1, p + 1)] \
         + [f"err_{a + 1}" for a in range(len(agents))]
-    lines = [",".join(header)]
-    for i in range(ftraj.dense_times.shape[0]):
-        row = [_fmt(ftraj.dense_times[i])]
-        row += [_fmt(v) for v in first.dense_states[i]]
-        row += [_fmt(v) for v in first.dense_controls[i]]
-        row.append(_fmt(first.y_error[i]))
-        row += [_fmt(v) for v in ftraj.leader_states[i]]
-        row += [_fmt(err[i]) for err in ftraj.error_series]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _csv_table(header, [ftraj.dense_times, first.dense_states,
+                               first.dense_controls, first.y_error,
+                               ftraj.leader_states, *ftraj.error_series])
 
 
 def _traj_json_single(traj):
@@ -235,10 +232,7 @@ def _cmd_sweep(args):
                          np.array(bundle.x0), bundle.sim.t_final, eps_list,
                          substeps_per_period=bundle.sim.substeps_per_period)
 
-    lines = ["epsilon,max_deviation"]
-    for eps, dev in rows:
-        lines.append(f"{_fmt(eps)},{_fmt(dev)}")
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = _csv_table(["epsilon", "max_deviation"], [np.array(rows, dtype=float)])
 
     out = Path(args.out) if args.out else Path(f"{bundle.name}-sweep.csv")
     if args.format == "csv":

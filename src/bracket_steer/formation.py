@@ -12,6 +12,7 @@ elementwise each row follows exactly the trajectory it would have alone.
 simulate_leader is the same run with no followers.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -23,8 +24,8 @@ from .simulate import (SampledTrajectory, SimConfig, _closed_loop_rhs,
                        _guard_state as _guard, _run_sampled)
 # Not called here: perfbench/tracer.py wraps formation._rk4_step by name.
 from .simulate import _rk4_step  # noqa: F401
-from .synthesis import (check_selection, extension_matrix, held_control,
-                        _solve_steering)
+from .synthesis import (check_selection, extension_matrix, frozen_control,
+                        held_control, _solve_steering)
 
 
 @dataclass(frozen=True)
@@ -206,16 +207,16 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
         held = []
         for idx, agent in enumerate(agents):
             try:
-                held.append(follower_steering(agent, gains, x[idx + 1], x[0]))
+                a = follower_steering(agent, gains, x[idx + 1], x[0])
             except RankDegeneracyError as exc:
                 exc.agent_index = idx
                 raise
+            held.append(frozen_control(agent.selection, eps, agent.system.m, a))
         return held
 
     def rhs_for(held):
         parts = [leader.dynamics] + [
-            _closed_loop_rhs(agent.system, agent.selection, eps, a)
-            for agent, a in zip(agents, held)]
+            _closed_loop_rhs(agent.system, u_of) for agent, u_of in zip(agents, held)]
 
         def rhs(t, x):
             return np.array([f(t, row) for f, row in zip(parts, x)], dtype=float)
@@ -223,8 +224,7 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
         return rhs
 
     def control(held, t):
-        return [held_control(agent.selection, eps, agent.system.m, a, t)
-                for agent, a in zip(agents, held)]
+        return [u_of(t) for u_of in held]
 
     def guard(x, t):
         for row, what in zip(x, names):
@@ -276,7 +276,8 @@ def gain_condition_report(leader, agents, rho, dense_times, leader_states):
         raise InvalidInputError(f"rho must be > 0, got {rho}")
     sup = 0.0
     for t, xL in zip(dense_times, leader_states):
-        sup = max(sup, float(np.linalg.norm(np.asarray(leader.dynamics(float(t), xL), float))))
+        v = np.asarray(leader.dynamics(float(t), xL), float)
+        sup = max(sup, math.sqrt(v.dot(v)))
     rows = []
     for idx, agent in enumerate(agents):
         rows.append(GainConditionRow(

@@ -8,6 +8,7 @@ are scenario files shipped in the package's data/ directory.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -111,111 +112,167 @@ def scenario_to_dict(bundle):
     return out
 
 
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise ScenarioFormatError(f"{where} must be an object, got {value!r}")
+    return value
+
+
 def _require(mapping, key, where):
-    if key not in mapping:
+    if key not in _object(mapping, where):
         raise ScenarioFormatError(f"scenario config missing required key '{key}' in {where}")
     return mapping[key]
 
 
-def _selection_from_dict(d, where):
-    s1 = tuple(_require(d, "s1", where))
-    s2 = tuple(tuple(p) for p in _require(d, "s2", where))
-    kappa = d.get("kappa")
+def _optional(mapping, key, default, where):
+    return _object(mapping, where).get(key, default)
+
+
+def _coerce(convert, value, where, expected):
+    """convert(value), or ScenarioFormatError naming where the value sits."""
     try:
-        return BracketSelection(s1=s1, s2=s2, kappa=tuple(kappa) if kappa is not None else None)
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioFormatError(f"{where} must be {expected}, got {value!r}") from None
+
+
+def _number(value, where):
+    return _coerce(float, value, where, "a number")
+
+
+def _integer(value, where):
+    return _coerce(int, value, where, "an integer")
+
+
+def _numbers(value, where, n=None):
+    """A list of numbers as a tuple of floats, of length n when n is given."""
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioFormatError(f"{where} must be a list of numbers, got {value!r}")
+    out = tuple(_number(v, f"{where} entry") for v in value)
+    if n is not None and len(out) != n:
+        raise ScenarioFormatError(f"{where} has dimension {len(out)}, expected {n}")
+    return out
+
+
+def _probe_box(value, n):
+    """One finite [lo, hi] pair with lo <= hi per state coordinate."""
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        raise ScenarioFormatError(
+            f"probe_box must hold {n} [lo, hi] pairs, one per state coordinate, "
+            f"got {value!r}")
+    box = tuple(_numbers(pair, "probe_box pair", 2) for pair in value)
+    for lo, hi in box:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ScenarioFormatError(
+                f"probe_box pair [{lo!r}, {hi!r}] must be finite with lo <= hi")
+    return box
+
+
+def _registered(lookup, name):
+    try:
+        return lookup(str(name))
+    except InvalidInputError as exc:
+        raise ScenarioFormatError(str(exc)) from exc
+
+
+def _selection_from_dict(d, where):
+    s1 = _require(d, "s1", where)
+    s2 = _require(d, "s2", where)
+    kappa = _optional(d, "kappa", None, where)
+    try:
+        return BracketSelection(s1=tuple(s1), s2=tuple(tuple(p) for p in s2),
+                                kappa=tuple(kappa) if kappa is not None else None)
     except InvalidInputError as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
+    except (TypeError, ValueError, IndexError, OverflowError):
+        raise ScenarioFormatError(
+            f"{where}: s1 must list integers, s2 integer pairs and kappa integers, "
+            f"got {d!r}") from None
 
 
 def _gains_from_dict(d, where):
+    epsilon = _number(_require(d, "epsilon", where), f"{where}.epsilon")
+    gamma = _number(_require(d, "gamma", where), f"{where}.gamma")
+    y_star = _numbers(_require(d, "y_star", where), f"{where}.y_star")
+    cond_cap = _number(_optional(d, "cond_cap", 1e6, where), f"{where}.cond_cap")
     try:
-        return ControllerGains(
-            epsilon=float(_require(d, "epsilon", where)),
-            gamma=float(_require(d, "gamma", where)),
-            y_star=tuple(_require(d, "y_star", where)),
-            cond_cap=float(d.get("cond_cap", 1e6)),
-        )
+        return ControllerGains(epsilon=epsilon, gamma=gamma, y_star=y_star, cond_cap=cond_cap)
     except InvalidInputError as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
 
 
 def _sim_from_dict(d, where):
+    t_final = _optional(d, "t_final", None, where)
+    if t_final is not None:
+        t_final = _number(t_final, f"{where}.t_final")
+    nsub = _optional(d, "substeps_per_period", None, where)
+    if nsub is not None:
+        nsub = _integer(nsub, f"{where}.substeps_per_period")
+    stride = _integer(_optional(d, "record_stride", 1, where), f"{where}.record_stride")
     try:
-        t_final = d.get("t_final")
-        nsub = d.get("substeps_per_period")
-        return SimConfig(
-            t_final=float(t_final) if t_final is not None else None,
-            substeps_per_period=int(nsub) if nsub is not None else None,
-            record_stride=int(d.get("record_stride", 1)),
-        )
+        return SimConfig(t_final=t_final, substeps_per_period=nsub, record_stride=stride)
     except InvalidInputError as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
 
 
 def scenario_from_dict(data):
-    """Build a bundle from parsed config, naming any violated invariant."""
+    """Build a bundle from parsed config, naming any violated invariant.
+
+    Every malformed value raises ScenarioFormatError, or SelectionShapeError
+    for a selection that breaks a structural invariant.
+    """
     name = str(_require(data, "name", "top level"))
     kind = str(_require(data, "kind", "top level"))
     if kind not in (SINGLE, FORMATION):
         raise ScenarioFormatError(
             f"kind must be '{SINGLE}' or '{FORMATION}', got '{kind}'")
     gains = _gains_from_dict(_require(data, "gains", "top level"), "gains")
-    sim = _sim_from_dict(data.get("sim", {}), "sim")
-    probe_box = tuple(
-        (float(lo), float(hi)) for lo, hi in _require(data, "probe_box", "top level"))
-    expected = dict(data.get("expected", {}))
+    sim = _sim_from_dict(_optional(data, "sim", {}, "top level"), "sim")
+    probe_spec = _require(data, "probe_box", "top level")
+    expected = {key: _number(v, f"expected.{key}") for key, v in
+                _object(_optional(data, "expected", {}, "top level"), "expected").items()}
 
     if kind == SINGLE:
-        try:
-            system = library.system(str(_require(data, "system", "top level")))
-        except InvalidInputError as exc:
-            raise ScenarioFormatError(str(exc)) from exc
+        system = _registered(library.system, _require(data, "system", "top level"))
         selection = _selection_from_dict(_require(data, "selection", "top level"), "selection")
         check_selection(system, selection)  # raises naming the invariant
-        x0 = tuple(float(v) for v in _require(data, "x0", "top level"))
-        if len(x0) != system.n:
-            raise ScenarioFormatError(
-                f"x0 has dimension {len(x0)}, system '{system.name}' has n = {system.n}")
+        x0 = _numbers(_require(data, "x0", "top level"), "x0", system.n)
         return ScenarioBundle(name=name, kind=kind, system=system, selection=selection,
-                              x0=x0, gains=gains, sim=sim, probe_box=probe_box,
-                              expected=expected)
+                              x0=x0, gains=gains, sim=sim,
+                              probe_box=_probe_box(probe_spec, system.n), expected=expected)
 
     leader_spec = _require(data, "leader", "top level")
-    try:
-        dynamics = library.leader_field(str(_require(leader_spec, "field", "leader")))
-    except InvalidInputError as exc:
-        raise ScenarioFormatError(str(exc)) from exc
-    leader = LeaderModel(
-        name=str(leader_spec["field"]),
-        dynamics=dynamics,
-        x0=tuple(float(v) for v in _require(leader_spec, "x0", "leader")),
-    )
+    leader_name = str(_require(leader_spec, "field", "leader"))
+    dynamics = _registered(library.leader_field, leader_name)
+    leader_x0 = _numbers(_require(leader_spec, "x0", "leader"), "leader.x0")
     agents = []
     x0s = []
     agent_specs = _require(data, "agents", "top level")
-    if not agent_specs:
+    if not isinstance(agent_specs, (list, tuple)) or not agent_specs:
         raise ScenarioFormatError("formation scenarios need at least one agent")
     for i, spec in enumerate(agent_specs):
         where = f"agents[{i}]"
-        try:
-            system = library.system(str(_require(spec, "system", where)))
-        except InvalidInputError as exc:
-            raise ScenarioFormatError(str(exc)) from exc
+        system = _registered(library.system, _require(spec, "system", where))
         selection = _selection_from_dict(_require(spec, "selection", where), where)
         check_selection(system, selection)
         try:
             agent = FollowerAgent(
                 system=system, selection=selection,
-                gamma=float(_require(spec, "gamma", where)),
-                offset=tuple(float(v) for v in _require(spec, "offset", where)),
+                gamma=_number(_require(spec, "gamma", where), f"{where}.gamma"),
+                offset=_numbers(_require(spec, "offset", where), f"{where}.offset"),
             )
         except InvalidInputError as exc:
             raise ScenarioFormatError(f"{where}: {exc}") from exc
         agents.append(agent)
-        x0s.append(tuple(float(v) for v in _require(spec, "x0", where)))
+        x0s.append(_numbers(_require(spec, "x0", where), f"{where}.x0", system.n))
+    p = agents[0].system.n
+    if len(leader_x0) != p:
+        raise ScenarioFormatError(
+            f"leader.x0 has dimension {len(leader_x0)}, the agents' states have {p}")
+    leader = LeaderModel(name=leader_name, dynamics=dynamics, x0=leader_x0)
     return ScenarioBundle(name=name, kind=kind, agents=tuple(agents), leader=leader,
                           agent_x0s=tuple(x0s), gains=gains, sim=sim,
-                          probe_box=probe_box, expected=expected)
+                          probe_box=_probe_box(probe_spec, p), expected=expected)
 
 
 def load_scenario(path):

@@ -170,31 +170,47 @@ def _sign(v):
     return math.copysign(1.0, v) if v != 0.0 else 0.0
 
 
-def held_control(sel, epsilon, m, a, t):
-    """Evaluate the control family at absolute time t for held coefficients a.
+def frozen_control(sel, epsilon, m, a):
+    """The control family t -> u for coefficients a held over an interval.
 
-    u_k = sum_{i in S1} delta_{ki} a_i
-        + sum_{(i1,i2) in S2} 2 sqrt(pi kappa |a_{i1i2}| / eps)
-          [ delta_{k,i1} cos(2 pi kappa t / eps)
-            + delta_{k,i2} sign(a_{i1i2}) sin(2 pi kappa t / eps) ].
+    u_k(t) = sum_{i in S1} delta_{ki} a_i
+           + sum_{(i1,i2) in S2} 2 sqrt(pi kappa |a_{i1i2}| / eps)
+             [ delta_{k,i1} cos(2 pi kappa t / eps)
+               + delta_{k,i2} sign(a_{i1i2}) sin(2 pi kappa t / eps) ].
 
-    The phase is reduced with fmod(t, epsilon), so the evaluation is
-    epsilon-periodic exactly whenever t and t + epsilon round to the same
-    remainder (always true on dyadic grids).
+    The S1 part, each pair's amplitude and signed amplitude, and each
+    pair's rate 2 pi kappa depend only on a, so they are computed here once;
+    a call evaluates only the phase terms.  The phase is reduced with
+    fmod(t, epsilon), so the evaluation is epsilon-periodic exactly
+    whenever t and t + epsilon round to the same remainder (always true on
+    dyadic grids).
     """
-    u = np.zeros(m)
+    base = np.zeros(m)
     for idx, i in enumerate(sel.s1):
-        u[i - 1] += a[idx]
+        base[i - 1] += a[idx]
     off = len(sel.s1)
-    phase = math.fmod(t, epsilon) / epsilon
+    pairs = []
     for p, (i1, i2) in enumerate(sel.s2):
         ap = a[off + p]
         kap = sel.kappa[p]
         amp = 2.0 * math.sqrt(math.pi * kap * abs(ap) / epsilon)
-        ang = TWO_PI * kap * phase
-        u[i1 - 1] += amp * math.cos(ang)
-        u[i2 - 1] += _sign(ap) * amp * math.sin(ang)
-    return u
+        pairs.append((i1 - 1, i2 - 1, amp, _sign(ap) * amp, TWO_PI * kap))
+
+    def u_of(t):
+        u = base.copy()
+        phase = math.fmod(t, epsilon) / epsilon
+        for k1, k2, amp, signed_amp, rate in pairs:
+            ang = rate * phase
+            u[k1] += amp * math.cos(ang)
+            u[k2] += signed_amp * math.sin(ang)
+        return u
+
+    return u_of
+
+
+def held_control(sel, epsilon, m, a, t):
+    """Evaluate the control family at absolute time t for held coefficients a."""
+    return frozen_control(sel, epsilon, m, a)(t)
 
 
 def control_value(sys, sel, gains, t, x_hold):

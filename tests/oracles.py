@@ -97,6 +97,39 @@ def control_series(m, s1, s2, kappa, eps, a):
     return u
 
 
+TWO_PI = 2.0 * math.pi
+
+
+def _sign(v):
+    return math.copysign(1.0, v) if v != 0.0 else 0.0
+
+
+def held_control_reference(sel, epsilon, m, a, t):
+    """The package's held_control as it was before the frozen-interval kernel.
+
+    Kept verbatim (rebuilding every amplitude per call) as the bitwise
+    reference for synthesis.frozen_control.
+    """
+    u = np.zeros(m)
+    for idx, i in enumerate(sel.s1):
+        u[i - 1] += a[idx]
+    off = len(sel.s1)
+    phase = math.fmod(t, epsilon) / epsilon
+    for p, (i1, i2) in enumerate(sel.s2):
+        ap = a[off + p]
+        kap = sel.kappa[p]
+        amp = 2.0 * math.sqrt(math.pi * kap * abs(ap) / epsilon)
+        ang = TWO_PI * kap * phase
+        u[i1 - 1] += amp * math.cos(ang)
+        u[i2 - 1] += _sign(ap) * amp * math.sin(ang)
+    return u
+
+
+def guard_accepts_reference(x, cap=1e9):
+    """The divergence guard's test before it compared squared norms."""
+    return bool(np.all(np.isfinite(x)) and np.linalg.norm(x) <= cap)
+
+
 def antisym_iterated_integral(u1, u2, eps, n=1 << 15):
     """(1/2) * [ II(u2, u1) - II(u1, u2) ] over one period [0, eps].
 

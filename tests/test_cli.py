@@ -150,6 +150,26 @@ def test_builtin_csv_golden_bytes(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[name]
 
 
+# SHA-256 of the JSON and sweep writers' bytes, one command each.
+GOLDEN_OTHER_SHA256 = {
+    "run-disc-json": (["run", "rolling-disc", "--format", "json"],
+                      "0d16e158a29073a290641cf072fe2cd040e3ce3064e934e72208f7b77b8248cb"),
+    "run-leader-json": (["run", "unicycle-leader", "--format", "json", "--t-final", "6"],
+                        "4661297b9e21e65c337b8e97fd36efbb721b748cd49b82fa3e6a901915b6323a"),
+    "sweep-disc-csv": (["sweep", "rolling-disc", "--gamma", "2", "--t-final", "10",
+                        "--epsilon", "0.4,0.2,0.1,0.05,0.025"],
+                       "9bf3596de3c1fdc0dc5e3c5f1563109af1cba53087e89289d5c2b3b2b79f71f4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_OTHER_SHA256))
+def test_json_and_sweep_golden_bytes(tmp_path, case):
+    argv, digest = GOLDEN_OTHER_SHA256[case]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_validate_prints_certificate(capsys):
     rc = main(["validate", "rolling-disc"])
     assert rc == 0
@@ -167,6 +187,39 @@ def test_validate_formation_gain_condition(tmp_path):
     gc = doc["gain_condition"][0]
     assert gc["satisfied"] is True
     assert 0.28 < gc["sup_leader_speed"] < 0.45
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_leader_dimension_mismatch_exit_2(tmp_path, capsys, command):
+    from bracket_steer import builtin_scenario, scenario_to_dict
+    d = scenario_to_dict(builtin_scenario("unicycle-leader"))
+    d["leader"]["x0"] = [0.0, 0.0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    rc = main([command, str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:ScenarioFormatError:leader.x0")
+
+
+def test_malformed_scenario_values_exit_2(tmp_path, capsys):
+    from bracket_steer import builtin_scenario, scenario_to_dict
+    for key, value in (("x0", ["a", 1, 2, 3]), ("probe_box", 5),
+                       ("sim", {"t_final": math.inf})):
+        d = scenario_to_dict(builtin_scenario("rolling-disc"))
+        d[key] = value
+        path = tmp_path / f"bad-{key}.json"
+        path.write_text(json.dumps(d))
+        for args in (["validate", str(path)],
+                     ["run", str(path), "--out", str(tmp_path / "x.csv")]):
+            assert main(args) == 2
+            assert capsys.readouterr().err.startswith(f"error:ScenarioFormatError:{key}")
+
+
+def test_infinite_t_final_override_exit_2(tmp_path, capsys):
+    rc = main(["run", "rolling-disc", "--t-final", "inf",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "error:InvalidInputError" in capsys.readouterr().err
 
 
 def test_unknown_scenario_exit_2(capsys):

@@ -11,7 +11,9 @@ from bracket_steer import (ControllerGains, DivergenceError, FollowerAgent,
                            formation_error, gain_condition_report, leader_field,
                            simulate_formation, simulate_leader, simulate_pi_epsilon)
 
-from oracles import control_series, pi_eps_solve
+from bracket_steer.simulate import DIVERGENCE_NORM_CAP, _guard_state
+
+from oracles import control_series, guard_accepts_reference, pi_eps_solve
 
 
 FIG8_X0 = (0.0, 0.0, math.pi / 4)
@@ -319,3 +321,33 @@ def test_mismatched_inputs(uni_agent, form_gains, fig8_leader):
     with pytest.raises(InvalidInputError):
         formation_error(simulate_formation([uni_agent], fig8_leader, [AGENT_X0],
                                            form_gains, SimConfig(t_final=0.5)), 3)
+
+
+def _guard_cases():
+    """Rows on both sides of the guard's norm cap, and non-finite rows."""
+    cap = DIVERGENCE_NORM_CAP
+    rows = [np.array([v, 0.5, -1.0]) for v in (math.nan, math.inf, -math.inf)]
+    rows.append(np.array([math.inf, -math.inf, 0.0]))
+    for scale in (1 - 1e-12, 1 + 1e-12):
+        rows.append(cap * scale * np.array([0.6, 0.8, 0.0]))
+        rows.append(cap * scale * np.array([1.0, 0.0, 0.0]))
+    rows.append(np.array([cap, 0.0, 0.0]))
+    rows.append(np.array([np.nextafter(cap, math.inf), 0.0, 0.0]))
+    rows.append(np.array([1e300, 1e300, 0.0]))
+    return rows
+
+
+# The 1e300 row overflows the squared norm, as np.linalg.norm's does.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_guard_state_matches_norm_test():
+    for row in _guard_cases():
+        for what in ("leader", "agent 1"):
+            try:
+                _guard_state(row, 1.5, what)
+            except DivergenceError as exc:
+                assert not guard_accepts_reference(row, DIVERGENCE_NORM_CAP), row
+                assert str(exc).startswith(f"{what} diverged at t=1.5 "), exc
+                assert exc.t == 1.5
+                assert exc.state.tobytes() == row.tobytes()
+            else:
+                assert guard_accepts_reference(row, DIVERGENCE_NORM_CAP), row

@@ -1,15 +1,17 @@
+import copy
 import json
 import math
-from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bracket_steer import (ScenarioFormatError, SelectionShapeError,
+from bracket_steer import (BracketSteerError, ScenarioFormatError, SelectionShapeError,
                            UnknownScenarioError, builtin_names, builtin_scenario,
                            load_scenario, save_scenario, scenario_from_dict,
                            scenario_to_dict, validate_bundle)
 from bracket_steer.scenarios import probe_states
+from bracket_steer.simulate import SimConfig
 
 
 def test_builtin_names():
@@ -88,11 +90,20 @@ def test_round_trip_file(tmp_path):
 
 
 def test_shipped_data_files_match_builtins():
-    data_dir = resources.files("bracket_steer") / "data"
-    for name, fname in (("rolling-disc", "rolling_disc.json"),
-                        ("unicycle-leader", "unicycle_leader.json")):
-        with resources.as_file(data_dir / fname) as path:
-            assert load_scenario(path) == builtin_scenario(name)
+    # The values the shipped data/*.json files hold, beyond the bundle-shape
+    # tests above.
+    disc = builtin_scenario("rolling-disc")
+    assert disc.probe_box == ((-3.0, 3.0),) * 4
+    assert disc.gains.cond_cap == 1e6
+    assert disc.sim == SimConfig(t_final=50.0, substeps_per_period=None, record_stride=1)
+    assert disc.expected == {"rho": 0.1, "settle_time": 20.0, "hold_until": 50.0,
+                             "tail_window_start": 40.0, "tail_variation_cap": 0.05}
+    form = builtin_scenario("unicycle-leader")
+    assert form.probe_box == ((-3.0, 3.0),) * 3
+    assert form.gains.cond_cap == 1e6
+    assert form.sim == SimConfig(t_final=60.0, substeps_per_period=None, record_stride=1)
+    assert form.expected == {"rho": 0.3, "settle_time": 30.0,
+                             "initial_error": 1.2597024549742233}
 
 
 def test_missing_key_rejected():
@@ -161,3 +172,60 @@ def test_non_object_top_level(tmp_path):
 def test_missing_file():
     with pytest.raises(ScenarioFormatError, match="cannot read"):
         load_scenario("/nonexistent/path/to/scenario.json")
+
+
+@pytest.mark.parametrize("box", [5, [[-3.0, 3.0]] * 3, [[-3.0, 3.0, 1.0]] * 4,
+                                 [[3.0, -3.0]] + [[-3.0, 3.0]] * 3,
+                                 [[-math.inf, 3.0]] + [[-3.0, 3.0]] * 3,
+                                 [[math.nan, 3.0]] + [[-3.0, 3.0]] * 3])
+def test_bad_probe_box_rejected(box):
+    d = scenario_to_dict(builtin_scenario("rolling-disc"))
+    d["probe_box"] = box
+    with pytest.raises(ScenarioFormatError, match="probe_box"):
+        scenario_from_dict(d)
+
+
+_BUILTIN_DICTS = {name: scenario_to_dict(builtin_scenario(name)) for name in builtin_names()}
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8)
+
+
+def _paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """A built-in's dict with one to three values replaced or keys deleted."""
+    d = copy.deepcopy(_BUILTIN_DICTS[draw(st.sampled_from(sorted(_BUILTIN_DICTS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(d))))
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JSON_VALUES)
+    return d
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_mutated_scenarios() | _JSON_VALUES)
+def test_scenario_from_dict_raises_only_package_errors(data):
+    try:
+        scenario_from_dict(data)
+    except BracketSteerError:
+        pass

@@ -11,8 +11,10 @@ from bracket_steer import (BracketSelection, ControllerGains, InvalidInputError,
                            held_control, steering_coefficients,
                            validate_selection)
 
+from bracket_steer.synthesis import frozen_control
+
 from oracles import (antisym_iterated_integral, control_series, disc_extension,
-                     steering, unicycle_extension)
+                     held_control_reference, steering, unicycle_extension)
 
 
 # --- selection construction -------------------------------------------------
@@ -223,6 +225,29 @@ def test_held_control_periodicity_bitwise(disc_sel):
         for k in (1, 2, 7, 64):
             uk = held_control(disc_sel, eps, 2, a, t + k * eps)
             assert np.array_equal(u0, uk)
+
+
+@pytest.mark.parametrize("sel, m", [
+    (BracketSelection(s1=(1,), s2=((1, 2),), kappa=(1,)), 2),
+    (BracketSelection(s1=(1, 2), s2=((1, 2),), kappa=(1,)), 2),
+    (BracketSelection(s1=(3,), s2=((1, 2), (1, 3)), kappa=(1, 3)), 3),
+])
+def test_frozen_control_matches_reference_bitwise(sel, m):
+    # One frozen control per coefficient vector, evaluated over a seeded
+    # time grid, against the per-call construction it replaces.
+    rng = np.random.default_rng(20261018)
+    specials = [0.0, -0.0, -1.0, 2.5, -3e-9, 7e4]
+    coeffs = [np.array(rng.choice(specials, size=sel.width)) for _ in range(12)]
+    coeffs += [rng.normal(scale=3.0, size=sel.width) for _ in range(12)]
+    for eps in (1.0, 0.1, 0.4, 0.025):
+        ts = np.concatenate([[0.0, eps, 7 * eps], rng.uniform(0.0, 60.0, size=40)])
+        for a in coeffs:
+            u_of = frozen_control(sel, eps, m, a)
+            for t in ts:
+                got = u_of(float(t))
+                want = held_control_reference(sel, eps, m, a, float(t))
+                assert got.tobytes() == want.tobytes()
+                assert held_control(sel, eps, m, a, float(t)).tobytes() == want.tobytes()
 
 
 def test_oscillatory_part_has_zero_mean(disc_sel):
