@@ -4,12 +4,12 @@ Each follower is a control-affine agent steered so that its state tracks
 the leader's state plus a fixed offset.  Stacking the displacement
 variables y_l = x_l - x_L - d_l turns the formation into one partial
 stabilization problem whose extension matrix is block-diagonal.  A run
-integrates the stacked state (x_L, x_1, ..., x_N), one row per member,
-through the sampled-loop driver in simulate: one RK4 step per sub-step
-advances every row, each follower's field is f0 + sum_k u_k f_k held at
-its own frozen pair (x_l(tau_j), x_L(tau_j)), and because RK4 is
-elementwise each row follows exactly the trajectory it would have alone.
-simulate_leader is the same run with no followers.
+integrates the stacked state (x_L, x_1, ..., x_N), its rows laid end to
+end in one float list, through simulate's sampled-loop engine: one
+RK4 step per sub-step advances every row, each follower's field is
+f0 + sum_k u_k f_k held at its own frozen pair (x_l(tau_j), x_L(tau_j)),
+and because RK4 is elementwise each row follows exactly the trajectory it
+would have alone.  simulate_leader is the same run with no followers.
 """
 
 import math
@@ -202,12 +202,13 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
     x0 = np.array([leader.x0_vec(), *x0s])
     n_rows, p = x0.shape
     names = ["leader"] + [f"agent {idx}" for idx in range(len(agents))]
+    ms = [agent.system.m for agent in agents]
 
     def steer(x):
         held = []
         for idx, agent in enumerate(agents):
             try:
-                a = follower_steering(agent, gains, x[idx + 1], x[0])
+                a = follower_steering(agent, gains, x[(idx + 1) * p:(idx + 2) * p], x[:p])
             except RankDegeneracyError as exc:
                 exc.agent_index = idx
                 raise
@@ -215,27 +216,31 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
         return held
 
     def rhs_for(held):
-        parts = [leader.dynamics] + [
-            _closed_loop_rhs(agent.system, u_of) for agent, u_of in zip(agents, held)]
+        parts = [_closed_loop_rhs(agent.system, u_of) for agent, u_of in zip(agents, held)]
 
         def rhs(t, x):
-            return np.array([f(t, row) for f, row in zip(parts, x)], dtype=float)
+            out = list(map(float, leader.dynamics(t, np.array(x[:p], dtype=float))))
+            for f, lo in zip(parts, range(p, len(x), p)):
+                out += f(t, x[lo:lo + p])
+            return out
 
         return rhs
 
     def control(held, t):
-        return [u_of(t) for u_of in held]
+        return [v for u_of in held for v in u_of(t)]
 
     def guard(x, t):
-        for row, what in zip(x, names):
-            _guard(row, t, what)
+        for lo, what in zip(range(0, len(x), p), names):
+            _guard(x[lo:lo + p], t, what)
 
     def build(rec):
         dense = np.array(rec.states).reshape(-1, n_rows, p)
-        samples = np.array(rec.sample_states)
+        samples = np.array(rec.sample_states).reshape(-1, n_rows, p)
         sample_times = np.array(rec.sample_times)
         dense_times = np.array(rec.times)
         intervals = np.array(rec.intervals, dtype=int)
+        controls = np.split(np.array(rec.controls).reshape(len(dense_times), sum(ms)),
+                            np.cumsum(ms)[:-1], axis=1)
         leader_states = dense[:, 0]
         leader_samples = samples[:, 0]
         agent_trajs = []
@@ -246,9 +251,8 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
             d = agent.offset_vec()
             disp_dense = states - leader_states - d
             err = np.linalg.norm(disp_dense, axis=1)
-            controls = np.array([u[idx] for u in rec.controls]).reshape(-1, agent.system.m)
             shared = dict(epsilon=eps, n1=p, sample_times=sample_times,
-                          dense_times=dense_times, dense_controls=controls,
+                          dense_times=dense_times, dense_controls=controls[idx],
                           y_error=err, interval_index=intervals)
             agent_trajs.append(SampledTrajectory(
                 sample_states=samples[:, idx + 1], dense_states=states, **shared))

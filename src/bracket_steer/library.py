@@ -59,11 +59,11 @@ def available_leader_fields():
 # y = (x1, x2), z = (x3, x4); driftless, two controls.
 
 def _zero_drift4(t, x):
-    return np.zeros(4)
+    return (0.0, 0.0, 0.0, 0.0)
 
 
 def _disc_f1(x):
-    return np.array([math.cos(x[2]), math.sin(x[2]), 0.0, 1.0])
+    return (math.cos(x[2]), math.sin(x[2]), 0.0, 1.0)
 
 
 def _disc_f1_jac(x):
@@ -74,7 +74,7 @@ def _disc_f1_jac(x):
 
 
 def _disc_f2(x):
-    return np.array([0.0, 0.0, 1.0, 0.0])
+    return (0.0, 0.0, 1.0, 0.0)
 
 
 def _zero_jac4(x):
@@ -93,11 +93,11 @@ ROLLING_DISC = register_system(PartitionedSystem(
 # unicycle: x = (position, heading), fully stabilized block (n2 = 0).
 
 def _zero_drift3(t, x):
-    return np.zeros(3)
+    return (0.0, 0.0, 0.0)
 
 
 def _uni_f1(x):
-    return np.array([math.cos(x[2]), math.sin(x[2]), 0.0])
+    return (math.cos(x[2]), math.sin(x[2]), 0.0)
 
 
 def _uni_f1_jac(x):
@@ -108,7 +108,7 @@ def _uni_f1_jac(x):
 
 
 def _uni_f2(x):
-    return np.array([0.0, 0.0, 1.0])
+    return (0.0, 0.0, 1.0)
 
 
 def _zero_jac3(x):
@@ -132,11 +132,11 @@ def _figure_eight(t, xL):
     c2 = c * c
     # Denominator 4 c^4 - 3 c^2 + 1 >= 7/16 for all t; no singularities.
     den = 4.0 * c2 * c2 - 3.0 * c2 + 1.0
-    return np.array([0.2 * c, -0.2, -0.2 * s * (c2 + 0.5) / den])
+    return (0.2 * c, -0.2, -0.2 * s * (c2 + 0.5) / den)
 
 
 def _stationary(t, xL):
-    return np.zeros(len(xL))
+    return (0.0,) * len(xL)
 
 
 register_leader_field("figure-eight", _figure_eight)

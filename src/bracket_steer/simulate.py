@@ -6,15 +6,17 @@ x(tau_j) while its time argument advances continuously.  One private
 driver, _run_sampled, owns that clock for every caller: the interval grid
 and its partial tail, the sub-step and boundary times, the divergence
 guard, resampling at each sampling instant, the record stride, and the
-partial trajectory attached to a failure.  Integration is classical
-fixed-step RK4, which keeps runs deterministic and aligned with the
-sampling grid.  simulate_pi_epsilon runs one system through the driver;
-the formation module runs the stacked leader-and-followers state through
-the same driver.
+partial trajectory attached to a failure.  It runs one system
+(simulate_pi_epsilon) or the formation's stacked rows as one flat float
+list, by fixed-step RK4 in the operation order of the float64 array form,
+so results are bitwise those of arrays.  Fields receive each member's row
+as a 1-d float64 ndarray and may return any sequence of numbers, each
+entry taken as a float64.
 """
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -30,6 +32,7 @@ DIVERGENCE_NORM_CAP = 1e9
 # The guard compares squared norms: sqrt is correctly rounded and
 # sqrt(1e18) = 1e9 exactly, so x.x <= cap**2 iff ||x|| <= cap.
 DIVERGENCE_SQNORM_CAP = DIVERGENCE_NORM_CAP * DIVERGENCE_NORM_CAP
+MAX_ROW_SUBSTEPS = 10_000_000  # work budget: intervals x sub-steps x rows
 # Snap tolerance for t_final/epsilon: absorbs quotients like 2/0.2 = 9.999...
 GRID_SNAP = 1e-9
 
@@ -137,35 +140,38 @@ def interval_grid(t_final, epsilon):
 
 
 def _rk4_step(rhs, t, x, h):
+    hh = 0.5 * h
     k1 = rhs(t, x)
-    k2 = rhs(t + 0.5 * h, x + (0.5 * h) * k1)
-    k3 = rhs(t + 0.5 * h, x + (0.5 * h) * k2)
-    k4 = rhs(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(t + hh, [xi + hh * k for xi, k in zip(x, k1)])
+    k3 = rhs(t + hh, [xi + hh * k for xi, k in zip(x, k2)])
+    k4 = rhs(t + h, [xi + h * k for xi, k in zip(x, k3)])
+    # strict: a field of the wrong length fails here instead of truncating.
+    return [xi + (h / 6.0) * (((a + 2.0 * b) + 2.0 * c) + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4, strict=True)]
 
 
 class _Recorder:
-    """Lists of the dense grid and sampling instants of one run.
+    """Flat float64 buffers of the dense grid and sampling instants of one run.
 
-    record() stores control(held, t) beside each dense point; build() hands
-    the recorder to the caller's build(recorder), which assembles the
-    caller's trajectory type from the lists.
+    record() appends t, the flat state, the flat control(held, t) and the
+    interval index; build() hands the recorder to the caller's build,
+    which reshapes each buffer once into the caller's trajectory type.
     """
 
     def __init__(self, control, build):
         self.control = control
         self._build = build
-        self.times = []
-        self.states = []
-        self.controls = []
-        self.intervals = []
-        self.sample_times = []
-        self.sample_states = []
+        self.times = array("d")
+        self.states = array("d")
+        self.controls = array("d")
+        self.intervals = array("q")
+        self.sample_times = array("d")
+        self.sample_states = array("d")
 
     def record(self, t, x, j, held):
         self.times.append(t)
-        self.states.append(x.copy())
-        self.controls.append(self.control(held, t))
+        self.states.extend(x)
+        self.controls.extend(self.control(held, t))
         self.intervals.append(j)
 
     def build(self):
@@ -173,28 +179,33 @@ class _Recorder:
 
 
 def _guard_state(x, t, what="state"):
-    # x.dot(x) is the sum np.linalg.norm takes the root of; NaN and inf
+    # row.dot(row) is the sum np.linalg.norm takes the root of; NaN and inf
     # fail the comparison.
-    if x.dot(x) <= DIVERGENCE_SQNORM_CAP:
+    row = np.array(x, dtype=float)
+    if row.dot(row) <= DIVERGENCE_SQNORM_CAP:
         return
     raise DivergenceError(
         f"{what} diverged at t={t:.6g} (non-finite or norm > {DIVERGENCE_NORM_CAP:g})",
-        t=t, state=x.copy())
+        t=t, state=row)
 
 
 def _closed_loop_rhs(sys, u_of):
-    """The field f0(t, x) + sum_k u_k(t) f_k(x), u = u_of(t) a frozen control."""
+    """Floats f0(t, x) + sum_k u_k(t) f_k(x), u = u_of(t) a frozen control."""
     drift = sys.drift
     fields = sys.control_fields
     m = sys.m
 
-    def rhs(t, state):
+    def rhs(t, x):
         u = u_of(t)
-        out = np.array(drift(t, state), dtype=float)
+        state = np.array(x, dtype=float)
+        # float() takes every entry to float64, as np.asarray(f, float) did:
+        # a float32 field must not drop the run to single precision.
+        out = list(map(float, drift(t, state)))
         for k in range(m):
             uk = u[k]
             if uk != 0.0:
-                out += uk * np.asarray(fields[k](state), dtype=float)
+                out = [o + uk * float(v)
+                       for o, v in zip(out, fields[k](state), strict=True)]
         return out
 
     return rhs
@@ -209,7 +220,8 @@ def _run_sampled(cfg, gains, kappa_max, x0, steer, rhs_for, control, guard, buil
     argument runs on.  A final partial interval ends exactly at t_final.
     guard(x, t) runs after every sub-step.  A dense point (t, x, interval,
     control(held, t)) is recorded at t = 0, every cfg.record_stride
-    sub-steps and at the end of the horizon.  Returns build(recorder); a
+    sub-steps and at the end of the horizon.  x0, one row or a stack, runs
+    as one flat float list.  Returns build(recorder); a
     DivergenceError or RankDegeneracyError leaves with build(recorder) of
     the run so far attached as .partial.
     """
@@ -220,13 +232,17 @@ def _run_sampled(cfg, gains, kappa_max, x0, steer, rhs_for, control, guard, buil
     if n_intervals == 0:
         raise InvalidInputError(f"t_final={t_final} is too short for epsilon={eps}")
     total_substeps = n_intervals * nsub
+    rows = x0.shape[0] if x0.ndim == 2 else 1
+    if total_substeps * rows > MAX_ROW_SUBSTEPS:
+        raise InvalidInputError(f"{n_intervals} intervals x {nsub} sub-steps x {rows} rows "
+                                f"exceed the budget MAX_ROW_SUBSTEPS = {MAX_ROW_SUBSTEPS}")
     stride = cfg.record_stride
 
     rec = _Recorder(control, build)
-    x = x0
+    x = x0.ravel().tolist()
     try:
         rec.sample_times.append(0.0)
-        rec.sample_states.append(x.copy())
+        rec.sample_states.extend(x)
         held = steer(x)
         rec.record(0.0, x, 0, held)
         g = 0  # global sub-step counter, drives record_stride
@@ -247,7 +263,7 @@ def _run_sampled(cfg, gains, kappa_max, x0, steer, rhs_for, control, guard, buil
                 if i == nsub and not is_tail:
                     # Sampling instant tau_{j+1}: resample the held value.
                     rec.sample_times.append(t)
-                    rec.sample_states.append(x.copy())
+                    rec.sample_states.extend(x)
                     held = steer(x)
                     k = j + 1
                 if g % stride == 0 or g == total_substeps:
@@ -285,7 +301,7 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
             epsilon=eps,
             n1=n1,
             sample_times=np.array(rec.sample_times),
-            sample_states=np.array(rec.sample_states),
+            sample_states=np.array(rec.sample_states).reshape(-1, sys.n),
             dense_times=np.array(rec.times),
             dense_states=states,
             dense_controls=np.array(rec.controls).reshape(-1, m),

@@ -7,6 +7,7 @@ along the selected Lie brackets in S2.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -183,9 +184,10 @@ def frozen_control(sel, epsilon, m, a):
     a call evaluates only the phase terms.  The phase is reduced with
     fmod(t, epsilon), so the evaluation is epsilon-periodic exactly
     whenever t and t + epsilon round to the same remainder (always true on
-    dyadic grids).
+    dyadic grids).  u is an array('d'), whose bytes are those of a float64
+    array.
     """
-    base = np.zeros(m)
+    base = array("d", [0.0]) * m
     for idx, i in enumerate(sel.s1):
         base[i - 1] += a[idx]
     off = len(sel.s1)
@@ -197,7 +199,7 @@ def frozen_control(sel, epsilon, m, a):
         pairs.append((i1 - 1, i2 - 1, amp, _sign(ap) * amp, TWO_PI * kap))
 
     def u_of(t):
-        u = base.copy()
+        u = base[:]
         phase = math.fmod(t, epsilon) / epsilon
         for k1, k2, amp, signed_amp, rate in pairs:
             ang = rate * phase
@@ -210,7 +212,7 @@ def frozen_control(sel, epsilon, m, a):
 
 def held_control(sel, epsilon, m, a, t):
     """Evaluate the control family at absolute time t for held coefficients a."""
-    return frozen_control(sel, epsilon, m, a)(t)
+    return np.array(frozen_control(sel, epsilon, m, a)(t))
 
 
 def control_value(sys, sel, gains, t, x_hold):

@@ -222,6 +222,29 @@ def test_infinite_t_final_override_exit_2(tmp_path, capsys):
     assert "error:InvalidInputError" in capsys.readouterr().err
 
 
+def test_over_budget_run_exit_2_without_integrating(tmp_path, capsys, monkeypatch):
+    # kappa = 1e6 resolves 40 000 000 sub-steps per period: the run and the
+    # sweep are refused before the first sub-step, which would raise here.
+    from bracket_steer import builtin_scenario, scenario_to_dict, simulate
+
+    def no_integration(*args):
+        raise AssertionError("an over-budget run reached the integrator")
+
+    d = scenario_to_dict(builtin_scenario("rolling-disc"))
+    d["selection"]["kappa"] = [1000000]
+    path = tmp_path / "fast-disc.json"
+    path.write_text(json.dumps(d))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(simulate, "_rk4_step", no_integration)
+    for args in (["run", str(path)], ["sweep", str(path), "--epsilon", "1,0.5"]):
+        assert main(args + ["--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:InvalidInputError:"), err
+        assert "MAX_ROW_SUBSTEPS = 10000000" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_unknown_scenario_exit_2(capsys):
     rc = main(["run", "no-such-thing"])
     assert rc == 2

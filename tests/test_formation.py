@@ -10,6 +10,7 @@ from bracket_steer import (ControllerGains, DivergenceError, FollowerAgent,
                            follower_controller, follower_steering,
                            formation_error, gain_condition_report, leader_field,
                            simulate_formation, simulate_leader, simulate_pi_epsilon)
+from bracket_steer import builtin_scenario, library
 
 from bracket_steer.simulate import DIVERGENCE_NORM_CAP, _guard_state
 
@@ -351,3 +352,57 @@ def test_guard_state_matches_norm_test():
                 assert exc.state.tobytes() == row.tobytes()
             else:
                 assert guard_accepts_reference(row, DIVERGENCE_NORM_CAP), row
+
+
+def test_array_returning_fields_match_builtins_bitwise(monkeypatch):
+    # The built-in fields return tuples.  Registered copies whose fields
+    # return arrays run the built-in formation bit for bit, and every field
+    # call, in the kernel and in steering, receives a 1-d float64 ndarray.
+    # Fields returning float32 run in float64, as their values widened to
+    # float64 arrays do, not in single precision.
+    monkeypatch.setattr(library, "_SYSTEMS", dict(library._SYSTEMS))
+    monkeypatch.setattr(library, "_LEADER_FIELDS", dict(library._LEADER_FIELDS))
+    seen = set()
+    calls = []
+
+    def returning(field, dtype, widen=False):
+        def wrapped(*args):
+            x = args[-1]
+            seen.add((type(x), x.dtype, x.ndim))
+            calls.append(1)
+            out = np.array(field(*args), dtype=dtype)
+            return out.astype(float) if widen else out
+        return wrapped
+
+    uni = library.system("unicycle")
+    fig8 = library.leader_field("figure-eight")
+    kinds = {"arrays": (float, False), "f32": (np.float32, False),
+             "f32-widened": (np.float32, True)}
+    runs = {}
+    bundle = builtin_scenario("unicycle-leader")
+    cfg = SimConfig(t_final=6.0)
+    for kind, (dtype, widen) in kinds.items():
+        library.register_system(dataclasses.replace(
+            uni, name=f"unicycle-{kind}", drift=returning(uni.drift, dtype, widen),
+            control_fields=tuple(returning(f, dtype, widen) for f in uni.control_fields)))
+        library.register_leader_field(f"figure-eight-{kind}", returning(fig8, dtype, widen))
+        agents = [dataclasses.replace(a, system=library.system(f"unicycle-{kind}"))
+                  for a in bundle.agents]
+        leader = dataclasses.replace(bundle.leader, name=f"figure-eight-{kind}",
+                                     dynamics=library.leader_field(f"figure-eight-{kind}"))
+        runs[kind] = simulate_formation(agents, leader, bundle.agent_x0s, bundle.gains, cfg)
+    builtin = simulate_formation(bundle.agents, bundle.leader, bundle.agent_x0s,
+                                 bundle.gains, cfg)
+
+    assert len(calls) > 3 * 4 * 2400 * 3
+    assert seen == {(np.ndarray, np.dtype(np.float64), 1)}
+    # float32 values differ from the built-in's, so the run must too.
+    assert runs["f32"].leader_states.tobytes() != builtin.leader_states.tobytes()
+    for got, want in ((runs["arrays"], builtin), (runs["f32"], runs["f32-widened"])):
+        assert got.dense_times.tobytes() == want.dense_times.tobytes()
+        assert got.leader_states.tobytes() == want.leader_states.tobytes()
+        assert got.leader_samples.tobytes() == want.leader_samples.tobytes()
+        for g, w in zip(got.agent_trajs, want.agent_trajs, strict=True):
+            assert g.dense_states.tobytes() == w.dense_states.tobytes()
+            assert g.dense_controls.tobytes() == w.dense_controls.tobytes()
+            assert g.sample_states.tobytes() == w.sample_states.tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from bracket_steer import (ControllerGains, DivergenceError, InvalidInputError,
                            averaged_reference, decay_report, default_substeps,
                            default_t_final, epsilon_sweep, held_control,
                            simulate_pi_epsilon, steering_coefficients)
+from bracket_steer import FollowerAgent, LeaderModel, leader_field, simulate_formation
+from bracket_steer import simulate as simulate_module
 from bracket_steer.simulate import interval_grid
 
 from oracles import control_series, pi_eps_solve
@@ -25,6 +28,50 @@ def test_interval_grid_snaps_float_quotients():
     assert n == 10 and tail == 0.0
     n, tail = interval_grid(0.35, 0.2)
     assert n == 1 and tail == pytest.approx(0.15)
+
+
+def test_work_budget_is_intervals_x_substeps_x_rows(monkeypatch, disc, disc_sel,
+                                                   disc_gains_moderate, uni, uni_sel):
+    # Each run is allowed at a budget of exactly its own work and refused
+    # one row sub-step below it, before anything is integrated.
+    assert simulate_module.MAX_ROW_SUBSTEPS == 10_000_000
+    x0 = np.array([1.0, 0.5, 0.0, 0.0])
+    still = LeaderModel(name="stationary", dynamics=leader_field("stationary"),
+                        x0=(0.0, 0.0, 0.0))
+    agent = FollowerAgent(system=uni, selection=uni_sel, gamma=10.0, offset=(0.1, 0.1, 0.0))
+    form_gains = ControllerGains(epsilon=0.1, gamma=10.0, y_star=(0.0, 0.0, 0.0))
+    cases = [
+        # 2 whole intervals x 20 sub-steps x 1 row
+        (40, "2 intervals x 20 sub-steps x 1 rows", lambda cfg: simulate_pi_epsilon(
+            disc, disc_sel, disc_gains_moderate, x0, cfg), SimConfig(0.5, 20)),
+        # 2 whole intervals and a partial tail x 20 sub-steps x 1 row
+        (60, "3 intervals x 20 sub-steps x 1 rows", lambda cfg: simulate_pi_epsilon(
+            disc, disc_sel, disc_gains_moderate, x0, cfg), SimConfig(0.6, 20)),
+        # 3 intervals x 20 sub-steps x (leader + 2 agents)
+        (180, "3 intervals x 20 sub-steps x 3 rows", lambda cfg: simulate_formation(
+            [agent, agent], still, [(1.0, 0.5, 0.0), (0.5, 1.0, 0.0)], form_gains, cfg),
+         SimConfig(0.3, 20)),
+    ]
+    for work, factors, run, cfg in cases:
+        monkeypatch.setattr(simulate_module, "MAX_ROW_SUBSTEPS", work)
+        run(cfg)
+        monkeypatch.setattr(simulate_module, "MAX_ROW_SUBSTEPS", work - 1)
+        with pytest.raises(InvalidInputError) as info:
+            run(cfg)
+        assert str(info.value) == (
+            f"{factors} exceed the budget MAX_ROW_SUBSTEPS = {work - 1}")
+
+
+def test_wrong_length_drift_fails_the_run(disc, disc_sel, disc_gains_moderate):
+    # A drift one entry too long or too short fails the first sub-step,
+    # whether the held control is zero (x0 at the target) or not; no entry
+    # is dropped to let the run go on.
+    for n in (5, 3):
+        bad = dataclasses.replace(disc, drift=lambda t, x, n=n: (0.0,) * n)
+        for x0 in ([0.0, 0.0, 0.3, 0.7], [1.0, 0.5, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="zip"):
+                simulate_pi_epsilon(bad, disc_sel, disc_gains_moderate, np.array(x0),
+                                    SimConfig(t_final=1.0))
 
 
 def test_constant_at_target(disc, disc_sel, disc_gains_moderate):
