@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import InvalidInputError, RankDegeneracyError
 from .model import as_state
-from .simulate import (SampledTrajectory, SimConfig, _closed_loop_rhs,
-                       _guard_state as _guard, _run_sampled)
+from .simulate import (SampledTrajectory, SimConfig, _check_field_lengths,
+                       _closed_loop_rhs, _guard_state as _guard, _run_sampled)
 # Not called here: perfbench/tracer.py wraps formation._rk4_step by name.
 from .simulate import _rk4_step  # noqa: F401
 from .synthesis import (check_selection, extension_matrix, frozen_control,
@@ -203,6 +203,12 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
     n_rows, p = x0.shape
     names = ["leader"] + [f"agent {idx}" for idx in range(len(agents))]
     ms = [agent.system.m for agent in agents]
+    length = len(leader.dynamics(0.0, leader.x0_vec()))
+    if length != p:
+        raise InvalidInputError(
+            f"leader field returned length {length} at x0, expected shape ({p},)")
+    for idx, (agent, x) in enumerate(zip(agents, x0s)):
+        _check_field_lengths(agent.system, x, f"agent {idx} ")
 
     def steer(x):
         held = []

@@ -22,7 +22,7 @@ def as_state(x, n=None):
         raise InvalidInputError(f"state must be a 1-d vector, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise InvalidInputError(f"state has dimension {arr.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError("state contains non-finite entries")
     return arr
 
@@ -66,14 +66,13 @@ class PartitionedSystem:
 
 
 def _check_finite(out, what):
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteError(f"{what} produced non-finite entries")
     return out
 
 
-def eval_field(sys, field_id, t, x):
-    """Evaluate field field_id at (t, x); id 0 is the drift, 1..m the controls."""
-    x = as_state(x, sys.n)
+def _field(sys, field_id, t, x):
+    """eval_field on a state x that as_state has already checked."""
     if not 0 <= field_id <= sys.m:
         raise InvalidInputError(f"field_id {field_id} out of range 0..{sys.m}")
     if field_id == 0:
@@ -85,9 +84,8 @@ def eval_field(sys, field_id, t, x):
     return _check_finite(out, f"field {field_id}")
 
 
-def jacobian(sys, field_id, x):
-    """Analytic Jacobian of control field field_id (1..m) at x."""
-    x = as_state(x, sys.n)
+def _jac(sys, field_id, x):
+    """jacobian on a state x that as_state has already checked."""
     if not 1 <= field_id <= sys.m:
         raise InvalidInputError(f"field_id {field_id} out of range 1..{sys.m}")
     out = np.asarray(sys.control_jacobians[field_id - 1](x), dtype=float)
@@ -97,12 +95,22 @@ def jacobian(sys, field_id, x):
     return _check_finite(out, f"jacobian {field_id}")
 
 
+def eval_field(sys, field_id, t, x):
+    """Evaluate field field_id at (t, x); id 0 is the drift, 1..m the controls."""
+    return _field(sys, field_id, t, as_state(x, sys.n))
+
+
+def jacobian(sys, field_id, x):
+    """Analytic Jacobian of control field field_id (1..m) at x."""
+    return _jac(sys, field_id, as_state(x, sys.n))
+
+
 def lie_bracket(sys, j1, j2, x):
     """[f_j1, f_j2](x) = (df_j2/dx) f_j1(x) - (df_j1/dx) f_j2(x)."""
     x = as_state(x, sys.n)
-    v1 = eval_field(sys, j1, 0.0, x)
-    v2 = eval_field(sys, j2, 0.0, x)
-    out = jacobian(sys, j2, x) @ v1 - jacobian(sys, j1, x) @ v2
+    v1 = _field(sys, j1, 0.0, x)
+    v2 = _field(sys, j2, 0.0, x)
+    out = _jac(sys, j2, x) @ v1 - _jac(sys, j1, x) @ v2
     return _check_finite(out, f"bracket [{j1},{j2}]")
 
 

@@ -189,6 +189,20 @@ def _guard_state(x, t, what="state"):
         t=t, state=row)
 
 
+def _check_field_lengths(sys, x0, who=""):
+    """Refuse a drift or control field whose value at (0, x0) has the wrong length.
+
+    Run once before the first solve, so such a field exits as bad input
+    instead of failing the kernel's strict zip; the values themselves are
+    not checked here.
+    """
+    for k in range(sys.m + 1):
+        length = len(sys.drift(0.0, x0) if k == 0 else sys.control_fields[k - 1](x0))
+        if length != sys.n:
+            raise InvalidInputError(
+                f"{who}field {k} returned length {length} at x0, expected shape ({sys.n},)")
+
+
 def _closed_loop_rhs(sys, u_of):
     """Floats f0(t, x) + sum_k u_k(t) f_k(x), u = u_of(t) a frozen control."""
     drift = sys.drift
@@ -287,6 +301,7 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
     x0 = as_state(x0, sys.n)
     if sys.domain_check is not None and not sys.domain_check(x0):
         raise InvalidInputError("x0 lies outside the system's declared domain")
+    _check_field_lengths(sys, x0)
     eps = gains.epsilon
     m = sys.m
     n1 = sys.n1

@@ -14,7 +14,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, RankDegeneracyError, SelectionShapeError
-from .model import as_state, eval_field, lie_bracket
+from .model import _check_finite, _field, _jac, as_state
+# Not called here: perfbench/tracer.py wraps synthesis.lie_bracket by name.
+from .model import lie_bracket  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,9 +134,33 @@ class RankCertificate:
 def extension_matrix(sys, sel, x):
     """Columns: y-rows of f_i for i in S1, then y-rows of [f_i1, f_i2] for S2."""
     check_selection(sys, sel)
-    x = as_state(x, sys.n)
-    cols = [eval_field(sys, i, 0.0, x)[: sys.n1] for i in sel.s1]
-    cols += [lie_bracket(sys, i1, i2, x)[: sys.n1] for (i1, i2) in sel.s2]
+    return _extension_matrix(sys, sel, as_state(x, sys.n))
+
+
+def _extension_matrix(sys, sel, x):
+    """extension_matrix for a checked selection and a checked state x.
+
+    Each distinct f_i and J_i is evaluated once, in the order in which the
+    columns first use it (the S1 fields, then f_i1, f_i2, J_i2, J_i1 per
+    pair), so a failing field is named as if every bracket evaluated its
+    own.  [f_i1, f_i2] = J_i2 f_i1 - J_i1 f_i2, as model.lie_bracket.
+    """
+    n1 = sys.n1
+    f = {}
+    jac = {}
+    for i in sel.s1:
+        if i not in f:
+            f[i] = _field(sys, i, 0.0, x)
+    cols = [f[i][:n1] for i in sel.s1]
+    for (i1, i2) in sel.s2:
+        for i in (i1, i2):
+            if i not in f:
+                f[i] = _field(sys, i, 0.0, x)
+        for i in (i2, i1):
+            if i not in jac:
+                jac[i] = _jac(sys, i, x)
+        out = jac[i2] @ f[i1] - jac[i1] @ f[i2]
+        cols.append(_check_finite(out, f"bracket [{i1},{i2}]")[:n1])
     return np.column_stack(cols)
 
 
@@ -237,7 +263,7 @@ def validate_selection(sys, sel, probes, gains):
     for x in probes:
         x = as_state(x, sys.n)
         states.append(tuple(float(v) for v in x))
-        sv = np.linalg.svd(extension_matrix(sys, sel, x), compute_uv=False)
+        sv = np.linalg.svd(_extension_matrix(sys, sel, x), compute_uv=False)
         smin = sv[-1]
         if smin == 0.0:
             ok = False

@@ -5,12 +5,17 @@ formulas with its own field definitions, its own control evaluation, its
 own linear algebra (explicit inverse instead of a factorized solve), and
 adaptive instead of fixed-step integration.  Agreement between the package
 and these oracles is therefore a genuine two-route check, not a tautology.
+The *_reference functions are the exception: earlier package code kept
+verbatim, against which a faster rewrite must agree bitwise.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson, solve_ivp
+
+from bracket_steer.model import as_state, eval_field, lie_bracket
+from bracket_steer.synthesis import check_selection
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +128,20 @@ def held_control_reference(sel, epsilon, m, a, t):
         u[i1 - 1] += amp * math.cos(ang)
         u[i2 - 1] += _sign(ap) * amp * math.sin(ang)
     return u
+
+
+def extension_matrix_reference(sys, sel, x):
+    """The package's extension_matrix before fields were evaluated once.
+
+    Kept verbatim (every bracket evaluating its own fields and Jacobians
+    through the public model functions) as the bitwise and error-message
+    reference for synthesis.extension_matrix.
+    """
+    check_selection(sys, sel)
+    x = as_state(x, sys.n)
+    cols = [eval_field(sys, i, 0.0, x)[: sys.n1] for i in sel.s1]
+    cols += [lie_bracket(sys, i1, i2, x)[: sys.n1] for (i1, i2) in sel.s2]
+    return np.column_stack(cols)
 
 
 def guard_accepts_reference(x, cap=1e9):

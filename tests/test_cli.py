@@ -245,6 +245,36 @@ def test_over_budget_run_exit_2_without_integrating(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_wrong_length_field_exit_2(tmp_path, capsys):
+    # A registered drift of the wrong length passes validate, which never
+    # evaluates the drift, and exits 2 before the run starts, for a single
+    # system and for a formation's agent.
+    import dataclasses
+
+    from bracket_steer import builtin_scenario, library, scenario_to_dict
+
+    for base, name, n in (("rolling-disc", "disc-long-drift", 5),
+                          ("unicycle", "unicycle-short-drift", 2)):
+        library.register_system(dataclasses.replace(
+            library.system(base), name=name, drift=lambda t, x, n=n: (0.0,) * n),
+            replace=True)
+    cases = {"rolling-disc": ("disc-long-drift", "field 0 returned length 5"),
+             "unicycle-leader": ("unicycle-short-drift", "agent 0 field 0 returned length 2")}
+    for name, (sys_name, message) in cases.items():
+        d = scenario_to_dict(builtin_scenario(name))
+        for owner in d.get("agents", [d]):
+            owner["system"] = sys_name
+        path = tmp_path / f"{sys_name}.json"
+        path.write_text(json.dumps(d))
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:InvalidInputError:"), err
+        assert message in err and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_unknown_scenario_exit_2(capsys):
     rc = main(["run", "no-such-thing"])
     assert rc == 2

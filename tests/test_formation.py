@@ -324,6 +324,29 @@ def test_mismatched_inputs(uni_agent, form_gains, fig8_leader):
                                            form_gains, SimConfig(t_final=0.5)), 3)
 
 
+def test_wrong_length_agent_field_refused(uni, uni_sel, uni_agent, form_gains, fig8_leader):
+    # The leader field and each agent's drift and control fields are
+    # length-checked at x0 before the first solve; a non-finite value of the
+    # right length still reaches the divergence guard.
+    short = dataclasses.replace(
+        uni, control_fields=(uni.control_fields[0], lambda x: (0.0, 0.0, 1.0, 0.0)))
+    bad = FollowerAgent(system=short, selection=uni_sel, gamma=10.0, offset=OFFSET)
+    with pytest.raises(InvalidInputError) as info:
+        simulate_formation([uni_agent, bad], fig8_leader, [AGENT_X0, AGENT_X0], form_gains,
+                           SimConfig(t_final=1.0))
+    assert str(info.value) == "agent 1 field 2 returned length 4 at x0, expected shape (3,)"
+    long_leader = dataclasses.replace(fig8_leader, dynamics=lambda t, x: (0.0,) * 4)
+    for run in (lambda: simulate_formation([uni_agent], long_leader, [AGENT_X0], form_gains),
+                lambda: simulate_leader(long_leader, form_gains)):
+        with pytest.raises(InvalidInputError, match=r"^leader field returned length 4 at x0, "
+                                                    r"expected shape \(3,\)$"):
+            run()
+    nan_drift = dataclasses.replace(uni, drift=lambda t, x: (math.nan,) * 3)
+    bad = FollowerAgent(system=nan_drift, selection=uni_sel, gamma=10.0, offset=OFFSET)
+    with pytest.raises(DivergenceError, match="^agent 0 diverged"):
+        simulate_formation([bad], fig8_leader, [AGENT_X0], form_gains, SimConfig(t_final=1.0))
+
+
 def _guard_cases():
     """Rows on both sides of the guard's norm cap, and non-finite rows."""
     cap = DIVERGENCE_NORM_CAP

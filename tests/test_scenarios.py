@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 
@@ -8,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from bracket_steer import (BracketSteerError, ScenarioFormatError, SelectionShapeError,
                            UnknownScenarioError, builtin_names, builtin_scenario,
-                           load_scenario, save_scenario, scenario_from_dict,
-                           scenario_to_dict, validate_bundle)
-from bracket_steer.scenarios import probe_states
+                           follower_steering, load_scenario, save_scenario,
+                           scenario_from_dict, scenario_to_dict, steering_coefficients,
+                           validate_bundle)
+from bracket_steer.scenarios import SINGLE, probe_states
 from bracket_steer.simulate import SimConfig
 
 
@@ -70,6 +72,34 @@ def test_validate_bundle_formation():
     assert isinstance(certs, tuple) and len(certs) == 1
     assert certs[0].rank_ok
     assert certs[0].worst_condition < 10.0
+
+
+# SHA-256 of each built-in's certificates, json.dumps(to_dict(),
+# sort_keys=True) one after another, then the float64 bytes of the steering
+# coefficients at its default probe states (a formation's agents steered
+# against the leader's x0).  Any change to these bytes is a change to a
+# certified or computed number.
+GOLDEN_CERTIFY_SHA256 = {
+    "rolling-disc": "0939649cb19f2c1657bb9b0722fa16d1cab30a289118338886690fd5d3abb0c7",
+    "unicycle-leader": "a387da5da24e86d356efe16091b59927862b824b20d1ed494b43d0caab88a657",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CERTIFY_SHA256))
+def test_certification_golden_bytes(name):
+    b = builtin_scenario(name)
+    certs = validate_bundle(b)
+    h = hashlib.sha256()
+    for cert in (certs if isinstance(certs, tuple) else (certs,)):
+        h.update(json.dumps(cert.to_dict(), sort_keys=True).encode())
+    probes = probe_states(b)
+    if b.kind == SINGLE:
+        coeffs = [steering_coefficients(b.system, b.selection, b.gains, x) for x in probes]
+    else:
+        coeffs = [follower_steering(agent, b.gains, x, b.leader.x0)
+                  for agent in b.agents for x in probes]
+    h.update(np.array(coeffs).tobytes())
+    assert h.hexdigest() == GOLDEN_CERTIFY_SHA256[name]
 
 
 def test_round_trip_dict():

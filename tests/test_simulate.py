@@ -63,15 +63,17 @@ def test_work_budget_is_intervals_x_substeps_x_rows(monkeypatch, disc, disc_sel,
 
 
 def test_wrong_length_drift_fails_the_run(disc, disc_sel, disc_gains_moderate):
-    # A drift one entry too long or too short fails the first sub-step,
-    # whether the held control is zero (x0 at the target) or not; no entry
-    # is dropped to let the run go on.
+    # A drift one entry too long or too short is refused before the first
+    # solve, whether the held control would be zero (x0 at the target) or
+    # not; no entry is dropped to let the run go on.
     for n in (5, 3):
         bad = dataclasses.replace(disc, drift=lambda t, x, n=n: (0.0,) * n)
         for x0 in ([0.0, 0.0, 0.3, 0.7], [1.0, 0.5, 0.0, 0.0]):
-            with pytest.raises(ValueError, match="zip"):
+            with pytest.raises(InvalidInputError) as info:
                 simulate_pi_epsilon(bad, disc_sel, disc_gains_moderate, np.array(x0),
                                     SimConfig(t_final=1.0))
+            assert str(info.value) == (
+                f"field 0 returned length {n} at x0, expected shape (4,)")
 
 
 def test_constant_at_target(disc, disc_sel, disc_gains_moderate):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bracket_steer import (BracketSelection, ControllerGains, InvalidInputError,
-                           RankDegeneracyError, SelectionShapeError,
-                           check_selection, control_value, extension_matrix,
-                           held_control, steering_coefficients,
-                           validate_selection)
+                           PartitionedSystem, RankDegeneracyError, SelectionShapeError,
+                           builtin_scenario, check_selection, control_value,
+                           extension_matrix, follower_steering, held_control,
+                           steering_coefficients, validate_selection)
+from bracket_steer import formation, synthesis
+from bracket_steer.scenarios import probe_states
 
 from bracket_steer.synthesis import frozen_control
 
 from oracles import (antisym_iterated_integral, control_series, disc_extension,
-                     held_control_reference, steering, unicycle_extension)
+                     extension_matrix_reference, held_control_reference, steering,
+                     unicycle_extension)
 
 
 # --- selection construction -------------------------------------------------
@@ -310,6 +314,124 @@ def test_validate_selection_rejects_malformed(disc, disc_gains):
     bad = BracketSelection(s1=(1, 2), s2=((1, 2),))
     with pytest.raises(SelectionShapeError):
         validate_selection(disc, bad, [np.zeros(4)], disc_gains)
+
+
+# --- the extension matrix against its per-bracket reference ------------------
+
+def _with_reference(monkeypatch, fn):
+    """fn() with every extension matrix built by the reference; and its count."""
+    calls = []
+
+    def reference(sys, sel, x):
+        calls.append(1)
+        return extension_matrix_reference(sys, sel, x)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(synthesis, "_extension_matrix", reference)
+        mp.setattr(synthesis, "extension_matrix", reference)
+        mp.setattr(formation, "extension_matrix", reference)
+        return fn(), len(calls)
+
+
+def _steering_layer(sys, sel, gains, probes, steer):
+    # Looked up on the module, so _with_reference swaps it too.
+    cert = validate_selection(sys, sel, probes, gains)
+    return (b"".join(synthesis.extension_matrix(sys, sel, x).tobytes() for x in probes),
+            json.dumps(cert.to_dict(), sort_keys=True), cert.sampled_states,
+            None if steer is None else np.array([steer(x) for x in probes]).tobytes())
+
+
+def _reference_cases():
+    disc_b = builtin_scenario("rolling-disc")
+    uni_b = builtin_scenario("unicycle-leader")
+    agent = uni_b.agents[0]
+    uni_gains = ControllerGains(epsilon=0.1, gamma=10.0, y_star=(0.0, 0.0, 0.0))
+    permuted = BracketSelection(s1=(2, 1), s2=((2, 1),))
+    # Every field and Jacobian feeds several brackets; F is singular.
+    repeated = BracketSelection(s1=(), s2=((1, 2), (2, 1), (1, 2)), kappa=(1, 2, 3))
+    return {
+        "rolling-disc": (disc_b, disc_b.system, disc_b.selection, disc_b.gains,
+                         lambda x: steering_coefficients(
+                             disc_b.system, disc_b.selection, disc_b.gains, x)),
+        "unicycle-leader": (uni_b, agent.system, agent.selection, uni_b.gains,
+                            lambda x: follower_steering(agent, uni_b.gains, x, uni_b.leader.x0)),
+        "unicycle-permuted": (uni_b, agent.system, permuted, uni_gains,
+                              lambda x: steering_coefficients(agent.system, permuted, uni_gains, x)),
+        "unicycle-repeated-pairs": (uni_b, agent.system, repeated, uni_gains, None),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_reference_cases()))
+def test_extension_matrix_matches_reference_bitwise(monkeypatch, case):
+    # S1 and S2 share field indices in every case, so cached fields and
+    # Jacobians are reused; matrices, certificates and steering
+    # coefficients must be the reference's to the bit.
+    bundle, sys, sel, gains, steer = _reference_cases()[case]
+    probes = probe_states(bundle, 200, seed=7)
+    got = _steering_layer(sys, sel, gains, probes, steer)
+    want, calls = _with_reference(monkeypatch, lambda: _steering_layer(
+        sys, sel, gains, probes, steer))
+    assert calls == (3 if steer else 2) * len(probes)
+    assert got == want
+
+
+def _fault_system(f1=None, f2=None, j1=None, j2=None):
+    # F = [[1, x0], [x0, -x1]] for S1 = (1,), S2 = ((1, 2),) when unfaulted.
+    return PartitionedSystem(
+        name="faulty", n=2, n1=2, n2=0, m=2,
+        drift=lambda t, x: np.zeros(2),
+        control_fields=(f1 or (lambda x: np.array([1.0, x[0]])),
+                        f2 or (lambda x: np.array([x[1], 1.0]))),
+        control_jacobians=(j1 or (lambda x: np.array([[0.0, 0.0], [1.0, 0.0]])),
+                           j2 or (lambda x: np.array([[0.0, 1.0], [0.0, 0.0]]))))
+
+
+FAULTS = {
+    "shape-f1-nonfinite-f2": _fault_system(
+        f1=lambda x: np.zeros(3), f2=lambda x: np.array([math.nan, 1.0])),
+    "nonfinite-j2-shape-j1": _fault_system(
+        j1=lambda x: np.zeros((2, 3)), j2=lambda x: np.array([[math.inf, 0.0], [0.0, 0.0]])),
+    "nonfinite-bracket": _fault_system(
+        f1=lambda x: np.array([1e300, 1e300]), j2=lambda x: np.full((2, 2), 1e300)),
+}
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc), str(exc)
+    return None
+
+
+def test_extension_matrix_errors_match_reference(monkeypatch):
+    # Fields are evaluated once each, in the reference's order of first
+    # use, so the same failing field, Jacobian or bracket is named.
+    gains = ControllerGains(epsilon=0.1, gamma=1.0, y_star=(0.0, 0.0))
+    x = np.array([0.5, 0.25])
+    sels = [BracketSelection(s1=s1, s2=(pair,)) for s1 in ((1,), (2,)) for pair in ((1, 2), (2, 1))]
+    sels += [BracketSelection(s1=(2, 1), s2=()),
+             BracketSelection(s1=(), s2=((1, 2), (2, 1))),
+             BracketSelection(s1=(), s2=((2, 1), (1, 2)))]
+    messages = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, sys in FAULTS.items():
+            for sel in sels:
+                calls = (lambda: synthesis.extension_matrix(sys, sel, x),
+                         lambda: validate_selection(sys, sel, [x], gains))
+                for call in calls:
+                    got = _raised(call)
+                    want, _ = _with_reference(monkeypatch, lambda: _raised(call))
+                    assert got == want, (name, sel)
+                    if got is not None:
+                        messages.add(got[1])
+    for expected in ("field 1 returned shape (3,), expected (2,)",
+                     "field 2 produced non-finite entries",
+                     "jacobian 2 produced non-finite entries",
+                     "Jacobian 1 returned shape (2, 3), expected (2, 2)",
+                     "bracket [1,2] produced non-finite entries",
+                     "bracket [2,1] produced non-finite entries"):
+        assert expected in messages
 
 
 @settings(max_examples=40, deadline=None)
