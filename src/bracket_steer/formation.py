@@ -4,12 +4,12 @@ Each follower is a control-affine agent steered so that its state tracks
 the leader's state plus a fixed offset.  Stacking the displacement
 variables y_l = x_l - x_L - d_l turns the formation into one partial
 stabilization problem whose extension matrix is block-diagonal.  A run
-integrates the stacked state (x_L, x_1, ..., x_N), its rows laid end to
-end in one float list, through simulate's sampled-loop engine: one
-RK4 step per sub-step advances every row, each follower's field is
-f0 + sum_k u_k f_k held at its own frozen pair (x_l(tau_j), x_L(tau_j)),
-and because RK4 is elementwise each row follows exactly the trajectory it
-would have alone.  simulate_leader is the same run with no followers.
+hands simulate's sampled-loop engine the rows (x_L, x_1, ..., x_N): row 0
+is the leader's field with no control, row l + 1 agent l's f0 + sum_k u_k f_k
+held at its own frozen pair (x_l(tau_j), x_L(tau_j)).  The engine advances
+every row in one RK4 step per sub-step, and because RK4 is elementwise each
+row follows exactly the trajectory it would have alone.  simulate_leader is
+the same run with no followers.
 """
 
 import math
@@ -20,10 +20,9 @@ import numpy as np
 
 from .errors import InvalidInputError, RankDegeneracyError
 from .model import as_state
-from .simulate import (SampledTrajectory, SimConfig, _check_field_lengths,
-                       _closed_loop_rhs, _guard_state as _guard, _run_sampled)
-# Not called here: perfbench/tracer.py wraps formation._rk4_step by name.
-from .simulate import _rk4_step  # noqa: F401
+from .simulate import SampledTrajectory, SimConfig, _check_field_lengths, _run_sampled
+# Not called here: perfbench/tracer.py wraps formation._guard and _rk4_step by name.
+from .simulate import _guard_state as _guard, _rk4_step  # noqa: F401
 from .synthesis import (check_selection, extension_matrix, frozen_control,
                         held_control, _solve_steering)
 
@@ -51,6 +50,8 @@ class FollowerAgent:
         if len(offset) != self.system.n:
             raise InvalidInputError(
                 f"offset has dimension {len(offset)}, expected {self.system.n}")
+        if not np.isfinite([self.gamma, *offset]).all():
+            raise InvalidInputError(f"agent gamma {self.gamma} and offset {offset} must be finite")
         object.__setattr__(self, "offset", offset)
 
     def offset_vec(self):
@@ -72,6 +73,8 @@ class LeaderModel:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", tuple(float(v) for v in np.atleast_1d(self.x0)))
+        if not np.isfinite(self.x0).all():
+            raise InvalidInputError(f"x0 must be finite, got {self.x0}")
 
     def x0_vec(self):
         return np.array(self.x0, dtype=float)
@@ -164,8 +167,6 @@ def simulate_formation(agents, leader, x0s, gains, cfg=None):
     up to the failure as .partial; a RankDegeneracyError also names the
     agent in .agent_index.
     """
-    if cfg is None:
-        cfg = SimConfig()
     agents = tuple(agents)
     if not agents:
         raise InvalidInputError("at least one agent is required")
@@ -190,10 +191,13 @@ def simulate_leader(leader, gains, cfg=None, kappa_max=1):
     Returns (dense_times, dense_states) with every sub-step recorded; used
     by the scenario validator when no full formation run is wanted.
     """
-    if cfg is None:
-        cfg = SimConfig()
-    ftraj = _simulate_stacked((), leader, (), gains, replace(cfg, record_stride=1), kappa_max)
+    cfg = replace(SimConfig() if cfg is None else cfg, record_stride=1)
+    ftraj = _simulate_stacked((), leader, (), gains, cfg, kappa_max)
     return ftraj.dense_times, ftraj.leader_states
+
+
+def _no_control(t):
+    return ()
 
 
 def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
@@ -201,43 +205,26 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
     eps = gains.epsilon
     x0 = np.array([leader.x0_vec(), *x0s])
     n_rows, p = x0.shape
-    names = ["leader"] + [f"agent {idx}" for idx in range(len(agents))]
     ms = [agent.system.m for agent in agents]
     length = len(leader.dynamics(0.0, leader.x0_vec()))
     if length != p:
         raise InvalidInputError(
             f"leader field returned length {length} at x0, expected shape ({p},)")
+    rows = [("leader", leader.dynamics, ())]
     for idx, (agent, x) in enumerate(zip(agents, x0s)):
         _check_field_lengths(agent.system, x, f"agent {idx} ")
+        rows.append((f"agent {idx}", agent.system.drift, agent.system.control_fields))
 
-    def steer(x):
-        held = []
+    def steer(row_states):
+        held = [_no_control]
         for idx, agent in enumerate(agents):
             try:
-                a = follower_steering(agent, gains, x[(idx + 1) * p:(idx + 2) * p], x[:p])
+                a = follower_steering(agent, gains, row_states[idx + 1], row_states[0])
             except RankDegeneracyError as exc:
                 exc.agent_index = idx
                 raise
             held.append(frozen_control(agent.selection, eps, agent.system.m, a))
         return held
-
-    def rhs_for(held):
-        parts = [_closed_loop_rhs(agent.system, u_of) for agent, u_of in zip(agents, held)]
-
-        def rhs(t, x):
-            out = list(map(float, leader.dynamics(t, np.array(x[:p], dtype=float))))
-            for f, lo in zip(parts, range(p, len(x), p)):
-                out += f(t, x[lo:lo + p])
-            return out
-
-        return rhs
-
-    def control(held, t):
-        return [v for u_of in held for v in u_of(t)]
-
-    def guard(x, t):
-        for lo, what in zip(range(0, len(x), p), names):
-            _guard(x[lo:lo + p], t, what)
 
     def build(rec):
         dense = np.array(rec.states).reshape(-1, n_rows, p)
@@ -277,7 +264,7 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
             error_series=tuple(errors),
         )
 
-    return _run_sampled(cfg, gains, kappa_max, x0, steer, rhs_for, control, guard, build)
+    return _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build)
 
 
 def gain_condition_report(leader, agents, rho, dense_times, leader_states):

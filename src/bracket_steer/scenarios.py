@@ -269,7 +269,10 @@ def scenario_from_dict(data):
     if len(leader_x0) != p:
         raise ScenarioFormatError(
             f"leader.x0 has dimension {len(leader_x0)}, the agents' states have {p}")
-    leader = LeaderModel(name=leader_name, dynamics=dynamics, x0=leader_x0)
+    try:
+        leader = LeaderModel(name=leader_name, dynamics=dynamics, x0=leader_x0)
+    except InvalidInputError as exc:
+        raise ScenarioFormatError(f"leader: {exc}") from exc
     return ScenarioBundle(name=name, kind=kind, agents=tuple(agents), leader=leader,
                           agent_x0s=tuple(x0s), gains=gains, sim=sim,
                           probe_box=_probe_box(probe_spec, p), expected=expected)

@@ -3,15 +3,15 @@
 The closed loop is integrated as a sampled solution: on each interval
 [tau_j, tau_j + epsilon) the feedback's state argument is frozen at
 x(tau_j) while its time argument advances continuously.  One private
-driver, _run_sampled, owns that clock for every caller: the interval grid
-and its partial tail, the sub-step and boundary times, the divergence
-guard, resampling at each sampling instant, the record stride, and the
-partial trajectory attached to a failure.  It runs one system
-(simulate_pi_epsilon) or the formation's stacked rows as one flat float
-list, by fixed-step RK4 in the operation order of the float64 array form,
-so results are bitwise those of arrays.  Fields receive each member's row
-as a 1-d float64 ndarray and may return any sequence of numbers, each
-entry taken as a float64.
+driver, _run_sampled, owns that clock and the stacked rows for every
+caller: the interval grid and its partial tail, the sub-step and boundary
+times, each row's field, divergence guard and control record, resampling at
+each sampling instant, the record stride, and the partial trajectory
+attached to a failure.  It runs one system (simulate_pi_epsilon, one row)
+or the formation's rows laid end to end in one float list, by fixed-step
+RK4 in the operation order of the float64 array form, so results are
+bitwise those of arrays.  Fields receive their row as a 1-d float64 ndarray
+and may return any sequence of numbers, each entry taken as a float64.
 """
 
 import math
@@ -110,7 +110,10 @@ class DecayReport:
 
 
 def default_t_final(gains):
-    return 50.0 * gains.epsilon * math.ceil(1.0 / (gains.gamma * gains.epsilon))
+    ge = gains.gamma * gains.epsilon
+    if ge == 0.0 or not math.isfinite(1.0 / ge):
+        raise InvalidInputError(f"1 / (gamma * epsilon) is not finite, gamma * epsilon = {ge}")
+    return 50.0 * gains.epsilon * math.ceil(1.0 / ge)
 
 
 def default_substeps(kappa_max):
@@ -132,6 +135,8 @@ def resolve_config(cfg, gains, kappa_max):
 
 def interval_grid(t_final, epsilon):
     """Number of whole sampling intervals and the partial-tail length."""
+    if not math.isfinite(t_final / epsilon):
+        raise InvalidInputError(f"t_final / epsilon is not finite: {t_final} / {epsilon}")
     n_int = int(math.floor(t_final / epsilon + GRID_SNAP))
     tail = t_final - n_int * epsilon
     if tail <= GRID_SNAP * epsilon:
@@ -153,13 +158,12 @@ def _rk4_step(rhs, t, x, h):
 class _Recorder:
     """Flat float64 buffers of the dense grid and sampling instants of one run.
 
-    record() appends t, the flat state, the flat control(held, t) and the
+    record() appends t, the flat state, each row's held u_of(t) and the
     interval index; build() hands the recorder to the caller's build,
     which reshapes each buffer once into the caller's trajectory type.
     """
 
-    def __init__(self, control, build):
-        self.control = control
+    def __init__(self, build):
         self._build = build
         self.times = array("d")
         self.states = array("d")
@@ -171,7 +175,8 @@ class _Recorder:
     def record(self, t, x, j, held):
         self.times.append(t)
         self.states.extend(x)
-        self.controls.extend(self.control(held, t))
+        for u_of in held:
+            self.controls.extend(u_of(t))
         self.intervals.append(j)
 
     def build(self):
@@ -203,42 +208,51 @@ def _check_field_lengths(sys, x0, who=""):
                 f"{who}field {k} returned length {length} at x0, expected shape ({sys.n},)")
 
 
-def _closed_loop_rhs(sys, u_of):
+def _closed_loop_rhs(drift, fields, u_of):
     """Floats f0(t, x) + sum_k u_k(t) f_k(x), u = u_of(t) a frozen control."""
-    drift = sys.drift
-    fields = sys.control_fields
-    m = sys.m
 
     def rhs(t, x):
-        u = u_of(t)
         state = np.array(x, dtype=float)
         # float() takes every entry to float64, as np.asarray(f, float) did:
         # a float32 field must not drop the run to single precision.
         out = list(map(float, drift(t, state)))
-        for k in range(m):
-            uk = u[k]
-            if uk != 0.0:
-                out = [o + uk * float(v)
-                       for o, v in zip(out, fields[k](state), strict=True)]
+        if fields:  # a row without control fields never evaluates u_of
+            for uk, fk in zip(u_of(t), fields):
+                if uk != 0.0:
+                    out = [o + uk * float(v) for o, v in zip(out, fk(state), strict=True)]
         return out
 
     return rhs
 
 
-def _run_sampled(cfg, gains, kappa_max, x0, steer, rhs_for, control, guard, build):
+def _stacked_rhs(rows, held, p):
+    """Each row's closed-loop field under its held control, joined in row order."""
+    first, *rest = [_closed_loop_rhs(d, f, u) for (_, d, f), u in zip(rows, held, strict=True)]
+
+    def rhs(t, x):
+        out = first(t, x[:p])
+        for f, lo in zip(rest, range(p, len(x), p)):
+            out += f(t, x[lo:lo + p])
+        return out
+
+    return rhs if rest else first
+
+
+def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
     """Integrate a sampled closed loop from x0; the package's one clock.
 
-    At each sampling instant tau_j = j * epsilon the held value
-    steer(x(tau_j)) is computed; over [tau_j, tau_j + epsilon) the field
-    rhs_for(held) is integrated with nsub RK4 sub-steps while its time
-    argument runs on.  A final partial interval ends exactly at t_final.
-    guard(x, t) runs after every sub-step.  A dense point (t, x, interval,
-    control(held, t)) is recorded at t = 0, every cfg.record_stride
-    sub-steps and at the end of the horizon.  x0, one row or a stack, runs
-    as one flat float list.  Returns build(recorder); a
-    DivergenceError or RankDegeneracyError leaves with build(recorder) of
-    the run so far attached as .partial.
+    x0 is (n_rows, p) and rows[r] = (name, drift, fields) describes row r.
+    At each sampling instant tau_j = j * epsilon, steer(row_states) returns
+    one frozen control u_of per row; over [tau_j, tau_j + epsilon) each row's
+    drift + sum_k u_of(t)[k] fields[k] is integrated with nsub RK4 sub-steps
+    while the time argument runs on.  A final partial interval ends exactly
+    at t_final.  Each row is guarded under its name after every sub-step.
+    A dense point (t, x, interval, each row's u_of(t)) is recorded at t = 0,
+    every cfg.record_stride sub-steps and at the end of the horizon.
+    Returns build(recorder); a DivergenceError or RankDegeneracyError
+    leaves with build(recorder) of the run so far attached as .partial.
     """
+    cfg = SimConfig() if cfg is None else cfg
     eps = gains.epsilon
     t_final, nsub = resolve_config(cfg, gains, kappa_max)
     n_int, tail = interval_grid(t_final, eps)
@@ -246,18 +260,20 @@ def _run_sampled(cfg, gains, kappa_max, x0, steer, rhs_for, control, guard, buil
     if n_intervals == 0:
         raise InvalidInputError(f"t_final={t_final} is too short for epsilon={eps}")
     total_substeps = n_intervals * nsub
-    rows = x0.shape[0] if x0.ndim == 2 else 1
-    if total_substeps * rows > MAX_ROW_SUBSTEPS:
-        raise InvalidInputError(f"{n_intervals} intervals x {nsub} sub-steps x {rows} rows "
+    n_rows, p = x0.shape
+    if total_substeps * n_rows > MAX_ROW_SUBSTEPS:
+        raise InvalidInputError(f"{n_intervals} intervals x {nsub} sub-steps x {n_rows} rows "
                                 f"exceed the budget MAX_ROW_SUBSTEPS = {MAX_ROW_SUBSTEPS}")
     stride = cfg.record_stride
+    offsets = range(0, n_rows * p, p)
+    guarded = [(lo, name) for lo, (name, _, _) in zip(offsets, rows)]
 
-    rec = _Recorder(control, build)
+    rec = _Recorder(build)
     x = x0.ravel().tolist()
     try:
         rec.sample_times.append(0.0)
         rec.sample_states.extend(x)
-        held = steer(x)
+        held = steer([x[lo:lo + p] for lo in offsets])
         rec.record(0.0, x, 0, held)
         g = 0  # global sub-step counter, drives record_stride
         for j in range(n_intervals):
@@ -267,18 +283,19 @@ def _run_sampled(cfg, gains, kappa_max, x0, steer, rhs_for, control, guard, buil
             # Boundary instants use the grid expression, not accumulated
             # sub-steps, to match the sampling clock exactly.
             t_end = t_final if is_tail else (j + 1) * eps
-            rhs = rhs_for(held)
+            rhs = _stacked_rhs(rows, held, p)
             for i in range(1, nsub + 1):
                 x = _rk4_step(rhs, base_t + (i - 1) * h, x, h)
                 g += 1
                 t = base_t + i * h if i < nsub else t_end
-                guard(x, t)
+                for lo, name in guarded:
+                    _guard_state(x[lo:lo + p], t, name)
                 k = j
                 if i == nsub and not is_tail:
-                    # Sampling instant tau_{j+1}: resample the held value.
+                    # Sampling instant tau_{j+1}: resample the held controls.
                     rec.sample_times.append(t)
                     rec.sample_states.extend(x)
-                    held = steer(x)
+                    held = steer([x[lo:lo + p] for lo in offsets])
                     k = j + 1
                 if g % stride == 0 or g == total_substeps:
                     rec.record(t, x, k, held)
@@ -295,8 +312,6 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
     state attached) if the extension matrix degenerates at a sampling
     instant, and DivergenceError if the state leaves the guarded region.
     """
-    if cfg is None:
-        cfg = SimConfig()
     check_selection(sys, sel)
     x0 = as_state(x0, sys.n)
     if sys.domain_check is not None and not sys.domain_check(x0):
@@ -325,12 +340,9 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
         )
 
     return _run_sampled(
-        cfg, gains, sel.kappa_max, x0,
-        steer=lambda x: frozen_control(sel, eps, m, steering_coefficients(sys, sel, gains, x)),
-        rhs_for=lambda u_of: _closed_loop_rhs(sys, u_of),
-        control=lambda u_of, t: u_of(t),
-        guard=_guard_state,
-        build=build)
+        cfg, gains, sel.kappa_max, x0[None], [("state", sys.drift, sys.control_fields)],
+        lambda xs: [frozen_control(sel, eps, m, steering_coefficients(sys, sel, gains, xs[0]))],
+        build)
 
 
 def averaged_reference(y0, gains, t):

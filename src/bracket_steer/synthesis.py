@@ -106,6 +106,9 @@ class ControllerGains:
         if not self.cond_cap > 1:
             raise InvalidInputError(f"cond_cap must be > 1, got {self.cond_cap}")
         object.__setattr__(self, "y_star", tuple(float(v) for v in np.atleast_1d(self.y_star)))
+        for key in ("epsilon", "gamma", "y_star"):
+            if not np.isfinite(getattr(self, key)).all():
+                raise InvalidInputError(f"{key} must be finite, got {getattr(self, key)}")
 
     def y_star_vec(self):
         return np.array(self.y_star, dtype=float)

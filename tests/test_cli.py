@@ -203,8 +203,11 @@ def test_leader_dimension_mismatch_exit_2(tmp_path, capsys, command):
 
 def test_malformed_scenario_values_exit_2(tmp_path, capsys):
     from bracket_steer import builtin_scenario, scenario_to_dict
+    gains = scenario_to_dict(builtin_scenario("rolling-disc"))["gains"]
     for key, value in (("x0", ["a", 1, 2, 3]), ("probe_box", 5),
-                       ("sim", {"t_final": math.inf})):
+                       ("sim", {"t_final": math.inf}),
+                       ("gains", dict(gains, gamma=math.inf)),
+                       ("gains", dict(gains, y_star=[math.nan, 0]))):
         d = scenario_to_dict(builtin_scenario("rolling-disc"))
         d[key] = value
         path = tmp_path / f"bad-{key}.json"
@@ -213,6 +216,47 @@ def test_malformed_scenario_values_exit_2(tmp_path, capsys):
                      ["run", str(path), "--out", str(tmp_path / "x.csv")]):
             assert main(args) == 2
             assert capsys.readouterr().err.startswith(f"error:ScenarioFormatError:{key}")
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("agents[0]", "offset", [math.nan, 0, 0]),
+    ("agents[0]", "gamma", math.inf),
+    ("leader", "x0", [math.nan, 0, 0]),
+])
+def test_malformed_formation_values_exit_2(tmp_path, capsys, where, key, value):
+    # A non-finite agent gain, offset or leader state is bad input (exit 2),
+    # named by its key, not a divergence found mid-run (exit 3).
+    from bracket_steer import builtin_scenario, scenario_to_dict
+    d = scenario_to_dict(builtin_scenario("unicycle-leader"))
+    (d["leader"] if where == "leader" else d["agents"][0])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    for args in (["validate", str(path)],
+                 ["run", str(path), "--out", str(tmp_path / "x.csv")]):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:ScenarioFormatError:{where}: "), err
+        assert key in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_overflowing_grid_exit_2(tmp_path, capsys):
+    # epsilon = 1e-320 makes t_final / epsilon, or with "t_final": null the
+    # default horizon's 1 / (gamma * epsilon), overflow to inf.
+    from bracket_steer import builtin_scenario, scenario_to_dict
+    d = scenario_to_dict(builtin_scenario("rolling-disc"))
+    d["sim"]["t_final"] = None
+    path = tmp_path / "default-horizon.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "x.csv"
+    for args in (["run", "rolling-disc", "--epsilon", "1e-320"],
+                 ["run", "unicycle-leader", "--epsilon", "1e-320"],
+                 ["sweep", "rolling-disc", "--epsilon", "0.5,1e-320"],
+                 ["run", str(path), "--epsilon", "1e-320"]):
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:InvalidInputError:") and "is not finite" in err, err
+        assert not out.exists()
 
 
 def test_infinite_t_final_override_exit_2(tmp_path, capsys):

@@ -307,6 +307,8 @@ def test_divergent_leader_carries_partial(uni_agent, form_gains):
     assert 0 < partial.dense_times.shape[0] == partial.leader_states.shape[0]
     assert partial.dense_times[-1] < exc.t
     assert partial.agent_trajs[0].dense_states.shape == (partial.dense_times.shape[0], 3)
+    with pytest.raises(DivergenceError, match="^leader diverged"):
+        simulate_leader(runaway, form_gains, SimConfig(t_final=1.0))
 
 
 def test_mismatched_inputs(uni_agent, form_gains, fig8_leader):
@@ -345,6 +347,9 @@ def test_wrong_length_agent_field_refused(uni, uni_sel, uni_agent, form_gains, f
     bad = FollowerAgent(system=nan_drift, selection=uni_sel, gamma=10.0, offset=OFFSET)
     with pytest.raises(DivergenceError, match="^agent 0 diverged"):
         simulate_formation([bad], fig8_leader, [AGENT_X0], form_gains, SimConfig(t_final=1.0))
+    with pytest.raises(DivergenceError, match="^agent 1 diverged"):
+        simulate_formation([uni_agent, bad], fig8_leader, [AGENT_X0, AGENT_X0], form_gains,
+                           SimConfig(t_final=1.0))
 
 
 def _guard_cases():

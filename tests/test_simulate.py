@@ -227,6 +227,7 @@ def test_divergence_guard(runaway, runaway_sel):
         simulate_pi_epsilon(runaway, runaway_sel, gains, np.array([1.0]),
                             SimConfig(t_final=1.0))
     exc = info.value
+    assert str(exc).startswith("state diverged at t=")
     assert exc.t is not None and exc.t <= 1.0
     assert isinstance(exc.partial, SampledTrajectory)
     assert exc.partial.dense_times.shape[0] > 0
