@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -87,9 +88,14 @@ def _certify(bundle):
 
 
 def _rho_for(bundle, args):
+    """--rho, else the scenario's expected.rho, else 0.1; finite and > 0."""
     if getattr(args, "rho", None) is not None:
-        return args.rho
-    return float(bundle.expected.get("rho", 0.1))
+        rho = args.rho
+    else:
+        rho = float(bundle.expected.get("rho", 0.1))
+    if not 0.0 < rho < math.inf:
+        raise InvalidInputError(f"rho must be finite and > 0, got {rho}")
+    return rho
 
 
 def _write_text(path, text):
@@ -164,8 +170,8 @@ def _cert_json(cert):
 
 def _cmd_run(args):
     bundle, overrides = _apply_overrides(_load_bundle(args.scenario), args)
-    cert = _certify(bundle)
     rho = _rho_for(bundle, args)
+    cert = _certify(bundle)
 
     sidecar = {
         "scenario": bundle.name,
@@ -251,12 +257,12 @@ def _cmd_sweep(args):
 
 def _cmd_validate(args):
     bundle, _ = _apply_overrides(_load_bundle(args.scenario), args)
+    rho = _rho_for(bundle, args)
     cert = scenarios.validate_bundle(bundle)
     payload = {"scenario": bundle.name, "certificate": _cert_json(cert)}
 
     if bundle.kind == scenarios.FORMATION:
         from .formation import simulate_leader
-        rho = _rho_for(bundle, args)
         kmax = max(a.selection.kappa_max for a in bundle.agents)
         times, states = simulate_leader(bundle.leader, bundle.gains, bundle.sim, kmax)
         payload["gain_condition"] = [

@@ -81,6 +81,28 @@ def _zero_jac4(x):
     return np.zeros((4, 4))
 
 
+def _disc_stage(x, u):
+    """0 + u1 _disc_f1(x) + u2 _disc_f2(x) as floats, in the generic sum's order.
+
+    Bitwise simulate._closed_loop_rhs on these fields: a term is added only
+    when its control is non-zero (cos and sin are not taken otherwise), and
+    the 0.0 + and * 0.0 / * 1.0 terms stay, for signed zeros and inf * 0.
+    """
+    u1, u2 = u
+    o0 = o1 = o2 = o3 = 0.0
+    if u1 != 0.0:
+        o0 = 0.0 + u1 * math.cos(x[2])
+        o1 = 0.0 + u1 * math.sin(x[2])
+        o2 = 0.0 + u1 * 0.0
+        o3 = 0.0 + u1 * 1.0
+    if u2 != 0.0:
+        o0 = o0 + u2 * 0.0
+        o1 = o1 + u2 * 0.0
+        o2 = o2 + u2 * 1.0
+        o3 = o3 + u2 * 0.0
+    return [o0, o1, o2, o3]
+
+
 ROLLING_DISC = register_system(PartitionedSystem(
     name="rolling-disc", n=4, n1=2, n2=2, m=2,
     drift=_zero_drift4,
@@ -115,12 +137,44 @@ def _zero_jac3(x):
     return np.zeros((3, 3))
 
 
+def _unicycle_stage(x, u):
+    """0 + u1 _uni_f1(x) + u2 _uni_f2(x) as floats; see _disc_stage."""
+    u1, u2 = u
+    o0 = o1 = o2 = 0.0
+    if u1 != 0.0:
+        o0 = 0.0 + u1 * math.cos(x[2])
+        o1 = 0.0 + u1 * math.sin(x[2])
+        o2 = 0.0 + u1 * 0.0
+    if u2 != 0.0:
+        o0 = o0 + u2 * 0.0
+        o1 = o1 + u2 * 0.0
+        o2 = o2 + u2 * 1.0
+    return [o0, o1, o2]
+
+
 UNICYCLE = register_system(PartitionedSystem(
     name="unicycle", n=3, n1=3, n2=0, m=2,
     drift=_zero_drift3,
     control_fields=(_uni_f1, _uni_f2),
     control_jacobians=(_uni_f1_jac, _zero_jac3),
 ))
+
+
+# Fused closed-loop stages, keyed by the ids of the exact function objects
+# (drift, *control_fields); ids, because a user's field need not be
+# hashable.  Every other system, and a copy with any function swapped,
+# misses and takes the generic field sum.
+_FUSED_STAGES = {
+    (id(s.drift), *map(id, s.control_fields)): stage
+    for s, stage in ((ROLLING_DISC, _disc_stage), (UNICYCLE, _unicycle_stage))
+}
+
+
+def _fused_stage(drift, fields):
+    """The fused stage (x, u) -> floats of exactly these functions, or None."""
+    # A tuple display, not tuple(map(...)): that one is built by resizing,
+    # and each lookup would leave a freshly allocated tuple on the free list.
+    return _FUSED_STAGES.get((id(drift), *map(id, fields)))
 
 
 # ---------------------------------------------------------------------------

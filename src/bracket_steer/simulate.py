@@ -12,6 +12,10 @@ or the formation's rows laid end to end in one float list, by fixed-step
 RK4 in the operation order of the float64 array form, so results are
 bitwise those of arrays.  Fields receive their row as a 1-d float64 ndarray
 and may return any sequence of numbers, each entry taken as a float64.
+Rows of the built-in unicycle and rolling disc skip that contract: their
+exact function objects select a fused stage in library, which repeats the
+generic field sum's operations bit for bit.  Every other system, a copy
+with any function swapped, and the leader row take the generic sum.
 """
 
 import math
@@ -23,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, InvalidInputError, RankDegeneracyError
+from .library import _fused_stage
 from .model import as_state
 from .synthesis import check_selection, frozen_control, steering_coefficients
 # Not called here: perfbench/tracer.py wraps simulate.held_control by name.
@@ -209,7 +214,14 @@ def _check_field_lengths(sys, x0, who=""):
 
 
 def _closed_loop_rhs(drift, fields, u_of):
-    """Floats f0(t, x) + sum_k u_k(t) f_k(x), u = u_of(t) a frozen control."""
+    """Floats f0(t, x) + sum_k u_k(t) f_k(x), u = u_of(t) a frozen control.
+
+    The built-in unicycle's and rolling disc's functions run their fused
+    stage from library instead, which repeats this sum bit for bit.
+    """
+    stage = _fused_stage(drift, fields)
+    if stage is not None:
+        return lambda t, x: stage(x, u_of(t))
 
     def rhs(t, x):
         state = np.array(x, dtype=float)
@@ -238,6 +250,20 @@ def _stacked_rhs(rows, held, p):
     return rhs if rest else first
 
 
+def _plan_run(cfg, gains, kappa_max, n_rows):
+    """(t_final, nsub, n_int, tail) of a run, refused if empty or over budget."""
+    eps = gains.epsilon
+    t_final, nsub = resolve_config(cfg, gains, kappa_max)
+    n_int, tail = interval_grid(t_final, eps)
+    n_intervals = n_int + (1 if tail > 0.0 else 0)
+    if n_intervals == 0:
+        raise InvalidInputError(f"t_final={t_final} is too short for epsilon={eps}")
+    if n_intervals * nsub * n_rows > MAX_ROW_SUBSTEPS:
+        raise InvalidInputError(f"{n_intervals} intervals x {nsub} sub-steps x {n_rows} rows "
+                                f"exceed the budget MAX_ROW_SUBSTEPS = {MAX_ROW_SUBSTEPS}")
+    return t_final, nsub, n_int, tail
+
+
 def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
     """Integrate a sampled closed loop from x0; the package's one clock.
 
@@ -254,16 +280,10 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
     """
     cfg = SimConfig() if cfg is None else cfg
     eps = gains.epsilon
-    t_final, nsub = resolve_config(cfg, gains, kappa_max)
-    n_int, tail = interval_grid(t_final, eps)
-    n_intervals = n_int + (1 if tail > 0.0 else 0)
-    if n_intervals == 0:
-        raise InvalidInputError(f"t_final={t_final} is too short for epsilon={eps}")
-    total_substeps = n_intervals * nsub
     n_rows, p = x0.shape
-    if total_substeps * n_rows > MAX_ROW_SUBSTEPS:
-        raise InvalidInputError(f"{n_intervals} intervals x {nsub} sub-steps x {n_rows} rows "
-                                f"exceed the budget MAX_ROW_SUBSTEPS = {MAX_ROW_SUBSTEPS}")
+    t_final, nsub, n_int, tail = _plan_run(cfg, gains, kappa_max, n_rows)
+    n_intervals = n_int + (1 if tail > 0.0 else 0)
+    total_substeps = n_intervals * nsub
     stride = cfg.record_stride
     offsets = range(0, n_rows * p, p)
     guarded = [(lo, name) for lo, (name, _, _) in zip(offsets, rows)]
@@ -402,9 +422,11 @@ def epsilon_sweep(sys, sel, gains_base, x0, t_final, eps_list,
     x0 = as_state(x0, sys.n)
     y0 = x0[: sys.n1]
     cfg = SimConfig(t_final=t_final, substeps_per_period=substeps_per_period)
+    runs = [replace(gains_base, epsilon=e) for e in eps_list]
+    for gains in runs:  # refuse a bad entry before the first run
+        _plan_run(cfg, gains, sel.kappa_max, 1)
     rows = []
-    for e in eps_list:
-        gains = replace(gains_base, epsilon=e)
+    for e, gains in zip(eps_list, runs):
         traj = simulate_pi_epsilon(sys, sel, gains, x0, cfg)
         dev = 0.0
         for tau, state in zip(traj.sample_times, traj.sample_states):

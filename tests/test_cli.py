@@ -240,10 +240,16 @@ def test_malformed_formation_values_exit_2(tmp_path, capsys, where, key, value):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_overflowing_grid_exit_2(tmp_path, capsys):
+def _no_integration(*args):
+    raise AssertionError("a refused run reached the integrator")
+
+
+def test_overflowing_grid_exit_2(tmp_path, capsys, monkeypatch):
     # epsilon = 1e-320 makes t_final / epsilon, or with "t_final": null the
-    # default horizon's 1 / (gamma * epsilon), overflow to inf.
-    from bracket_steer import builtin_scenario, scenario_to_dict
+    # default horizon's 1 / (gamma * epsilon), overflow to inf.  The sweep
+    # is refused before its first entry (epsilon = 0.5) runs.
+    from bracket_steer import builtin_scenario, scenario_to_dict, simulate
+    monkeypatch.setattr(simulate, "_rk4_step", _no_integration)
     d = scenario_to_dict(builtin_scenario("rolling-disc"))
     d["sim"]["t_final"] = None
     path = tmp_path / "default-horizon.json"
@@ -269,10 +275,8 @@ def test_infinite_t_final_override_exit_2(tmp_path, capsys):
 def test_over_budget_run_exit_2_without_integrating(tmp_path, capsys, monkeypatch):
     # kappa = 1e6 resolves 40 000 000 sub-steps per period: the run and the
     # sweep are refused before the first sub-step, which would raise here.
+    # So is a sweep whose last entry alone is over the budget.
     from bracket_steer import builtin_scenario, scenario_to_dict, simulate
-
-    def no_integration(*args):
-        raise AssertionError("an over-budget run reached the integrator")
 
     d = scenario_to_dict(builtin_scenario("rolling-disc"))
     d["selection"]["kappa"] = [1000000]
@@ -280,13 +284,34 @@ def test_over_budget_run_exit_2_without_integrating(tmp_path, capsys, monkeypatc
     path.write_text(json.dumps(d))
     assert main(["validate", str(path)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(simulate, "_rk4_step", no_integration)
-    for args in (["run", str(path)], ["sweep", str(path), "--epsilon", "1,0.5"]):
+    monkeypatch.setattr(simulate, "_rk4_step", _no_integration)
+    for args in (["run", str(path)], ["sweep", str(path), "--epsilon", "1,0.5"],
+                 ["sweep", "rolling-disc", "--t-final", "10", "--epsilon", "0.5,1e-7"]):
         assert main(args + ["--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:InvalidInputError:"), err
         assert "MAX_ROW_SUBSTEPS = 10000000" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_bad_rho_exit_2(tmp_path, capsys, monkeypatch):
+    # rho, from --rho or the scenario's expected.rho, must be finite and
+    # > 0; run and validate refuse it before anything is integrated.
+    from bracket_steer import builtin_scenario, scenario_to_dict, simulate
+    monkeypatch.setattr(simulate, "_rk4_step", _no_integration)
+    out = tmp_path / "x.csv"
+    for name in ("rolling-disc", "unicycle-leader"):
+        d = scenario_to_dict(builtin_scenario(name))
+        d["expected"]["rho"] = -1.0
+        path = tmp_path / f"{name}-bad-rho.json"
+        path.write_text(json.dumps(d))
+        for cmd in ("run", "validate"):
+            cases = [[name, f"--rho={rho}"] for rho in ("-1", "0", "nan", "inf")]
+            for args in cases + [[str(path)]]:
+                assert main([cmd, *args, "--out", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error:InvalidInputError:rho must be finite and > 0"), err
+                assert not out.exists()
 
 
 def test_wrong_length_field_exit_2(tmp_path, capsys):

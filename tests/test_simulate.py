@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from bracket_steer import (ControllerGains, DivergenceError, InvalidInputError,
                            default_t_final, epsilon_sweep, held_control,
                            simulate_pi_epsilon, steering_coefficients)
 from bracket_steer import FollowerAgent, LeaderModel, leader_field, simulate_formation
+from bracket_steer import builtin_scenario, library
 from bracket_steer import simulate as simulate_module
 from bracket_steer.simulate import interval_grid
 
@@ -74,6 +77,112 @@ def test_wrong_length_drift_fails_the_run(disc, disc_sel, disc_gains_moderate):
                                     SimConfig(t_final=1.0))
             assert str(info.value) == (
                 f"field 0 returned length {n} at x0, expected shape (4,)")
+
+
+NAN = float("nan")
+INF = math.inf
+# 0, -0, +-tiny, +-subnormal, +-large, +-inf and NaN of both signs.
+EDGE_CONTROLS = (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300,
+                 INF, -INF, NAN, -NAN)
+FUSED = ((library.ROLLING_DISC, library._disc_stage),
+         (library.UNICYCLE, library._unicycle_stage))
+
+
+def _outcome(rhs, x):
+    try:
+        return np.array(rhs(0.37, x), dtype=float).tobytes()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+def _edge_states(n, seed=5):
+    rng = np.random.default_rng(seed)
+    states = [list(map(float, row)) for row in rng.normal(scale=3.0, size=(20, n))]
+    headings = [k * math.pi / 2 for k in range(-4, 5)] + [-0.0, 1e9, -1e9, NAN, INF, -INF]
+    fill = (0.0, -0.0, 1e9, NAN, INF)
+    for i, heading in enumerate(headings):
+        row = [fill[(i + j) % len(fill)] for j in range(n)]
+        row[2] = heading
+        states.append(row)
+    return states
+
+
+def test_fused_stages_match_generic_sum_bitwise(monkeypatch):
+    # Each table entry gives, bit for bit, the generic closure's output on
+    # the same functions, or raises the same exception type (cos(inf)).
+    assert len(library._FUSED_STAGES) == len(FUSED)
+    seen = set()
+    for sys, stage in FUSED:
+        funcs = (sys.drift, sys.control_fields)
+        assert library._fused_stage(*funcs) is stage
+        states = _edge_states(sys.n)
+        for u in itertools.product(EDGE_CONTROLS, repeat=2):
+            u_of = lambda t, u=u: array("d", u)
+            fused = simulate_module._closed_loop_rhs(*funcs, u_of)
+            with monkeypatch.context() as m:
+                m.setattr(library, "_FUSED_STAGES", {})
+                generic = simulate_module._closed_loop_rhs(*funcs, u_of)
+            assert fused.__code__ is not generic.__code__
+            for x in states:
+                want = _outcome(generic, x)
+                assert _outcome(fused, x) == want, (sys.name, u, x)
+                seen.add(want if isinstance(want, type) else bytes)
+    assert seen == {bytes, ValueError}
+
+
+def test_swapped_function_takes_generic_path():
+    # A copy with any one of (drift, *control_fields) swapped, here for an
+    # equal function, misses the table: the generic sum calls the swap.
+    for sys, stage in FUSED:
+        x = [0.4, -1.2, 0.9, 2.0][:sys.n]
+        u_of = lambda t: array("d", (0.7, -1.3))
+        want = _outcome(lambda t, x: stage(x, u_of(t)), x)
+        for k in range(1 + sys.m):
+            calls = []
+            funcs = [sys.drift, *sys.control_fields]
+
+            def swap(*args, f=funcs[k]):
+                calls.append(1)
+                return f(*args)
+
+            funcs[k] = swap
+            copy = dataclasses.replace(sys, drift=funcs[0], control_fields=tuple(funcs[1:]))
+            assert library._fused_stage(copy.drift, copy.control_fields) is None
+            rhs = simulate_module._closed_loop_rhs(copy.drift, copy.control_fields, u_of)
+            assert _outcome(rhs, x) == want
+            assert calls == [1]
+
+
+def test_array_returning_disc_matches_builtin_bitwise(monkeypatch):
+    # A registered copy of the rolling disc whose functions return float64
+    # arrays takes the generic sum; its runs and sweeps are bitwise the
+    # built-in's, which take the fused stage.
+    monkeypatch.setattr(library, "_SYSTEMS", dict(library._SYSTEMS))
+    calls = []
+
+    def arrays(f):
+        def wrapped(*args):
+            calls.append(1)
+            return np.array(f(*args), dtype=float)
+        return wrapped
+
+    disc = library.system("rolling-disc")
+    copy = library.register_system(dataclasses.replace(
+        disc, name="rolling-disc-arrays", drift=arrays(disc.drift),
+        control_fields=tuple(map(arrays, disc.control_fields))))
+    assert library._fused_stage(copy.drift, copy.control_fields) is None
+    bundle = builtin_scenario("rolling-disc")
+    x0 = np.array(bundle.x0)
+    got = simulate_pi_epsilon(copy, bundle.selection, bundle.gains, x0, bundle.sim)
+    want = simulate_pi_epsilon(disc, bundle.selection, bundle.gains, x0, bundle.sim)
+    assert len(calls) > 4 * want.dense_times.size
+    for name in ("dense_times", "dense_states", "dense_controls", "y_error",
+                 "sample_times", "sample_states", "interval_index"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    gains = dataclasses.replace(bundle.gains, gamma=2.0)
+    sweeps = [epsilon_sweep(s, bundle.selection, gains, x0, 10.0, [0.4, 0.2, 0.1])
+              for s in (copy, disc)]
+    assert np.array(sweeps[0]).tobytes() == np.array(sweeps[1]).tobytes()
 
 
 def test_constant_at_target(disc, disc_sel, disc_gains_moderate):
