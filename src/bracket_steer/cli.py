@@ -52,44 +52,50 @@ def _load_bundle(source):
         f"{sorted(scenarios.builtin_names())} and not an existing file")
 
 
-def _apply_overrides(bundle, args):
+def _apply_overrides(bundle, args, epsilon=None):
+    """The bundle with the run's epsilon and --gamma/--t-final/--substeps applied."""
     gains = bundle.gains
     sim = bundle.sim
     overrides = {}
-    if getattr(args, "epsilon", None) is not None:
-        gains = dataclasses.replace(gains, epsilon=args.epsilon)
-        overrides["epsilon"] = args.epsilon
-    if getattr(args, "gamma", None) is not None:
+    if epsilon is not None:
+        gains = dataclasses.replace(gains, epsilon=epsilon)
+        overrides["epsilon"] = epsilon
+    if args.gamma is not None:
         gains = dataclasses.replace(gains, gamma=args.gamma)
         overrides["gamma"] = args.gamma
         if bundle.kind == scenarios.FORMATION:
             agents = tuple(dataclasses.replace(a, gamma=args.gamma) for a in bundle.agents)
             bundle = dataclasses.replace(bundle, agents=agents)
-    if getattr(args, "t_final", None) is not None:
+    if args.t_final is not None:
         sim = dataclasses.replace(sim, t_final=args.t_final)
         overrides["t_final"] = args.t_final
-    if getattr(args, "substeps", None) is not None:
+    if args.substeps is not None:
         sim = dataclasses.replace(sim, substeps_per_period=args.substeps)
         overrides["substeps"] = args.substeps
     return dataclasses.replace(bundle, gains=gains, sim=sim), overrides
 
 
+def _certificates(bundle):
+    """scenarios.validate_bundle's certificate, or one per agent, as a tuple."""
+    cert = scenarios.validate_bundle(bundle)
+    return cert if isinstance(cert, tuple) else (cert,)
+
+
 def _certify(bundle):
     """Validate before simulating; a failed certificate is a numeric failure."""
-    cert = scenarios.validate_bundle(bundle)
-    certs = cert if isinstance(cert, tuple) else (cert,)
+    certs = _certificates(bundle)
     for c in certs:
         if not c.rank_ok:
             raise RankDegeneracyError(
                 f"scenario '{bundle.name}' failed rank validation over its probe box "
                 f"(worst condition {c.worst_condition:.3g}, cap {c.cond_cap:.3g})",
                 condition=c.worst_condition)
-    return cert
+    return certs
 
 
 def _rho_for(bundle, args):
     """--rho, else the scenario's expected.rho, else 0.1; finite and > 0."""
-    if getattr(args, "rho", None) is not None:
+    if args.rho is not None:
         rho = args.rho
     else:
         rho = float(bundle.expected.get("rho", 0.1))
@@ -162,23 +168,31 @@ def _traj_json_formation(ftraj):
     }
 
 
-def _cert_json(cert):
-    if isinstance(cert, tuple):
-        return [c.to_dict() for c in cert]
-    return cert.to_dict()
+def _cert_json(bundle, certs):
+    """One certificate's dict for a single system, a list of them for a formation."""
+    if bundle.kind == scenarios.FORMATION:
+        return [c.to_dict() for c in certs]
+    return certs[0].to_dict()
 
 
 def _cmd_run(args):
-    bundle, overrides = _apply_overrides(_load_bundle(args.scenario), args)
+    epsilon = None
+    if args.epsilon is not None:
+        try:
+            epsilon = float(args.epsilon)
+        except ValueError:
+            raise InvalidInputError(f"--epsilon must be a number, got '{args.epsilon}'") from None
+    bundle, overrides = _apply_overrides(_load_bundle(args.scenario), args, epsilon)
     rho = _rho_for(bundle, args)
-    cert = _certify(bundle)
+    certs = _certify(bundle)
 
     sidecar = {
         "scenario": bundle.name,
         "kind": bundle.kind,
         "overrides": overrides,
-        "certificate": _cert_json(cert),
+        "certificate": _cert_json(bundle, certs),
     }
+    as_csv = args.format == "csv"
 
     if bundle.kind == scenarios.SINGLE:
         log.info("running single-system scenario %s", bundle.name)
@@ -186,8 +200,8 @@ def _cmd_run(args):
                                    np.array(bundle.x0), bundle.sim)
         report = decay_report(traj, bundle.gains, rho)
         sidecar["decay_report"] = report.to_dict()
-        csv_text = _csv_single(traj, bundle.system.n, bundle.system.m)
-        traj_json = _traj_json_single(traj)
+        body = (_csv_single(traj, bundle.system.n, bundle.system.m) if as_csv
+                else _traj_json_single(traj))
     else:
         log.info("running formation scenario %s", bundle.name)
         ftraj = simulate_formation(bundle.agents, bundle.leader, bundle.agent_x0s,
@@ -199,54 +213,48 @@ def _cmd_run(args):
                 bundle.leader, bundle.agents, rho,
                 ftraj.dense_times, ftraj.leader_states)
         ]
-        csv_text = _csv_formation(ftraj, bundle.agents)
-        traj_json = _traj_json_formation(ftraj)
+        body = _csv_formation(ftraj, bundle.agents) if as_csv else _traj_json_formation(ftraj)
 
-    if args.format == "csv":
-        out = Path(args.out) if args.out else Path(f"{bundle.name}.csv")
-        _write_text(out, csv_text)
+    out = Path(args.out or f"{bundle.name}.{args.format}")
+    if as_csv:
+        _write_text(out, body)
         side_path = out.with_name(out.stem + ".report.json")
         _write_text(side_path, json.dumps(sidecar, indent=2) + "\n")
         print(f"wrote {out} and {side_path}")
     else:
-        out = Path(args.out) if args.out else Path(f"{bundle.name}.json")
-        sidecar["trajectory"] = traj_json
+        sidecar["trajectory"] = body
         _write_text(out, json.dumps(sidecar, indent=2) + "\n")
         print(f"wrote {out}")
 
-    t1 = sidecar["decay_report"]["t1"]
-    lam = sidecar["decay_report"]["lambda_fit"]
-    print(f"scenario={bundle.name} rho={_fmt(rho)} t1={_fmt(t1)} "
+    lam = report.lambda_fit
+    print(f"scenario={bundle.name} rho={_fmt(rho)} t1={_fmt(report.t1)} "
           f"lambda_fit={'n/a' if lam is None else _fmt(lam)}")
     return 0
 
 
 def _cmd_sweep(args):
-    # The epsilon flag holds the sweep list here, not a gains override.
-    eps_spec = args.epsilon
-    args.epsilon = None
+    # Here --epsilon is the list of sampling periods to sweep, not an override.
+    if args.epsilon is None:
+        raise InvalidInputError("sweep requires --epsilon with a comma-separated list")
+    try:
+        eps_list = [float(tok) for tok in args.epsilon.split(",") if tok.strip()]
+    except ValueError:
+        raise InvalidInputError(
+            f"--epsilon must be a comma-separated list of numbers, got '{args.epsilon}'") from None
     bundle, overrides = _apply_overrides(_load_bundle(args.scenario), args)
     if bundle.kind != scenarios.SINGLE:
         raise InvalidInputError("sweep supports single-system scenarios only")
-    cert = _certify(bundle)
-    try:
-        eps_list = [float(tok) for tok in eps_spec.split(",") if tok.strip()]
-    except ValueError:
-        raise InvalidInputError(
-            f"--epsilon must be a comma-separated list of numbers, got '{eps_spec}'")
+    certs = _certify(bundle)
     rows = epsilon_sweep(bundle.system, bundle.selection, bundle.gains,
                          np.array(bundle.x0), bundle.sim.t_final, eps_list,
                          substeps_per_period=bundle.sim.substeps_per_period)
 
-    csv_text = _csv_table(["epsilon", "max_deviation"], [np.array(rows, dtype=float)])
-
-    out = Path(args.out) if args.out else Path(f"{bundle.name}-sweep.csv")
+    out = Path(args.out or f"{bundle.name}-sweep.{args.format}")
     if args.format == "csv":
-        _write_text(out, csv_text)
+        _write_text(out, _csv_table(["epsilon", "max_deviation"], [np.array(rows, dtype=float)]))
     else:
-        out = out if args.out else Path(f"{bundle.name}-sweep.json")
         payload = {"scenario": bundle.name, "overrides": overrides,
-                   "certificate": _cert_json(cert),
+                   "certificate": _cert_json(bundle, certs),
                    "rows": [{"epsilon": e, "max_deviation": d} for e, d in rows]}
         _write_text(out, json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
@@ -256,10 +264,10 @@ def _cmd_sweep(args):
 
 
 def _cmd_validate(args):
-    bundle, _ = _apply_overrides(_load_bundle(args.scenario), args)
+    bundle = _load_bundle(args.scenario)
     rho = _rho_for(bundle, args)
-    cert = scenarios.validate_bundle(bundle)
-    payload = {"scenario": bundle.name, "certificate": _cert_json(cert)}
+    certs = _certificates(bundle)
+    payload = {"scenario": bundle.name, "certificate": _cert_json(bundle, certs)}
 
     if bundle.kind == scenarios.FORMATION:
         from .formation import simulate_leader
@@ -276,7 +284,6 @@ def _cmd_validate(args):
     else:
         print(text, end="")
 
-    certs = cert if isinstance(cert, tuple) else (cert,)
     if not all(c.rank_ok for c in certs):
         raise RankDegeneracyError(
             f"scenario '{bundle.name}' failed rank validation over its probe box")
@@ -336,17 +343,6 @@ def main(argv=None):
     _configure_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    # run takes a single float epsilon; sweep parses its own list.
-    if args.command == "run" and getattr(args, "epsilon", None) is not None:
-        try:
-            args.epsilon = float(args.epsilon)
-        except ValueError:
-            _print_error(InvalidInputError(f"--epsilon must be a number, got '{args.epsilon}'"))
-            return 2
-    if args.command == "sweep" and getattr(args, "epsilon", None) is None:
-        _print_error(InvalidInputError("sweep requires --epsilon with a comma-separated list"))
-        return 2
 
     try:
         return args.fn(args)

@@ -222,6 +222,9 @@ def scenario_from_dict(data):
     for a selection that breaks a structural invariant.
     """
     name = str(_require(data, "name", "top level"))
+    # The name is the default output file name, so it must stay in the directory.
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ScenarioFormatError(f"name must be a plain file name, got {name!r}")
     kind = str(_require(data, "kind", "top level"))
     if kind not in (SINGLE, FORMATION):
         raise ScenarioFormatError(

@@ -126,14 +126,10 @@ def default_substeps(kappa_max):
 
 
 def resolve_config(cfg, gains, kappa_max):
-    """Fill in defaulted fields and warn on under-resolved oscillations."""
+    """(t_final, substeps per period) with the defaulted fields filled in."""
     nsub = cfg.substeps_per_period
     if nsub is None:
         nsub = default_substeps(kappa_max)
-    if nsub < 20 * kappa_max:
-        warnings.warn(
-            f"substeps_per_period={nsub} resolves the fastest oscillation "
-            f"(kappa={kappa_max}) with fewer than 20 sub-steps", RuntimeWarning)
     t_final = cfg.t_final if cfg.t_final is not None else default_t_final(gains)
     return t_final, nsub
 
@@ -271,8 +267,10 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
     At each sampling instant tau_j = j * epsilon, steer(row_states) returns
     one frozen control u_of per row; over [tau_j, tau_j + epsilon) each row's
     drift + sum_k u_of(t)[k] fields[k] is integrated with nsub RK4 sub-steps
-    while the time argument runs on.  A final partial interval ends exactly
-    at t_final.  Each row is guarded under its name after every sub-step.
+    while the time argument runs on; one RuntimeWarning per run says when
+    nsub gives kappa_max fewer than 20 sub-steps.  A final partial interval
+    ends exactly at t_final.  Each row is guarded under its name after every
+    sub-step.
     A dense point (t, x, interval, each row's u_of(t)) is recorded at t = 0,
     every cfg.record_stride sub-steps and at the end of the horizon.
     Returns build(recorder); a DivergenceError or RankDegeneracyError
@@ -282,6 +280,10 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
     eps = gains.epsilon
     n_rows, p = x0.shape
     t_final, nsub, n_int, tail = _plan_run(cfg, gains, kappa_max, n_rows)
+    if nsub < 20 * kappa_max:
+        warnings.warn(
+            f"substeps_per_period={nsub} resolves the fastest oscillation "
+            f"(kappa={kappa_max}) with fewer than 20 sub-steps", RuntimeWarning)
     n_intervals = n_int + (1 if tail > 0.0 else 0)
     total_substeps = n_intervals * nsub
     stride = cfg.record_stride

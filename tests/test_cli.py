@@ -135,6 +135,55 @@ def test_sweep_requires_epsilon(tmp_path, capsys):
     assert "error:InvalidInputError" in capsys.readouterr().err
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("called for an output format the run does not write")
+
+
+@pytest.mark.parametrize("name", ["rolling-disc", "unicycle-leader"])
+@pytest.mark.parametrize("fmt, unused", [
+    ("csv", ("_traj_json_single", "_traj_json_formation")),
+    ("json", ("_csv_single", "_csv_formation")),
+])
+def test_run_builds_only_the_requested_format(tmp_path, monkeypatch, name, fmt, unused):
+    from bracket_steer import cli
+    for attr in unused:
+        monkeypatch.setattr(cli, attr, _refuse)
+    out = tmp_path / f"out.{fmt}"
+    assert main(["run", name, "--t-final", "2", "--format", fmt, "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
+
+
+def test_sweep_parses_epsilon_before_any_work(tmp_path, capsys, monkeypatch):
+    from bracket_steer import scenarios
+
+    def no_certify(bundle):
+        raise AssertionError("the sweep certified before parsing --epsilon")
+
+    monkeypatch.setattr(scenarios, "validate_bundle", no_certify)
+    for extra in (["--epsilon", "abc"], []):
+        assert main(["sweep", "rolling-disc", *extra, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error:InvalidInputError:")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["../escaped", "", ".", "..", "a/b", "a\\b", "a\0b"])
+def test_unsafe_scenario_name_exit_2_writes_nothing(tmp_path, capsys, monkeypatch, name):
+    # The name becomes the default output path, so one that leaves the
+    # working directory, or is no file name at all, is bad input.
+    from bracket_steer import builtin_scenario, scenario_to_dict
+    d = scenario_to_dict(builtin_scenario("rolling-disc"))
+    d["name"] = name
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    work = tmp_path / "work" / "deeper"
+    work.mkdir(parents=True)
+    monkeypatch.chdir(work)
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:ScenarioFormatError:name")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["deeper", "scenario.json", "work"]
+
+
 # SHA-256 of `run <name> --format csv` for the shipped built-ins.  Any
 # change to these bytes is a change to a computed trajectory.
 GOLDEN_CSV_SHA256 = {

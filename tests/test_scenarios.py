@@ -157,6 +157,14 @@ def test_malformed_selection_names_invariant():
         scenario_from_dict(d)
 
 
+def test_plain_names_accepted():
+    # Unsafe names are refused in tests/test_cli.py; these stay in the directory.
+    d = scenario_to_dict(builtin_scenario("rolling-disc"))
+    for name in ("swarm", "disc.v2", "...", " x "):
+        d["name"] = name
+        assert scenario_from_dict(d).name == name
+
+
 def test_wrong_x0_dimension():
     d = scenario_to_dict(builtin_scenario("rolling-disc"))
     d["x0"] = [1.0, 2.0]

@@ -278,6 +278,17 @@ def test_substeps_warning(disc, disc_sel, disc_gains_moderate):
                             SimConfig(t_final=0.5, substeps_per_period=10))
 
 
+def test_sweep_warns_once_per_entry(disc, disc_sel, disc_gains_moderate):
+    # The sweep plans every entry before its first run; only the runs warn.
+    import warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        epsilon_sweep(disc, disc_sel, disc_gains_moderate, np.array([1.0, 0.5, 0.0, 0.0]),
+                      0.5, [0.25, 0.125], substeps_per_period=10)
+    messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert sum("fewer than 20 sub-steps" in m for m in messages) == 2
+
+
 def test_refinement_stability(disc, disc_sel, disc_gains_moderate):
     # Doubling the sub-step count must not move the endpoint appreciably.
     x0 = np.array([1.0, 0.5, 0.0, 0.0])
