@@ -21,7 +21,8 @@ from . import library, scenarios
 from .errors import (BracketSteerError, InvalidInputError, NumericError,
                      RankDegeneracyError, UnknownScenarioError)
 from .formation import gain_condition_report, simulate_formation
-from .simulate import SimConfig, decay_report, epsilon_sweep, simulate_pi_epsilon
+from .simulate import (SimConfig, _sweep_epsilons, decay_report, epsilon_sweep,
+                       simulate_pi_epsilon)
 
 log = logging.getLogger("bracket_steer.cli")
 
@@ -241,6 +242,7 @@ def _cmd_sweep(args):
     except ValueError:
         raise InvalidInputError(
             f"--epsilon must be a comma-separated list of numbers, got '{args.epsilon}'") from None
+    eps_list = _sweep_epsilons(eps_list)
     bundle, overrides = _apply_overrides(_load_bundle(args.scenario), args)
     if bundle.kind != scenarios.SINGLE:
         raise InvalidInputError("sweep supports single-system scenarios only")

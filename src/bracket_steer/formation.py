@@ -21,10 +21,11 @@ import numpy as np
 from .errors import InvalidInputError, RankDegeneracyError
 from .model import as_state
 from .simulate import SampledTrajectory, SimConfig, _check_field_lengths, _run_sampled
-# Not called here: perfbench/tracer.py wraps formation._guard and _rk4_step by name.
+from .synthesis import _steer, check_selection, frozen_control, held_control
+# Not called here: perfbench/tracer.py wraps formation._guard, _rk4_step,
+# extension_matrix and _solve_steering by name.
 from .simulate import _guard_state as _guard, _rk4_step  # noqa: F401
-from .synthesis import (check_selection, extension_matrix, frozen_control,
-                        held_control, _solve_steering)
+from .synthesis import extension_matrix, _solve_steering  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -126,9 +127,9 @@ def follower_steering(agent, gains, x_agent, x_leader):
     p = agent.system.n
     x_agent = as_state(x_agent, p)
     x_leader = as_state(x_leader, p)
-    disp = x_agent - x_leader - agent.offset_vec()
-    F = extension_matrix(agent.system, agent.selection, x_agent)
-    return _solve_steering(F, -agent.gamma * disp, gains.cond_cap, x_agent)
+    check_selection(agent.system, agent.selection)
+    return _steer(agent.system, agent.selection, x_agent,
+                  x_agent - x_leader - agent.offset_vec(), agent.gamma, gains.cond_cap)
 
 
 def follower_controller(agent, gains):

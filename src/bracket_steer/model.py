@@ -27,6 +27,18 @@ def as_state(x, n=None):
     return arr
 
 
+def _as_int(value, what, error=InvalidInputError):
+    """value as an int: an int, a numpy integer or an integral float.
+
+    A bool or any other value raises error naming what; nothing is truncated.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class PartitionedSystem:
     """Control-affine system with a y/z state partition.

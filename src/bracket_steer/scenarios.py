@@ -18,6 +18,7 @@ import numpy as np
 from . import library
 from .errors import InvalidInputError, ScenarioFormatError, UnknownScenarioError
 from .formation import FollowerAgent, LeaderModel
+from .model import _as_int
 from .simulate import SimConfig
 from .synthesis import BracketSelection, ControllerGains, check_selection, validate_selection
 
@@ -141,7 +142,7 @@ def _number(value, where):
 
 
 def _integer(value, where):
-    return _coerce(int, value, where, "an integer")
+    return _as_int(value, where, ScenarioFormatError)
 
 
 def _numbers(value, where, n=None):

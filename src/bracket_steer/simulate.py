@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidInputError, RankDegeneracyError
 from .library import _fused_stage
-from .model import as_state
+from .model import _as_int, as_state
 from .synthesis import check_selection, frozen_control, steering_coefficients
 # Not called here: perfbench/tracer.py wraps simulate.held_control by name.
 from .synthesis import held_control  # noqa: F401
@@ -57,8 +57,12 @@ class SimConfig:
     def __post_init__(self):
         if self.t_final is not None and not 0 < self.t_final < math.inf:
             raise InvalidInputError(f"t_final must be finite and > 0, got {self.t_final}")
-        if self.substeps_per_period is not None and self.substeps_per_period < 1:
-            raise InvalidInputError("substeps_per_period must be >= 1")
+        if self.substeps_per_period is not None:
+            nsub = _as_int(self.substeps_per_period, "substeps_per_period")
+            if nsub < 1:
+                raise InvalidInputError("substeps_per_period must be >= 1")
+            object.__setattr__(self, "substeps_per_period", nsub)
+        object.__setattr__(self, "record_stride", _as_int(self.record_stride, "record_stride"))
         if self.record_stride < 1:
             raise InvalidInputError("record_stride must be >= 1")
 
@@ -247,7 +251,7 @@ def _stacked_rhs(rows, held, p):
 
 
 def _plan_run(cfg, gains, kappa_max, n_rows):
-    """(t_final, nsub, n_int, tail) of a run, refused if empty or over budget."""
+    """(t_final, nsub, n_int, tail, n_intervals) of a run, refused if empty or over budget."""
     eps = gains.epsilon
     t_final, nsub = resolve_config(cfg, gains, kappa_max)
     n_int, tail = interval_grid(t_final, eps)
@@ -257,7 +261,7 @@ def _plan_run(cfg, gains, kappa_max, n_rows):
     if n_intervals * nsub * n_rows > MAX_ROW_SUBSTEPS:
         raise InvalidInputError(f"{n_intervals} intervals x {nsub} sub-steps x {n_rows} rows "
                                 f"exceed the budget MAX_ROW_SUBSTEPS = {MAX_ROW_SUBSTEPS}")
-    return t_final, nsub, n_int, tail
+    return t_final, nsub, n_int, tail, n_intervals
 
 
 def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
@@ -279,12 +283,11 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
     cfg = SimConfig() if cfg is None else cfg
     eps = gains.epsilon
     n_rows, p = x0.shape
-    t_final, nsub, n_int, tail = _plan_run(cfg, gains, kappa_max, n_rows)
+    t_final, nsub, n_int, tail, n_intervals = _plan_run(cfg, gains, kappa_max, n_rows)
     if nsub < 20 * kappa_max:
         warnings.warn(
             f"substeps_per_period={nsub} resolves the fastest oscillation "
             f"(kappa={kappa_max}) with fewer than 20 sub-steps", RuntimeWarning)
-    n_intervals = n_int + (1 if tail > 0.0 else 0)
     total_substeps = n_intervals * nsub
     stride = cfg.record_stride
     offsets = range(0, n_rows * p, p)
@@ -406,6 +409,18 @@ def decay_report(traj, gains, rho):
                        zeta_fit=zeta_fit, monotone_fraction=monotone)
 
 
+def _sweep_epsilons(eps_list):
+    """eps_list as floats, refused unless non-empty, positive and strictly decreasing."""
+    eps_list = [float(e) for e in eps_list]
+    if not eps_list:
+        raise InvalidInputError("eps_list must be non-empty")
+    if not all(e > 0 for e in eps_list):  # NaN fails e > 0 as well
+        raise InvalidInputError("eps_list entries must be > 0")
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise InvalidInputError("eps_list must be strictly decreasing")
+    return eps_list
+
+
 def epsilon_sweep(sys, sel, gains_base, x0, t_final, eps_list,
                   substeps_per_period=None):
     """Max sampled deviation from the averaged flow, one row per epsilon.
@@ -413,20 +428,21 @@ def epsilon_sweep(sys, sel, gains_base, x0, t_final, eps_list,
     eps_list must be strictly decreasing and positive; returns a list of
     (epsilon, max_j ||y(tau_j) - yhat(tau_j)||) rows.  Every run uses
     SimConfig(t_final, substeps_per_period); None fields take the defaults.
+    Every entry is planned before the first run, and the sweep as a whole
+    must stay within MAX_ROW_SUBSTEPS.
     """
-    eps_list = [float(e) for e in eps_list]
-    if not eps_list:
-        raise InvalidInputError("eps_list must be non-empty")
-    if any(e <= 0 for e in eps_list):
-        raise InvalidInputError("eps_list entries must be > 0")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise InvalidInputError("eps_list must be strictly decreasing")
+    eps_list = _sweep_epsilons(eps_list)
     x0 = as_state(x0, sys.n)
     y0 = x0[: sys.n1]
     cfg = SimConfig(t_final=t_final, substeps_per_period=substeps_per_period)
     runs = [replace(gains_base, epsilon=e) for e in eps_list]
+    total = 0
     for gains in runs:  # refuse a bad entry before the first run
-        _plan_run(cfg, gains, sel.kappa_max, 1)
+        _, nsub, _, _, n_intervals = _plan_run(cfg, gains, sel.kappa_max, 1)
+        total += n_intervals * nsub
+    if total > MAX_ROW_SUBSTEPS:
+        raise InvalidInputError(f"the sweep's {total} row sub-steps exceed the budget "
+                                f"MAX_ROW_SUBSTEPS = {MAX_ROW_SUBSTEPS}")
     rows = []
     for e, gains in zip(eps_list, runs):
         traj = simulate_pi_epsilon(sys, sel, gains, x0, cfg)

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, RankDegeneracyError, SelectionShapeError
-from .model import _check_finite, _field, _jac, as_state
+from .model import _as_int, _check_finite, _field, _jac, as_state
 # Not called here: perfbench/tracer.py wraps synthesis.lie_bracket by name.
 from .model import lie_bracket  # noqa: F401
 
@@ -36,18 +36,18 @@ class BracketSelection:
     kappa: Optional[tuple] = None
 
     def __post_init__(self):
-        s1 = tuple(int(i) for i in self.s1)
-        s2 = tuple((int(p[0]), int(p[1])) for p in self.s2)
+        s1 = tuple(_as_int(i, "s1 entry") for i in self.s1)
+        s2 = tuple((_as_int(p[0], "s2 entry"), _as_int(p[1], "s2 entry")) for p in self.s2)
         kappa = self.kappa
         if kappa is None:
             kappa = tuple(range(1, len(s2) + 1))
         elif isinstance(kappa, dict):
             try:
-                kappa = tuple(int(kappa[p]) for p in s2)
+                kappa = tuple(_as_int(kappa[p], "kappa entry") for p in s2)
             except KeyError as exc:
                 raise InvalidInputError(f"kappa mapping is missing pair {exc.args[0]}") from None
         else:
-            kappa = tuple(int(k) for k in kappa)
+            kappa = tuple(_as_int(k, "kappa entry") for k in kappa)
             if len(kappa) != len(s2):
                 raise InvalidInputError(
                     f"kappa has {len(kappa)} entries for {len(s2)} bracket pairs")
@@ -185,14 +185,20 @@ def _solve_steering(F, rhs, cond_cap, x):
             state=np.array(x, dtype=float), condition=cond) from exc
 
 
+def _steer(sys, sel, x, r, gamma, cond_cap):
+    """a solving F(x) a = -gamma r for a checked selection and state x:
+    r = y - y* for one system, x - x_L - d for a follower."""
+    return _solve_steering(_extension_matrix(sys, sel, x), -gamma * r, cond_cap, x)
+
+
 def steering_coefficients(sys, sel, gains, x):
     """a(x) solving F(x) a = -gamma (y - y*), ordered as (S1 entries, S2 entries)."""
     x = as_state(x, sys.n)
     y_star = gains.y_star_vec()
     if y_star.shape != (sys.n1,):
         raise InvalidInputError(f"y_star has dimension {y_star.size}, expected n1 = {sys.n1}")
-    F = extension_matrix(sys, sel, x)
-    return _solve_steering(F, -gains.gamma * (x[: sys.n1] - y_star), gains.cond_cap, x)
+    check_selection(sys, sel)
+    return _steer(sys, sel, x, x[: sys.n1] - y_star, gains.gamma, gains.cond_cap)
 
 
 def _sign(v):

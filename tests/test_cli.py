@@ -160,9 +160,15 @@ def test_sweep_parses_epsilon_before_any_work(tmp_path, capsys, monkeypatch):
         raise AssertionError("the sweep certified before parsing --epsilon")
 
     monkeypatch.setattr(scenarios, "validate_bundle", no_certify)
-    for extra in (["--epsilon", "abc"], []):
+    # The list's emptiness, signs and order are checked where it is parsed.
+    for extra, message in ((["--epsilon", "abc"], "--epsilon must be a comma-separated"),
+                           ([], "sweep requires --epsilon"),
+                           (["--epsilon", "0.1,0.2"], "eps_list must be strictly decreasing"),
+                           (["--epsilon", ","], "eps_list must be non-empty"),
+                           (["--epsilon", "0.2,-0.1"], "eps_list entries must be > 0"),
+                           (["--epsilon", "0.5,nan"], "eps_list entries must be > 0")):
         assert main(["sweep", "rolling-disc", *extra, "--out", str(tmp_path / "x.csv")]) == 2
-        assert capsys.readouterr().err.startswith("error:InvalidInputError:")
+        assert capsys.readouterr().err.startswith(f"error:InvalidInputError:{message}")
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -324,7 +330,8 @@ def test_infinite_t_final_override_exit_2(tmp_path, capsys):
 def test_over_budget_run_exit_2_without_integrating(tmp_path, capsys, monkeypatch):
     # kappa = 1e6 resolves 40 000 000 sub-steps per period: the run and the
     # sweep are refused before the first sub-step, which would raise here.
-    # So is a sweep whose last entry alone is over the budget.
+    # So is a sweep whose last entry alone is over the budget, and one whose
+    # entries are each within it but sum to 13 000 000 row sub-steps.
     from bracket_steer import builtin_scenario, scenario_to_dict, simulate
 
     d = scenario_to_dict(builtin_scenario("rolling-disc"))
@@ -335,7 +342,8 @@ def test_over_budget_run_exit_2_without_integrating(tmp_path, capsys, monkeypatc
     capsys.readouterr()
     monkeypatch.setattr(simulate, "_rk4_step", _no_integration)
     for args in (["run", str(path)], ["sweep", str(path), "--epsilon", "1,0.5"],
-                 ["sweep", "rolling-disc", "--t-final", "10", "--epsilon", "0.5,1e-7"]):
+                 ["sweep", "rolling-disc", "--t-final", "10", "--epsilon", "0.5,1e-7"],
+                 ["sweep", "rolling-disc", "--t-final", "1000", "--epsilon", "0.008,0.005"]):
         assert main(args + ["--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:InvalidInputError:"), err

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bracket_steer import (BracketSteerError, ScenarioFormatError, SelectionShapeError,
+from bracket_steer import (BracketSelection, BracketSteerError, InvalidInputError,
+                           ScenarioFormatError, SelectionShapeError,
                            UnknownScenarioError, builtin_names, builtin_scenario,
                            follower_steering, load_scenario, save_scenario,
                            scenario_from_dict, scenario_to_dict, steering_coefficients,
@@ -267,3 +268,36 @@ def test_scenario_from_dict_raises_only_package_errors(data):
         scenario_from_dict(data)
     except BracketSteerError:
         pass
+
+
+
+_INTEGER_KEYS = {
+    # key: (the scenario block holding it, the dataclass built from one value)
+    "substeps_per_period": ("sim", lambda v: SimConfig(substeps_per_period=v)),
+    "record_stride": ("sim", lambda v: SimConfig(record_stride=v)),
+    "kappa": ("selection", lambda v: BracketSelection(s1=(1,), s2=((1, 2),), kappa=(v,))),
+    "s1": ("selection", lambda v: BracketSelection(s1=(v,), s2=((1, 2),))),
+    "s2": ("selection", lambda v: BracketSelection(s1=(1,), s2=((1, v),))),
+}
+
+
+def _disc_with(block, key, value):
+    d = scenario_to_dict(builtin_scenario("rolling-disc"))
+    d[block][key] = {"kappa": [value], "s1": [value], "s2": [[1, value]]}.get(key, value)
+    return d
+
+
+@pytest.mark.parametrize("key", sorted(_INTEGER_KEYS))
+@pytest.mark.parametrize("value", [2.5, 1.9, True, False, math.inf, math.nan, "2"])
+def test_integer_fields_refuse_non_integers(key, value):
+    # Ints, numpy integers and integral floats are stored as int; a bool or
+    # a non-integral value is refused instead of truncated.
+    block, build = _INTEGER_KEYS[key]
+    with pytest.raises(ScenarioFormatError, match=key):
+        scenario_from_dict(_disc_with(block, key, value))
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        build(value)
+    for ok in (2, 2.0, np.int64(2), np.float32(2.0)):
+        loaded = getattr(scenario_from_dict(_disc_with(block, key, ok)), block)
+        for got in (getattr(loaded, key), getattr(build(ok), key)):
+            assert repr(got) in ("2", "(2,)", "((1, 2),)"), (ok, got)

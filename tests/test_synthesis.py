@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bracket_steer import (BracketSelection, ControllerGains, InvalidInputError,
-                           PartitionedSystem, RankDegeneracyError, SelectionShapeError,
-                           builtin_scenario, check_selection, control_value,
-                           extension_matrix, follower_steering, held_control,
+from bracket_steer import (ROLLING_DISC, UNICYCLE, BracketSelection, ControllerGains,
+                           FollowerAgent, InvalidInputError, PartitionedSystem,
+                           RankDegeneracyError, SelectionShapeError, builtin_scenario,
+                           check_selection, control_value, extension_matrix,
+                           follower_controller, follower_steering, held_control,
                            steering_coefficients, validate_selection)
 from bracket_steer import formation, synthesis
 from bracket_steer.scenarios import probe_states
@@ -447,3 +448,91 @@ def test_steering_contract_hypothesis(x1, x2, th):
     a = steering_coefficients(disc, sel, gains, x)
     F = extension_matrix(disc, sel, x)
     assert np.linalg.norm(F @ a + 3.0 * x[:2]) <= 1e-9 * max(1.0, np.linalg.norm(x))
+
+
+# --- each public steering entry checks each input once ------------------------
+
+def test_steering_entries_check_each_input_once(monkeypatch, disc, disc_sel, disc_gains,
+                                                uni, uni_sel, uni_gains):
+    # as_state and check_selection are counted in every namespace that
+    # calls them: one state and one selection check per single-system
+    # solve, two states (agent, leader) and one selection per follower.
+    counts = {"as_state": 0, "check_selection": 0}
+    for module in (synthesis, formation):
+        for name in counts:
+            def counted(*args, _orig=getattr(module, name), _name=name):
+                counts[_name] += 1
+                return _orig(*args)
+            monkeypatch.setattr(module, name, counted)
+    agent = FollowerAgent(uni, uni_sel, 2.0, (0.5, 0.0, 0.0))
+    for _ in range(3):
+        steering_coefficients(disc, disc_sel, disc_gains, [2.0, 1.0, 0.0, 3.0])
+    assert counts == {"as_state": 3, "check_selection": 3}
+    counts.update(as_state=0, check_selection=0)
+    for _ in range(3):
+        follower_steering(agent, uni_gains, [0.1, 0.2, 0.3], [0.0, 0.0, 0.0])
+    assert counts == {"as_state": 6, "check_selection": 3}
+
+
+# (type, message) pairs as the public entries raised them before they
+# shared one solve; the cases with several faults pin the order of checks.
+NONFINITE = ("InvalidInputError", "state contains non-finite entries")
+YSTAR3 = ("InvalidInputError", "y_star has dimension 3, expected n1 = 2")
+DIM2 = ("InvalidInputError", "state has dimension 2, expected 3")
+DISC_PAIR = ("SelectionShapeError", "bracket pair invariant violated: pair (1, 1) has i1 = i2, "
+             "and the bracket of a field with itself vanishes")
+UNI_PAIR = ("SelectionShapeError", "bracket pair invariant violated: pair (2, 2) has i1 = i2, "
+            "and the bracket of a field with itself vanishes")
+
+
+def _bad_input_calls():
+    nan = math.nan
+    good, bad = BracketSelection((1,), ((1, 2),)), BracketSelection((1,), ((1, 1),))
+    g2 = ControllerGains(1.0, 5.0, (0.0, 0.0))
+    g3 = ControllerGains(1.0, 5.0, (0.0, 0.0, 0.0))
+    agent = FollowerAgent(UNICYCLE, BracketSelection((1, 2), ((1, 2),)), 2.0, (0.5, 0.0, 0.0))
+    bad_agent = FollowerAgent(UNICYCLE, BracketSelection((1, 2), ((2, 2),)), 2.0, (0.5, 0.0, 0.0))
+    x, p, origin = [2.0, 1.0, 0.0, 3.0], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0]
+
+    def steer(sel, gains, state):
+        return lambda: steering_coefficients(ROLLING_DISC, sel, gains, state)
+
+    def control(sel, gains, state):
+        return lambda: control_value(ROLLING_DISC, sel, gains, 0.3, state)
+
+    def follow(a, xa, xl):
+        return lambda: follower_steering(a, g3, xa, xl)
+
+    def controller(xa, xl):
+        return lambda: follower_controller(agent, g3)(0.3, xa, xl)
+
+    return {
+        "steer-nan-state-bad-sel": (steer(bad, g2, [nan, 1.0, 0.0, 3.0]), NONFINITE),
+        "steer-ystar3-bad-sel": (steer(bad, g3, x), YSTAR3),
+        "steer-bad-sel": (steer(bad, g2, x), DISC_PAIR),
+        "steer-short-state": (steer(good, g2, [1.0, 2.0, 3.0]),
+                              ("InvalidInputError", "state has dimension 3, expected 4")),
+        "steer-2d-state": (steer(good, g2, [x]), (
+            "InvalidInputError", "state must be a 1-d vector, got shape (1, 4)")),
+        "steer-inf-state": (steer(good, g2, [1.0, math.inf, 0.0, 0.0]), NONFINITE),
+        "control-nan-state-bad-sel": (control(bad, g2, [nan, 1.0, 0.0, 3.0]), NONFINITE),
+        "control-ystar3-bad-sel": (control(bad, g3, x), YSTAR3),
+        "control-bad-sel": (control(bad, g2, x), DISC_PAIR),
+        "follow-leader2-bad-sel": (follow(bad_agent, p, [0.0, 0.0]), DIM2),
+        "follow-nan-agent-leader2-bad-sel": (follow(bad_agent, [nan, 0.0, 0.0], [0.0, 0.0]),
+                                             NONFINITE),
+        "follow-nan-leader-bad-sel": (follow(bad_agent, p, [0.0, nan, 0.0]), NONFINITE),
+        "follow-bad-sel": (follow(bad_agent, p, origin), UNI_PAIR),
+        "follow-short-agent": (follow(agent, [0.0, 0.0], origin), DIM2),
+        "controller-leader2": (controller(p, [0.0, 0.0]), DIM2),
+        "controller-nan-agent-leader2": (controller([nan, 0.0, 0.0], [0.0, 0.0]), NONFINITE),
+        "controller-inf-leader": (controller(p, [0.0, 0.0, math.inf]), NONFINITE),
+        "controller-bad-sel": (lambda: follower_controller(bad_agent, g3), UNI_PAIR),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_input_calls()))
+def test_steering_entries_bad_input_errors(case):
+    call, expected = _bad_input_calls()[case]
+    got = _raised(call)
+    assert got is not None and (got[0].__name__, got[1]) == expected
