@@ -105,6 +105,11 @@ def _rho_for(bundle, args):
     return rho
 
 
+def _json_text(doc):
+    """doc as the text of every JSON document the CLI writes or prints."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _write_text(path, text):
     path = Path(path)
     if path.parent and not path.parent.exists():
@@ -220,11 +225,11 @@ def _cmd_run(args):
     if as_csv:
         _write_text(out, body)
         side_path = out.with_name(out.stem + ".report.json")
-        _write_text(side_path, json.dumps(sidecar, indent=2) + "\n")
+        _write_text(side_path, _json_text(sidecar))
         print(f"wrote {out} and {side_path}")
     else:
         sidecar["trajectory"] = body
-        _write_text(out, json.dumps(sidecar, indent=2) + "\n")
+        _write_text(out, _json_text(sidecar))
         print(f"wrote {out}")
 
     lam = report.lambda_fit
@@ -258,7 +263,7 @@ def _cmd_sweep(args):
         payload = {"scenario": bundle.name, "overrides": overrides,
                    "certificate": _cert_json(bundle, certs),
                    "rows": [{"epsilon": e, "max_deviation": d} for e, d in rows]}
-        _write_text(out, json.dumps(payload, indent=2) + "\n")
+        _write_text(out, _json_text(payload))
     print(f"wrote {out}")
     for eps, dev in rows:
         print(f"epsilon={_fmt(eps)} max_deviation={_fmt(dev)}")
@@ -279,7 +284,7 @@ def _cmd_validate(args):
             row.to_dict() for row in gain_condition_report(
                 bundle.leader, bundle.agents, rho, times, states)]
 
-    text = json.dumps(payload, indent=2) + "\n"
+    text = _json_text(payload)
     if args.out:
         _write_text(Path(args.out), text)
         print(f"wrote {args.out}")

@@ -13,14 +13,15 @@ the same run with no followers.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidInputError, RankDegeneracyError
 from .model import as_state
-from .simulate import SampledTrajectory, SimConfig, _check_field_lengths, _run_sampled
+from .simulate import (SampledTrajectory, SimConfig, _check_field_length, _check_field_lengths,
+                       _run_sampled)
 from .synthesis import _steer, check_selection, frozen_control, held_control
 # Not called here: perfbench/tracer.py wraps formation._guard, _rk4_step,
 # extension_matrix and _solve_steering by name.
@@ -113,13 +114,7 @@ class GainConditionRow:
     satisfied: bool
 
     def to_dict(self):
-        return {
-            "agent_index": self.agent_index,
-            "gamma": self.gamma,
-            "sup_leader_speed": self.sup_leader_speed,
-            "rho": self.rho,
-            "satisfied": self.satisfied,
-        }
+        return asdict(self)
 
 
 def follower_steering(agent, gains, x_agent, x_leader):
@@ -207,10 +202,7 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
     x0 = np.array([leader.x0_vec(), *x0s])
     n_rows, p = x0.shape
     ms = [agent.system.m for agent in agents]
-    length = len(leader.dynamics(0.0, leader.x0_vec()))
-    if length != p:
-        raise InvalidInputError(
-            f"leader field returned length {length} at x0, expected shape ({p},)")
+    _check_field_length(leader.dynamics(0.0, leader.x0_vec()), p, "leader field")
     rows = [("leader", leader.dynamics, ())]
     for idx, (agent, x) in enumerate(zip(agents, x0s)):
         _check_field_lengths(agent.system, x, f"agent {idx} ")

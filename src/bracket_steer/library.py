@@ -16,34 +16,36 @@ _SYSTEMS = {}
 _LEADER_FIELDS = {}
 
 
+def _register(table, kind, name, value, replace):
+    if name in table and not replace:
+        raise InvalidInputError(f"{kind} '{name}' is already registered")
+    table[name] = value
+    return value
+
+
+def _lookup(table, kind, name):
+    if name not in table:
+        raise InvalidInputError(f"unknown {kind} '{name}'; registered: {sorted(table)}")
+    return table[name]
+
+
+# Each call passes the table as it is at call time: tests swap it for a copy.
 def register_system(system, replace=False):
     """Add a PartitionedSystem to the registry under system.name."""
-    if system.name in _SYSTEMS and not replace:
-        raise InvalidInputError(f"system '{system.name}' is already registered")
-    _SYSTEMS[system.name] = system
-    return system
+    return _register(_SYSTEMS, "system", system.name, system, replace)
 
 
 def register_leader_field(name, dynamics, replace=False):
     """Add a leader field (t, x_L) -> dx_L/dt under the given name."""
-    if name in _LEADER_FIELDS and not replace:
-        raise InvalidInputError(f"leader field '{name}' is already registered")
-    _LEADER_FIELDS[name] = dynamics
-    return dynamics
+    return _register(_LEADER_FIELDS, "leader field", name, dynamics, replace)
 
 
 def system(name):
-    if name not in _SYSTEMS:
-        raise InvalidInputError(
-            f"unknown system '{name}'; registered: {sorted(_SYSTEMS)}")
-    return _SYSTEMS[name]
+    return _lookup(_SYSTEMS, "system", name)
 
 
 def leader_field(name):
-    if name not in _LEADER_FIELDS:
-        raise InvalidInputError(
-            f"unknown leader field '{name}'; registered: {sorted(_LEADER_FIELDS)}")
-    return _LEADER_FIELDS[name]
+    return _lookup(_LEADER_FIELDS, "leader field", name)
 
 
 def available_systems():

@@ -9,7 +9,8 @@ are scenario files shipped in the package's data/ directory.
 
 import json
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -75,22 +76,12 @@ def _selection_to_dict(sel):
     return {"s1": list(sel.s1), "s2": [list(p) for p in sel.s2], "kappa": list(sel.kappa)}
 
 
-def _gains_to_dict(g):
-    return {"epsilon": g.epsilon, "gamma": g.gamma,
-            "y_star": list(g.y_star), "cond_cap": g.cond_cap}
-
-
-def _sim_to_dict(s):
-    return {"t_final": s.t_final, "substeps_per_period": s.substeps_per_period,
-            "record_stride": s.record_stride}
-
-
 def scenario_to_dict(bundle):
     out = {
         "name": bundle.name,
         "kind": bundle.kind,
-        "gains": _gains_to_dict(bundle.gains),
-        "sim": _sim_to_dict(bundle.sim),
+        "gains": dict(asdict(bundle.gains), y_star=list(bundle.gains.y_star)),
+        "sim": asdict(bundle.sim),
         "probe_box": [list(pair) for pair in bundle.probe_box],
         "expected": dict(bundle.expected),
     }
@@ -169,6 +160,15 @@ def _probe_box(value, n):
     return box
 
 
+@contextmanager
+def _constructing(where):
+    """Re-raise a constructor's InvalidInputError as ScenarioFormatError(f"{where}: {exc}")."""
+    try:
+        yield
+    except InvalidInputError as exc:
+        raise ScenarioFormatError(f"{where}: {exc}") from exc
+
+
 def _registered(lookup, name):
     try:
         return lookup(str(name))
@@ -181,10 +181,9 @@ def _selection_from_dict(d, where):
     s2 = _require(d, "s2", where)
     kappa = _optional(d, "kappa", None, where)
     try:
-        return BracketSelection(s1=tuple(s1), s2=tuple(tuple(p) for p in s2),
-                                kappa=tuple(kappa) if kappa is not None else None)
-    except InvalidInputError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from exc
+        with _constructing(where):
+            return BracketSelection(s1=tuple(s1), s2=tuple(tuple(p) for p in s2),
+                                    kappa=tuple(kappa) if kappa is not None else None)
     except (TypeError, ValueError, IndexError, OverflowError):
         raise ScenarioFormatError(
             f"{where}: s1 must list integers, s2 integer pairs and kappa integers, "
@@ -196,10 +195,8 @@ def _gains_from_dict(d, where):
     gamma = _number(_require(d, "gamma", where), f"{where}.gamma")
     y_star = _numbers(_require(d, "y_star", where), f"{where}.y_star")
     cond_cap = _number(_optional(d, "cond_cap", 1e6, where), f"{where}.cond_cap")
-    try:
+    with _constructing(where):
         return ControllerGains(epsilon=epsilon, gamma=gamma, y_star=y_star, cond_cap=cond_cap)
-    except InvalidInputError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from exc
 
 
 def _sim_from_dict(d, where):
@@ -210,10 +207,8 @@ def _sim_from_dict(d, where):
     if nsub is not None:
         nsub = _integer(nsub, f"{where}.substeps_per_period")
     stride = _integer(_optional(d, "record_stride", 1, where), f"{where}.record_stride")
-    try:
+    with _constructing(where):
         return SimConfig(t_final=t_final, substeps_per_period=nsub, record_stride=stride)
-    except InvalidInputError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from exc
 
 
 def scenario_from_dict(data):
@@ -259,24 +254,23 @@ def scenario_from_dict(data):
         system = _registered(library.system, _require(spec, "system", where))
         selection = _selection_from_dict(_require(spec, "selection", where), where)
         check_selection(system, selection)
-        try:
+        with _constructing(where):
             agent = FollowerAgent(
                 system=system, selection=selection,
                 gamma=_number(_require(spec, "gamma", where), f"{where}.gamma"),
                 offset=_numbers(_require(spec, "offset", where), f"{where}.offset"),
             )
-        except InvalidInputError as exc:
-            raise ScenarioFormatError(f"{where}: {exc}") from exc
         agents.append(agent)
         x0s.append(_numbers(_require(spec, "x0", where), f"{where}.x0", system.n))
     p = agents[0].system.n
     if len(leader_x0) != p:
         raise ScenarioFormatError(
             f"leader.x0 has dimension {len(leader_x0)}, the agents' states have {p}")
-    try:
+    if gains.y_star != (0.0,) * p:
+        raise ScenarioFormatError(
+            f"gains.y_star must be {p} zeros in a formation, got {list(gains.y_star)}")
+    with _constructing("leader"):
         leader = LeaderModel(name=leader_name, dynamics=dynamics, x0=leader_x0)
-    except InvalidInputError as exc:
-        raise ScenarioFormatError(f"leader: {exc}") from exc
     return ScenarioBundle(name=name, kind=kind, agents=tuple(agents), leader=leader,
                           agent_x0s=tuple(x0s), gains=gains, sim=sim,
                           probe_box=_probe_box(probe_spec, p), expected=expected)

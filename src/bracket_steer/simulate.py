@@ -21,7 +21,7 @@ with any function swapped, and the leader row take the generic sum.
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -109,13 +109,7 @@ class DecayReport:
     monotone_fraction: float
 
     def to_dict(self):
-        return {
-            "rho": self.rho,
-            "t1": self.t1,
-            "lambda_fit": self.lambda_fit,
-            "zeta_fit": self.zeta_fit,
-            "monotone_fraction": self.monotone_fraction,
-        }
+        return asdict(self)
 
 
 def default_t_final(gains):
@@ -199,18 +193,19 @@ def _guard_state(x, t, what="state"):
         t=t, state=row)
 
 
-def _check_field_lengths(sys, x0, who=""):
-    """Refuse a drift or control field whose value at (0, x0) has the wrong length.
+def _check_field_length(value, n, what):
+    """Refuse a field value at x0 whose length is not n, before the first solve,
+    so it exits as bad input instead of failing the kernel's strict zip."""
+    if len(value) != n:
+        raise InvalidInputError(
+            f"{what} returned length {len(value)} at x0, expected shape ({n},)")
 
-    Run once before the first solve, so such a field exits as bad input
-    instead of failing the kernel's strict zip; the values themselves are
-    not checked here.
-    """
+
+def _check_field_lengths(sys, x0, who=""):
+    """_check_field_length for the drift (field 0) and each control field."""
     for k in range(sys.m + 1):
-        length = len(sys.drift(0.0, x0) if k == 0 else sys.control_fields[k - 1](x0))
-        if length != sys.n:
-            raise InvalidInputError(
-                f"{who}field {k} returned length {length} at x0, expected shape ({sys.n},)")
+        value = sys.drift(0.0, x0) if k == 0 else sys.control_fields[k - 1](x0)
+        _check_field_length(value, sys.n, f"{who}field {k}")
 
 
 def _closed_loop_rhs(drift, fields, u_of):
@@ -410,12 +405,14 @@ def decay_report(traj, gains, rho):
 
 
 def _sweep_epsilons(eps_list):
-    """eps_list as floats, refused unless non-empty, positive and strictly decreasing."""
+    """eps_list as floats, refused unless non-empty, positive, finite and strictly decreasing."""
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise InvalidInputError("eps_list must be non-empty")
     if not all(e > 0 for e in eps_list):  # NaN fails e > 0 as well
         raise InvalidInputError("eps_list entries must be > 0")
+    if math.inf in eps_list:
+        raise InvalidInputError(f"eps_list entries must be finite, got {math.inf}")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise InvalidInputError("eps_list must be strictly decreasing")
     return eps_list
@@ -425,7 +422,7 @@ def epsilon_sweep(sys, sel, gains_base, x0, t_final, eps_list,
                   substeps_per_period=None):
     """Max sampled deviation from the averaged flow, one row per epsilon.
 
-    eps_list must be strictly decreasing and positive; returns a list of
+    eps_list must be strictly decreasing, positive and finite; returns a list of
     (epsilon, max_j ||y(tau_j) - yhat(tau_j)||) rows.  Every run uses
     SimConfig(t_final, substeps_per_period); None fields take the defaults.
     Every entry is planned before the first run, and the sweep as a whole

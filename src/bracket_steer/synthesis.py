@@ -37,7 +37,10 @@ class BracketSelection:
 
     def __post_init__(self):
         s1 = tuple(_as_int(i, "s1 entry") for i in self.s1)
-        s2 = tuple((_as_int(p[0], "s2 entry"), _as_int(p[1], "s2 entry")) for p in self.s2)
+        s2 = tuple(tuple(_as_int(i, "s2 entry") for i in p) for p in self.s2)
+        for p in s2:
+            if len(p) != 2:
+                raise InvalidInputError(f"s2 entry must be a pair of indices, got {p!r}")
         kappa = self.kappa
         if kappa is None:
             kappa = tuple(range(1, len(s2) + 1))
@@ -167,11 +170,16 @@ def _extension_matrix(sys, sel, x):
     return np.column_stack(cols)
 
 
-def _solve_steering(F, rhs, cond_cap, x):
-    """Solve F a = rhs with a condition-number guard; never forms F^{-1}."""
+def _conditioning(F):
+    """(sigma_max / sigma_min, sigma_min) of F; the ratio is inf when sigma_min = 0."""
     sv = np.linalg.svd(F, compute_uv=False)
     smin = sv[-1]
-    cond = math.inf if smin == 0.0 else float(sv[0] / smin)
+    return (math.inf if smin == 0.0 else float(sv[0] / smin)), smin
+
+
+def _solve_steering(F, rhs, cond_cap, x):
+    """Solve F a = rhs with a condition-number guard; never forms F^{-1}."""
+    cond, _ = _conditioning(F)
     if cond > cond_cap:
         raise RankDegeneracyError(
             f"extension matrix condition number {cond:.3g} exceeds cap {cond_cap:.3g} "
@@ -272,14 +280,13 @@ def validate_selection(sys, sel, probes, gains):
     for x in probes:
         x = as_state(x, sys.n)
         states.append(tuple(float(v) for v in x))
-        sv = np.linalg.svd(_extension_matrix(sys, sel, x), compute_uv=False)
-        smin = sv[-1]
+        cond, smin = _conditioning(_extension_matrix(sys, sel, x))
         if smin == 0.0:
             ok = False
             worst = math.inf
             alpha = math.inf
             continue
-        worst = max(worst, float(sv[0] / smin))
+        worst = max(worst, cond)
         alpha = max(alpha, float(1.0 / smin))
     if worst > gains.cond_cap:
         ok = False

@@ -166,7 +166,9 @@ def test_sweep_parses_epsilon_before_any_work(tmp_path, capsys, monkeypatch):
                            (["--epsilon", "0.1,0.2"], "eps_list must be strictly decreasing"),
                            (["--epsilon", ","], "eps_list must be non-empty"),
                            (["--epsilon", "0.2,-0.1"], "eps_list entries must be > 0"),
-                           (["--epsilon", "0.5,nan"], "eps_list entries must be > 0")):
+                           (["--epsilon", "0.5,nan"], "eps_list entries must be > 0"),
+                           (["--epsilon", "inf,0.5"], "eps_list entries must be finite, got inf"),
+                           (["--epsilon", "1e400"], "eps_list entries must be finite, got inf")):
         assert main(["sweep", "rolling-disc", *extra, "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith(f"error:InvalidInputError:{message}")
     assert not (tmp_path / "x.csv").exists()
@@ -254,6 +256,32 @@ def test_leader_dimension_mismatch_exit_2(tmp_path, capsys, command):
     rc = main([command, str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:ScenarioFormatError:leader.x0")
+
+
+_PAIR = "selection: s2 entry must be a pair of indices, got "
+_ZEROS = "gains.y_star must be 3 zeros in a formation, got "
+
+
+@pytest.mark.parametrize("name, block, key, value, message", [
+    # A longer S2 entry used to be cut to its first two indices.
+    ("rolling-disc", "selection", "s2", [[1, 2, 7]], _PAIR + "(1, 2, 7)"),
+    ("rolling-disc", "selection", "s2", [[1]], _PAIR + "(1,)"),
+    # Followers steer x - x_L - d to zero and never read y*, but the run's
+    # decay report would measure the displacement against it.
+    ("unicycle-leader", "gains", "y_star", [5.0, 5.0, 5.0], _ZEROS + "[5.0, 5.0, 5.0]"),
+    ("unicycle-leader", "gains", "y_star", [0.0], _ZEROS + "[0.0]"),
+    ("unicycle-leader", "gains", "y_star", [0.0, 0.0, 1e-300], _ZEROS + "[0.0, 0.0, 1e-300]"),
+])
+def test_refused_scenario_entry_exit_2(tmp_path, capsys, name, block, key, value, message):
+    from bracket_steer import builtin_scenario, scenario_to_dict
+    d = scenario_to_dict(builtin_scenario(name))
+    d[block][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    for args in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "x.csv")]):
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error:ScenarioFormatError:{message}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_malformed_scenario_values_exit_2(tmp_path, capsys):

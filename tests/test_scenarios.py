@@ -13,6 +13,7 @@ from bracket_steer import (BracketSelection, BracketSteerError, InvalidInputErro
                            follower_steering, load_scenario, save_scenario,
                            scenario_from_dict, scenario_to_dict, steering_coefficients,
                            validate_bundle)
+from bracket_steer import library
 from bracket_steer.scenarios import SINGLE, probe_states
 from bracket_steer.simulate import SimConfig
 
@@ -301,3 +302,58 @@ def test_integer_fields_refuse_non_integers(key, value):
         loaded = getattr(scenario_from_dict(_disc_with(block, key, ok)), block)
         for got in (getattr(loaded, key), getattr(build(ok), key)):
             assert repr(got) in ("2", "(2,)", "((1, 2),)"), (ok, got)
+
+
+def _edited(name, path, value):
+    """The built-in's scenario dict with the entry at path set to value."""
+    d = scenario_to_dict(builtin_scenario(name))
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return d
+
+
+# Each constructor's refusal, as the loader reports it, and each registry
+# refusal, pinned as exact (type, message) pairs.
+_EXACT_ERRORS = {
+    "gains": (lambda: scenario_from_dict(_edited("rolling-disc", ("gains", "epsilon"), -1.0)),
+              ScenarioFormatError, "gains: epsilon must be > 0, got -1.0"),
+    "sim": (lambda: scenario_from_dict(_edited("rolling-disc", ("sim", "record_stride"), 0)),
+            ScenarioFormatError, "sim: record_stride must be >= 1"),
+    "selection": (lambda: scenario_from_dict(
+        _edited("rolling-disc", ("selection", "kappa"), [1, 2])),
+        ScenarioFormatError, "selection: kappa has 2 entries for 1 bracket pairs"),
+    "agents[i]": (lambda: scenario_from_dict(
+        _edited("unicycle-leader", ("agents", 0, "gamma"), -1.0)),
+        ScenarioFormatError, "agents[0]: agent gamma must be > 0, got -1.0"),
+    "agents[i]-value": (lambda: scenario_from_dict(
+        _edited("unicycle-leader", ("agents", 0, "gamma"), "x")),
+        ScenarioFormatError, "agents[0]: agents[0].gamma must be a number, got 'x'"),
+    "leader": (lambda: scenario_from_dict(
+        _edited("unicycle-leader", ("leader", "x0"), [math.inf, 0.0, 0.0])),
+        ScenarioFormatError, "leader: x0 must be finite, got (inf, 0.0, 0.0)"),
+    "system-duplicate": (lambda: library.register_system(library.system("unicycle")),
+                         InvalidInputError, "system 'unicycle' is already registered"),
+    "leader-field-duplicate": (
+        lambda: library.register_leader_field("stationary", library.leader_field("stationary")),
+        InvalidInputError, "leader field 'stationary' is already registered"),
+    "system-unknown": (lambda: library.system("nope"), InvalidInputError,
+                       "unknown system 'nope'; registered: ['rolling-disc', 'unicycle']"),
+    "leader-field-unknown": (
+        lambda: library.leader_field("nope"), InvalidInputError,
+        "unknown leader field 'nope'; registered: ['figure-eight', 'stationary']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXACT_ERRORS))
+def test_exact_loader_and_registry_errors(monkeypatch, case):
+    # Tables holding the built-ins only: other tests register more names.
+    monkeypatch.setattr(library, "_SYSTEMS", {
+        name: library.system(name) for name in ("rolling-disc", "unicycle")})
+    monkeypatch.setattr(library, "_LEADER_FIELDS", {
+        name: library.leader_field(name) for name in ("figure-eight", "stationary")})
+    call, error, message = _EXACT_ERRORS[case]
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
