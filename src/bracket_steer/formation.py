@@ -7,9 +7,9 @@ stabilization problem whose extension matrix is block-diagonal.  A run
 hands simulate's sampled-loop engine the rows (x_L, x_1, ..., x_N): row 0
 is the leader's field with no control, row l + 1 agent l's f0 + sum_k u_k f_k
 held at its own frozen pair (x_l(tau_j), x_L(tau_j)).  The engine advances
-every row in one RK4 step per sub-step, and because RK4 is elementwise each
-row follows exactly the trajectory it would have alone.  simulate_leader is
-the same run with no followers.
+each row by its own RK4 sub-step, so each row follows exactly the
+trajectory it would have alone.  simulate_leader is the same run with no
+followers.
 """
 
 import math
@@ -192,8 +192,9 @@ def simulate_leader(leader, gains, cfg=None, kappa_max=1):
     return ftraj.dense_times, ftraj.leader_states
 
 
-def _no_control(t):
-    return ()
+def _no_control(ts):
+    """The leader's control table: no entries at any time."""
+    return np.empty((len(ts), 0))
 
 
 def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):

@@ -83,12 +83,12 @@ def _zero_jac4(x):
     return np.zeros((4, 4))
 
 
-def _disc_stage(x, u):
+def _disc_stage(t, x, u):
     """0 + u1 _disc_f1(x) + u2 _disc_f2(x) as floats, in the generic sum's order.
 
-    Bitwise simulate._closed_loop_rhs on these fields: a term is added only
-    when its control is non-zero (cos and sin are not taken otherwise), and
-    the 0.0 + and * 0.0 / * 1.0 terms stay, for signed zeros and inf * 0.
+    Bitwise simulate's generic row stage on these fields: a term is added
+    only when its control is non-zero (cos and sin are not taken otherwise),
+    and the 0.0 + and * 0.0 / * 1.0 terms stay, for signed zeros and inf * 0.
     """
     u1, u2 = u
     o0 = o1 = o2 = o3 = 0.0
@@ -139,7 +139,7 @@ def _zero_jac3(x):
     return np.zeros((3, 3))
 
 
-def _unicycle_stage(x, u):
+def _unicycle_stage(t, x, u):
     """0 + u1 _uni_f1(x) + u2 _uni_f2(x) as floats; see _disc_stage."""
     u1, u2 = u
     o0 = o1 = o2 = 0.0
@@ -162,23 +162,6 @@ UNICYCLE = register_system(PartitionedSystem(
 ))
 
 
-# Fused closed-loop stages, keyed by the ids of the exact function objects
-# (drift, *control_fields); ids, because a user's field need not be
-# hashable.  Every other system, and a copy with any function swapped,
-# misses and takes the generic field sum.
-_FUSED_STAGES = {
-    (id(s.drift), *map(id, s.control_fields)): stage
-    for s, stage in ((ROLLING_DISC, _disc_stage), (UNICYCLE, _unicycle_stage))
-}
-
-
-def _fused_stage(drift, fields):
-    """The fused stage (x, u) -> floats of exactly these functions, or None."""
-    # A tuple display, not tuple(map(...)): that one is built by resizing,
-    # and each lookup would leave a freshly allocated tuple on the free list.
-    return _FUSED_STAGES.get((id(drift), *map(id, fields)))
-
-
 # ---------------------------------------------------------------------------
 # leader fields
 
@@ -191,9 +174,33 @@ def _figure_eight(t, xL):
     return (0.2 * c, -0.2, -0.2 * s * (c2 + 0.5) / den)
 
 
+def _figure_eight_stage(t, x, u):
+    """The uncontrolled leader row: _figure_eight's floats, with no ndarray."""
+    return [*_figure_eight(t, x)]
+
+
 def _stationary(t, xL):
     return (0.0,) * len(xL)
 
 
 register_leader_field("figure-eight", _figure_eight)
 register_leader_field("stationary", _stationary)
+
+
+# Fused row stages, keyed by the ids of the exact function objects
+# (drift, *control_fields); ids, because a user's field need not be
+# hashable.  Every other system or leader field, and a copy with any
+# function swapped, misses and takes the generic field sum.
+_FUSED_STAGES = {
+    tuple(map(id, funcs)): stage for funcs, stage in (
+        ((ROLLING_DISC.drift, *ROLLING_DISC.control_fields), _disc_stage),
+        ((UNICYCLE.drift, *UNICYCLE.control_fields), _unicycle_stage),
+        ((_figure_eight,), _figure_eight_stage))
+}
+
+
+def _fused_stage(drift, fields):
+    """The fused stage (t, x, u) -> floats of exactly these functions, or None."""
+    # A tuple display, not tuple(map(...)): that one is built by resizing,
+    # and each lookup would leave a freshly allocated tuple on the free list.
+    return _FUSED_STAGES.get((id(drift), *map(id, fields)))

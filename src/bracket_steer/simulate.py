@@ -5,17 +5,22 @@ The closed loop is integrated as a sampled solution: on each interval
 x(tau_j) while its time argument advances continuously.  One private
 driver, _run_sampled, owns that clock and the stacked rows for every
 caller: the interval grid and its partial tail, the sub-step and boundary
-times, each row's field, divergence guard and control record, resampling at
+times, each row's stage, divergence guard and control record, resampling at
 each sampling instant, the record stride, and the partial trajectory
 attached to a failure.  It runs one system (simulate_pi_epsilon, one row)
-or the formation's rows laid end to end in one float list, by fixed-step
-RK4 in the operation order of the float64 array form, so results are
-bitwise those of arrays.  Fields receive their row as a 1-d float64 ndarray
-and may return any sequence of numbers, each entry taken as a float64.
-Rows of the built-in unicycle and rolling disc skip that contract: their
-exact function objects select a fused stage in library, which repeats the
-generic field sum's operations bit for bit.  Every other system, a copy
-with any function swapped, and the leader row take the generic sum.
+or the formation's rows, each row a list of floats advanced by its own
+fixed-step RK4 sub-step in the operation order of the float64 array form,
+so results are bitwise those of arrays.
+
+At each sampling instant every row's held control is evaluated once, as a
+table over every time the interval uses (synthesis.frozen_control), and
+each row stage (t, x, u) takes its u from that table.  Fields receive their
+row as a 1-d float64 ndarray and may return any sequence of numbers, each
+entry taken as a float64.  Rows of the built-in unicycle and rolling disc,
+and the figure-eight leader, skip that contract: their exact function
+objects select a fused stage in library, which repeats the generic field
+sum's operations bit for bit.  Every other system or leader field, and a
+copy with any function swapped, takes the generic sum.
 """
 
 import math
@@ -37,7 +42,16 @@ DIVERGENCE_NORM_CAP = 1e9
 # The guard compares squared norms: sqrt is correctly rounded and
 # sqrt(1e18) = 1e9 exactly, so x.x <= cap**2 iff ||x|| <= cap.
 DIVERGENCE_SQNORM_CAP = DIVERGENCE_NORM_CAP * DIVERGENCE_NORM_CAP
+# Every row's norm is at most the stacked state's, math.hypot is within one
+# ulp of that and x.x within a few ulp of the squared norm, so a stacked
+# state whose hypot is under this passes each row's exact test; anything
+# else (near the cap, NaN, inf, an overflowing x.x) takes the exact per-row
+# test, so the decision is the same.
+_GUARD_PASS_NORM = DIVERGENCE_NORM_CAP * (1 - 1e-12)
 MAX_ROW_SUBSTEPS = 10_000_000  # work budget: intervals x sub-steps x rows
+# Sub-steps per control table: a table holds 3 entries per sub-step and row,
+# so long intervals are tabulated in blocks of this many sub-steps.
+TABLE_SUBSTEPS = 256
 # Snap tolerance for t_final/epsilon: absorbs quotients like 2/0.2 = 9.999...
 GRID_SNAP = 1e-9
 
@@ -143,23 +157,28 @@ def interval_grid(t_final, epsilon):
     return n_int, tail
 
 
-def _rk4_step(rhs, t, x, h):
+def _rk4_step(stage, t, x, h, u0, uh, u1):
+    """One row's RK4 sub-step from t; u0, uh and u1 are its held control at
+    t, t + h/2 and t + h."""
     hh = 0.5 * h
-    k1 = rhs(t, x)
-    k2 = rhs(t + hh, [xi + hh * k for xi, k in zip(x, k1)])
-    k3 = rhs(t + hh, [xi + hh * k for xi, k in zip(x, k2)])
-    k4 = rhs(t + h, [xi + h * k for xi, k in zip(x, k3)])
+    th = t + hh
+    k1 = stage(t, x, u0)
+    k2 = stage(th, [xi + hh * k for xi, k in zip(x, k1)], uh)
+    k3 = stage(th, [xi + hh * k for xi, k in zip(x, k2)], uh)
+    k4 = stage(t + h, [xi + h * k for xi, k in zip(x, k3)], u1)
+    h6 = h / 6.0
     # strict: a field of the wrong length fails here instead of truncating.
-    return [xi + (h / 6.0) * (((a + 2.0 * b) + 2.0 * c) + d)
+    return [xi + h6 * (((a + 2.0 * b) + 2.0 * c) + d)
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4, strict=True)]
 
 
 class _Recorder:
     """Flat float64 buffers of the dense grid and sampling instants of one run.
 
-    record() appends t, the flat state, each row's held u_of(t) and the
-    interval index; build() hands the recorder to the caller's build,
-    which reshapes each buffer once into the caller's trajectory type.
+    record() appends t, the rows' states, each row's held control at t and
+    the interval index; sample() appends a sampling instant and the rows'
+    states there; build() hands the recorder to the caller's build, which
+    reshapes each buffer once into the caller's trajectory type.
     """
 
     def __init__(self, build):
@@ -171,12 +190,18 @@ class _Recorder:
         self.sample_times = array("d")
         self.sample_states = array("d")
 
-    def record(self, t, x, j, held):
+    def record(self, t, xs, j, tables, e):
         self.times.append(t)
-        self.states.extend(x)
-        for u_of in held:
-            self.controls.extend(u_of(t))
+        for x in xs:
+            self.states.extend(x)
+        for tab in tables:
+            self.controls.extend(tab[e])
         self.intervals.append(j)
+
+    def sample(self, t, xs):
+        self.sample_times.append(t)
+        for x in xs:
+            self.sample_states.extend(x)
 
     def build(self):
         return self._build(self)
@@ -191,6 +216,16 @@ def _guard_state(x, t, what="state"):
     raise DivergenceError(
         f"{what} diverged at t={t:.6g} (non-finite or norm > {DIVERGENCE_NORM_CAP:g})",
         t=t, state=row)
+
+
+def _guard_rows(xs, t, names):
+    """Guard every row: one norm test of the stacked state passes them all;
+    only when it fails is each row, in order, given the exact _guard_state."""
+    # The list, not chain(*xs): the call's argument tuple is then built at
+    # its size, not resized, so no fresh tuple is left on the free list.
+    if not math.hypot(*[v for x in xs for v in x]) < _GUARD_PASS_NORM:
+        for x, name in zip(xs, names):
+            _guard_state(x, t, name)
 
 
 def _check_field_length(value, n, what):
@@ -208,41 +243,25 @@ def _check_field_lengths(sys, x0, who=""):
         _check_field_length(value, sys.n, f"{who}field {k}")
 
 
-def _closed_loop_rhs(drift, fields, u_of):
-    """Floats f0(t, x) + sum_k u_k(t) f_k(x), u = u_of(t) a frozen control.
+def _row_stage(drift, fields):
+    """A row's stage (t, x, u) -> floats f0(t, x) + sum_k u_k f_k(x).
 
-    The built-in unicycle's and rolling disc's functions run their fused
-    stage from library instead, which repeats this sum bit for bit.
+    The built-in unicycle's, rolling disc's and figure-eight leader's
+    functions take their fused stage from library, which repeats this sum
+    bit for bit.
     """
-    stage = _fused_stage(drift, fields)
-    if stage is not None:
-        return lambda t, x: stage(x, u_of(t))
 
-    def rhs(t, x):
+    def stage(t, x, u):
         state = np.array(x, dtype=float)
         # float() takes every entry to float64, as np.asarray(f, float) did:
         # a float32 field must not drop the run to single precision.
         out = list(map(float, drift(t, state)))
-        if fields:  # a row without control fields never evaluates u_of
-            for uk, fk in zip(u_of(t), fields):
-                if uk != 0.0:
-                    out = [o + uk * float(v) for o, v in zip(out, fk(state), strict=True)]
+        for uk, fk in zip(u, fields):
+            if uk != 0.0:
+                out = [o + uk * float(v) for o, v in zip(out, fk(state), strict=True)]
         return out
 
-    return rhs
-
-
-def _stacked_rhs(rows, held, p):
-    """Each row's closed-loop field under its held control, joined in row order."""
-    first, *rest = [_closed_loop_rhs(d, f, u) for (_, d, f), u in zip(rows, held, strict=True)]
-
-    def rhs(t, x):
-        out = first(t, x[:p])
-        for f, lo in zip(rest, range(p, len(x), p)):
-            out += f(t, x[lo:lo + p])
-        return out
-
-    return rhs if rest else first
+    return _fused_stage(drift, fields) or stage
 
 
 def _plan_run(cfg, gains, kappa_max, n_rows):
@@ -264,61 +283,91 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
 
     x0 is (n_rows, p) and rows[r] = (name, drift, fields) describes row r.
     At each sampling instant tau_j = j * epsilon, steer(row_states) returns
-    one frozen control u_of per row; over [tau_j, tau_j + epsilon) each row's
-    drift + sum_k u_of(t)[k] fields[k] is integrated with nsub RK4 sub-steps
-    while the time argument runs on; one RuntimeWarning per run says when
-    nsub gives kappa_max fewer than 20 sub-steps.  A final partial interval
-    ends exactly at t_final.  Each row is guarded under its name after every
-    sub-step.
-    A dense point (t, x, interval, each row's u_of(t)) is recorded at t = 0,
-    every cfg.record_stride sub-steps and at the end of the horizon.
-    Returns build(recorder); a DivergenceError or RankDegeneracyError
-    leaves with build(recorder) of the run so far attached as .partial.
+    one frozen control per row, a function from an array of times to the
+    table of u at each (synthesis.frozen_control).  It is evaluated once
+    per interval (per TABLE_SUBSTEPS sub-steps of a longer one) at every
+    time the interval uses: each sub-step's start tau_j + (i - 1) h,
+    midpoint and end, and the interval's end.  Over [tau_j, tau_j + epsilon)
+    each row's stage drift + sum_k u_k fields[k] (_row_stage) takes u from
+    its table, and each row advances by its own RK4 sub-step (_rk4_step),
+    nsub per interval, while the time argument runs on; one RuntimeWarning
+    per run says when nsub gives kappa_max fewer than 20 sub-steps.  A final
+    partial interval ends exactly at t_final.  After every sub-step one norm
+    test of the stacked state passes every row; only when it fails is each
+    row guarded, under its name, by the exact _guard_state (_guard_rows).
+    A dense point (t, rows, interval, each row's held control at t) is
+    recorded at t = 0, every cfg.record_stride sub-steps and at the end of
+    the horizon.  Returns build(recorder); a DivergenceError or
+    RankDegeneracyError leaves with build(recorder) of the run so far
+    attached as .partial.
     """
     cfg = SimConfig() if cfg is None else cfg
     eps = gains.epsilon
-    n_rows, p = x0.shape
-    t_final, nsub, n_int, tail, n_intervals = _plan_run(cfg, gains, kappa_max, n_rows)
+    t_final, nsub, n_int, tail, n_intervals = _plan_run(cfg, gains, kappa_max, len(x0))
     if nsub < 20 * kappa_max:
         warnings.warn(
             f"substeps_per_period={nsub} resolves the fastest oscillation "
             f"(kappa={kappa_max}) with fewer than 20 sub-steps", RuntimeWarning)
     total_substeps = n_intervals * nsub
     stride = cfg.record_stride
-    offsets = range(0, n_rows * p, p)
-    guarded = [(lo, name) for lo, (name, _, _) in zip(offsets, rows)]
+    names = [name for name, _, _ in rows]
+    stages = [_row_stage(drift, fields) for _, drift, fields in rows]
 
-    rec = _Recorder(build)
-    x = x0.ravel().tolist()
-    try:
-        rec.sample_times.append(0.0)
-        rec.sample_states.extend(x)
-        held = steer([x[lo:lo + p] for lo in offsets])
-        rec.record(0.0, x, 0, held)
-        g = 0  # global sub-step counter, drives record_stride
-        for j in range(n_intervals):
+    def tabulate(held, j, lo):
+        """Interval j's sub-step length, the times its sub-steps lo + 1 .. hi
+        use, as floats, and each row's held control at each: every sub-step's
+        start base_t + (i - 1) h, midpoint and end, then the block's end (the
+        next sub-step's start, or the interval's end).  Past the last
+        interval, its start alone, for the final record."""
+        base_t = j * eps
+        if j == n_intervals:
+            h, times = 0.0, np.array([base_t])
+        else:
             is_tail = j == n_int
             h = (tail if is_tail else eps) / nsub
-            base_t = j * eps
+            hi = min(lo + TABLE_SUBSTEPS, nsub)
+            starts = base_t + np.arange(lo, hi) * h
+            n = 3 * (hi - lo)
+            times = np.empty(n + 1)
+            times[0:n:3] = starts
+            times[1:n:3] = starts + 0.5 * h
+            times[2:n:3] = starts + h
             # Boundary instants use the grid expression, not accumulated
             # sub-steps, to match the sampling clock exactly.
-            t_end = t_final if is_tail else (j + 1) * eps
-            rhs = _stacked_rhs(rows, held, p)
-            for i in range(1, nsub + 1):
-                x = _rk4_step(rhs, base_t + (i - 1) * h, x, h)
-                g += 1
-                t = base_t + i * h if i < nsub else t_end
-                for lo, name in guarded:
-                    _guard_state(x[lo:lo + p], t, name)
-                k = j
-                if i == nsub and not is_tail:
-                    # Sampling instant tau_{j+1}: resample the held controls.
-                    rec.sample_times.append(t)
-                    rec.sample_states.extend(x)
-                    held = steer([x[lo:lo + p] for lo in offsets])
-                    k = j + 1
-                if g % stride == 0 or g == total_substeps:
-                    rec.record(t, x, k, held)
+            times[n] = (base_t + hi * h if hi < nsub
+                        else t_final if is_tail else (j + 1) * eps)
+        return h, times.tolist(), [control(times).tolist() for control in held]
+
+    rec = _Recorder(build)
+    xs = x0.tolist()
+    try:
+        rec.sample(0.0, xs)
+        held = steer(xs)
+        h, ts, tables = tabulate(held, 0, 0)
+        rec.record(0.0, xs, 0, tables, 0)
+        g = 0  # global sub-step counter, drives record_stride
+        for j in range(n_intervals):
+            for lo in range(0, nsub, TABLE_SUBSTEPS):
+                if lo:
+                    h, ts, tables = tabulate(held, j, lo)
+                end = len(ts) - 1  # the block's end in its tables
+                resamples = j < n_int and lo + TABLE_SUBSTEPS >= nsub
+                for c in range(0, end, 3):  # a sub-step's start in the tables
+                    xs = [_rk4_step(stage, ts[c], x, h, tab[c], tab[c + 1], tab[c + 2])
+                          for stage, x, tab in zip(stages, xs, tables)]
+                    g += 1
+                    e = c + 3  # its end
+                    t = ts[e]
+                    _guard_rows(xs, t, names)
+                    k = j
+                    if e == end and resamples:
+                        # Sampling instant tau_{j+1}: resample the held controls.
+                        rec.sample(t, xs)
+                        held = steer(xs)
+                        h, ts, tables = tabulate(held, j + 1, 0)
+                        k, e = j + 1, 0
+                    if g % stride == 0 or g == total_substeps:
+                        rec.record(t, xs, k, tables, e)
     except (DivergenceError, RankDegeneracyError) as exc:
         exc.partial = rec.build()
         raise

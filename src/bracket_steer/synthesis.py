@@ -7,7 +7,6 @@ along the selected Lie brackets in S2.
 """
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -223,14 +222,16 @@ def frozen_control(sel, epsilon, m, a):
                + delta_{k,i2} sign(a_{i1i2}) sin(2 pi kappa t / eps) ].
 
     The S1 part, each pair's amplitude and signed amplitude, and each
-    pair's rate 2 pi kappa depend only on a, so they are computed here once;
-    a call evaluates only the phase terms.  The phase is reduced with
-    fmod(t, epsilon), so the evaluation is epsilon-periodic exactly
-    whenever t and t + epsilon round to the same remainder (always true on
-    dyadic grids).  u is an array('d'), whose bytes are those of a float64
-    array.
+    pair's rate 2 pi kappa depend only on a, so they are computed here once.
+    The returned table(ts) maps a 1-d float64 array of times to the
+    (len(ts), m) float64 array of u at each: one numpy pass per pair, each
+    element taking the scalar operations in the scalar order (fmod, /, *,
+    cos, sin, then the two adds), so every row is bitwise the control at
+    that time alone.  The phase is reduced with fmod(t, epsilon), so the
+    evaluation is epsilon-periodic exactly whenever t and t + epsilon round
+    to the same remainder (always true on dyadic grids).
     """
-    base = array("d", [0.0]) * m
+    base = np.zeros(m)
     for idx, i in enumerate(sel.s1):
         base[i - 1] += a[idx]
     off = len(sel.s1)
@@ -241,21 +242,27 @@ def frozen_control(sel, epsilon, m, a):
         amp = 2.0 * math.sqrt(math.pi * kap * abs(ap) / epsilon)
         pairs.append((i1 - 1, i2 - 1, amp, _sign(ap) * amp, TWO_PI * kap))
 
-    def u_of(t):
-        u = base[:]
-        phase = math.fmod(t, epsilon) / epsilon
+    def table(ts):
+        u = np.empty((len(ts), m))
+        u[:] = base
+        phase = np.fmod(ts, epsilon) / epsilon
         for k1, k2, amp, signed_amp, rate in pairs:
             ang = rate * phase
-            u[k1] += amp * math.cos(ang)
-            u[k2] += signed_amp * math.sin(ang)
+            u[:, k1] += amp * np.cos(ang)
+            u[:, k2] += signed_amp * np.sin(ang)
         return u
 
-    return u_of
+    return table
 
 
 def held_control(sel, epsilon, m, a, t):
-    """Evaluate the control family at absolute time t for held coefficients a."""
-    return np.array(frozen_control(sel, epsilon, m, a)(t))
+    """Evaluate the control family at absolute time t for held coefficients a.
+
+    The frozen control's table at the one time t, which must be finite.
+    """
+    if not math.isfinite(t):
+        raise InvalidInputError(f"t must be finite, got {t}")
+    return frozen_control(sel, epsilon, m, a)(np.array([t], dtype=float))[0]
 
 
 def control_value(sys, sel, gains, t, x_hold):

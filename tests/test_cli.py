@@ -327,6 +327,31 @@ def _no_integration(*args):
     raise AssertionError("a refused run reached the integrator")
 
 
+def test_runs_reach_the_patched_integrator(tmp_path, monkeypatch):
+    # The refused-run tests below patch simulate._rk4_step; an accepted run
+    # calls it once per interval, sub-step and row, so they patch the
+    # integrator every run goes through.
+    from bracket_steer import simulate
+
+    calls = []
+    step = simulate._rk4_step
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(simulate, "_rk4_step", counted)
+    # rolling-disc: 2 intervals (epsilon = 1) x 40 sub-steps x 1 row;
+    # unicycle-leader: 2 intervals and a tail (epsilon = 0.1) x 40 x 2 rows.
+    for args, want in ((["run", "rolling-disc", "--t-final", "2"], 2 * 40 * 1),
+                       (["run", "unicycle-leader", "--t-final", "0.25"], 3 * 40 * 2),
+                       (["sweep", "rolling-disc", "--t-final", "2", "--epsilon", "1,0.5"],
+                        (2 + 4) * 40 * 1)):
+        calls.clear()
+        assert main(args + ["--out", str(tmp_path / "x.csv")]) == 0
+        assert len(calls) == want, args
+
+
 def test_overflowing_grid_exit_2(tmp_path, capsys, monkeypatch):
     # epsilon = 1e-320 makes t_final / epsilon, or with "t_final": null the
     # default horizon's 1 / (gamma * epsilon), overflow to inf.  The sweep
@@ -399,7 +424,7 @@ def test_bad_rho_exit_2(tmp_path, capsys, monkeypatch):
                 assert not out.exists()
 
 
-def test_wrong_length_field_exit_2(tmp_path, capsys):
+def test_wrong_length_field_exit_2(tmp_path, capsys, monkeypatch):
     # A registered drift of the wrong length passes validate, which never
     # evaluates the drift, and exits 2 before the run starts, for a single
     # system and for a formation's agent.
@@ -407,26 +432,31 @@ def test_wrong_length_field_exit_2(tmp_path, capsys):
 
     from bracket_steer import builtin_scenario, library, scenario_to_dict
 
-    for base, name, n in (("rolling-disc", "disc-long-drift", 5),
-                          ("unicycle", "unicycle-short-drift", 2)):
-        library.register_system(dataclasses.replace(
-            library.system(base), name=name, drift=lambda t, x, n=n: (0.0,) * n),
-            replace=True)
-    cases = {"rolling-disc": ("disc-long-drift", "field 0 returned length 5"),
-             "unicycle-leader": ("unicycle-short-drift", "agent 0 field 0 returned length 2")}
-    for name, (sys_name, message) in cases.items():
-        d = scenario_to_dict(builtin_scenario(name))
-        for owner in d.get("agents", [d]):
-            owner["system"] = sys_name
-        path = tmp_path / f"{sys_name}.json"
-        path.write_text(json.dumps(d))
-        assert main(["validate", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["run", str(path), "--out", str(tmp_path / "x.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:InvalidInputError:"), err
-        assert message in err and "Traceback" not in err
-    assert not (tmp_path / "x.csv").exists()
+    builtins = library.available_systems()
+    with monkeypatch.context() as m:
+        m.setattr(library, "_SYSTEMS", dict(library._SYSTEMS))
+        for base, name, n in (("rolling-disc", "disc-long-drift", 5),
+                              ("unicycle", "unicycle-short-drift", 2)):
+            library.register_system(dataclasses.replace(
+                library.system(base), name=name, drift=lambda t, x, n=n: (0.0,) * n),
+                replace=True)
+        cases = {"rolling-disc": ("disc-long-drift", "field 0 returned length 5"),
+                 "unicycle-leader": ("unicycle-short-drift", "agent 0 field 0 returned length 2")}
+        for name, (sys_name, message) in cases.items():
+            d = scenario_to_dict(builtin_scenario(name))
+            for owner in d.get("agents", [d]):
+                owner["system"] = sys_name
+            path = tmp_path / f"{sys_name}.json"
+            path.write_text(json.dumps(d))
+            assert main(["validate", str(path)]) == 0
+            capsys.readouterr()
+            assert main(["run", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:InvalidInputError:"), err
+            assert message in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+    # The registered copies went with the swapped-in table.
+    assert library.available_systems() == builtins == ("rolling-disc", "unicycle")
 
 
 def test_unknown_scenario_exit_2(capsys):

@@ -10,7 +10,7 @@ from bracket_steer import (ControllerGains, DivergenceError, FollowerAgent,
                            follower_controller, follower_steering,
                            formation_error, gain_condition_report, leader_field,
                            simulate_formation, simulate_leader, simulate_pi_epsilon)
-from bracket_steer import builtin_scenario, library
+from bracket_steer import builtin_scenario, library, simulate
 
 from bracket_steer.simulate import DIVERGENCE_NORM_CAP, _guard_state
 
@@ -380,6 +380,71 @@ def test_guard_state_matches_norm_test():
                 assert exc.state.tobytes() == row.tobytes()
             else:
                 assert guard_accepts_reference(row, DIVERGENCE_NORM_CAP), row
+
+
+def _stacked_guard_cases():
+    """(stacked state, row names): norms within a few ulp of the cap and at
+    the fast test's margin, one row or split over rows each under the cap;
+    NaN and infinite rows; entries near 1e200, whose x.x overflows while
+    hypot stays finite; three rows of which only one or two fail."""
+    cap = DIVERGENCE_NORM_CAP
+    ulp = 2.0 ** -52
+    one, two, three = ("leader",), ("leader", "agent 0"), ("leader", "agent 0", "agent 1")
+    cases = []
+    scales = [1 + k * ulp for k in range(-4, 5)]
+    scales += [(1 - 1e-12) * (1 + k * ulp) for k in range(-3, 4)] + [1 - 2e-12, 0.5]
+    for s in scales:
+        cases.append(([[cap * s, 0.0, 0.0]], one))
+        cases.append(([[0.0, 0.6 * cap * s, -0.8 * cap * s]], one))
+        cases.append(([[0.6 * cap * s, 0.0, 0.0], [0.0, 0.0, 0.8 * cap * s]], two))
+    for v in (math.nan, math.inf, -math.inf):
+        cases.append(([[0.0, 0.0, 0.0], [v, 0.5, -1.0]], two))
+        cases.append(([[v, 0.0, 0.0], [0.1, 0.5, -1.0]], two))
+    cases.append(([[math.inf, math.nan, 0.0]], one))
+    cases.append(([[1e200, 1e200, 0.0]], one))
+    cases.append(([[0.0, 0.0, 0.0], [-1e200, 3e199, 1e200]], two))
+    ok, bad = [0.1, -0.2, 0.3], [2 * cap, 0.0, 0.0]
+    for rows in ([ok, bad, ok], [ok, ok, bad], [ok, bad, [math.nan, 0.0, 0.0]]):
+        cases.append((rows, three))
+    return cases
+
+
+def _guard_outcome(guard, xs, names):
+    try:
+        guard(xs, 2.25, names)
+    except DivergenceError as exc:
+        return type(exc), str(exc), exc.t, exc.state.tobytes()
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_guard_fast_path_matches_exact_guard(monkeypatch):
+    # One hypot test of the stacked state passes or hands over to the exact
+    # per-row guard; pass or fail, and the raised error's type, message
+    # (with the failing row's name), t and state, equal the exact guard's.
+    def exact(xs, t, names):
+        for x, name in zip(xs, names):
+            _guard_state(x, t, name)
+
+    exact_calls = []
+
+    def counted(*args):
+        exact_calls.append(1)
+        return _guard_state(*args)
+
+    monkeypatch.setattr(simulate, "_guard_state", counted)
+    fast_passed = failed = 0
+    for xs, names in _stacked_guard_cases():
+        want = _guard_outcome(exact, xs, names)
+        exact_calls.clear()
+        assert _guard_outcome(simulate._guard_rows, xs, names) == want, xs
+        fast_passed += not exact_calls
+        failed += want is not None
+        if want is not None:
+            assert want[1].startswith(f"{names[len(exact_calls) - 1]} diverged at t=2.25 ")
+    # Both branches are taken: 17 states pass on the one hypot test alone,
+    # and 20 fail the exact test.
+    assert (fast_passed, failed) == (17, 20)
 
 
 def test_array_returning_fields_match_builtins_bitwise(monkeypatch):

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import math
-from array import array
 
 import numpy as np
 import pytest
@@ -84,13 +83,18 @@ INF = math.inf
 # 0, -0, +-tiny, +-subnormal, +-large, +-inf and NaN of both signs.
 EDGE_CONTROLS = (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300,
                  INF, -INF, NAN, -NAN)
-FUSED = ((library.ROLLING_DISC, library._disc_stage),
-         (library.UNICYCLE, library._unicycle_stage))
+EDGE_TIMES = (0.0, -0.0, 0.37, -5.2, 5e-324, 1e6, 1e15, -1e300, INF, -INF, NAN)
+# (drift, control fields, state dimension, fused stage) of each table entry.
+FUSED = ((library.ROLLING_DISC.drift, library.ROLLING_DISC.control_fields, 4,
+          library._disc_stage),
+         (library.UNICYCLE.drift, library.UNICYCLE.control_fields, 3,
+          library._unicycle_stage),
+         (library._figure_eight, (), 3, library._figure_eight_stage))
 
 
-def _outcome(rhs, x):
+def _outcome(stage, t, x, u):
     try:
-        return np.array(rhs(0.37, x), dtype=float).tobytes()
+        return np.array(stage(t, x, u), dtype=float).tobytes()
     except (ValueError, ArithmeticError) as exc:
         return type(exc)
 
@@ -107,50 +111,83 @@ def _edge_states(n, seed=5):
     return states
 
 
+def _edge_cases(fields):
+    """(t, u) pairs: every edge control pair at one time for the controlled
+    systems, every edge time for the uncontrolled leader."""
+    if fields:
+        return [(0.37, list(u)) for u in itertools.product(EDGE_CONTROLS, repeat=len(fields))]
+    return [(t, []) for t in EDGE_TIMES]
+
+
 def test_fused_stages_match_generic_sum_bitwise(monkeypatch):
-    # Each table entry gives, bit for bit, the generic closure's output on
-    # the same functions, or raises the same exception type (cos(inf)).
+    # Each table entry gives, bit for bit, the generic stage's output on the
+    # same functions, or raises the same exception type (cos(inf)).
     assert len(library._FUSED_STAGES) == len(FUSED)
     seen = set()
-    for sys, stage in FUSED:
-        funcs = (sys.drift, sys.control_fields)
-        assert library._fused_stage(*funcs) is stage
-        states = _edge_states(sys.n)
-        for u in itertools.product(EDGE_CONTROLS, repeat=2):
-            u_of = lambda t, u=u: array("d", u)
-            fused = simulate_module._closed_loop_rhs(*funcs, u_of)
-            with monkeypatch.context() as m:
-                m.setattr(library, "_FUSED_STAGES", {})
-                generic = simulate_module._closed_loop_rhs(*funcs, u_of)
-            assert fused.__code__ is not generic.__code__
-            for x in states:
-                want = _outcome(generic, x)
-                assert _outcome(fused, x) == want, (sys.name, u, x)
-                seen.add(want if isinstance(want, type) else bytes)
-    assert seen == {bytes, ValueError}
+    for drift, fields, n, stage in FUSED:
+        assert library._fused_stage(drift, fields) is stage
+        assert simulate_module._row_stage(drift, fields) is stage
+        with monkeypatch.context() as m:
+            m.setattr(library, "_FUSED_STAGES", {})
+            generic = simulate_module._row_stage(drift, fields)
+        assert generic.__code__ is not stage.__code__
+        for t, u in _edge_cases(fields):
+            for x in _edge_states(n):
+                want = _outcome(generic, t, x, u)
+                assert _outcome(stage, t, x, u) == want, (stage.__name__, t, u, x)
+                seen.add((stage, want if isinstance(want, type) else bytes))
+    assert seen == {(stage, kind) for *_, stage in FUSED for kind in (bytes, ValueError)}
 
 
 def test_swapped_function_takes_generic_path():
     # A copy with any one of (drift, *control_fields) swapped, here for an
-    # equal function, misses the table: the generic sum calls the swap.
-    for sys, stage in FUSED:
-        x = [0.4, -1.2, 0.9, 2.0][:sys.n]
-        u_of = lambda t: array("d", (0.7, -1.3))
-        want = _outcome(lambda t, x: stage(x, u_of(t)), x)
-        for k in range(1 + sys.m):
+    # equal function, misses the table: the generic sum calls the swap.  So
+    # does a wrapped figure-eight leader field.
+    for drift, fields, n, stage in FUSED:
+        x = [0.4, -1.2, 0.9, 2.0][:n]
+        u = [0.7, -1.3][:len(fields)]
+        want = _outcome(stage, 12.5, x, u)
+        for k in range(1 + len(fields)):
             calls = []
-            funcs = [sys.drift, *sys.control_fields]
+            funcs = [drift, *fields]
 
             def swap(*args, f=funcs[k]):
                 calls.append(1)
                 return f(*args)
 
             funcs[k] = swap
-            copy = dataclasses.replace(sys, drift=funcs[0], control_fields=tuple(funcs[1:]))
-            assert library._fused_stage(copy.drift, copy.control_fields) is None
-            rhs = simulate_module._closed_loop_rhs(copy.drift, copy.control_fields, u_of)
-            assert _outcome(rhs, x) == want
+            assert library._fused_stage(funcs[0], tuple(funcs[1:])) is None
+            generic = simulate_module._row_stage(funcs[0], tuple(funcs[1:]))
+            assert _outcome(generic, 12.5, x, u) == want
             assert calls == [1]
+
+
+def _arrays(traj):
+    return [getattr(traj, name).tobytes() for name in (
+        "dense_times", "dense_states", "dense_controls", "y_error",
+        "sample_times", "sample_states", "interval_index")]
+
+
+def test_control_tables_in_blocks_match_whole_intervals(monkeypatch):
+    # An interval is tabulated in blocks of TABLE_SUBSTEPS sub-steps, so a
+    # long one never holds all its controls at once; blocks of 1, 7 and 40
+    # sub-steps (a last block shorter than the rest, and the whole interval)
+    # give every output bitwise, with a partial tail and a record stride.
+    assert simulate_module.TABLE_SUBSTEPS == 256
+    disc = builtin_scenario("rolling-disc")
+    uni = builtin_scenario("unicycle-leader")
+
+    def runs():
+        single = simulate_pi_epsilon(disc.system, disc.selection, disc.gains,
+                                     np.array(disc.x0), SimConfig(t_final=2.5, record_stride=3))
+        form = simulate_formation(uni.agents, uni.leader, uni.agent_x0s, uni.gains,
+                                  SimConfig(t_final=0.35, record_stride=3))
+        return _arrays(single), [*_arrays(form.agent_trajs[0]), form.leader_states.tobytes()]
+
+    want = runs()
+    for block in (1, 7, 40):
+        monkeypatch.setattr(simulate_module, "TABLE_SUBSTEPS", block)
+        assert runs() == want, block
 
 
 def test_array_returning_disc_matches_builtin_bitwise(monkeypatch):
@@ -176,9 +213,7 @@ def test_array_returning_disc_matches_builtin_bitwise(monkeypatch):
     got = simulate_pi_epsilon(copy, bundle.selection, bundle.gains, x0, bundle.sim)
     want = simulate_pi_epsilon(disc, bundle.selection, bundle.gains, x0, bundle.sim)
     assert len(calls) > 4 * want.dense_times.size
-    for name in ("dense_times", "dense_states", "dense_controls", "y_error",
-                 "sample_times", "sample_states", "interval_index"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert _arrays(got) == _arrays(want)
     gains = dataclasses.replace(bundle.gains, gamma=2.0)
     sweeps = [epsilon_sweep(s, bundle.selection, gains, x0, 10.0, [0.4, 0.2, 0.1])
               for s in (copy, disc)]

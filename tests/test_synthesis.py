@@ -14,7 +14,7 @@ from bracket_steer import (ROLLING_DISC, UNICYCLE, BracketSelection, ControllerG
                            steering_coefficients, validate_selection)
 from bracket_steer import formation, synthesis
 from bracket_steer.scenarios import probe_states
-
+from bracket_steer.simulate import interval_grid
 from bracket_steer.synthesis import frozen_control
 
 from oracles import (antisym_iterated_integral, control_series, disc_extension,
@@ -232,27 +232,66 @@ def test_held_control_periodicity_bitwise(disc_sel):
             assert np.array_equal(u0, uk)
 
 
+def _interval_times(base_t, h, nsub, t_end):
+    """The times one interval's control table covers, in the integrator's
+    float expressions: each sub-step's start, midpoint and end, then t_end."""
+    times = []
+    for i in range(1, nsub + 1):
+        t = base_t + (i - 1) * h
+        times += [t, t + 0.5 * h, t + h]
+    return times + [t_end]
+
+
 @pytest.mark.parametrize("sel, m", [
     (BracketSelection(s1=(1,), s2=((1, 2),), kappa=(1,)), 2),
     (BracketSelection(s1=(1, 2), s2=((1, 2),), kappa=(1,)), 2),
     (BracketSelection(s1=(3,), s2=((1, 2), (1, 3)), kappa=(1, 3)), 3),
 ])
 def test_frozen_control_matches_reference_bitwise(sel, m):
-    # One frozen control per coefficient vector, evaluated over a seeded
-    # time grid, against the per-call construction it replaces.
+    # One frozen control per coefficient vector, tabulated in one numpy pass
+    # over whole intervals (the first, one near t = 1e6, and partial tails
+    # whose t_end is not their last sub-step's t + h) and over a seeded grid
+    # up to t = 1e6, against the per-call math.cos / math.sin construction,
+    # byte for byte.  This pins the premise that numpy's fmod, cos and sin
+    # round as math's do on this numpy build.
     rng = np.random.default_rng(20261018)
     specials = [0.0, -0.0, -1.0, 2.5, -3e-9, 7e4]
     coeffs = [np.array(rng.choice(specials, size=sel.width)) for _ in range(12)]
     coeffs += [rng.normal(scale=3.0, size=sel.width) for _ in range(12)]
+    nsub = 40
     for eps in (1.0, 0.1, 0.4, 0.025):
-        ts = np.concatenate([[0.0, eps, 7 * eps], rng.uniform(0.0, 60.0, size=40)])
+        late = int(1e6 / eps)
+        grids = [_interval_times(0.0, eps / nsub, nsub, eps),
+                 _interval_times(late * eps, eps / nsub, nsub, (late + 1) * eps)]
+        tails = []
+        for t_final in rng.uniform(3.0, 9.0, size=40) * eps:
+            n_int, tail = interval_grid(t_final, eps)
+            ts = _interval_times(n_int * eps, tail / nsub, nsub, t_final)
+            if tail > 0.0 and ts[-2] != t_final:  # last sub-step's t + h is not t_end
+                tails.append(ts)
+        assert tails, eps
+        grids += tails[:2]
+        grid = [0.0, eps, 7 * eps, *rng.uniform(0.0, 60.0, size=40),
+                *rng.uniform(0.0, 1e6, size=40)]
+        grids.append(grid)
         for a in coeffs:
-            u_of = frozen_control(sel, eps, m, a)
-            for t in ts:
-                got = u_of(float(t))
-                want = held_control_reference(sel, eps, m, a, float(t))
-                assert got.tobytes() == want.tobytes()
-                assert held_control(sel, eps, m, a, float(t)).tobytes() == want.tobytes()
+            table = frozen_control(sel, eps, m, a)
+            for ts in grids:
+                got = table(np.array(ts))
+                assert got.shape == (len(ts), m)
+                for t, row in zip(ts, got):
+                    want = held_control_reference(sel, eps, m, a, t)
+                    assert row.tobytes() == want.tobytes(), (eps, a, t)
+            for t in grid:
+                want = held_control_reference(sel, eps, m, a, t)
+                assert held_control(sel, eps, m, a, t).tobytes() == want.tobytes()
+
+
+def test_held_control_refuses_non_finite_time(disc_sel):
+    a = np.array([-1.5, 2.75])
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="t must be finite"):
+            held_control(disc_sel, 0.25, 2, a, t)
 
 
 def test_oscillatory_part_has_zero_mean(disc_sel):
