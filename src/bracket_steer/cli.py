@@ -8,7 +8,9 @@ scenario's rank condition), list (show registered names).  Exit codes:
 
 import argparse
 import dataclasses
-import json
+# Not used here: perfbench/tracer.py installs its timing shim as cli.json,
+# so the name must stay.
+import json  # noqa: F401
 import logging
 import math
 import os
@@ -103,11 +105,6 @@ def _rho_for(bundle, args):
     if not 0.0 < rho < math.inf:
         raise InvalidInputError(f"rho must be finite and > 0, got {rho}")
     return rho
-
-
-def _json_text(doc):
-    """doc as the text of every JSON document the CLI writes or prints."""
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _write_text(path, text):
@@ -225,11 +222,11 @@ def _cmd_run(args):
     if as_csv:
         _write_text(out, body)
         side_path = out.with_name(out.stem + ".report.json")
-        _write_text(side_path, _json_text(sidecar))
+        _write_text(side_path, scenarios.json_text(sidecar))
         print(f"wrote {out} and {side_path}")
     else:
         sidecar["trajectory"] = body
-        _write_text(out, _json_text(sidecar))
+        _write_text(out, scenarios.json_text(sidecar))
         print(f"wrote {out}")
 
     lam = report.lambda_fit
@@ -263,7 +260,7 @@ def _cmd_sweep(args):
         payload = {"scenario": bundle.name, "overrides": overrides,
                    "certificate": _cert_json(bundle, certs),
                    "rows": [{"epsilon": e, "max_deviation": d} for e, d in rows]}
-        _write_text(out, _json_text(payload))
+        _write_text(out, scenarios.json_text(payload))
     print(f"wrote {out}")
     for eps, dev in rows:
         print(f"epsilon={_fmt(eps)} max_deviation={_fmt(dev)}")
@@ -284,7 +281,7 @@ def _cmd_validate(args):
             row.to_dict() for row in gain_condition_report(
                 bundle.leader, bundle.agents, rho, times, states)]
 
-    text = _json_text(payload)
+    text = scenarios.json_text(payload)
     if args.out:
         _write_text(Path(args.out), text)
         print(f"wrote {args.out}")

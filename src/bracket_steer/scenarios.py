@@ -11,6 +11,8 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -293,11 +295,43 @@ def load_scenario(path):
     return scenario_from_dict(data)
 
 
+def json_text(doc):
+    """The text of every JSON document the package writes: json.dumps(doc, indent=2) + "\n".
+
+    A float list, or a list of float lists, is one repr() laid out by
+    str.replace: json writes a finite float with float.__repr__, which
+    list.__repr__ calls too.  Everything else goes to json.dumps itself.
+    """
+    return _json(doc, "\n") + "\n"
+
+
+def _json(o, nl):
+    """o's indent=2 text, its nested lines starting with nl (a newline and o's indent)."""
+    inner = nl + "  "
+    if type(o) is dict and o and all(type(k) is str for k in o):
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in o.items()) + nl + "}"
+    if type(o) is list and o:
+        types = {*map(type, o)}
+        if types == {float}:
+            text = repr(o)
+            if "n" not in text:  # inf and nan are json's Infinity and NaN
+                return "[" + inner + text[1:-1].replace(", ", "," + inner) + nl + "]"
+        elif types == {list} and all(o) and {*map(type, chain.from_iterable(o))} == {float}:
+            text = repr(o)
+            if "n" not in text:
+                row = inner + "  "
+                text = text[2:-2].replace("], [", inner + "]," + inner + "[" + row)
+                return ("[" + inner + "[" + row + text.replace(", ", "," + row)
+                        + inner + "]" + nl + "]")
+        return "[" + inner + ("," + inner).join(_json(v, inner) for v in o) + nl + "]"
+    return json.dumps(o, indent=2).replace("\n", nl)
+
+
 def save_scenario(bundle, path):
     """Write a bundle as JSON; load_scenario(path) returns an equal bundle."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(bundle), fh, indent=2)
-        fh.write("\n")
+        fh.write(json_text(scenario_to_dict(bundle)))
 
 
 def probe_states(bundle, n_probes=DEFAULT_PROBES, seed=PROBE_SEED):
@@ -316,6 +350,11 @@ def validate_bundle(bundle, n_probes=DEFAULT_PROBES, seed=PROBE_SEED):
     probes = probe_states(bundle, n_probes, seed)
     if bundle.kind == SINGLE:
         return validate_selection(bundle.system, bundle.selection, probes, bundle.gains)
-    return tuple(
-        validate_selection(agent.system, agent.selection, probes, bundle.gains)
-        for agent in bundle.agents)
+    # A certificate depends only on the system, the selection, the probes and
+    # the gains, so identical followers share one.
+    certs = {}
+    for agent in bundle.agents:
+        key = (agent.system, agent.selection)
+        if key not in certs:
+            certs[key] = validate_selection(*key, probes, bundle.gains)
+    return tuple(certs[agent.system, agent.selection] for agent in bundle.agents)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,9 +13,9 @@ from bracket_steer import (BracketSelection, BracketSteerError, InvalidInputErro
                            UnknownScenarioError, builtin_names, builtin_scenario,
                            follower_steering, load_scenario, save_scenario,
                            scenario_from_dict, scenario_to_dict, steering_coefficients,
-                           validate_bundle)
-from bracket_steer import library
-from bracket_steer.scenarios import SINGLE, probe_states
+                           validate_bundle, validate_selection)
+from bracket_steer import library, scenarios
+from bracket_steer.scenarios import SINGLE, json_text, probe_states
 from bracket_steer.simulate import SimConfig
 
 
@@ -119,6 +120,14 @@ def test_round_trip_file(tmp_path):
         path = tmp_path / f"{name}.json"
         save_scenario(b, path)
         assert load_scenario(path) == b
+
+
+@pytest.mark.parametrize("name", ["rolling-disc", "unicycle-leader"])
+def test_save_scenario_writes_indented_json_bytes(tmp_path, name):
+    b = builtin_scenario(name)
+    path = tmp_path / f"{name}.json"
+    save_scenario(b, path)
+    assert path.read_bytes() == (json.dumps(scenario_to_dict(b), indent=2) + "\n").encode()
 
 
 def test_shipped_data_files_match_builtins():
@@ -357,3 +366,54 @@ def test_exact_loader_and_registry_errors(monkeypatch, case):
     with pytest.raises(InvalidInputError) as info:
         call()
     assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_validate_bundle_certifies_each_distinct_follower_once(monkeypatch):
+    b = builtin_scenario("unicycle-leader")
+    first = b.agents[0]
+    other = dataclasses.replace(first, selection=BracketSelection(
+        s1=(1, 2), s2=((2, 1),), kappa=(2,)))
+    agents = (first, other, first, first, other)
+    b = dataclasses.replace(b, agents=agents, agent_x0s=b.agent_x0s * len(agents))
+    probes = probe_states(b)
+    expected = tuple(validate_selection(a.system, a.selection, probes, b.gains) for a in agents)
+    calls = []
+
+    def counted(system, selection, *args):
+        calls.append((system, selection))
+        return validate_selection(system, selection, *args)
+
+    monkeypatch.setattr(scenarios, "validate_selection", counted)
+    assert validate_bundle(b) == expected
+    assert calls == [(first.system, first.selection), (other.system, other.selection)]
+
+
+# json_text must write json.dumps(doc, indent=2) + "\n" byte for byte: the
+# fast paths (float lists and float-list lists) next to every leaf json
+# encodes its own way.
+_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-05, 0.1,
+                           math.inf, -math.inf, math.nan]) | st.floats()
+_LEAVES = (_FLOATS | _FLOATS.map(np.float64) | st.integers() | st.booleans() | st.none()
+           | st.text())
+_FLOAT_LISTS = st.lists(_FLOATS, max_size=5) | st.lists(st.lists(_FLOATS, max_size=4), max_size=4)
+_DOCS = st.recursive(
+    _LEAVES | _FLOAT_LISTS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_DOCS)
+def test_json_text_matches_json_dumps(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    [], {}, [[]], [[1.0], []], [[1.0, 2.0, 3.0], [4.0]], [1.0, 2], [[1.0, True]],
+    [[1.0], [2.0, math.inf]], {1: [1.0], 2.5: 0.5, None: [[1.0]], True: {}},
+    {"\u00e9\u2202 key": ["caf\u00e9", [0.5, -0.0]], "": {"x": [[5e-324, 1e308]]}},
+    [{"x": [[1.0, 2.0], [3.0, 4.0]], "err": [0.25]}, [], {}], (1.0, 2.0),
+    [np.float64(1.5), 2.0], 1.0, "text", None,
+])
+def test_json_text_edge_cases(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
