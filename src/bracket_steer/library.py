@@ -187,12 +187,21 @@ register_leader_field("figure-eight", _figure_eight)
 register_leader_field("stationary", _stationary)
 
 
-# Fused row stages, keyed by the ids of the exact function objects
-# (drift, *control_fields); ids, because a user's field need not be
-# hashable.  Every other system or leader field, and a copy with any
-# function swapped, misses and takes the generic field sum.
+def _identity_key(*funcs):
+    """The table key of exactly these function objects: their ids.
+
+    ids, because a user's field need not be hashable.  A tuple display, not
+    tuple(map(...)): that one is built by resizing, and each lookup would
+    leave a freshly allocated tuple on the free list.
+    """
+    return (*map(id, funcs),)
+
+
+# Fused row stages, keyed by (drift, *control_fields).  Every other system
+# or leader field, and a copy with any function swapped, misses and takes
+# the generic field sum.
 _FUSED_STAGES = {
-    tuple(map(id, funcs)): stage for funcs, stage in (
+    _identity_key(*funcs): stage for funcs, stage in (
         ((ROLLING_DISC.drift, *ROLLING_DISC.control_fields), _disc_stage),
         ((UNICYCLE.drift, *UNICYCLE.control_fields), _unicycle_stage),
         ((_figure_eight,), _figure_eight_stage))
@@ -201,6 +210,37 @@ _FUSED_STAGES = {
 
 def _fused_stage(drift, fields):
     """The fused stage (t, x, u) -> floats of exactly these functions, or None."""
-    # A tuple display, not tuple(map(...)): that one is built by resizing,
-    # and each lookup would leave a freshly allocated tuple on the free list.
-    return _FUSED_STAGES.get((id(drift), *map(id, fields)))
+    return _FUSED_STAGES.get(_identity_key(drift, *fields))
+
+
+def _heading_columns(x):
+    """Every column a valid unicycle or disc selection can ask for at x: f1,
+    f2, [1,2] and [2,1], first three rows, as floats in the operations of
+    synthesis's generic construction, so the matrix is bitwise the same.
+
+    The bracket [i1,i2] is J_i2 f_i1 - J_i1 f_i2.  J_2 = 0, so J_2 f_1 is a
+    sum of zeros with a +0.0 term, which is +0.0.  J_1 f_2 is (-s, c, 0)
+    summed with +0.0 terms, so its entries are b = 0.0 - s, d = 0.0 + c and
+    +0.0 for every sign of a zero.  No finite check is needed: the state is
+    finite (as_state checked it), and so are its cos and sin.
+    """
+    c = math.cos(x[2])
+    s = math.sin(x[2])
+    b = 0.0 - s
+    d = 0.0 + c
+    return {1: (c, s, 0.0), 2: (0.0, 0.0, 1.0),
+            (1, 2): (0.0 - b, 0.0 - d, 0.0), (2, 1): (b - 0.0, d - 0.0, 0.0)}
+
+
+# Fused extension-matrix columns, keyed by (*control_fields,
+# *control_jacobians).  The disc's y-block is the unicycle's first two
+# rows.  A miss takes synthesis's generic construction.
+_FUSED_COLUMNS = {
+    _identity_key(*sys.control_fields, *sys.control_jacobians): _heading_columns
+    for sys in (ROLLING_DISC, UNICYCLE)
+}
+
+
+def _fused_columns(sys):
+    """x -> {column key: floats} for exactly sys's fields and Jacobians, or None."""
+    return _FUSED_COLUMNS.get(_identity_key(*sys.control_fields, *sys.control_jacobians))

@@ -4,6 +4,13 @@ The control drives the y-block toward y* by realizing the average motion
 -gamma (y - y*): constant inputs along the fields selected in S1, plus
 high-frequency cos/sin pairs whose second-order interaction moves the state
 along the selected Lie brackets in S2.
+
+The built-in unicycle and rolling disc, chosen by the identity of their
+exact fields and Jacobians, build the extension matrix from library's fused
+columns: a cos, a sin and one np.array, bitwise the generic construction
+that every other system takes.  validate_selection certifies its probes
+with one SVD per stack of at most PROBE_CHUNK matrices; each steering solve
+keeps one SVD for its condition guard and one np.linalg.solve.
 """
 
 import math
@@ -13,11 +20,18 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, RankDegeneracyError, SelectionShapeError
+from .library import _fused_columns
 from .model import _as_int, _check_finite, _field, _jac, as_state
 # Not called here: perfbench/tracer.py wraps synthesis.lie_bracket by name.
 from .model import lie_bracket  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
+# Probe matrices per SVD call in validate_selection, and the most entries
+# one stack holds unless a single matrix is larger: the stack's memory does
+# not grow with the probe count (the built-ins' 2x2 and 3x3 matrices go 256
+# at a time, an n1 > 4 system's fewer, down to one).
+PROBE_CHUNK = 256
+PROBE_STACK_ENTRIES = PROBE_CHUNK * 16
 
 
 @dataclass(frozen=True)
@@ -145,12 +159,22 @@ def extension_matrix(sys, sel, x):
 def _extension_matrix(sys, sel, x):
     """extension_matrix for a checked selection and a checked state x.
 
-    Each distinct f_i and J_i is evaluated once, in the order in which the
-    columns first use it (the S1 fields, then f_i1, f_i2, J_i2, J_i1 per
-    pair), so a failing field is named as if every bracket evaluated its
-    own.  [f_i1, f_i2] = J_i2 f_i1 - J_i1 f_i2, as model.lie_bracket.
+    The built-in unicycle and disc (their exact fields and Jacobians) take
+    library's fused columns: one np.array of the selected columns' y-rows,
+    bitwise the generic construction.  Otherwise each distinct f_i and J_i
+    is evaluated once, in the order in which the columns first use it (the
+    S1 fields, then f_i1, f_i2, J_i2, J_i1 per pair), so a failing field is
+    named as if every bracket evaluated its own.  [f_i1, f_i2] = J_i2 f_i1
+    - J_i1 f_i2, as model.lie_bracket.
     """
     n1 = sys.n1
+    columns = _fused_columns(sys)
+    if columns is not None:
+        # No finite check can fail here: every caller passes a state that
+        # as_state found finite, and cos and sin of a finite float are finite.
+        col = columns(x)
+        # The selected columns transposed; rows past n1 are the z-block's.
+        return np.array([*zip(*[col[k] for k in (*sel.s1, *sel.s2)])][:n1])
     f = {}
     jac = {}
     for i in sel.s1:
@@ -169,11 +193,22 @@ def _extension_matrix(sys, sel, x):
     return np.column_stack(cols)
 
 
+def _ratio(smax, smin):
+    """(smax / smin, smin); the ratio is inf when smin = 0."""
+    return (math.inf if smin == 0.0 else float(smax / smin)), smin
+
+
 def _conditioning(F):
-    """(sigma_max / sigma_min, sigma_min) of F; the ratio is inf when sigma_min = 0."""
+    """_ratio of one matrix F, or an iterator of them for a (k, n1, n1) stack.
+
+    numpy's SVD makes the same LAPACK call on each matrix of a stack, so
+    each pair is bitwise that of the matrix alone.  The pairs are made one
+    at a time: a list of k would leave k tuples on the free list.
+    """
     sv = np.linalg.svd(F, compute_uv=False)
-    smin = sv[-1]
-    return (math.inf if smin == 0.0 else float(sv[0] / smin)), smin
+    if sv.ndim == 1:
+        return _ratio(sv[0], sv[-1])
+    return map(_ratio, sv[:, 0].tolist(), sv[:, -1].tolist())
 
 
 def _solve_steering(F, rhs, cond_cap, x):
@@ -258,10 +293,28 @@ def frozen_control(sel, epsilon, m, a):
 def held_control(sel, epsilon, m, a, t):
     """Evaluate the control family at absolute time t for held coefficients a.
 
-    The frozen control's table at the one time t, which must be finite.
+    The frozen control's table at the one time t.  Each input is checked
+    here and a bad one raises InvalidInputError naming it: t finite, epsilon
+    finite and > 0, m an integer covering every selection index, each kappa
+    >= 1, and a finite with sel.width entries.  frozen_control, the sampled
+    loop's path, takes them unchecked.
     """
     if not math.isfinite(t):
         raise InvalidInputError(f"t must be finite, got {t}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InvalidInputError(f"epsilon must be finite and > 0, got {epsilon}")
+    m = _as_int(m, "m")
+    for i in (*sel.s1, *(i for pair in sel.s2 for i in pair)):
+        if not 1 <= i <= m:
+            raise InvalidInputError(f"selection index {i} outside 1..m, m = {m}")
+    for k in sel.kappa:
+        if k < 1:
+            raise InvalidInputError(f"kappa entry {k} must be >= 1")
+    a = np.asarray(a, dtype=float)
+    if a.shape != (sel.width,):
+        raise InvalidInputError(f"a has shape {a.shape}, expected (sel.width,) = ({sel.width},)")
+    if not np.isfinite(a).all():
+        raise InvalidInputError(f"a must be finite, got {a.tolist()}")
     return frozen_control(sel, epsilon, m, a)(np.array([t], dtype=float))[0]
 
 
@@ -269,6 +322,28 @@ def control_value(sys, sel, gains, t, x_hold):
     """The applied input u(t) with the state argument frozen at x_hold."""
     a = steering_coefficients(sys, sel, gains, x_hold)
     return held_control(sel, gains.epsilon, sys.m, a, t)
+
+
+def _probe_matrices(sys, sel, probes, states):
+    """The probes' extension matrices, as stacks of at most PROBE_CHUNK
+    matrices and PROBE_STACK_ENTRIES entries (but at least one matrix).
+
+    Each probe is checked and appended to states as a float tuple in turn.
+    The stacks share one buffer, so each is consumed before the next.
+    """
+    chunk = max(1, min(PROBE_CHUNK, PROBE_STACK_ENTRIES // (sys.n1 * sys.n1)))
+    stack = np.empty((chunk, sys.n1, sys.n1))
+    k = 0
+    for x in probes:
+        x = as_state(x, sys.n)
+        states.append(tuple(x.tolist()))
+        stack[k] = _extension_matrix(sys, sel, x)
+        k += 1
+        if k == chunk:
+            yield stack
+            k = 0
+    if k:
+        yield stack[:k]
 
 
 def validate_selection(sys, sel, probes, gains):
@@ -284,17 +359,15 @@ def validate_selection(sys, sel, probes, gains):
     alpha = 0.0
     ok = True
     states = []
-    for x in probes:
-        x = as_state(x, sys.n)
-        states.append(tuple(float(v) for v in x))
-        cond, smin = _conditioning(_extension_matrix(sys, sel, x))
-        if smin == 0.0:
-            ok = False
-            worst = math.inf
-            alpha = math.inf
-            continue
-        worst = max(worst, cond)
-        alpha = max(alpha, float(1.0 / smin))
+    for stack in _probe_matrices(sys, sel, probes, states):
+        for cond, smin in _conditioning(stack):
+            if smin == 0.0:
+                ok = False
+                worst = math.inf
+                alpha = math.inf
+                continue
+            worst = max(worst, cond)
+            alpha = max(alpha, float(1.0 / smin))
     if worst > gains.cond_cap:
         ok = False
     return RankCertificate(

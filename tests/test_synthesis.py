@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -12,7 +13,8 @@ from bracket_steer import (ROLLING_DISC, UNICYCLE, BracketSelection, ControllerG
                            check_selection, control_value, extension_matrix,
                            follower_controller, follower_steering, held_control,
                            steering_coefficients, validate_selection)
-from bracket_steer import formation, synthesis
+from bracket_steer import formation, library, synthesis
+from bracket_steer.model import as_state
 from bracket_steer.scenarios import probe_states
 from bracket_steer.simulate import interval_grid
 from bracket_steer.synthesis import frozen_control
@@ -294,6 +296,24 @@ def test_held_control_refuses_non_finite_time(disc_sel):
             held_control(disc_sel, 0.25, 2, a, t)
 
 
+@pytest.mark.parametrize("kappa, epsilon, m, a, match", [
+    (1, 0.0, 2, [1.0, 2.0], "epsilon must be finite and > 0, got 0.0"),
+    (1, -0.5, 2, [1.0, 2.0], "epsilon must be finite and > 0, got -0.5"),
+    (1, math.nan, 2, [1.0, 2.0], "epsilon must be finite and > 0, got nan"),
+    (1, 0.25, 1, [1.0, 2.0], r"selection index 2 outside 1..m, m = 1"),
+    (1, 0.25, 2, [1.0], r"a has shape \(1,\), expected \(sel.width,\) = \(2,\)"),
+    (1, 0.25, 2, [1.0, math.nan], r"a must be finite, got \[1.0, nan\]"),
+    (-1, 0.25, 2, [1.0, 2.0], "kappa entry -1 must be >= 1"),
+], ids=["epsilon-zero", "epsilon-negative", "epsilon-nan", "m-below-index", "a-short",
+        "a-nan", "kappa-negative"])
+def test_held_control_refuses_bad_inputs(kappa, epsilon, m, a, match):
+    # Each once failed untyped (ZeroDivisionError, math domain error,
+    # IndexError) or returned a silent NaN row.
+    sel = BracketSelection(s1=(1,), s2=((1, 2),), kappa=(kappa,))
+    with pytest.raises(InvalidInputError, match=match):
+        held_control(sel, epsilon, m, a, 0.3)
+
+
 def test_oscillatory_part_has_zero_mean(disc_sel):
     eps = 0.7
     a = np.array([0.8, -2.3])
@@ -356,6 +376,81 @@ def test_validate_selection_rejects_malformed(disc, disc_gains):
         validate_selection(disc, bad, [np.zeros(4)], disc_gains)
 
 
+def _per_probe_certificate(sys, sel, probes, gains):
+    """validate_selection as one _conditioning call per probe: its reference."""
+    worst = alpha = 0.0
+    ok = True
+    states = []
+    for x in probes:
+        x = as_state(x, sys.n)
+        states.append(tuple(float(v) for v in x))
+        cond, smin = synthesis._conditioning(synthesis._extension_matrix(sys, sel, x))
+        if smin == 0.0:
+            ok, worst, alpha = False, math.inf, math.inf
+            continue
+        worst = max(worst, cond)
+        alpha = max(alpha, float(1.0 / smin))
+    return synthesis.RankCertificate(tuple(states), worst, ok and worst <= gains.cond_cap,
+                                     alpha, gains.cond_cap)
+
+
+def _counting(monkeypatch, module, name, record):
+    """Wrap module.name so each call appends record(*args) to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(record(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_validate_selection_chunks_match_per_probe(monkeypatch, disc, disc_sel, disc_gains,
+                                                   pinch, pinch_sel):
+    # The probes' matrices go through one SVD per chunk of PROBE_CHUNK; at
+    # every count around a chunk boundary the certificate, sampled states
+    # included, is the per-probe loop's to the bit.
+    C = synthesis.PROBE_CHUNK
+    assert C == 256
+    rng = np.random.default_rng(15)
+    shapes = _counting(monkeypatch, np.linalg, "svd", lambda F, *_: np.shape(F))
+    for count in (1, C - 1, C, C + 1, 2 * C + 1):
+        probes = list(rng.uniform(-3.0, 3.0, size=(count, 4)))
+        want = _per_probe_certificate(disc, disc_sel, probes, disc_gains)
+        shapes.clear()
+        got = validate_selection(disc, disc_sel, probes, disc_gains)
+        assert shapes == [(C, 2, 2)] * (count // C) + [(count % C, 2, 2)] * (count % C > 0)
+        assert repr(got) == repr(want)
+        assert len(got.sampled_states) == count
+    # A singular probe in the second chunk, on the generic path.
+    gains = ControllerGains(epsilon=0.1, gamma=1.0, y_star=(0.0, 0.0))
+    probes = [np.array([x1, 1.0]) for x1 in rng.uniform(0.5, 2.0, size=C + 5)]
+    probes[C + 3] = np.array([0.0, 1.0])
+    want = _per_probe_certificate(pinch, pinch_sel, probes, gains)
+    shapes.clear()
+    cert = validate_selection(pinch, pinch_sel, probes, gains)
+    assert shapes == [(C, 2, 2), (5, 2, 2)]
+    assert not cert.rank_ok
+    assert math.isinf(cert.worst_condition) and math.isinf(cert.alpha_estimate)
+    assert repr(cert) == repr(want)
+    # An n1 = 8 system's stacks hold PROBE_STACK_ENTRIES entries: 64 matrices.
+    assert synthesis.PROBE_STACK_ENTRIES == 16 * C
+    n = 8
+    unit = PartitionedSystem(
+        name="unit", n=n, n1=n, n2=0, m=n, drift=lambda t, x: np.zeros(n),
+        control_fields=tuple(lambda x, k=k: np.eye(n)[k] for k in range(n)),
+        control_jacobians=(lambda x: np.zeros((n, n)),) * n)
+    unit_sel = BracketSelection(s1=tuple(range(1, n + 1)), s2=())
+    probes = list(rng.normal(size=(130, n)))
+    want = _per_probe_certificate(unit, unit_sel, probes, gains)
+    shapes.clear()
+    cert = validate_selection(unit, unit_sel, probes, gains)
+    assert shapes == [(64, n, n), (64, n, n), (2, n, n)]
+    assert repr(cert) == repr(want)
+
+
 # --- the extension matrix against its per-bracket reference ------------------
 
 def _with_reference(monkeypatch, fn):
@@ -413,6 +508,75 @@ def test_extension_matrix_matches_reference_bitwise(monkeypatch, case):
         sys, sel, gains, probes, steer))
     assert calls == (3 if steer else 2) * len(probes)
     assert got == want
+
+
+def _heading_states(n, seed=15):
+    """States with every edge heading, then 20 seeded normal states."""
+    rng = np.random.default_rng(seed)
+    headings = [k * math.pi / 2 for k in range(-4, 5)]
+    headings += [v for h in (0.0, 5e-324, 1e-300, 1e9) for v in (h, -h)]
+    states = []
+    for i, heading in enumerate(headings):
+        x = [(-1.0) ** i * 0.5 * (j + 1) for j in range(n)]
+        x[2] = heading
+        states.append(np.array(x))
+    return states + list(rng.normal(scale=3.0, size=(20, n)))
+
+
+FUSED_MATRIX_CASES = {
+    "rolling-disc": (ROLLING_DISC, (
+        BracketSelection(s1=(1,), s2=((1, 2),)),
+        BracketSelection(s1=(2,), s2=((2, 1),)),
+        BracketSelection(s1=(2, 1), s2=()),
+        BracketSelection(s1=(), s2=((1, 2), (2, 1))))),
+    "unicycle": (UNICYCLE, (
+        BracketSelection(s1=(1, 2), s2=((1, 2),)),
+        BracketSelection(s1=(2, 1), s2=((2, 1),)),
+        BracketSelection(s1=(), s2=((1, 2), (2, 1), (1, 2)), kappa=(1, 2, 3)))),
+}
+
+
+def test_fused_extension_matrices_match_generic_bitwise(monkeypatch):
+    # The built-ins' fused columns give, bit for bit, the generic matrix on
+    # the same fields: zero, subnormal, tiny and huge headings of both
+    # signs (sin(+-0.0) is a signed zero the bracket's sums turn to +0.0).
+    assert len(library._FUSED_COLUMNS) == len(FUSED_MATRIX_CASES)
+    disc_sels, uni_sels = FUSED_MATRIX_CASES["rolling-disc"][1], FUSED_MATRIX_CASES["unicycle"][1]
+    assert builtin_scenario("rolling-disc").selection in disc_sels
+    assert builtin_scenario("unicycle-leader").agents[0].selection in uni_sels
+    jac_calls = _counting(monkeypatch, synthesis, "_jac", lambda *_: 1)
+    for name, (sys, sels) in FUSED_MATRIX_CASES.items():
+        assert library._fused_columns(sys) is library._heading_columns
+        for sel in sels:
+            for x in _heading_states(sys.n):
+                jac_calls.clear()
+                got = synthesis.extension_matrix(sys, sel, x)
+                assert jac_calls == []
+                with monkeypatch.context() as m:
+                    m.setattr(library, "_FUSED_COLUMNS", {})
+                    want = synthesis.extension_matrix(sys, sel, x)
+                assert jac_calls or not sel.s2
+                assert got.flags.c_contiguous and got.shape == want.shape == (sys.n1, sys.n1)
+                assert got.tobytes() == want.tobytes(), (name, sel, x.tolist())
+
+
+def test_swapped_jacobian_takes_generic_matrix(monkeypatch):
+    # A copy of the unicycle with one Jacobian swapped, here for an equal
+    # function, misses the table: the generic construction calls _jac.
+    jac_calls = _counting(monkeypatch, synthesis, "_jac", lambda *_: 1)
+    sel = BracketSelection(s1=(1, 2), s2=((1, 2),))
+    x = np.array([0.4, -1.2, 0.9])
+    for k in range(2):
+        jacs = list(UNICYCLE.control_jacobians)
+        jacs[k] = lambda x, f=jacs[k]: f(x)
+        copy = dataclasses.replace(UNICYCLE, control_jacobians=tuple(jacs))
+        assert library._fused_columns(copy) is None
+        jac_calls.clear()
+        got = synthesis.extension_matrix(copy, sel, x)
+        assert jac_calls == [1, 1]
+        jac_calls.clear()
+        assert got.tobytes() == synthesis.extension_matrix(UNICYCLE, sel, x).tobytes()
+        assert jac_calls == []
 
 
 def _fault_system(f1=None, f2=None, j1=None, j2=None):
