@@ -22,7 +22,7 @@ import numpy as np
 from . import library, scenarios
 from .errors import (BracketSteerError, InvalidInputError, NumericError,
                      RankDegeneracyError, UnknownScenarioError)
-from .formation import gain_condition_report, simulate_formation
+from .formation import gain_condition_report, simulate_formation, simulate_leader
 from .simulate import (SimConfig, _sweep_epsilons, decay_report, epsilon_sweep,
                        simulate_pi_epsilon)
 
@@ -274,7 +274,6 @@ def _cmd_validate(args):
     payload = {"scenario": bundle.name, "certificate": _cert_json(bundle, certs)}
 
     if bundle.kind == scenarios.FORMATION:
-        from .formation import simulate_leader
         kmax = max(a.selection.kappa_max for a in bundle.agents)
         times, states = simulate_leader(bundle.leader, bundle.gains, bundle.sim, kmax)
         payload["gain_condition"] = [

@@ -57,30 +57,36 @@ def available_leader_fields():
 
 
 # ---------------------------------------------------------------------------
-# rolling disc: x = (contact point, steering angle, rolling angle),
-# y = (x1, x2), z = (x3, x4); driftless, two controls.
+# Shared by the built-ins, each sized by len(x): the zero field (both
+# drifts and the stationary leader), the Jacobian of a field whose first
+# two entries are (cos x3, sin x3) and whose others are constant, and the
+# Jacobian of a constant field.
 
-def _zero_drift4(t, x):
-    return (0.0, 0.0, 0.0, 0.0)
-
-
-def _disc_f1(x):
-    return (math.cos(x[2]), math.sin(x[2]), 0.0, 1.0)
+def _zero_field(t, x):
+    return (0.0,) * len(x)
 
 
-def _disc_f1_jac(x):
-    J = np.zeros((4, 4))
+def _heading_jac(x):
+    J = np.zeros((len(x), len(x)))
     J[0, 2] = -math.sin(x[2])
     J[1, 2] = math.cos(x[2])
     return J
 
 
+def _zero_jac(x):
+    return np.zeros((len(x), len(x)))
+
+
+# ---------------------------------------------------------------------------
+# rolling disc: x = (contact point, steering angle, rolling angle),
+# y = (x1, x2), z = (x3, x4); driftless, two controls.
+
+def _disc_f1(x):
+    return (math.cos(x[2]), math.sin(x[2]), 0.0, 1.0)
+
+
 def _disc_f2(x):
     return (0.0, 0.0, 1.0, 0.0)
-
-
-def _zero_jac4(x):
-    return np.zeros((4, 4))
 
 
 def _disc_stage(t, x, u):
@@ -107,36 +113,21 @@ def _disc_stage(t, x, u):
 
 ROLLING_DISC = register_system(PartitionedSystem(
     name="rolling-disc", n=4, n1=2, n2=2, m=2,
-    drift=_zero_drift4,
+    drift=_zero_field,
     control_fields=(_disc_f1, _disc_f2),
-    control_jacobians=(_disc_f1_jac, _zero_jac4),
+    control_jacobians=(_heading_jac, _zero_jac),
 ))
 
 
 # ---------------------------------------------------------------------------
 # unicycle: x = (position, heading), fully stabilized block (n2 = 0).
 
-def _zero_drift3(t, x):
-    return (0.0, 0.0, 0.0)
-
-
 def _uni_f1(x):
     return (math.cos(x[2]), math.sin(x[2]), 0.0)
 
 
-def _uni_f1_jac(x):
-    J = np.zeros((3, 3))
-    J[0, 2] = -math.sin(x[2])
-    J[1, 2] = math.cos(x[2])
-    return J
-
-
 def _uni_f2(x):
     return (0.0, 0.0, 1.0)
-
-
-def _zero_jac3(x):
-    return np.zeros((3, 3))
 
 
 def _unicycle_stage(t, x, u):
@@ -156,9 +147,9 @@ def _unicycle_stage(t, x, u):
 
 UNICYCLE = register_system(PartitionedSystem(
     name="unicycle", n=3, n1=3, n2=0, m=2,
-    drift=_zero_drift3,
+    drift=_zero_field,
     control_fields=(_uni_f1, _uni_f2),
-    control_jacobians=(_uni_f1_jac, _zero_jac3),
+    control_jacobians=(_heading_jac, _zero_jac),
 ))
 
 
@@ -179,12 +170,8 @@ def _figure_eight_stage(t, x, u):
     return [*_figure_eight(t, x)]
 
 
-def _stationary(t, xL):
-    return (0.0,) * len(xL)
-
-
 register_leader_field("figure-eight", _figure_eight)
-register_leader_field("stationary", _stationary)
+register_leader_field("stationary", _zero_field)
 
 
 def _identity_key(*funcs):
@@ -197,9 +184,10 @@ def _identity_key(*funcs):
     return (*map(id, funcs),)
 
 
-# Fused row stages, keyed by (drift, *control_fields).  Every other system
-# or leader field, and a copy with any function swapped, misses and takes
-# the generic field sum.
+# Fused row stages, keyed by (drift, *control_fields): the built-ins share
+# their drift, so their own f1 and f2 keep the keys distinct.  Every other
+# system or leader field (the stationary one too), and a copy with any
+# function swapped, misses and takes the generic field sum.
 _FUSED_STAGES = {
     _identity_key(*funcs): stage for funcs, stage in (
         ((ROLLING_DISC.drift, *ROLLING_DISC.control_fields), _disc_stage),
@@ -233,8 +221,9 @@ def _heading_columns(x):
 
 
 # Fused extension-matrix columns, keyed by (*control_fields,
-# *control_jacobians).  The disc's y-block is the unicycle's first two
-# rows.  A miss takes synthesis's generic construction.
+# *control_jacobians): the built-ins share their Jacobians, so their own f1
+# and f2 keep the keys distinct.  The disc's y-block is the unicycle's first
+# two rows.  A miss takes synthesis's generic construction.
 _FUSED_COLUMNS = {
     _identity_key(*sys.control_fields, *sys.control_jacobians): _heading_columns
     for sys in (ROLLING_DISC, UNICYCLE)

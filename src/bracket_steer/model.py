@@ -117,13 +117,17 @@ def jacobian(sys, field_id, x):
     return _jac(sys, field_id, as_state(x, sys.n))
 
 
-def lie_bracket(sys, j1, j2, x):
-    """[f_j1, f_j2](x) = (df_j2/dx) f_j1(x) - (df_j1/dx) f_j2(x)."""
-    x = as_state(x, sys.n)
+def _bracket(sys, j1, j2, x):
+    """lie_bracket on a state x that as_state has already checked."""
     v1 = _field(sys, j1, 0.0, x)
     v2 = _field(sys, j2, 0.0, x)
     out = _jac(sys, j2, x) @ v1 - _jac(sys, j1, x) @ v2
     return _check_finite(out, f"bracket [{j1},{j2}]")
+
+
+def lie_bracket(sys, j1, j2, x):
+    """[f_j1, f_j2](x) = (df_j2/dx) f_j1(x) - (df_j1/dx) f_j2(x)."""
+    return _bracket(sys, j1, j2, as_state(x, sys.n))
 
 
 def finite_diff_jacobian(field, x, h=1e-6):

@@ -207,7 +207,7 @@ class _Recorder:
         return self._build(self)
 
 
-def _guard_state(x, t, what="state"):
+def _guard_state(x, t, what):
     # row.dot(row) is the sum np.linalg.norm takes the root of; NaN and inf
     # fail the comparison.
     row = np.array(x, dtype=float)

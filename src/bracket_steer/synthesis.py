@@ -7,10 +7,13 @@ along the selected Lie brackets in S2.
 
 The built-in unicycle and rolling disc, chosen by the identity of their
 exact fields and Jacobians, build the extension matrix from library's fused
-columns: a cos, a sin and one np.array, bitwise the generic construction
-that every other system takes.  validate_selection certifies its probes
-with one SVD per stack of at most PROBE_CHUNK matrices; each steering solve
-keeps one SVD for its condition guard and one np.linalg.solve.
+columns: a cos, a sin and one np.array, bitwise the generic construction.
+Every other registered system takes that construction, the definition:
+one model field per S1 column and one model bracket per S2 column, each
+bracket evaluating its own fields and Jacobians; no benchmark workload
+reaches it.  validate_selection certifies its probes with one SVD per stack
+of at most PROBE_CHUNK matrices; each steering solve keeps one SVD for its
+condition guard and one np.linalg.solve.
 """
 
 import math
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidInputError, RankDegeneracyError, SelectionShapeError
 from .library import _fused_columns
-from .model import _as_int, _check_finite, _field, _jac, as_state
+from .model import _as_int, _bracket, _field, as_state
 # Not called here: perfbench/tracer.py wraps synthesis.lie_bracket by name.
 from .model import lie_bracket  # noqa: F401
 
@@ -161,11 +164,9 @@ def _extension_matrix(sys, sel, x):
 
     The built-in unicycle and disc (their exact fields and Jacobians) take
     library's fused columns: one np.array of the selected columns' y-rows,
-    bitwise the generic construction.  Otherwise each distinct f_i and J_i
-    is evaluated once, in the order in which the columns first use it (the
-    S1 fields, then f_i1, f_i2, J_i2, J_i1 per pair), so a failing field is
-    named as if every bracket evaluated its own.  [f_i1, f_i2] = J_i2 f_i1
-    - J_i1 f_i2, as model.lie_bracket.
+    bitwise the generic construction.  Every other system, which no
+    benchmark workload runs, takes the definition: model's _field for each
+    S1 column and _bracket, J_i2 f_i1 - J_i1 f_i2, for each S2 pair.
     """
     n1 = sys.n1
     columns = _fused_columns(sys)
@@ -175,21 +176,8 @@ def _extension_matrix(sys, sel, x):
         col = columns(x)
         # The selected columns transposed; rows past n1 are the z-block's.
         return np.array([*zip(*[col[k] for k in (*sel.s1, *sel.s2)])][:n1])
-    f = {}
-    jac = {}
-    for i in sel.s1:
-        if i not in f:
-            f[i] = _field(sys, i, 0.0, x)
-    cols = [f[i][:n1] for i in sel.s1]
-    for (i1, i2) in sel.s2:
-        for i in (i1, i2):
-            if i not in f:
-                f[i] = _field(sys, i, 0.0, x)
-        for i in (i2, i1):
-            if i not in jac:
-                jac[i] = _jac(sys, i, x)
-        out = jac[i2] @ f[i1] - jac[i1] @ f[i2]
-        cols.append(_check_finite(out, f"bracket [{i1},{i2}]")[:n1])
+    cols = [_field(sys, i, 0.0, x)[:n1] for i in sel.s1]
+    cols += [_bracket(sys, i1, i2, x)[:n1] for (i1, i2) in sel.s2]
     return np.column_stack(cols)
 
 
@@ -221,7 +209,7 @@ def _solve_steering(F, rhs, cond_cap, x):
             state=np.array(x, dtype=float), condition=cond)
     try:
         return np.linalg.solve(F, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by cond check
+    except np.linalg.LinAlgError as exc:  # cond_cap = inf lets a singular F pass
         raise RankDegeneracyError(
             f"extension matrix is singular at state {np.asarray(x).tolist()}",
             state=np.array(x, dtype=float), condition=cond) from exc
@@ -324,33 +312,14 @@ def control_value(sys, sel, gains, t, x_hold):
     return held_control(sel, gains.epsilon, sys.m, a, t)
 
 
-def _probe_matrices(sys, sel, probes, states):
-    """The probes' extension matrices, as stacks of at most PROBE_CHUNK
-    matrices and PROBE_STACK_ENTRIES entries (but at least one matrix).
-
-    Each probe is checked and appended to states as a float tuple in turn.
-    The stacks share one buffer, so each is consumed before the next.
-    """
-    chunk = max(1, min(PROBE_CHUNK, PROBE_STACK_ENTRIES // (sys.n1 * sys.n1)))
-    stack = np.empty((chunk, sys.n1, sys.n1))
-    k = 0
-    for x in probes:
-        x = as_state(x, sys.n)
-        states.append(tuple(x.tolist()))
-        stack[k] = _extension_matrix(sys, sel, x)
-        k += 1
-        if k == chunk:
-            yield stack
-            k = 0
-    if k:
-        yield stack[:k]
-
-
 def validate_selection(sys, sel, probes, gains):
     """Probe the rank condition over sample states and certify the result.
 
     Raises SelectionShapeError for structurally malformed selections;
     conditioning failures are reported in the certificate, not raised.
+    The probes' matrices fill one reused stack of at most PROBE_CHUNK
+    matrices and PROBE_STACK_ENTRIES entries (but at least one matrix), and
+    each full stack, then the rest, takes one _conditioning call.
     """
     check_selection(sys, sel)
     if len(probes) == 0:
@@ -359,8 +328,15 @@ def validate_selection(sys, sel, probes, gains):
     alpha = 0.0
     ok = True
     states = []
-    for stack in _probe_matrices(sys, sel, probes, states):
-        for cond, smin in _conditioning(stack):
+    chunk = max(1, min(PROBE_CHUNK, PROBE_STACK_ENTRIES // (sys.n1 * sys.n1)))
+    stack = np.empty((chunk, sys.n1, sys.n1))
+    for start in range(0, len(probes), chunk):
+        block = probes[start:start + chunk]
+        for k, x in enumerate(block):
+            x = as_state(x, sys.n)
+            states.append(tuple(x.tolist()))
+            stack[k] = _extension_matrix(sys, sel, x)
+        for cond, smin in _conditioning(stack[:len(block)]):
             if smin == 0.0:
                 ok = False
                 worst = math.inf

@@ -131,7 +131,7 @@ def held_control_reference(sel, epsilon, m, a, t):
 
 
 def extension_matrix_reference(sys, sel, x):
-    """The package's extension_matrix before fields were evaluated once.
+    """The package's first extension_matrix, through the public model functions.
 
     Kept verbatim (every bracket evaluating its own fields and Jacobians
     through the public model functions) as the bitwise and error-message

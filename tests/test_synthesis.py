@@ -13,7 +13,7 @@ from bracket_steer import (ROLLING_DISC, UNICYCLE, BracketSelection, ControllerG
                            check_selection, control_value, extension_matrix,
                            follower_controller, follower_steering, held_control,
                            steering_coefficients, validate_selection)
-from bracket_steer import formation, library, synthesis
+from bracket_steer import formation, library, model, synthesis
 from bracket_steer.model import as_state
 from bracket_steer.scenarios import probe_states
 from bracket_steer.simulate import interval_grid
@@ -191,6 +191,19 @@ def test_cond_cap_is_configurable(pinch, pinch_sel):
     tight = ControllerGains(epsilon=0.1, gamma=1.0, y_star=(0.0, 0.0), cond_cap=3.0)
     with pytest.raises(RankDegeneracyError):
         steering_coefficients(pinch, pinch_sel, tight, np.array([0.25, 1.0]))
+
+
+def test_infinite_cond_cap_reaches_singular_solve(pinch, pinch_sel):
+    # cond_cap = inf is accepted, and cond = inf does not exceed it, so an
+    # exactly singular F reaches np.linalg.solve; its error stays typed.
+    gains = ControllerGains(epsilon=0.1, gamma=1.0, y_star=(0.0, 0.0), cond_cap=math.inf)
+    with pytest.raises(RankDegeneracyError,
+                       match=r"^extension matrix is singular at state \[0\.0, 1\.0\]$") as info:
+        steering_coefficients(pinch, pinch_sel, gains, np.array([0.0, 1.0]))
+    assert math.isinf(info.value.condition)
+    with pytest.raises(RankDegeneracyError,
+                       match=r"^extension matrix is singular at state \[0\.0, 0\.0\]$"):
+        synthesis._solve_steering(np.zeros((2, 2)), np.zeros(2), gains.cond_cap, np.zeros(2))
 
 
 # --- control law ------------------------------------------------------------
@@ -476,7 +489,7 @@ def _steering_layer(sys, sel, gains, probes, steer):
             None if steer is None else np.array([steer(x) for x in probes]).tobytes())
 
 
-def _reference_cases():
+def _reference_cases(pinch):
     disc_b = builtin_scenario("rolling-disc")
     uni_b = builtin_scenario("unicycle-leader")
     agent = uni_b.agents[0]
@@ -484,30 +497,55 @@ def _reference_cases():
     permuted = BracketSelection(s1=(2, 1), s2=((2, 1),))
     # Every field and Jacobian feeds several brackets; F is singular.
     repeated = BracketSelection(s1=(), s2=((1, 2), (2, 1), (1, 2)), kappa=(1, 2, 3))
+    disc_probes = probe_states(disc_b, 200, seed=7)
+    uni_probes = probe_states(uni_b, 200, seed=7)
+    # pinch is no built-in: F = [[1, 0], [0, x1]], and [[1, 0], [0, -1]] with [2,1].
+    pinch_gains = ControllerGains(epsilon=0.1, gamma=1.0, y_star=(0.0, 0.0))
+    pinch_probes = np.random.default_rng(7).uniform([0.5, -2.0], [2.0, 2.0], size=(200, 2))
+    pinch_sel = BracketSelection(s1=(1, 2), s2=())
+    pinch_bracket = BracketSelection(s1=(1,), s2=((2, 1),))
     return {
-        "rolling-disc": (disc_b, disc_b.system, disc_b.selection, disc_b.gains,
+        "rolling-disc": (disc_probes, disc_b.system, disc_b.selection, disc_b.gains,
                          lambda x: steering_coefficients(
                              disc_b.system, disc_b.selection, disc_b.gains, x)),
-        "unicycle-leader": (uni_b, agent.system, agent.selection, uni_b.gains,
+        "unicycle-leader": (uni_probes, agent.system, agent.selection, uni_b.gains,
                             lambda x: follower_steering(agent, uni_b.gains, x, uni_b.leader.x0)),
-        "unicycle-permuted": (uni_b, agent.system, permuted, uni_gains,
+        "unicycle-permuted": (uni_probes, agent.system, permuted, uni_gains,
                               lambda x: steering_coefficients(agent.system, permuted, uni_gains, x)),
-        "unicycle-repeated-pairs": (uni_b, agent.system, repeated, uni_gains, None),
+        "unicycle-repeated-pairs": (uni_probes, agent.system, repeated, uni_gains, None),
+        "pinch": (pinch_probes, pinch, pinch_sel, pinch_gains,
+                  lambda x: steering_coefficients(pinch, pinch_sel, pinch_gains, x)),
+        "pinch-bracket": (pinch_probes, pinch, pinch_bracket, pinch_gains,
+                          lambda x: steering_coefficients(pinch, pinch_bracket, pinch_gains, x)),
     }
 
 
-@pytest.mark.parametrize("case", sorted(_reference_cases()))
-def test_extension_matrix_matches_reference_bitwise(monkeypatch, case):
-    # S1 and S2 share field indices in every case, so cached fields and
-    # Jacobians are reused; matrices, certificates and steering
-    # coefficients must be the reference's to the bit.
-    bundle, sys, sel, gains, steer = _reference_cases()[case]
-    probes = probe_states(bundle, 200, seed=7)
+BUILTIN_CASES = ("rolling-disc", "unicycle-leader", "unicycle-permuted", "unicycle-repeated-pairs")
+
+
+def _matches_reference(monkeypatch, pinch, case):
+    probes, sys, sel, gains, steer = _reference_cases(pinch)[case]
     got = _steering_layer(sys, sel, gains, probes, steer)
     want, calls = _with_reference(monkeypatch, lambda: _steering_layer(
         sys, sel, gains, probes, steer))
     assert calls == (3 if steer else 2) * len(probes)
     assert got == want
+
+
+@pytest.mark.parametrize("case", BUILTIN_CASES + ("pinch", "pinch-bracket"))
+def test_extension_matrix_matches_reference_bitwise(monkeypatch, pinch, case):
+    # Matrices, certificates and steering coefficients must be the
+    # per-bracket reference's to the bit: the built-ins' fused columns, and
+    # the generic construction a non-built-in system (pinch) takes.
+    _matches_reference(monkeypatch, pinch, case)
+
+
+@pytest.mark.parametrize("case", BUILTIN_CASES)
+def test_generic_extension_matrix_matches_reference_bitwise(monkeypatch, pinch, case):
+    # The built-ins again with the fused table emptied: the generic
+    # construction on their fields.
+    monkeypatch.setattr(library, "_FUSED_COLUMNS", {})
+    _matches_reference(monkeypatch, pinch, case)
 
 
 def _heading_states(n, seed=15):
@@ -544,7 +582,7 @@ def test_fused_extension_matrices_match_generic_bitwise(monkeypatch):
     disc_sels, uni_sels = FUSED_MATRIX_CASES["rolling-disc"][1], FUSED_MATRIX_CASES["unicycle"][1]
     assert builtin_scenario("rolling-disc").selection in disc_sels
     assert builtin_scenario("unicycle-leader").agents[0].selection in uni_sels
-    jac_calls = _counting(monkeypatch, synthesis, "_jac", lambda *_: 1)
+    jac_calls = _counting(monkeypatch, model, "_jac", lambda *_: 1)
     for name, (sys, sels) in FUSED_MATRIX_CASES.items():
         assert library._fused_columns(sys) is library._heading_columns
         for sel in sels:
@@ -563,7 +601,7 @@ def test_fused_extension_matrices_match_generic_bitwise(monkeypatch):
 def test_swapped_jacobian_takes_generic_matrix(monkeypatch):
     # A copy of the unicycle with one Jacobian swapped, here for an equal
     # function, misses the table: the generic construction calls _jac.
-    jac_calls = _counting(monkeypatch, synthesis, "_jac", lambda *_: 1)
+    jac_calls = _counting(monkeypatch, model, "_jac", lambda *_: 1)
     sel = BracketSelection(s1=(1, 2), s2=((1, 2),))
     x = np.array([0.4, -1.2, 0.9])
     for k in range(2):
@@ -609,8 +647,9 @@ def _raised(fn):
 
 
 def test_extension_matrix_errors_match_reference(monkeypatch):
-    # Fields are evaluated once each, in the reference's order of first
-    # use, so the same failing field, Jacobian or bracket is named.
+    # Each bracket evaluates its own fields and Jacobians in the
+    # reference's order, so the same failing field, Jacobian or bracket is
+    # named.
     gains = ControllerGains(epsilon=0.1, gamma=1.0, y_star=(0.0, 0.0))
     x = np.array([0.5, 0.25])
     sels = [BracketSelection(s1=s1, s2=(pair,)) for s1 in ((1,), (2,)) for pair in ((1, 2), (2, 1))]
