@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, RankDegeneracyError
+from .errors import InvalidInputError, NonFiniteError, RankDegeneracyError
 from .model import as_state
 from .simulate import (SampledTrajectory, SimConfig, _check_field_length, _check_field_lengths,
                        _run_sampled)
@@ -262,13 +262,20 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
 
 
 def gain_condition_report(leader, agents, rho, dense_times, leader_states):
-    """Check gamma_l > sup_t ||f(t, x_L(t))|| / rho along a leader path."""
+    """Check gamma_l > sup_t ||f(t, x_L(t))|| / rho along a leader path.
+
+    A leader speed of NaN at any point raises NonFiniteError naming t: max()
+    would keep the supremum so far and report the condition as met.
+    """
     if not rho > 0:
         raise InvalidInputError(f"rho must be > 0, got {rho}")
     sup = 0.0
     for t, xL in zip(dense_times, leader_states):
         v = np.asarray(leader.dynamics(float(t), xL), float)
-        sup = max(sup, math.sqrt(v.dot(v)))
+        speed = math.sqrt(v.dot(v))
+        if math.isnan(speed):
+            raise NonFiniteError(f"leader field {leader.name!r} returned NaN at t={float(t):.6g}")
+        sup = max(sup, speed)
     rows = []
     for idx, agent in enumerate(agents):
         rows.append(GainConditionRow(

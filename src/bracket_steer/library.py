@@ -89,28 +89,6 @@ def _disc_f2(x):
     return (0.0, 0.0, 1.0, 0.0)
 
 
-def _disc_stage(t, x, u):
-    """0 + u1 _disc_f1(x) + u2 _disc_f2(x) as floats, in the generic sum's order.
-
-    Bitwise simulate's generic row stage on these fields: a term is added
-    only when its control is non-zero (cos and sin are not taken otherwise),
-    and the 0.0 + and * 0.0 / * 1.0 terms stay, for signed zeros and inf * 0.
-    """
-    u1, u2 = u
-    o0 = o1 = o2 = o3 = 0.0
-    if u1 != 0.0:
-        o0 = 0.0 + u1 * math.cos(x[2])
-        o1 = 0.0 + u1 * math.sin(x[2])
-        o2 = 0.0 + u1 * 0.0
-        o3 = 0.0 + u1 * 1.0
-    if u2 != 0.0:
-        o0 = o0 + u2 * 0.0
-        o1 = o1 + u2 * 0.0
-        o2 = o2 + u2 * 1.0
-        o3 = o3 + u2 * 0.0
-    return [o0, o1, o2, o3]
-
-
 ROLLING_DISC = register_system(PartitionedSystem(
     name="rolling-disc", n=4, n1=2, n2=2, m=2,
     drift=_zero_field,
@@ -128,21 +106,6 @@ def _uni_f1(x):
 
 def _uni_f2(x):
     return (0.0, 0.0, 1.0)
-
-
-def _unicycle_stage(t, x, u):
-    """0 + u1 _uni_f1(x) + u2 _uni_f2(x) as floats; see _disc_stage."""
-    u1, u2 = u
-    o0 = o1 = o2 = 0.0
-    if u1 != 0.0:
-        o0 = 0.0 + u1 * math.cos(x[2])
-        o1 = 0.0 + u1 * math.sin(x[2])
-        o2 = 0.0 + u1 * 0.0
-    if u2 != 0.0:
-        o0 = o0 + u2 * 0.0
-        o1 = o1 + u2 * 0.0
-        o2 = o2 + u2 * 1.0
-    return [o0, o1, o2]
 
 
 UNICYCLE = register_system(PartitionedSystem(
@@ -165,11 +128,6 @@ def _figure_eight(t, xL):
     return (0.2 * c, -0.2, -0.2 * s * (c2 + 0.5) / den)
 
 
-def _figure_eight_stage(t, x, u):
-    """The uncontrolled leader row: _figure_eight's floats, with no ndarray."""
-    return [*_figure_eight(t, x)]
-
-
 register_leader_field("figure-eight", _figure_eight)
 register_leader_field("stationary", _zero_field)
 
@@ -184,21 +142,86 @@ def _identity_key(*funcs):
     return (*map(id, funcs),)
 
 
-# Fused row stages, keyed by (drift, *control_fields): the built-ins share
+def _heading_rates(theta, u):
+    """0 + ua f1 + ub f2 with (ua, ub) = u, for the disc's fields
+    f1 = (cos theta, sin theta, 0, 1) and f2 = (0, 0, 1, 0), in the generic
+    field sum's order; the unicycle's rates are the first three.
+
+    Bitwise simulate's generic row stage on these fields: a term is added
+    only when its control is non-zero (cos and sin are not taken otherwise),
+    and the 0.0 + and * 0.0 / * 1.0 terms stay, for signed zeros and inf * 0.
+    """
+    ua, ub = u
+    o0 = o1 = o2 = o3 = 0.0
+    if ua != 0.0:
+        o0 = 0.0 + ua * math.cos(theta)
+        o1 = 0.0 + ua * math.sin(theta)
+        o2 = 0.0 + ua * 0.0
+        o3 = 0.0 + ua * 1.0
+    if ub != 0.0:
+        o0 = o0 + ub * 0.0
+        o1 = o1 + ub * 0.0
+        o2 = o2 + ub * 1.0
+        o3 = o3 + ub * 0.0
+    return o0, o1, o2, o3
+
+
+# The fused RK4 sub-steps (t, x, h, u0, uh, u1) -> floats repeat simulate's
+# generic _rk4_step on the generic stage bit for bit, on scalar locals.  The
+# heading x3 is the only state entry the fields read, so it is the only
+# intermediate state formed.
+
+def _unicycle_step(t, x, h, u0, uh, u1):
+    x1, x2, x3 = x
+    hh = 0.5 * h
+    a1, a2, a3, _ = _heading_rates(x3, u0)
+    b1, b2, b3, _ = _heading_rates(x3 + hh * a3, uh)
+    c1, c2, c3, _ = _heading_rates(x3 + hh * b3, uh)
+    d1, d2, d3, _ = _heading_rates(x3 + h * c3, u1)
+    h6 = h / 6.0
+    return [x1 + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
+            x2 + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
+            x3 + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)]
+
+
+def _disc_step(t, x, h, u0, uh, u1):
+    x1, x2, x3, x4 = x
+    hh = 0.5 * h
+    a1, a2, a3, a4 = _heading_rates(x3, u0)
+    b1, b2, b3, b4 = _heading_rates(x3 + hh * a3, uh)
+    c1, c2, c3, c4 = _heading_rates(x3 + hh * b3, uh)
+    d1, d2, d3, d4 = _heading_rates(x3 + h * c3, u1)
+    h6 = h / 6.0
+    return [x1 + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
+            x2 + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
+            x3 + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
+            x4 + h6 * (((a4 + 2.0 * b4) + 2.0 * c4) + d4)]
+
+
+def _figure_eight_step(t, x, h, u0, uh, u1):
+    """The uncontrolled leader row.  The field ignores x, so the two midpoint
+    stages are one evaluation: k2 = k3 bit for bit."""
+    x1, x2, x3 = x
+    hh = 0.5 * h
+    a1, a2, a3 = _figure_eight(t, x)
+    b1, b2, b3 = _figure_eight(t + hh, x)
+    d1, d2, d3 = _figure_eight(t + h, x)
+    h6 = h / 6.0
+    return [x1 + h6 * (((a1 + 2.0 * b1) + 2.0 * b1) + d1),
+            x2 + h6 * (((a2 + 2.0 * b2) + 2.0 * b2) + d2),
+            x3 + h6 * (((a3 + 2.0 * b3) + 2.0 * b3) + d3)]
+
+
+# Fused row steps, keyed by (drift, *control_fields): the built-ins share
 # their drift, so their own f1 and f2 keep the keys distinct.  Every other
 # system or leader field (the stationary one too), and a copy with any
-# function swapped, misses and takes the generic field sum.
-_FUSED_STAGES = {
-    _identity_key(*funcs): stage for funcs, stage in (
-        ((ROLLING_DISC.drift, *ROLLING_DISC.control_fields), _disc_stage),
-        ((UNICYCLE.drift, *UNICYCLE.control_fields), _unicycle_stage),
-        ((_figure_eight,), _figure_eight_stage))
+# function swapped, misses and takes simulate's generic step.
+_FUSED_STEPS = {
+    _identity_key(*funcs): step for funcs, step in (
+        ((ROLLING_DISC.drift, *ROLLING_DISC.control_fields), _disc_step),
+        ((UNICYCLE.drift, *UNICYCLE.control_fields), _unicycle_step),
+        ((_figure_eight,), _figure_eight_step))
 }
-
-
-def _fused_stage(drift, fields):
-    """The fused stage (t, x, u) -> floats of exactly these functions, or None."""
-    return _FUSED_STAGES.get(_identity_key(drift, *fields))
 
 
 def _heading_columns(x):

@@ -5,7 +5,7 @@ The closed loop is integrated as a sampled solution: on each interval
 x(tau_j) while its time argument advances continuously.  One private
 driver, _run_sampled, owns that clock and the stacked rows for every
 caller: the interval grid and its partial tail, the sub-step and boundary
-times, each row's stage, divergence guard and control record, resampling at
+times, each row's step, divergence guard and control record, resampling at
 each sampling instant, the record stride, and the partial trajectory
 attached to a failure.  It runs one system (simulate_pi_epsilon, one row)
 or the formation's rows, each row a list of floats advanced by its own
@@ -14,25 +14,29 @@ so results are bitwise those of arrays.
 
 At each sampling instant every row's held control is evaluated once, as a
 table over every time the interval uses (synthesis.frozen_control), and
-each row stage (t, x, u) takes its u from that table.  Fields receive their
-row as a 1-d float64 ndarray and may return any sequence of numbers, each
-entry taken as a float64.  Rows of the built-in unicycle and rolling disc,
-and the figure-eight leader, skip that contract: their exact function
-objects select a fused stage in library, which repeats the generic field
-sum's operations bit for bit.  Every other system or leader field, and a
-copy with any function swapped, takes the generic sum.
+each row's sub-step (t, x, h, u0, uh, u1) takes its controls at the start,
+midpoint and end from that table.  The generic sub-step is _rk4_step on the
+stage (t, x, u) -> f0(t, x) + sum_k u_k f_k(x) (_row_stage).  Fields receive
+their row as a 1-d float64 ndarray and may return any sequence of numbers,
+each entry taken as a float64.  Rows of the built-in unicycle and rolling
+disc, and the figure-eight leader, skip that contract: their exact function
+objects select a fused sub-step in library (_row_step), which works on
+scalar floats and repeats the generic step's operations bit for bit.  Every
+other system or leader field, and a copy with any function swapped, takes
+the generic step.
 """
 
 import math
 import warnings
 from array import array
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
+from . import library
 from .errors import DivergenceError, InvalidInputError, RankDegeneracyError
-from .library import _fused_stage
 from .model import _as_int, as_state
 from .synthesis import check_selection, frozen_control, steering_coefficients
 # Not called here: perfbench/tracer.py wraps simulate.held_control by name.
@@ -244,12 +248,7 @@ def _check_field_lengths(sys, x0, who=""):
 
 
 def _row_stage(drift, fields):
-    """A row's stage (t, x, u) -> floats f0(t, x) + sum_k u_k f_k(x).
-
-    The built-in unicycle's, rolling disc's and figure-eight leader's
-    functions take their fused stage from library, which repeats this sum
-    bit for bit.
-    """
+    """A row's generic stage (t, x, u) -> floats f0(t, x) + sum_k u_k f_k(x)."""
 
     def stage(t, x, u):
         state = np.array(x, dtype=float)
@@ -261,7 +260,19 @@ def _row_stage(drift, fields):
                 out = [o + uk * float(v) for o, v in zip(out, fk(state), strict=True)]
         return out
 
-    return _fused_stage(drift, fields) or stage
+    return stage
+
+
+def _row_step(drift, fields):
+    """A row's RK4 sub-step (t, x, h, u0, uh, u1) -> floats.
+
+    Exactly the built-in unicycle's, rolling disc's and figure-eight
+    leader's functions select their fused step in library, which repeats
+    _rk4_step on _row_stage bit for bit; any other functions take that
+    generic step.
+    """
+    step = library._FUSED_STEPS.get(library._identity_key(drift, *fields))
+    return step or partial(_rk4_step, _row_stage(drift, fields))
 
 
 def _plan_run(cfg, gains, kappa_max, n_rows):
@@ -287,11 +298,13 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
     table of u at each (synthesis.frozen_control).  It is evaluated once
     per interval (per TABLE_SUBSTEPS sub-steps of a longer one) at every
     time the interval uses: each sub-step's start tau_j + (i - 1) h,
-    midpoint and end, and the interval's end.  Over [tau_j, tau_j + epsilon)
-    each row's stage drift + sum_k u_k fields[k] (_row_stage) takes u from
-    its table, and each row advances by its own RK4 sub-step (_rk4_step),
-    nsub per interval, while the time argument runs on; one RuntimeWarning
-    per run says when nsub gives kappa_max fewer than 20 sub-steps.  A final
+    midpoint and end, and the interval's end.  Each row's RK4 sub-step is
+    looked up once per run (_row_step: a built-in's fused step, or
+    _rk4_step on the stage drift + sum_k u_k fields[k]).  Over
+    [tau_j, tau_j + epsilon) each row advances by its own sub-step, nsub
+    per interval, taking u at the sub-step's start, midpoint and end from
+    its table, while the time argument runs on; one RuntimeWarning per run
+    says when nsub gives kappa_max fewer than 20 sub-steps.  A final
     partial interval ends exactly at t_final.  After every sub-step one norm
     test of the stacked state passes every row; only when it fails is each
     row guarded, under its name, by the exact _guard_state (_guard_rows).
@@ -311,7 +324,7 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
     total_substeps = n_intervals * nsub
     stride = cfg.record_stride
     names = [name for name, _, _ in rows]
-    stages = [_row_stage(drift, fields) for _, drift, fields in rows]
+    steps = [_row_step(drift, fields) for _, drift, fields in rows]
 
     def tabulate(held, j, lo):
         """Interval j's sub-step length, the times its sub-steps lo + 1 .. hi
@@ -353,8 +366,8 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
                 end = len(ts) - 1  # the block's end in its tables
                 resamples = j < n_int and lo + TABLE_SUBSTEPS >= nsub
                 for c in range(0, end, 3):  # a sub-step's start in the tables
-                    xs = [_rk4_step(stage, ts[c], x, h, tab[c], tab[c + 1], tab[c + 2])
-                          for stage, x, tab in zip(stages, xs, tables)]
+                    xs = [step(ts[c], x, h, tab[c], tab[c + 1], tab[c + 2])
+                          for step, x, tab in zip(steps, xs, tables)]
                     g += 1
                     e = c + 3  # its end
                     t = ts[e]

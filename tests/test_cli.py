@@ -328,19 +328,25 @@ def _no_integration(*args):
 
 
 def test_runs_reach_the_patched_integrator(tmp_path, monkeypatch):
-    # The refused-run tests below patch simulate._rk4_step; an accepted run
-    # calls it once per interval, sub-step and row, so they patch the
-    # integrator every run goes through.
+    # The refused-run tests below patch simulate._row_step, the lookup of
+    # every row's RK4 sub-step, fused or generic; an accepted run takes each
+    # row's step from it and calls that once per interval, sub-step and row,
+    # so they patch the integrator every run goes through.
     from bracket_steer import simulate
 
     calls = []
-    step = simulate._rk4_step
+    row_step = simulate._row_step
 
-    def counted(*args):
-        calls.append(1)
-        return step(*args)
+    def counted(drift, fields):
+        step = row_step(drift, fields)
 
-    monkeypatch.setattr(simulate, "_rk4_step", counted)
+        def wrapped(*args):
+            calls.append(1)
+            return step(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(simulate, "_row_step", counted)
     # rolling-disc: 2 intervals (epsilon = 1) x 40 sub-steps x 1 row;
     # unicycle-leader: 2 intervals and a tail (epsilon = 0.1) x 40 x 2 rows.
     for args, want in ((["run", "rolling-disc", "--t-final", "2"], 2 * 40 * 1),
@@ -357,7 +363,7 @@ def test_overflowing_grid_exit_2(tmp_path, capsys, monkeypatch):
     # default horizon's 1 / (gamma * epsilon), overflow to inf.  The sweep
     # is refused before its first entry (epsilon = 0.5) runs.
     from bracket_steer import builtin_scenario, scenario_to_dict, simulate
-    monkeypatch.setattr(simulate, "_rk4_step", _no_integration)
+    monkeypatch.setattr(simulate, "_row_step", _no_integration)
     d = scenario_to_dict(builtin_scenario("rolling-disc"))
     d["sim"]["t_final"] = None
     path = tmp_path / "default-horizon.json"
@@ -393,7 +399,7 @@ def test_over_budget_run_exit_2_without_integrating(tmp_path, capsys, monkeypatc
     path.write_text(json.dumps(d))
     assert main(["validate", str(path)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(simulate, "_rk4_step", _no_integration)
+    monkeypatch.setattr(simulate, "_row_step", _no_integration)
     for args in (["run", str(path)], ["sweep", str(path), "--epsilon", "1,0.5"],
                  ["sweep", "rolling-disc", "--t-final", "10", "--epsilon", "0.5,1e-7"],
                  ["sweep", "rolling-disc", "--t-final", "1000", "--epsilon", "0.008,0.005"]):
@@ -408,7 +414,7 @@ def test_bad_rho_exit_2(tmp_path, capsys, monkeypatch):
     # rho, from --rho or the scenario's expected.rho, must be finite and
     # > 0; run and validate refuse it before anything is integrated.
     from bracket_steer import builtin_scenario, scenario_to_dict, simulate
-    monkeypatch.setattr(simulate, "_rk4_step", _no_integration)
+    monkeypatch.setattr(simulate, "_row_step", _no_integration)
     out = tmp_path / "x.csv"
     for name in ("rolling-disc", "unicycle-leader"):
         d = scenario_to_dict(builtin_scenario(name))

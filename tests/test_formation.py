@@ -6,7 +6,7 @@ import pytest
 
 from bracket_steer import (ControllerGains, DivergenceError, FollowerAgent,
                            FormationTrajectory, InvalidInputError,
-                           LeaderModel, RankDegeneracyError, SimConfig,
+                           LeaderModel, NonFiniteError, RankDegeneracyError, SimConfig,
                            follower_controller, follower_steering,
                            formation_error, gain_condition_report, leader_field,
                            simulate_formation, simulate_leader, simulate_pi_epsilon)
@@ -232,6 +232,23 @@ def test_leader_path_and_gain_condition(uni_agent, form_gains, fig8_leader):
                          gamma=1.0, offset=OFFSET)
     rows = gain_condition_report(fig8_leader, [weak], 0.3, times, states)
     assert not rows[0].satisfied
+
+
+def test_gain_condition_refuses_a_nan_leader_speed(uni_agent, fig8_leader):
+    # max(sup, nan) keeps sup, so a NaN speed would be skipped and the
+    # condition reported as met (sup 0.0 for a field NaN everywhere).  It
+    # raises NonFiniteError naming the first t where the field is NaN.
+    times, states = simulate_leader(fig8_leader, ControllerGains(
+        epsilon=0.1, gamma=10.0, y_star=(0.0, 0.0, 0.0)), SimConfig(t_final=1.0))
+    bad = times[17]
+    for nan_at, first in ((lambda t: True, 0.0), (lambda t: t >= bad, bad)):
+        def field(t, x, nan_at=nan_at):
+            return (math.nan, 0.0, 0.0) if nan_at(t) else fig8_leader.dynamics(t, x)
+
+        leader = dataclasses.replace(fig8_leader, name="nan-leader", dynamics=field)
+        with pytest.raises(NonFiniteError) as info:
+            gain_condition_report(leader, [uni_agent], 0.3, times, states)
+        assert str(info.value) == f"leader field 'nan-leader' returned NaN at t={first:.6g}"
 
 
 def test_leader_horizon_too_short(fig8_leader, form_gains):

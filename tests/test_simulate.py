@@ -83,18 +83,23 @@ INF = math.inf
 # 0, -0, +-tiny, +-subnormal, +-large, +-inf and NaN of both signs.
 EDGE_CONTROLS = (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300,
                  INF, -INF, NAN, -NAN)
-EDGE_TIMES = (0.0, -0.0, 0.37, -5.2, 5e-324, 1e6, 1e15, -1e300, INF, -INF, NAN)
-# (drift, control fields, state dimension, fused stage) of each table entry.
+# (drift, control fields, state dimension, fused step) of each table entry.
 FUSED = ((library.ROLLING_DISC.drift, library.ROLLING_DISC.control_fields, 4,
-          library._disc_stage),
+          library._disc_step),
          (library.UNICYCLE.drift, library.UNICYCLE.control_fields, 3,
-          library._unicycle_stage),
-         (library._figure_eight, (), 3, library._figure_eight_stage))
+          library._unicycle_step),
+         (library._figure_eight, (), 3, library._figure_eight_step))
+# Sub-step lengths: zero, the least subnormal and the built-ins' own size.
+EDGE_STEPS = (0.0, 5e-324, 0.0025)
+# The leader's times: every sign of zero, near 1e15 (where t + h/2 and
+# t + h round to t or to a neighbour), infinities and NaN.
+EDGE_TIMES = (0.0, -0.0, 0.37, -5.2, 5e-324, 1e6, 1e15, 1e15 + 0.125, -1e15,
+              -1e300, INF, -INF, NAN)
 
 
-def _outcome(stage, t, x, u):
+def _outcome(step, *args):
     try:
-        return np.array(stage(t, x, u), dtype=float).tobytes()
+        return np.array(step(*args), dtype=float).tobytes()
     except (ValueError, ArithmeticError) as exc:
         return type(exc)
 
@@ -112,41 +117,57 @@ def _edge_states(n, seed=5):
 
 
 def _edge_cases(fields):
-    """(t, u) pairs: every edge control pair at one time for the controlled
-    systems, every edge time for the uncontrolled leader."""
-    if fields:
-        return [(0.37, list(u)) for u in itertools.product(EDGE_CONTROLS, repeat=len(fields))]
-    return [(t, []) for t in EDGE_TIMES]
+    """(t, h, u0, uh, u1) cases: for the controlled systems, every edge
+    control pair in each of the three control positions, the other two held
+    at an ordinary pair, and in all three at once (so a signed zero can
+    reach the sum), at one time; for the uncontrolled leader, every edge
+    time.  Each at every edge sub-step length."""
+    cases = []
+    for h in EDGE_STEPS:
+        if not fields:
+            cases += [(t, h, [], [], []) for t in EDGE_TIMES]
+            continue
+        for u in itertools.product(EDGE_CONTROLS, repeat=len(fields)):
+            u = list(u)
+            cases.append((0.37, h, u, u, u))
+            for k in range(3):
+                controls = [[0.7, -1.3], [-0.4, 2.1], [1.9, 0.6]]
+                controls[k] = u
+                cases.append((0.37, h, *controls))
+    return cases
 
 
-def test_fused_stages_match_generic_sum_bitwise(monkeypatch):
-    # Each table entry gives, bit for bit, the generic stage's output on the
-    # same functions, or raises the same exception type (cos(inf)).
-    assert len(library._FUSED_STAGES) == len(FUSED)
+def test_fused_steps_match_generic_step_bitwise(monkeypatch):
+    # Each table entry gives, bit for bit, the generic sub-step's output on
+    # the same functions (_rk4_step on the generic stage), or raises the
+    # same exception type (cos(inf)).
+    assert len(library._FUSED_STEPS) == len(FUSED)
     seen = set()
-    for drift, fields, n, stage in FUSED:
-        assert library._fused_stage(drift, fields) is stage
-        assert simulate_module._row_stage(drift, fields) is stage
+    for drift, fields, n, step in FUSED:
+        assert simulate_module._row_step(drift, fields) is step
         with monkeypatch.context() as m:
-            m.setattr(library, "_FUSED_STAGES", {})
-            generic = simulate_module._row_stage(drift, fields)
-        assert generic.__code__ is not stage.__code__
-        for t, u in _edge_cases(fields):
+            m.setattr(library, "_FUSED_STEPS", {})
+            generic = simulate_module._row_step(drift, fields)
+        assert generic.func is simulate_module._rk4_step
+        for t, h, u0, uh, u1 in _edge_cases(fields):
             for x in _edge_states(n):
-                want = _outcome(generic, t, x, u)
-                assert _outcome(stage, t, x, u) == want, (stage.__name__, t, u, x)
-                seen.add((stage, want if isinstance(want, type) else bytes))
-    assert seen == {(stage, kind) for *_, stage in FUSED for kind in (bytes, ValueError)}
+                want = _outcome(generic, t, x, h, u0, uh, u1)
+                assert _outcome(step, t, x, h, u0, uh, u1) == want, (
+                    step.__name__, t, x, h, u0, uh, u1)
+                seen.add((step, want if isinstance(want, type) else bytes))
+    assert seen == {(step, kind) for *_, step in FUSED for kind in (bytes, ValueError)}
 
 
 def test_swapped_function_takes_generic_path():
     # A copy with any one of (drift, *control_fields) swapped, here for an
-    # equal function, misses the table: the generic sum calls the swap.  So
-    # does a wrapped figure-eight leader field.
-    for drift, fields, n, stage in FUSED:
+    # equal function, misses the table: it gets the generic step, which
+    # calls the swap at each of its four stages.  So does a wrapped
+    # figure-eight leader field.
+    for drift, fields, n, step in FUSED:
         x = [0.4, -1.2, 0.9, 2.0][:n]
-        u = [0.7, -1.3][:len(fields)]
-        want = _outcome(stage, 12.5, x, u)
+        u0, uh, u1 = ([0.7, -1.3][:len(fields)], [-0.4, 2.1][:len(fields)],
+                      [1.9, 0.6][:len(fields)])
+        want = _outcome(step, 12.5, x, 0.0025, u0, uh, u1)
         for k in range(1 + len(fields)):
             calls = []
             funcs = [drift, *fields]
@@ -156,10 +177,10 @@ def test_swapped_function_takes_generic_path():
                 return f(*args)
 
             funcs[k] = swap
-            assert library._fused_stage(funcs[0], tuple(funcs[1:])) is None
-            generic = simulate_module._row_stage(funcs[0], tuple(funcs[1:]))
-            assert _outcome(generic, 12.5, x, u) == want
-            assert calls == [1]
+            generic = simulate_module._row_step(funcs[0], tuple(funcs[1:]))
+            assert generic.func is simulate_module._rk4_step
+            assert _outcome(generic, 12.5, x, 0.0025, u0, uh, u1) == want
+            assert calls == [1] * 4
 
 
 def _arrays(traj):
@@ -207,7 +228,8 @@ def test_array_returning_disc_matches_builtin_bitwise(monkeypatch):
     copy = library.register_system(dataclasses.replace(
         disc, name="rolling-disc-arrays", drift=arrays(disc.drift),
         control_fields=tuple(map(arrays, disc.control_fields))))
-    assert library._fused_stage(copy.drift, copy.control_fields) is None
+    assert simulate_module._row_step(copy.drift, copy.control_fields).func is (
+        simulate_module._rk4_step)
     bundle = builtin_scenario("rolling-disc")
     x0 = np.array(bundle.x0)
     got = simulate_pi_epsilon(copy, bundle.selection, bundle.gains, x0, bundle.sim)
