@@ -11,9 +11,12 @@ columns: a cos, a sin and one np.array, bitwise the generic construction.
 Every other registered system takes that construction, the definition:
 one model field per S1 column and one model bracket per S2 column, each
 bracket evaluating its own fields and Jacobians; no benchmark workload
-reaches it.  validate_selection certifies its probes with one SVD per stack
-of at most PROBE_CHUNK matrices; each steering solve keeps one SVD for its
-condition guard and one np.linalg.solve.
+reaches it.  validate_selection checks its probes in one pass and certifies
+them with one SVD per stack of at most PROBE_CHUNK matrices; each steering
+solve keeps one SVD for its condition guard and one LU solve.  Both are the
+LAPACK gufuncs that np.linalg.svd and np.linalg.solve call, called without
+those wrappers: the same routines, so the same bytes, but a failure comes
+back as NaN, never as LinAlgError, and the guards below test for it.
 """
 
 import math
@@ -21,6 +24,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _lapack_solve1
+from numpy.linalg._umath_linalg import svd as _lapack_svd
 
 from .errors import InvalidInputError, RankDegeneracyError, SelectionShapeError
 from .library import _fused_columns
@@ -189,30 +194,43 @@ def _ratio(smax, smin):
 def _conditioning(F):
     """_ratio of one matrix F, or an iterator of them for a (k, n1, n1) stack.
 
-    numpy's SVD makes the same LAPACK call on each matrix of a stack, so
-    each pair is bitwise that of the matrix alone.  The pairs are made one
-    at a time: a list of k would leave k tuples on the free list.
+    The singular values come from _lapack_svd, the gufunc np.linalg.svd
+    calls, so every pair is bitwise the wrapper's.  An SVD that does not
+    converge gives NaN singular values, so a NaN pair, where the wrapper
+    raised LinAlgError; callers hold np.errstate(all="ignore") so that its
+    floating-point flag stays silent.  The gufunc makes the same LAPACK
+    call on each matrix of a stack, so each pair is bitwise that of the
+    matrix alone.  The pairs are made one at a time: a list of k would
+    leave k tuples on the free list.
     """
-    sv = np.linalg.svd(F, compute_uv=False)
+    sv = _lapack_svd(F, signature="d->d")
     if sv.ndim == 1:
         return _ratio(sv[0], sv[-1])
     return map(_ratio, sv[:, 0].tolist(), sv[:, -1].tolist())
 
 
 def _solve_steering(F, rhs, cond_cap, x):
-    """Solve F a = rhs with a condition-number guard; never forms F^{-1}."""
-    cond, _ = _conditioning(F)
-    if cond > cond_cap:
-        raise RankDegeneracyError(
-            f"extension matrix condition number {cond:.3g} exceeds cap {cond_cap:.3g} "
-            f"at state {np.asarray(x).tolist()}",
-            state=np.array(x, dtype=float), condition=cond)
-    try:
-        return np.linalg.solve(F, rhs)
-    except np.linalg.LinAlgError as exc:  # cond_cap = inf lets a singular F pass
+    """Solve F a = rhs with a condition-number guard; never forms F^{-1}.
+
+    A NaN condition number (an SVD that did not converge) fails the guard.
+    A cond_cap of inf lets an exactly singular F reach _lapack_solve1, the
+    gufunc np.linalg.solve calls, whose LU then fails and fills a with NaN.
+    Either way the refusal is a RankDegeneracyError, and the one errstate
+    keeps both gufuncs' floating-point flags from warning.
+    """
+    with np.errstate(all="ignore"):
+        cond, _ = _conditioning(F)
+        if not cond <= cond_cap:
+            raise RankDegeneracyError(
+                f"extension matrix condition number {cond:.3g} exceeds cap {cond_cap:.3g} "
+                f"at state {np.asarray(x).tolist()}",
+                state=np.array(x, dtype=float), condition=cond)
+        a = _lapack_solve1(F, rhs, signature="dd->d")
+    if any(map(math.isnan, a.tolist())):
         raise RankDegeneracyError(
             f"extension matrix is singular at state {np.asarray(x).tolist()}",
-            state=np.array(x, dtype=float), condition=cond) from exc
+            state=np.array(x, dtype=float), condition=cond)
+    return a
 
 
 def _steer(sys, sel, x, r, gamma, cond_cap):
@@ -312,14 +330,34 @@ def control_value(sys, sel, gains, t, x_hold):
     return held_control(sel, gains.epsilon, sys.m, a, t)
 
 
+def _probe_array(probes, n):
+    """probes as one (len(probes), n) finite float64 array, or None.
+
+    One np.asarray and one shape and finiteness test stand for every
+    probe's as_state.  None, when any probe would fail it or the
+    conversion itself fails, sends the caller to its per-probe checks.
+    """
+    try:
+        arr = np.asarray(probes, dtype=float)
+    except Exception:  # the per-probe check raises it again, in its place
+        return None
+    if arr.shape != (len(probes), n) or not np.isfinite(arr).all():
+        return None
+    return arr
+
+
 def validate_selection(sys, sel, probes, gains):
     """Probe the rank condition over sample states and certify the result.
 
     Raises SelectionShapeError for structurally malformed selections;
     conditioning failures are reported in the certificate, not raised.
+    The probes are checked in one pass (_probe_array); if that fails, each
+    is checked by as_state just before its matrix, so a bad probe's error
+    and a field's error at an earlier probe keep the per-probe order.
     The probes' matrices fill one reused stack of at most PROBE_CHUNK
     matrices and PROBE_STACK_ENTRIES entries (but at least one matrix), and
-    each full stack, then the rest, takes one _conditioning call.
+    each full stack, then the rest, takes one _conditioning call.  A zero
+    or NaN (not converged) smallest singular value fails the rank.
     """
     check_selection(sys, sel)
     if len(probes) == 0:
@@ -327,17 +365,25 @@ def validate_selection(sys, sel, probes, gains):
     worst = 0.0
     alpha = 0.0
     ok = True
-    states = []
+    rows = _probe_array(probes, sys.n)
+    one_pass = rows is not None
+    if one_pass:
+        states = rows.tolist()
+    else:
+        rows, states = probes, []
     chunk = max(1, min(PROBE_CHUNK, PROBE_STACK_ENTRIES // (sys.n1 * sys.n1)))
     stack = np.empty((chunk, sys.n1, sys.n1))
     for start in range(0, len(probes), chunk):
-        block = probes[start:start + chunk]
+        block = rows[start:start + chunk]
         for k, x in enumerate(block):
-            x = as_state(x, sys.n)
-            states.append(tuple(x.tolist()))
+            if not one_pass:
+                x = as_state(x, sys.n)
+                states.append(x.tolist())
             stack[k] = _extension_matrix(sys, sel, x)
-        for cond, smin in _conditioning(stack[:len(block)]):
-            if smin == 0.0:
+        with np.errstate(all="ignore"):
+            pairs = _conditioning(stack[:len(block)])
+        for cond, smin in pairs:
+            if not smin > 0.0:
                 ok = False
                 worst = math.inf
                 alpha = math.inf
@@ -347,5 +393,5 @@ def validate_selection(sys, sel, probes, gains):
     if worst > gains.cond_cap:
         ok = False
     return RankCertificate(
-        sampled_states=tuple(states), worst_condition=worst,
+        sampled_states=tuple(map(tuple, states)), worst_condition=worst,
         rank_ok=ok, alpha_estimate=alpha, cond_cap=gains.cond_cap)

@@ -1,14 +1,16 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from bracket_steer import (ROLLING_DISC, UNICYCLE, BracketSelection, ControllerGains,
-                           FollowerAgent, InvalidInputError, PartitionedSystem,
+                           FollowerAgent, InvalidInputError, NonFiniteError, PartitionedSystem,
                            RankDegeneracyError, SelectionShapeError, builtin_scenario,
                            check_selection, control_value, extension_matrix,
                            follower_controller, follower_steering, held_control,
@@ -195,15 +197,58 @@ def test_cond_cap_is_configurable(pinch, pinch_sel):
 
 def test_infinite_cond_cap_reaches_singular_solve(pinch, pinch_sel):
     # cond_cap = inf is accepted, and cond = inf does not exceed it, so an
-    # exactly singular F reaches np.linalg.solve; its error stays typed.
+    # exactly singular F reaches the LU solve; its error stays typed, and
+    # the failed solve's floating-point flag raises no warning.
     gains = ControllerGains(epsilon=0.1, gamma=1.0, y_star=(0.0, 0.0), cond_cap=math.inf)
-    with pytest.raises(RankDegeneracyError,
-                       match=r"^extension matrix is singular at state \[0\.0, 1\.0\]$") as info:
-        steering_coefficients(pinch, pinch_sel, gains, np.array([0.0, 1.0]))
-    assert math.isinf(info.value.condition)
-    with pytest.raises(RankDegeneracyError,
-                       match=r"^extension matrix is singular at state \[0\.0, 0\.0\]$"):
-        synthesis._solve_steering(np.zeros((2, 2)), np.zeros(2), gains.cond_cap, np.zeros(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RankDegeneracyError,
+                           match=r"^extension matrix is singular at state \[0\.0, 1\.0\]$") as info:
+            steering_coefficients(pinch, pinch_sel, gains, np.array([0.0, 1.0]))
+        assert math.isinf(info.value.condition)
+        with pytest.raises(RankDegeneracyError,
+                           match=r"^extension matrix is singular at state \[0\.0, 0\.0\]$"):
+            synthesis._solve_steering(np.zeros((2, 2)), np.zeros(2), gains.cond_cap, np.zeros(2))
+
+
+def test_unconverged_svd_is_a_rank_failure(monkeypatch, disc, disc_sel, disc_gains):
+    # An SVD that does not converge gives NaN singular values.  The solve
+    # refuses it, even under an infinite cap, and the certificate fails
+    # rank with an infinite worst condition (max(worst, nan) would keep the
+    # worst so far and certify the probe); neither warns.
+    monkeypatch.setattr(synthesis, "_lapack_svd",
+                        lambda F, signature: np.full(np.shape(F)[:-1], math.nan))
+    x = np.array([2.0, 1.0, 0.0, 3.0])
+    F = synthesis.extension_matrix(disc, disc_sel, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cap in (1e6, math.inf):
+            with pytest.raises(RankDegeneracyError, match=r"^extension matrix condition number nan "):
+                synthesis._solve_steering(F, np.ones(2), cap, x)
+        with pytest.raises(RankDegeneracyError):
+            steering_coefficients(disc, disc_sel, disc_gains, x)
+        cert = validate_selection(disc, disc_sel, [x, x + 1.0], disc_gains)
+    assert not cert.rank_ok
+    assert math.isinf(cert.worst_condition) and math.isinf(cert.alpha_estimate)
+
+
+def test_direct_gufuncs_match_public_linalg_bitwise():
+    # synthesis calls the gufuncs behind np.linalg.svd(compute_uv=False)
+    # and np.linalg.solve directly.  They are private numpy names: a numpy
+    # whose module changes them, or their results, fails here.
+    assert synthesis._lapack_svd is _umath_linalg.svd
+    assert synthesis._lapack_solve1 is _umath_linalg.solve1
+    rng = np.random.default_rng(18)
+    for n in (2, 3, 8):
+        for shape in ((n, n), (synthesis.PROBE_CHUNK, n, n)):
+            F = rng.normal(size=shape)
+            want = np.linalg.svd(F, compute_uv=False)
+            assert _umath_linalg.svd(F, signature="d->d").tobytes() == want.tobytes()
+            b = rng.normal(size=shape[:-1])
+            got = _umath_linalg.solve1(F, b, signature="dd->d")
+            assert got.shape == b.shape
+            want = [np.linalg.solve(Fk, bk) for Fk, bk in zip(F.reshape(-1, n, n), b.reshape(-1, n))]
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 # --- control law ------------------------------------------------------------
@@ -428,7 +473,7 @@ def test_validate_selection_chunks_match_per_probe(monkeypatch, disc, disc_sel, 
     C = synthesis.PROBE_CHUNK
     assert C == 256
     rng = np.random.default_rng(15)
-    shapes = _counting(monkeypatch, np.linalg, "svd", lambda F, *_: np.shape(F))
+    shapes = _counting(monkeypatch, synthesis, "_lapack_svd", lambda F, *_: np.shape(F))
     for count in (1, C - 1, C, C + 1, 2 * C + 1):
         probes = list(rng.uniform(-3.0, 3.0, size=(count, 4)))
         want = _per_probe_certificate(disc, disc_sel, probes, disc_gains)
@@ -462,6 +507,60 @@ def test_validate_selection_chunks_match_per_probe(monkeypatch, disc, disc_sel, 
     cert = validate_selection(unit, unit_sel, probes, gains)
     assert shapes == [(64, n, n), (64, n, n), (2, n, n)]
     assert repr(cert) == repr(want)
+
+
+def _one_pass_cases():
+    rng = np.random.default_rng(18)
+    good = rng.uniform(-3.0, 3.0, size=(300, 4))
+    nan_row, inf_row = good.copy(), good.copy()
+    nan_row[260, 1] = math.nan
+    inf_row[3, 3] = -math.inf
+    return {
+        "float-array": (good, True),
+        "float-list": (list(good), True),
+        "int-lists": ([[1, 2, 3, 4], [0, 0, 0, 0], [-3, 1, 2, 0]], True),
+        "ragged": ([[0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], False),
+        "one-d": (np.zeros(4), False),
+        "wrong-dimension": (np.zeros((5, 3)), False),
+        "two-d-probe": ([[[1.0, 2.0, 3.0, 4.0]]], False),
+        "nan-probe": (nan_row, False),
+        "inf-probe": (list(inf_row), False),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_one_pass_cases()))
+def test_validate_selection_one_pass_matches_per_probe(monkeypatch, disc, disc_sel,
+                                                       disc_gains, case):
+    # Probes that pass one np.asarray and one shape and finiteness test skip
+    # as_state; any other input takes the per-probe checks, so the same
+    # error, or the same certificate to the bit, comes out either way.
+    probes, one_pass = _one_pass_cases()[case]
+    want = _raised(lambda: _per_probe_certificate(disc, disc_sel, probes, disc_gains))
+    checks = _counting(monkeypatch, synthesis, "as_state", lambda *_: 1)
+    got = _raised(lambda: validate_selection(disc, disc_sel, probes, disc_gains))
+    assert got == want
+    assert (not checks) == one_pass
+    if want is None:
+        cert = validate_selection(disc, disc_sel, probes, disc_gains)
+        assert repr(cert) == repr(_per_probe_certificate(disc, disc_sel, probes, disc_gains))
+    else:
+        assert got[0] is InvalidInputError
+
+
+def test_validate_selection_field_error_before_later_bad_probe(pinch, pinch_sel):
+    # A generic field that fails at the second probe wins over a NaN third
+    # probe, as in the per-probe loop; a NaN second probe wins over it.
+    def f2(x):
+        return np.array([0.0, x[0] if x[0] >= 0.0 else math.nan])
+
+    sys = dataclasses.replace(pinch, control_fields=(pinch.control_fields[0], f2))
+    gains = ControllerGains(epsilon=0.1, gamma=1.0, y_star=(0.0, 0.0))
+    field_first = [[1.0, 1.0], [-1.0, 1.0], [math.nan, 1.0]]
+    probe_first = [[1.0, 1.0], [math.nan, 1.0], [-1.0, 1.0]]
+    for probes, want in ((field_first, (NonFiniteError, "field 2 produced non-finite entries")),
+                         (probe_first, (InvalidInputError, "state contains non-finite entries"))):
+        assert _raised(lambda: validate_selection(sys, pinch_sel, probes, gains)) == want
+        assert _raised(lambda: _per_probe_certificate(sys, pinch_sel, probes, gains)) == want
 
 
 # --- the extension matrix against its per-bracket reference ------------------
