@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import library
 from .errors import InvalidInputError, NonFiniteError, RankDegeneracyError
 from .model import as_state
 from .simulate import (SampledTrajectory, SimConfig, _check_field_length, _check_field_lengths,
@@ -261,6 +262,36 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
     return _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build)
 
 
+def _leader_speeds(leader, dense_times, leader_states):
+    """||f(t, x_L(t))|| = sqrt(v . v) at each dense point, as an array.
+
+    The figure-eight leader, chosen by identity, takes one numpy pass over
+    the times (np.vecdot sums v . v as v.dot(v) does on a 3-vector); any
+    other field is called point by point.  A NaN speed raises
+    NonFiniteError naming the first such t, on either path.
+    """
+    if leader.dynamics is library._figure_eight:
+        with np.errstate(invalid="ignore"):
+            v = library._figure_eight_velocities(np.asarray(dense_times, dtype=float))
+        speeds = np.sqrt(np.vecdot(v, v))
+        nan = np.flatnonzero(np.isnan(speeds))
+        if nan.size:
+            raise _nan_speed(leader, dense_times[nan[0]])
+        return speeds
+    speeds = []
+    for t, xL in zip(dense_times, leader_states):
+        v = np.asarray(leader.dynamics(float(t), xL), float)
+        speed = math.sqrt(v.dot(v))
+        if math.isnan(speed):
+            raise _nan_speed(leader, t)
+        speeds.append(speed)
+    return np.array(speeds)
+
+
+def _nan_speed(leader, t):
+    return NonFiniteError(f"leader field {leader.name!r} returned NaN at t={float(t):.6g}")
+
+
 def gain_condition_report(leader, agents, rho, dense_times, leader_states):
     """Check gamma_l > sup_t ||f(t, x_L(t))|| / rho along a leader path.
 
@@ -269,13 +300,7 @@ def gain_condition_report(leader, agents, rho, dense_times, leader_states):
     """
     if not rho > 0:
         raise InvalidInputError(f"rho must be > 0, got {rho}")
-    sup = 0.0
-    for t, xL in zip(dense_times, leader_states):
-        v = np.asarray(leader.dynamics(float(t), xL), float)
-        speed = math.sqrt(v.dot(v))
-        if math.isnan(speed):
-            raise NonFiniteError(f"leader field {leader.name!r} returned NaN at t={float(t):.6g}")
-        sup = max(sup, speed)
+    sup = float(_leader_speeds(leader, dense_times, leader_states).max(initial=0.0))
     rows = []
     for idx, agent in enumerate(agents):
         rows.append(GainConditionRow(

@@ -3,6 +3,11 @@
 Scenario files refer to vector fields by name only; the fields themselves
 are code registered here (built-ins below, user fields via register_*).
 Keeping fields out of config files keeps every Jacobian analytic.
+
+The built-ins also carry fast paths that simulate and synthesis choose by
+the identity of their exact function objects: a whole-block RK4 kernel per
+built-in row (_BLOCK_STEPS) and fused extension-matrix columns
+(_FUSED_COLUMNS), each bitwise the generic computation it replaces.
 """
 
 import math
@@ -119,13 +124,26 @@ UNICYCLE = register_system(PartitionedSystem(
 # ---------------------------------------------------------------------------
 # leader fields
 
-def _figure_eight(t, xL):
-    c = math.cos(0.1 * t)
-    s = math.sin(0.1 * t)
+def _figure_eight_rates(c, s):
+    """The figure-eight leader's velocity from c = cos(0.1 t), s = sin(0.1 t),
+    on floats or on arrays of them (the constant -0.2 stays a scalar)."""
     c2 = c * c
     # Denominator 4 c^4 - 3 c^2 + 1 >= 7/16 for all t; no singularities.
     den = 4.0 * c2 * c2 - 3.0 * c2 + 1.0
-    return (0.2 * c, -0.2, -0.2 * s * (c2 + 0.5) / den)
+    return 0.2 * c, -0.2, -0.2 * s * (c2 + 0.5) / den
+
+
+def _figure_eight(t, xL):
+    return _figure_eight_rates(math.cos(0.1 * t), math.sin(0.1 * t))
+
+
+def _figure_eight_velocities(ts):
+    """_figure_eight at each of a 1-d array of times, as a (len(ts), 3) array:
+    bitwise the scalar field, since np.cos and np.sin match math's."""
+    wt = 0.1 * ts
+    v = np.empty((len(ts), 3))
+    v[:, 0], v[:, 1], v[:, 2] = _figure_eight_rates(np.cos(wt), np.sin(wt))
+    return v
 
 
 register_leader_field("figure-eight", _figure_eight)
@@ -142,85 +160,74 @@ def _identity_key(*funcs):
     return (*map(id, funcs),)
 
 
-def _heading_rates(theta, u):
-    """0 + ua f1 + ub f2 with (ua, ub) = u, for the disc's fields
-    f1 = (cos theta, sin theta, 0, 1) and f2 = (0, 0, 1, 0), in the generic
-    field sum's order; the unicycle's rates are the first three.
+# Whole-block RK4 kernels (x, h, ts, U) -> (n, p): a row's states after each
+# of n sub-steps of length h from x, given the block's times ts and control
+# table U as simulate tabulates them (each sub-step's start, midpoint and end
+# at rows 3i, 3i + 1 and 3i + 2, then the block's end).  Each repeats
+# simulate's generic _rk4_step on the generic stage in array form, so a
+# block whose states are all finite is bitwise n generic sub-steps; a
+# non-finite one is left to simulate's generic path.
 
-    Bitwise simulate's generic row stage on these fields: a term is added
-    only when its control is non-zero (cos and sin are not taken otherwise),
-    and the 0.0 + and * 0.0 / * 1.0 terms stay, for signed zeros and inf * 0.
-    """
-    ua, ub = u
-    o0 = o1 = o2 = o3 = 0.0
-    if ua != 0.0:
-        o0 = 0.0 + ua * math.cos(theta)
-        o1 = 0.0 + ua * math.sin(theta)
-        o2 = 0.0 + ua * 0.0
-        o3 = 0.0 + ua * 1.0
-    if ub != 0.0:
-        o0 = o0 + ub * 0.0
-        o1 = o1 + ub * 0.0
-        o2 = o2 + ub * 1.0
-        o3 = o3 + ub * 0.0
-    return o0, o1, o2, o3
+# Each sub-step's four RK4 stages read the table at its start, midpoint
+# (twice) and end.
+_RK4_STAGES = np.array([0, 1, 1, 2])
 
 
-# The fused RK4 sub-steps (t, x, h, u0, uh, u1) -> floats repeat simulate's
-# generic _rk4_step on the generic stage bit for bit, on scalar locals.  The
-# heading x3 is the only state entry the fields read, so it is the only
-# intermediate state formed.
-
-def _unicycle_step(t, x, h, u0, uh, u1):
-    x1, x2, x3 = x
-    hh = 0.5 * h
-    a1, a2, a3, _ = _heading_rates(x3, u0)
-    b1, b2, b3, _ = _heading_rates(x3 + hh * a3, uh)
-    c1, c2, c3, _ = _heading_rates(x3 + hh * b3, uh)
-    d1, d2, d3, _ = _heading_rates(x3 + h * c3, u1)
-    h6 = h / 6.0
-    return [x1 + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
-            x2 + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
-            x3 + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)]
+def _rk4_states(x, h, k):
+    """The (n + 1, p) states x_0 = x, x_{i+1} = x_i + h/6 (((k1 + 2 k2) + 2 k3)
+    + k4) from stage rates k of shape (n, 4, p): np.add.accumulate adds
+    strictly left to right, as the sub-steps do one after another."""
+    out = np.empty((len(k) + 1, len(x)))
+    out[0] = x
+    out[1:] = (h / 6.0) * (((k[:, 0] + 2.0 * k[:, 1]) + 2.0 * k[:, 2]) + k[:, 3])
+    return np.add.accumulate(out, out=out)
 
 
-def _disc_step(t, x, h, u0, uh, u1):
-    x1, x2, x3, x4 = x
-    hh = 0.5 * h
-    a1, a2, a3, a4 = _heading_rates(x3, u0)
-    b1, b2, b3, b4 = _heading_rates(x3 + hh * a3, uh)
-    c1, c2, c3, c4 = _heading_rates(x3 + hh * b3, uh)
-    d1, d2, d3, d4 = _heading_rates(x3 + h * c3, u1)
-    h6 = h / 6.0
-    return [x1 + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
-            x2 + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
-            x3 + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
-            x4 + h6 * (((a4 + 2.0 * b4) + 2.0 * c4) + d4)]
+def _heading_block(x, h, ts, U):
+    """The unicycle's (p = 3) or the disc's (p = 4) block.  Their stage is
+    0 + ua f1 + ub f2 with f1 = (cos x3, sin x3, 0, 1), f2 = (0, 0, 1, 0).
+    For finite controls and heading the generic sum (a term only for a
+    non-zero control, the * 0.0 and * 1.0 terms kept) reduces to
+    (0.0 + ua cos x3, 0.0 + ua sin x3, 0.0 + ub, 0.0 + ua) bit for bit, signed
+    zeros included; a non-finite control or heading makes the block
+    non-finite.  The heading rate is ub alone, so every stage heading is
+    known once the headings are accumulated, and one np.cos and one np.sin
+    take all four stages of every sub-step."""
+    n = len(ts) // 3
+    u = U[:3 * n].reshape(n, 3, 2)[:, _RK4_STAGES]
+    ua = u[..., 0]
+    w = 0.0 + u[..., 1]
+    heading = _rk4_states(x[2:3], h, w[..., None])[:-1]  # at each sub-step's start
+    # The stage headings x3, x3 + (h/2) k1, x3 + (h/2) k2 and x3 + h k3.
+    theta = np.empty((n, 4))
+    theta[:, :1] = heading
+    theta[:, 1:] = heading + np.array([0.5 * h, 0.5 * h, h]) * w[:, :3]
+    k = np.empty((n, 4, len(x)))
+    k[..., 0] = 0.0 + ua * np.cos(theta)
+    k[..., 1] = 0.0 + ua * np.sin(theta)
+    k[..., 2] = w
+    if len(x) == 4:
+        k[..., 3] = 0.0 + ua
+    return _rk4_states(x, h, k)[1:]
 
 
-def _figure_eight_step(t, x, h, u0, uh, u1):
-    """The uncontrolled leader row.  The field ignores x, so the two midpoint
-    stages are one evaluation: k2 = k3 bit for bit."""
-    x1, x2, x3 = x
-    hh = 0.5 * h
-    a1, a2, a3 = _figure_eight(t, x)
-    b1, b2, b3 = _figure_eight(t + hh, x)
-    d1, d2, d3 = _figure_eight(t + h, x)
-    h6 = h / 6.0
-    return [x1 + h6 * (((a1 + 2.0 * b1) + 2.0 * b1) + d1),
-            x2 + h6 * (((a2 + 2.0 * b2) + 2.0 * b2) + d2),
-            x3 + h6 * (((a3 + 2.0 * b3) + 2.0 * b3) + d3)]
+def _figure_eight_block(x, h, ts, U):
+    """The uncontrolled leader's block: the field ignores x, so its stages
+    are the field at each sub-step's start, midpoint (twice) and end."""
+    n = len(ts) // 3
+    v = _figure_eight_velocities(ts[:3 * n]).reshape(n, 3, 3)
+    return _rk4_states(x, h, v[:, _RK4_STAGES])[1:]
 
 
-# Fused row steps, keyed by (drift, *control_fields): the built-ins share
+# Block kernels, keyed by (drift, *control_fields): the built-ins share
 # their drift, so their own f1 and f2 keep the keys distinct.  Every other
 # system or leader field (the stationary one too), and a copy with any
 # function swapped, misses and takes simulate's generic step.
-_FUSED_STEPS = {
-    _identity_key(*funcs): step for funcs, step in (
-        ((ROLLING_DISC.drift, *ROLLING_DISC.control_fields), _disc_step),
-        ((UNICYCLE.drift, *UNICYCLE.control_fields), _unicycle_step),
-        ((_figure_eight,), _figure_eight_step))
+_BLOCK_STEPS = {
+    _identity_key(*funcs): block for funcs, block in (
+        ((ROLLING_DISC.drift, *ROLLING_DISC.control_fields), _heading_block),
+        ((UNICYCLE.drift, *UNICYCLE.control_fields), _heading_block),
+        ((_figure_eight,), _figure_eight_block))
 }
 
 

@@ -20,10 +20,14 @@ stage (t, x, u) -> f0(t, x) + sum_k u_k f_k(x) (_row_stage).  Fields receive
 their row as a 1-d float64 ndarray and may return any sequence of numbers,
 each entry taken as a float64.  Rows of the built-in unicycle and rolling
 disc, and the figure-eight leader, skip that contract: their exact function
-objects select a fused sub-step in library (_row_step), which works on
-scalar floats and repeats the generic step's operations bit for bit.  Every
-other system or leader field, and a copy with any function swapped, takes
-the generic step.
+objects select a block kernel in library (_row_integrators), which
+advances the row over a whole table block in one numpy pass and repeats
+the generic sub-steps' operations bit for bit.  When every row of a run has
+one, each block is one kernel call per row, one vector guard and one
+strided record append; a block that is not finite and well inside the
+guard's cap is redone by the generic sub-steps, so a failure is raised as
+they raise it.  Every other system or leader field, and a copy with any
+function swapped, puts the whole run on the generic sub-steps.
 """
 
 import math
@@ -117,7 +121,8 @@ class DecayReport:
     below rho for the rest of the horizon (inf when that never happens);
     (zeta_fit, lambda_fit) are the least-squares fit of
     error ~ zeta * exp(-lambda t) over samples with error > rho, defined
-    only when at least three samples qualify.
+    only when at least three samples qualify and the fit is numerically
+    defined (None otherwise).
     """
 
     rho: float
@@ -202,6 +207,16 @@ class _Recorder:
             self.controls.extend(tab[e])
         self.intervals.append(j)
 
+    def record_block(self, ts, states, j, tables, subs):
+        """record() at the end of each listed sub-step (1-based, an int
+        array) of a table block, from its times and tables and its stacked
+        states (n, width) after each sub-step."""
+        ends = 3 * subs
+        self.times.frombytes(ts[ends].tobytes())
+        self.states.frombytes(states[subs - 1].tobytes())
+        self.controls.frombytes(np.concatenate([tab[ends] for tab in tables], axis=1).tobytes())
+        self.intervals.extend([j] * len(subs))
+
     def sample(self, t, xs):
         self.sample_times.append(t)
         for x in xs:
@@ -213,10 +228,11 @@ class _Recorder:
 
 def _guard_state(x, t, what):
     # row.dot(row) is the sum np.linalg.norm takes the root of; NaN and inf
-    # fail the comparison.
+    # fail the comparison, and an overflow to inf is a failure, not a warning.
     row = np.array(x, dtype=float)
-    if row.dot(row) <= DIVERGENCE_SQNORM_CAP:
-        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        if row.dot(row) <= DIVERGENCE_SQNORM_CAP:
+            return
     raise DivergenceError(
         f"{what} diverged at t={t:.6g} (non-finite or norm > {DIVERGENCE_NORM_CAP:g})",
         t=t, state=row)
@@ -263,16 +279,34 @@ def _row_stage(drift, fields):
     return stage
 
 
-def _row_step(drift, fields):
-    """A row's RK4 sub-step (t, x, h, u0, uh, u1) -> floats.
+def _row_integrators(rows):
+    """The one lookup of a run's integrators: each row's generic RK4 sub-step
+    (t, x, h, u0, uh, u1) -> floats (_rk4_step on _row_stage), and each row's
+    whole-block kernel in library when every row has one, else None.
 
     Exactly the built-in unicycle's, rolling disc's and figure-eight
-    leader's functions select their fused step in library, which repeats
-    _rk4_step on _row_stage bit for bit; any other functions take that
-    generic step.
+    leader's functions select a block kernel; any other functions, in any
+    row, leave the whole run on the generic sub-steps.
     """
-    step = library._FUSED_STEPS.get(library._identity_key(drift, *fields))
-    return step or partial(_rk4_step, _row_stage(drift, fields))
+    steps = [partial(_rk4_step, _row_stage(drift, fields)) for _, drift, fields in rows]
+    blocks = [library._BLOCK_STEPS.get(library._identity_key(drift, *fields))
+              for _, drift, fields in rows]
+    return steps, (blocks if all(blocks) else None)
+
+
+def _advance_block(blocks, xs, h, ts, tables):
+    """The stacked states (n, width) after each of a table block's n
+    sub-steps, from each row's block kernel, or None unless every entry is
+    finite and max |v| * sqrt(width) < _GUARD_PASS_NORM.  That bounds every
+    sub-step's stacked norm well inside the cap, so no row would fail its
+    exact guard; a block that fails the test is redone by the generic
+    sub-steps, so any failure is raised as the generic path raises it."""
+    with np.errstate(all="ignore"):
+        states = np.concatenate([block(x, h, ts, tab)
+                                 for block, x, tab in zip(blocks, xs, tables)], axis=1)
+        if np.abs(states).max() * math.sqrt(states.shape[1]) < _GUARD_PASS_NORM:
+            return states
+    return None
 
 
 def _plan_run(cfg, gains, kappa_max, n_rows):
@@ -298,19 +332,22 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
     table of u at each (synthesis.frozen_control).  It is evaluated once
     per interval (per TABLE_SUBSTEPS sub-steps of a longer one) at every
     time the interval uses: each sub-step's start tau_j + (i - 1) h,
-    midpoint and end, and the interval's end.  Each row's RK4 sub-step is
-    looked up once per run (_row_step: a built-in's fused step, or
-    _rk4_step on the stage drift + sum_k u_k fields[k]).  Over
+    midpoint and end, and the interval's end.  Each row's integrators are
+    looked up once per run (_row_integrators: _rk4_step on the stage
+    drift + sum_k u_k fields[k], and the built-ins' block kernels).  Over
     [tau_j, tau_j + epsilon) each row advances by its own sub-step, nsub
     per interval, taking u at the sub-step's start, midpoint and end from
     its table, while the time argument runs on; one RuntimeWarning per run
     says when nsub gives kappa_max fewer than 20 sub-steps.  A final
-    partial interval ends exactly at t_final.  After every sub-step one norm
-    test of the stacked state passes every row; only when it fails is each
-    row guarded, under its name, by the exact _guard_state (_guard_rows).
-    A dense point (t, rows, interval, each row's held control at t) is
-    recorded at t = 0, every cfg.record_stride sub-steps and at the end of
-    the horizon.  Returns build(recorder); a DivergenceError or
+    partial interval ends exactly at t_final.  When every row has a block
+    kernel, each table block is advanced whole (_advance_block) and its
+    due dense points appended at once; otherwise, or when the block's
+    vector guard fails, sub-step by sub-step: after every sub-step one
+    norm test of the stacked state passes every row; only when it fails is
+    each row guarded, under its name, by the exact _guard_state
+    (_guard_rows).  A dense point (t, rows, interval, each row's held
+    control at t) is recorded at t = 0, every cfg.record_stride sub-steps
+    and at the end of the horizon.  Returns build(recorder); a DivergenceError or
     RankDegeneracyError leaves with build(recorder) of the run so far
     attached as .partial.
     """
@@ -324,14 +361,15 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
     total_substeps = n_intervals * nsub
     stride = cfg.record_stride
     names = [name for name, _, _ in rows]
-    steps = [_row_step(drift, fields) for _, drift, fields in rows]
+    p = x0.shape[1]
+    steps, blocks = _row_integrators(rows)
 
     def tabulate(held, j, lo):
         """Interval j's sub-step length, the times its sub-steps lo + 1 .. hi
-        use, as floats, and each row's held control at each: every sub-step's
-        start base_t + (i - 1) h, midpoint and end, then the block's end (the
-        next sub-step's start, or the interval's end).  Past the last
-        interval, its start alone, for the final record."""
+        use, and each row's held control at each, as arrays: every
+        sub-step's start base_t + (i - 1) h, midpoint and end, then the
+        block's end (the next sub-step's start, or the interval's end).
+        Past the last interval, its start alone, for the final record."""
         base_t = j * eps
         if j == n_intervals:
             h, times = 0.0, np.array([base_t])
@@ -349,7 +387,7 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
             # sub-steps, to match the sampling clock exactly.
             times[n] = (base_t + hi * h if hi < nsub
                         else t_final if is_tail else (j + 1) * eps)
-        return h, times.tolist(), [control(times).tolist() for control in held]
+        return h, times, [control(times) for control in held]
 
     rec = _Recorder(build)
     xs = x0.tolist()
@@ -364,23 +402,37 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
                 if lo:
                     h, ts, tables = tabulate(held, j, lo)
                 end = len(ts) - 1  # the block's end in its tables
-                resamples = j < n_int and lo + TABLE_SUBSTEPS >= nsub
-                for c in range(0, end, 3):  # a sub-step's start in the tables
-                    xs = [step(ts[c], x, h, tab[c], tab[c + 1], tab[c + 2])
-                          for step, x, tab in zip(steps, xs, tables)]
-                    g += 1
-                    e = c + 3  # its end
-                    t = ts[e]
-                    _guard_rows(xs, t, names)
-                    k = j
-                    if e == end and resamples:
-                        # Sampling instant tau_{j+1}: resample the held controls.
-                        rec.sample(t, xs)
-                        held = steer(xs)
-                        h, ts, tables = tabulate(held, j + 1, 0)
-                        k, e = j + 1, 0
-                    if g % stride == 0 or g == total_substeps:
-                        rec.record(t, xs, k, tables, e)
+                states = blocks and _advance_block(blocks, xs, h, ts, tables)
+                if states is None:
+                    # One generic sub-step per row at a time, guarded and
+                    # recorded after each; the block's end is done below.
+                    tl = ts.tolist()
+                    tabs = [tab.tolist() for tab in tables]
+                    for c in range(0, end, 3):  # a sub-step's start in the tables
+                        xs = [step(tl[c], x, h, tab[c], tab[c + 1], tab[c + 2])
+                              for step, x, tab in zip(steps, xs, tabs)]
+                        g += 1
+                        _guard_rows(xs, tl[c + 3], names)
+                        if c + 3 < end and g % stride == 0:
+                            rec.record(tl[c + 3], xs, j, tabs, c + 3)
+                else:
+                    # The block's sub-steps before its end that are due,
+                    # in one append.
+                    rec.record_block(ts, states, j, tables,
+                                     np.arange(stride - g % stride, end // 3, stride))
+                    g += end // 3
+                    last = states[-1].tolist()
+                    xs = [last[r:r + p] for r in range(0, len(last), p)]
+                t = float(ts[end])
+                k, e = j, end
+                if j < n_int and lo + TABLE_SUBSTEPS >= nsub:
+                    # Sampling instant tau_{j+1}: resample the held controls.
+                    rec.sample(t, xs)
+                    held = steer(xs)
+                    h, ts, tables = tabulate(held, j + 1, 0)
+                    k, e = j + 1, 0
+                if g % stride == 0 or g == total_substeps:
+                    rec.record(t, xs, k, tables, e)
     except (DivergenceError, RankDegeneracyError) as exc:
         exc.partial = rec.build()
         raise
@@ -457,9 +509,17 @@ def decay_report(traj, gains, rho):
     zeta_fit = None
     above = errs > rho
     if int(above.sum()) >= 3:
-        slope, intercept = np.polyfit(times[above], np.log(errs[above]), 1)
-        lambda_fit = float(-slope)
-        zeta_fit = float(math.exp(intercept))
+        x = times[above]
+        # polyfit scales the times' column by sqrt(sum x^2): where that is 0
+        # or inf (times near 1e-300 or 1e300), or log(err) is not finite, its
+        # least squares would see NaN, so the fit is left undefined.
+        with np.errstate(all="ignore"):
+            y = np.log(errs[above])
+            scale = math.sqrt((x * x).sum())
+        if 0.0 < scale < math.inf and np.isfinite(y).all():
+            slope, intercept = np.polyfit(x, y, 1)
+            lambda_fit = float(-slope)
+            zeta_fit = float(math.exp(intercept))
 
     monotone = float(np.mean(errs[1:] <= errs[:-1]))
     return DecayReport(rho=float(rho), t1=t1, lambda_fit=lambda_fit,

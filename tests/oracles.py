@@ -145,8 +145,10 @@ def extension_matrix_reference(sys, sel, x):
 
 
 def guard_accepts_reference(x, cap=1e9):
-    """The divergence guard's test before it compared squared norms."""
-    return bool(np.all(np.isfinite(x)) and np.linalg.norm(x) <= cap)
+    """The divergence guard's test before it compared squared norms; a norm
+    that overflows to inf fails it."""
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.isfinite(x)) and np.linalg.norm(x) <= cap)
 
 
 def antisym_iterated_integral(u1, u2, eps, n=1 << 15):

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,34 +330,44 @@ def _no_integration(*args):
 
 
 def test_runs_reach_the_patched_integrator(tmp_path, monkeypatch):
-    # The refused-run tests below patch simulate._row_step, the lookup of
-    # every row's RK4 sub-step, fused or generic; an accepted run takes each
-    # row's step from it and calls that once per interval, sub-step and row,
-    # so they patch the integrator every run goes through.
+    # The refused-run tests below patch simulate._row_integrators, the one
+    # lookup of every row's integrators: each row's generic sub-step and,
+    # for the built-ins, its block kernel.  An accepted run takes them from
+    # it and advances every interval, sub-step and row through them; the
+    # built-ins' blocks take every sub-step, none falling back.
     from bracket_steer import simulate
 
-    calls = []
-    row_step = simulate._row_step
+    generic, blocked = [], []
+    row_integrators = simulate._row_integrators
 
-    def counted(drift, fields):
-        step = row_step(drift, fields)
+    def counted(rows):
+        steps, blocks = row_integrators(rows)
 
-        def wrapped(*args):
-            calls.append(1)
-            return step(*args)
+        def step(real):
+            def wrapped(*args):
+                generic.append(1)
+                return real(*args)
+            return wrapped
 
-        return wrapped
+        def block(real):
+            def wrapped(x, h, ts, U):
+                blocked.append(len(ts) // 3)
+                return real(x, h, ts, U)
+            return wrapped
 
-    monkeypatch.setattr(simulate, "_row_step", counted)
+        return list(map(step, steps)), blocks and list(map(block, blocks))
+
+    monkeypatch.setattr(simulate, "_row_integrators", counted)
     # rolling-disc: 2 intervals (epsilon = 1) x 40 sub-steps x 1 row;
     # unicycle-leader: 2 intervals and a tail (epsilon = 0.1) x 40 x 2 rows.
     for args, want in ((["run", "rolling-disc", "--t-final", "2"], 2 * 40 * 1),
                        (["run", "unicycle-leader", "--t-final", "0.25"], 3 * 40 * 2),
                        (["sweep", "rolling-disc", "--t-final", "2", "--epsilon", "1,0.5"],
                         (2 + 4) * 40 * 1)):
-        calls.clear()
+        generic.clear()
+        blocked.clear()
         assert main(args + ["--out", str(tmp_path / "x.csv")]) == 0
-        assert len(calls) == want, args
+        assert (len(generic), sum(blocked)) == (0, want), args
 
 
 def test_overflowing_grid_exit_2(tmp_path, capsys, monkeypatch):
@@ -363,7 +375,7 @@ def test_overflowing_grid_exit_2(tmp_path, capsys, monkeypatch):
     # default horizon's 1 / (gamma * epsilon), overflow to inf.  The sweep
     # is refused before its first entry (epsilon = 0.5) runs.
     from bracket_steer import builtin_scenario, scenario_to_dict, simulate
-    monkeypatch.setattr(simulate, "_row_step", _no_integration)
+    monkeypatch.setattr(simulate, "_row_integrators", _no_integration)
     d = scenario_to_dict(builtin_scenario("rolling-disc"))
     d["sim"]["t_final"] = None
     path = tmp_path / "default-horizon.json"
@@ -399,7 +411,7 @@ def test_over_budget_run_exit_2_without_integrating(tmp_path, capsys, monkeypatc
     path.write_text(json.dumps(d))
     assert main(["validate", str(path)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(simulate, "_row_step", _no_integration)
+    monkeypatch.setattr(simulate, "_row_integrators", _no_integration)
     for args in (["run", str(path)], ["sweep", str(path), "--epsilon", "1,0.5"],
                  ["sweep", "rolling-disc", "--t-final", "10", "--epsilon", "0.5,1e-7"],
                  ["sweep", "rolling-disc", "--t-final", "1000", "--epsilon", "0.008,0.005"]):
@@ -414,7 +426,7 @@ def test_bad_rho_exit_2(tmp_path, capsys, monkeypatch):
     # rho, from --rho or the scenario's expected.rho, must be finite and
     # > 0; run and validate refuse it before anything is integrated.
     from bracket_steer import builtin_scenario, scenario_to_dict, simulate
-    monkeypatch.setattr(simulate, "_row_step", _no_integration)
+    monkeypatch.setattr(simulate, "_row_integrators", _no_integration)
     out = tmp_path / "x.csv"
     for name in ("rolling-disc", "unicycle-leader"):
         d = scenario_to_dict(builtin_scenario(name))
@@ -493,6 +505,30 @@ def test_divergence_exit_3(tmp_path, capsys):
     assert "error:DivergenceError" in capsys.readouterr().err
 
 
+def test_divergence_stderr_is_the_error_line(tmp_path):
+    # gamma = 1e300 overflows the guard's squared norm: the run exits 3
+    # with the one error line on stderr, no numpy warning before it.
+    proc = _cli_process("run", "rolling-disc", "--gamma", "1e300", "--t-final", "2",
+                        "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "error:DivergenceError:state diverged at t=0.025 (non-finite or norm > 1e+09)"]
+
+
+@pytest.mark.parametrize("name", ["unicycle-leader", "rolling-disc"])
+def test_undefined_decay_fit_exit_0(tmp_path, name):
+    # Sampling instants near 1e-300 square to 0 in polyfit's column scale;
+    # the fit is reported as undefined, with no LAPACK message, traceback
+    # or warning.
+    out = tmp_path / "x.csv"
+    proc = _cli_process("run", name, "--epsilon", "1e-300", "--t-final", "1e-299",
+                        "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads((tmp_path / "x.report.json").read_text())["decay_report"]
+    assert (report["lambda_fit"], report["zeta_fit"]) == (None, None)
+    assert "lambda_fit=n/a" in proc.stdout
+
+
 def test_unwritable_output_exit_4(capsys):
     rc = main(["run", "rolling-disc", "--t-final", "2",
                "--out", "/nonexistent-dir/deep/out.csv"])
@@ -509,9 +545,18 @@ def test_log_env_does_not_change_output(tmp_path, monkeypatch):
     assert quiet.read_bytes() == loud.read_bytes()
 
 
+def _cli_process(*args):
+    """The CLI in a fresh interpreter, importing the package from this
+    checkout's src/ whatever PYTHONPATH the test run was given."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "bracket_steer.cli", *args],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
 def test_console_script_smoke():
-    proc = subprocess.run([sys.executable, "-m", "bracket_steer.cli", "list"],
-                          capture_output=True, text=True, timeout=60)
+    proc = _cli_process("list")
     assert proc.returncode == 0
     assert "rolling-disc" in proc.stdout
     assert "unicycle-leader" in proc.stdout

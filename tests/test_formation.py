@@ -11,6 +11,7 @@ from bracket_steer import (ControllerGains, DivergenceError, FollowerAgent,
                            formation_error, gain_condition_report, leader_field,
                            simulate_formation, simulate_leader, simulate_pi_epsilon)
 from bracket_steer import builtin_scenario, library, simulate
+from bracket_steer import formation as formation_module
 
 from bracket_steer.simulate import DIVERGENCE_NORM_CAP, _guard_state
 
@@ -251,6 +252,31 @@ def test_gain_condition_refuses_a_nan_leader_speed(uni_agent, fig8_leader):
         assert str(info.value) == f"leader field 'nan-leader' returned NaN at t={first:.6g}"
 
 
+def test_figure_eight_speeds_match_the_loop_per_point(uni_agent, form_gains, fig8_leader):
+    # The figure-eight's speeds come from one numpy pass over the times.
+    # At each of the built-in run's 24 001 dense points the speed is, bit
+    # for bit, the point-by-point loop's sqrt(v.dot(v)) on the scalar field,
+    # which a wrapped field (no identity match) takes; so is the supremum.
+    times, states = simulate_leader(fig8_leader, form_gains, SimConfig(t_final=60.0))
+    assert times.size == 24_001
+    wrapped = dataclasses.replace(fig8_leader, dynamics=lambda t, x: fig8_leader.dynamics(t, x))
+    fast = formation_module._leader_speeds(fig8_leader, times, states)
+    loop = formation_module._leader_speeds(wrapped, times, states)
+    want = np.array([math.sqrt(v.dot(v)) for v in (
+        np.asarray(library._figure_eight(float(t), x), float) for t, x in zip(times, states))])
+    assert fast.tobytes() == loop.tobytes() == want.tobytes()
+    for leader in (fig8_leader, wrapped):
+        row, = gain_condition_report(leader, [uni_agent], 0.3, times, states)
+        assert row.sup_leader_speed == max(want)
+    # On the numpy pass too, a NaN speed (here at a NaN time) raises,
+    # naming the first such t.
+    times = times[:40].copy()
+    times[17:19] = math.nan
+    with pytest.raises(NonFiniteError) as info:
+        gain_condition_report(fig8_leader, [uni_agent], 0.3, times, states)
+    assert str(info.value) == "leader field 'figure-eight' returned NaN at t=nan"
+
+
 def test_leader_horizon_too_short(fig8_leader, form_gains):
     with pytest.raises(InvalidInputError, match="too short"):
         simulate_leader(fig8_leader, form_gains, SimConfig(t_final=1e-12))
@@ -383,8 +409,8 @@ def _guard_cases():
     return rows
 
 
-# The 1e300 row overflows the squared norm, as np.linalg.norm's does.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# The 1e300 row overflows the squared norm, as np.linalg.norm's does,
+# without a warning.
 def test_guard_state_matches_norm_test():
     for row in _guard_cases():
         for what in ("leader", "agent 1"):
@@ -434,7 +460,6 @@ def _guard_outcome(guard, xs, names):
     return None
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_guard_fast_path_matches_exact_guard(monkeypatch):
     # One hypot test of the stacked state passes or hands over to the exact
     # per-row guard; pass or fail, and the raised error's type, message

@@ -83,12 +83,10 @@ INF = math.inf
 # 0, -0, +-tiny, +-subnormal, +-large, +-inf and NaN of both signs.
 EDGE_CONTROLS = (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300,
                  INF, -INF, NAN, -NAN)
-# (drift, control fields, state dimension, fused step) of each table entry.
-FUSED = ((library.ROLLING_DISC.drift, library.ROLLING_DISC.control_fields, 4,
-          library._disc_step),
-         (library.UNICYCLE.drift, library.UNICYCLE.control_fields, 3,
-          library._unicycle_step),
-         (library._figure_eight, (), 3, library._figure_eight_step))
+# (drift, control fields, state dimension) of each row with a block kernel.
+BUILTIN_ROWS = ((library.ROLLING_DISC.drift, library.ROLLING_DISC.control_fields, 4),
+                (library.UNICYCLE.drift, library.UNICYCLE.control_fields, 3),
+                (library._figure_eight, (), 3))
 # Sub-step lengths: zero, the least subnormal and the built-ins' own size.
 EDGE_STEPS = (0.0, 5e-324, 0.0025)
 # The leader's times: every sign of zero, near 1e15 (where t + h/2 and
@@ -113,6 +111,9 @@ def _edge_states(n, seed=5):
         row = [fill[(i + j) % len(fill)] for j in range(n)]
         row[2] = heading
         states.append(row)
+    # Finite rows whose other entries are -0.0, which stays -0.0 only where
+    # every increment is -0.0 too.
+    states += [[-0.0, -0.0, heading, -0.0][:n] for heading in (-0.0, 0.0, math.pi, -1e9)]
     return states
 
 
@@ -137,37 +138,115 @@ def _edge_cases(fields):
     return cases
 
 
-def test_fused_steps_match_generic_step_bitwise(monkeypatch):
-    # Each table entry gives, bit for bit, the generic sub-step's output on
-    # the same functions (_rk4_step on the generic stage), or raises the
-    # same exception type (cos(inf)).
-    assert len(library._FUSED_STEPS) == len(FUSED)
-    seen = set()
-    for drift, fields, n, step in FUSED:
-        assert simulate_module._row_step(drift, fields) is step
-        with monkeypatch.context() as m:
-            m.setattr(library, "_FUSED_STEPS", {})
-            generic = simulate_module._row_step(drift, fields)
+def _block_table(cases, m):
+    """The times and control table simulate tabulates for consecutive
+    sub-steps (t, h, u0, uh, u1): each one's start, midpoint and end, then
+    the block's end."""
+    ts, table = [], []
+    for t, h, u0, uh, u1 in cases:
+        ts += [t, t + 0.5 * h, t + h]
+        table += [u0, uh, u1]
+    ts.append(ts[-1])
+    table.append(table[-1])
+    return np.array(ts), np.array(table, dtype=float).reshape(len(ts), m)
+
+
+def _block_states(block, x, h, cases, m):
+    with np.errstate(all="ignore"):
+        return block(x, h, *_block_table(cases, m))
+
+
+def test_block_kernels_match_generic_steps_bitwise():
+    # Each block kernel on one sub-step gives, bit for bit, the generic
+    # sub-step's output on the same functions (_rk4_step on the generic
+    # stage) whenever it is finite; where the generic step is non-finite or
+    # raises (cos(inf)), the block is non-finite, so the run falls back.
+    assert len(library._BLOCK_STEPS) == len(BUILTIN_ROWS)
+    for drift, fields, n in BUILTIN_ROWS:
+        (generic,), blocks = simulate_module._row_integrators([("row", drift, fields)])
         assert generic.func is simulate_module._rk4_step
+        block, = blocks
+        seen = set()
         for t, h, u0, uh, u1 in _edge_cases(fields):
             for x in _edge_states(n):
                 want = _outcome(generic, t, x, h, u0, uh, u1)
-                assert _outcome(step, t, x, h, u0, uh, u1) == want, (
-                    step.__name__, t, x, h, u0, uh, u1)
-                seen.add((step, want if isinstance(want, type) else bytes))
-    assert seen == {(step, kind) for *_, step in FUSED for kind in (bytes, ValueError)}
+                got = _block_states(block, x, h, [(t, h, u0, uh, u1)], len(fields))
+                assert got.shape == (1, n)
+                if np.isfinite(got).all():
+                    assert got.tobytes() == want, (block.__name__, t, x, h, u0, uh, u1)
+                    seen.add("equal")
+                else:
+                    assert isinstance(want, type) or not np.isfinite(
+                        np.frombuffer(want)).all(), (block.__name__, t, x, h, u0, uh, u1)
+                    seen.add("raised" if isinstance(want, type) else "non-finite")
+        assert seen == {"equal", "raised", "non-finite"}, block.__name__
+
+
+def test_block_kernels_chain_sub_steps_bitwise():
+    # A block of n sub-steps is n generic sub-steps one after another, bit
+    # for bit, for every finite edge state and control, signed zeros and
+    # subnormals included; from the first sub-step the generic chain leaves
+    # finite numbers on, the block's states are non-finite.
+    finite = [u for u in EDGE_CONTROLS if math.isfinite(u)]
+    for drift, fields, n in BUILTIN_ROWS:
+        (generic,), (block,) = simulate_module._row_integrators([("row", drift, fields)])
+        for h in EDGE_STEPS:
+            if fields:
+                us = [[a, b] for a in finite for b in finite]
+                cases = [(0.37 + i * h, h, us[i % len(us)], us[(3 * i + 1) % len(us)],
+                          us[(7 * i + 2) % len(us)]) for i in range(3 * len(us))]
+            else:
+                cases = [(t + i * h, h, [], [], []) for t in (0.37, 1e15, -5.2)
+                         for i in range(40)]
+            for x in _edge_states(n):
+                got = _block_states(block, x, h, cases, len(fields))
+                want, state = [], x
+                for t, _, u0, uh, u1 in cases:
+                    out = _outcome(generic, t, state, h, u0, uh, u1)
+                    if isinstance(out, type) or not np.isfinite(np.frombuffer(out)).all():
+                        break
+                    want.append(out)
+                    state = np.frombuffer(out).tolist()
+                assert [row.tobytes() for row in got[:len(want)]] == want, (block.__name__, h, x)
+                assert not np.isfinite(got[len(want):]).all(axis=1).any(), (block.__name__, h, x)
+
+
+def test_block_guard_passes_only_blocks_inside_the_cap():
+    # _advance_block keeps a block only when every entry is finite and
+    # max |v| * sqrt(width) is under the generic guard's pass norm, so every
+    # sub-step it keeps passes the exact per-row guard; any other block (a
+    # norm over the cap from entries each under it, NaN, inf, or merely
+    # near the cap) goes back to the generic sub-steps.
+    disc = library.ROLLING_DISC
+    blocks = [library._BLOCK_STEPS[library._identity_key(disc.drift, *disc.control_fields)]]
+    ts, table = np.zeros(4), np.zeros((4, 2))
+    cap = simulate_module.DIVERGENCE_NORM_CAP
+    kept = []
+    for x in ([0.45 * cap] * 4, [0.49 * cap, 0.0, -0.49 * cap, 0.0],
+              [0.8 * cap, 0.8 * cap, 0.0, 0.0], [0.0, 0.99 * cap, 0.0, 0.0],
+              [NAN, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -INF]):
+        states = simulate_module._advance_block(blocks, [x], 0.0, ts, [table])
+        assert (states is not None) == (
+            np.isfinite(x).all() and max(map(abs, x)) * 2.0 < simulate_module._GUARD_PASS_NORM), x
+        if states is not None:
+            assert states.tolist() == [x]
+            simulate_module._guard_rows([x], 0.0, ["state"])
+            kept.append(x)
+    assert len(kept) == 2
 
 
 def test_swapped_function_takes_generic_path():
     # A copy with any one of (drift, *control_fields) swapped, here for an
-    # equal function, misses the table: it gets the generic step, which
-    # calls the swap at each of its four stages.  So does a wrapped
+    # equal function, finds no block kernel: the run's rows get the generic
+    # step alone, which calls the swap at each of its four stages and gives
+    # the block kernel's sub-step bit for bit.  So does a wrapped
     # figure-eight leader field.
-    for drift, fields, n, step in FUSED:
+    for drift, fields, n in BUILTIN_ROWS:
         x = [0.4, -1.2, 0.9, 2.0][:n]
-        u0, uh, u1 = ([0.7, -1.3][:len(fields)], [-0.4, 2.1][:len(fields)],
-                      [1.9, 0.6][:len(fields)])
-        want = _outcome(step, 12.5, x, 0.0025, u0, uh, u1)
+        case = (12.5, 0.0025, [0.7, -1.3][:len(fields)], [-0.4, 2.1][:len(fields)],
+                [1.9, 0.6][:len(fields)])
+        _, (block,) = simulate_module._row_integrators([("row", drift, fields)])
+        want = _block_states(block, x, 0.0025, [case], len(fields))[0].tobytes()
         for k in range(1 + len(fields)):
             calls = []
             funcs = [drift, *fields]
@@ -177,9 +256,11 @@ def test_swapped_function_takes_generic_path():
                 return f(*args)
 
             funcs[k] = swap
-            generic = simulate_module._row_step(funcs[0], tuple(funcs[1:]))
-            assert generic.func is simulate_module._rk4_step
-            assert _outcome(generic, 12.5, x, 0.0025, u0, uh, u1) == want
+            rows = [("row", drift, fields), ("swapped", funcs[0], tuple(funcs[1:]))]
+            steps, blocks = simulate_module._row_integrators(rows)
+            assert blocks is None
+            assert steps[1].func is simulate_module._rk4_step
+            assert _outcome(steps[1], case[0], x, *case[1:]) == want
             assert calls == [1] * 4
 
 
@@ -211,6 +292,76 @@ def test_control_tables_in_blocks_match_whole_intervals(monkeypatch):
         assert runs() == want, block
 
 
+def _run_outcome(run):
+    """A run's every output array, or its error's type, message, t, state
+    and every array of its .partial (and .agent_index, when set)."""
+    def arrays(traj):
+        if hasattr(traj, "agent_trajs"):
+            return [traj.leader_states.tobytes(), *(a for agent in traj.agent_trajs
+                                                    for a in _arrays(agent))]
+        return _arrays(traj)
+
+    try:
+        return arrays(run())
+    except (DivergenceError, RankDegeneracyError) as exc:
+        state = getattr(exc, "state", None)
+        return (type(exc), str(exc), getattr(exc, "t", None),
+                None if state is None else np.asarray(state).tobytes(),
+                getattr(exc, "agent_index", None), arrays(exc.partial))
+
+
+def test_runs_match_the_generic_path_bitwise(monkeypatch):
+    # With the block-kernel table emptied every row takes the generic
+    # sub-steps: the reference.  Completed runs (a partial tail, a record
+    # stride), diverging runs (in the first sub-step, and mid-run after
+    # blocks that passed) and a RankDegeneracyError at a later sampling
+    # instant give the same arrays, or the same error, t, state and
+    # .partial, on both paths.
+    disc = builtin_scenario("rolling-disc")
+    uni = builtin_scenario("unicycle-leader")
+    x0 = np.array(disc.x0)
+
+    def single(gamma, t_final, stride=1):
+        gains = dataclasses.replace(disc.gains, gamma=gamma)
+        return lambda: simulate_pi_epsilon(disc.system, disc.selection, gains, x0,
+                                           SimConfig(t_final=t_final, record_stride=stride))
+
+    def formation(gamma, t_final, stride=1):
+        agents = [dataclasses.replace(agent, gamma=gamma) for agent in uni.agents] * 2
+        return lambda: simulate_formation(agents, uni.leader, uni.agent_x0s * 2, uni.gains,
+                                          SimConfig(t_final=t_final, record_stride=stride))
+
+    def failing(run, module, name, calls):
+        def patched():
+            real = getattr(module, name)
+            count = []
+
+            def steer(*args):
+                count.append(1)
+                if len(count) == calls:
+                    raise RankDegeneracyError("degenerate here", state=np.asarray(args[-1]))
+                return real(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(module, name, steer)
+                return run()
+        return patched
+
+    from bracket_steer import formation as formation_module
+    runs = [single(5.0, 7.5, 3), formation(10.0, 0.35, 3), single(1e300, 2.0),
+            formation(50.0, 2.0), formation(50.0, 2.0, 7),
+            failing(single(5.0, 7.0), simulate_module, "steering_coefficients", 4),
+            failing(formation(10.0, 1.0), formation_module, "follower_steering", 9)]
+    kinds = []
+    for run in runs:
+        got = _run_outcome(run)
+        with monkeypatch.context() as m:
+            m.setattr(library, "_BLOCK_STEPS", {})
+            assert _run_outcome(run) == got
+        kinds.append(got[0] if isinstance(got, tuple) else "done")
+    assert kinds == ["done", "done", *[DivergenceError] * 3, *[RankDegeneracyError] * 2]
+
+
 def test_array_returning_disc_matches_builtin_bitwise(monkeypatch):
     # A registered copy of the rolling disc whose functions return float64
     # arrays takes the generic sum; its runs and sweeps are bitwise the
@@ -228,8 +379,7 @@ def test_array_returning_disc_matches_builtin_bitwise(monkeypatch):
     copy = library.register_system(dataclasses.replace(
         disc, name="rolling-disc-arrays", drift=arrays(disc.drift),
         control_fields=tuple(map(arrays, disc.control_fields))))
-    assert simulate_module._row_step(copy.drift, copy.control_fields).func is (
-        simulate_module._rk4_step)
+    assert simulate_module._row_integrators([("state", copy.drift, copy.control_fields)])[1] is None
     bundle = builtin_scenario("rolling-disc")
     x0 = np.array(bundle.x0)
     got = simulate_pi_epsilon(copy, bundle.selection, bundle.gains, x0, bundle.sim)
