@@ -8,6 +8,7 @@ scenario's rank condition), list (show registered names).  Exit codes:
 
 import argparse
 import dataclasses
+import functools
 # Not used here: perfbench/tracer.py installs its timing shim as cli.json,
 # so the name must stay.
 import json  # noqa: F401
@@ -115,14 +116,123 @@ def _write_text(path, text):
     return path
 
 
+# CSV text is "%.17g" per value, written by numpy in blocks of rows.  A finite
+# v with 1e-4 <= |v| < 1e16 takes the fast path: with X = floor(log10|v|) and
+# k = 16 - X, 10^k is an exact double and Dekker's TwoProduct gives
+# |v| 10^k = hi + lo exactly; hi >= 1e16 > 2^53 is an integer, so the 17
+# significant digits are D = hi + rint(lo), rounded half to even as "%.17g"
+# rounds.  %g writes such a v in fixed notation, so each field is D's digits
+# gathered by a template chosen by (X, digits kept, sign), padded with NUL
+# bytes that are deleted at the end.  Every other value (zeros, |v| < 1e-4,
+# |v| >= 1e16, inf, NaN, an X estimate that missed, a D that rounds up to
+# 10^17) is formatted by "%" itself.
+_CSV_CHUNK_ROWS = 1024
+_FIELD = 25  # the widest text, "-2.2250738585072014e-308", and a separator
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for binary64
+# A value's 24 source bytes, as six 4-byte words: "," "\n" NUL d0, the digit
+# groups d1..d4 to d13..d16, then NUL "." "-" "0".  Written out with digit j
+# as the letter chr(97 + j), they are _SOURCE.
+_SOURCE = b",\n\0abcdefghijklmnopq\0.-0"
+
+
+@functools.cache
+def _csv_tables():
+    """The formatter's lookup tables, built by the first CSV written, so that
+    importing the CLI does not pay for them: 10^k and its Veltkamp halves,
+    the source words of each leading digit, of each 4-digit group and of the
+    tail, the digits each group keeps, and the field templates."""
+    pow10 = np.array([10.0 ** k for k in range(23)])  # each exact
+    pow10_hi = pow10 * _SPLIT - (pow10 * _SPLIT - pow10)
+    lead_words = np.array([_SOURCE[:3] + b"%d" % d for d in range(10)]).view(np.uint32)
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    # "0000" to "9999": every choice of four digits, in lexicographic order.
+    group_words = np.stack(np.broadcast_arrays(*np.ix_(*[digits] * 4)), axis=-1).view(np.uint32).ravel()
+    tail_word = np.frombuffer(_SOURCE[20:], dtype=np.uint32)
+    groups = np.arange(10000)
+    # D's digits d0.. through the last nonzero one of group i = 0..3, 0 for 0000.
+    trailing_zeros = sum(groups % m == 0 for m in (10, 100, 1000))
+    group_keep = [np.where(groups > 0, 4 * i + 5 - trailing_zeros, 0).astype(np.int8)
+                  for i in range(4)]
+    return (pow10, pow10_hi, pow10 - pow10_hi, lead_words, group_words, tail_word, group_keep,
+            _csv_templates())
+
+
+def _csv_templates():
+    """Source byte of each field byte, by ((X + 4) * 18 + digits kept) * 2 + sign.
+
+    Each template is written as the field's text with digit j as the letter
+    chr(97 + j), then translated to positions in _SOURCE."""
+    letters = _SOURCE[3:20].decode()
+    texts = []
+    for x in range(-4, 16):
+        for keep in range(18):
+            kept = letters[:max(keep, 1)]
+            if x < 0:
+                body = "0." + "0" * (-x - 1) + kept
+            elif keep > x + 1:
+                body = kept[:x + 1] + "." + kept[x + 1:]
+            else:
+                body = kept
+            texts += [body.ljust(_FIELD - 1, "\0") + ",", ("-" + body).ljust(_FIELD - 1, "\0") + ","]
+    to_source = bytes.maketrans(_SOURCE[:20] + _SOURCE[21:], bytes(range(20)) + bytes(range(21, 24)))
+    text = "".join(texts).encode().translate(to_source)
+    return np.frombuffer(text, dtype=np.uint8).reshape(-1, _FIELD).astype(np.intp)
+
+
+def _csv_rows(block):
+    """The CSV lines of a 2-d block, each value exactly as "%.17g" writes it."""
+    (pow10, pow10_hi, pow10_lo, lead_words, group_words, tail_word, group_keep,
+     templates) = _csv_tables()
+    rows, cols = block.shape
+    v = np.asarray(block, dtype=np.float64).reshape(-1)
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0
+    x = np.floor(np.log10(a)).astype(np.intp)
+    k = 16 - x
+    hi = a * pow10[k]
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    ph = pow10_hi[k]
+    pl = pow10_lo[k]
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # hi + lo in [1e16, 1e17) confirms X; D = 10^17 would carry into X + 1.
+    ok = fast & (hi >= 1e16) & ((hi > 1e16) | (lo >= 0.0)) & (d < 10 ** 17)
+    d[~ok] = 10 ** 16
+    x[~ok] = 0
+    q, r8 = np.divmod(d, 10 ** 8)
+    d0, r = np.divmod(q, 10 ** 8)
+    g1, g2 = np.divmod(r, 10 ** 4)
+    g3, g4 = np.divmod(r8, 10 ** 4)
+    words = np.empty((v.size, 6), dtype=np.uint32)
+    words[:, 0] = lead_words[d0]
+    for i, g in enumerate((g1, g2, g3, g4), 1):
+        words[:, i] = group_words[g]
+    words[:, 5] = tail_word
+    keep = np.maximum(np.maximum(group_keep[0][g1], group_keep[1][g2]),
+                      np.maximum(group_keep[2][g3], group_keep[3][g4]))
+    # %g strips trailing zeros after the point only: keep X + 1 digits at least.
+    keep = np.maximum(keep, x + 1)
+    src = templates[((x + 4) * 18 + keep) * 2 + np.signbit(v)]
+    src += np.arange(0, len(_SOURCE) * v.size, len(_SOURCE))[:, None]
+    out = np.take(words.view(np.uint8), src)
+    out.reshape(rows, cols, _FIELD)[:, -1, -1] = ord("\n")
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        text = np.array([_FMT % f for f in v[slow].tolist()], dtype=f"S{_FIELD - 1}")
+        out[slow, :-1] = text.view(np.uint8).reshape(-1, _FIELD - 1)
+    return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv_table(header, columns):
     """CSV text: the header, then one row per line of the column-stacked arrays."""
     table = np.column_stack(columns)
-    row_fmt = ",".join([_FMT] * table.shape[1])
-    lines = [",".join(header)]
-    lines += [row_fmt % tuple(row) for row in table.tolist()]
-    lines.append("")
-    return "\n".join(lines)
+    parts = [",".join(header), "\n"]
+    for start in range(0, len(table), _CSV_CHUNK_ROWS):
+        parts.append(_csv_rows(table[start:start + _CSV_CHUNK_ROWS]))
+    return "".join(parts)
 
 
 def _csv_single(traj, n, m):

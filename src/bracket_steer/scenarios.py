@@ -122,16 +122,14 @@ def _optional(mapping, key, default, where):
     return _object(mapping, where).get(key, default)
 
 
-def _coerce(convert, value, where, expected):
-    """convert(value), or ScenarioFormatError naming where the value sits."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioFormatError(f"{where} must be {expected}, got {value!r}") from None
-
-
 def _number(value, where):
-    return _coerce(float, value, where, "a number")
+    """value as a float: an int, a float or a numpy real, never a bool or a string."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ScenarioFormatError(f"{where} must be a number, got {value!r}")
 
 
 def _integer(value, where):

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _lapack_solve1
 from numpy.linalg._umath_linalg import svd as _lapack_svd
 
-from .errors import InvalidInputError, RankDegeneracyError, SelectionShapeError
+from .errors import InvalidInputError, NonFiniteError, RankDegeneracyError, SelectionShapeError
 from .library import _fused_columns
 from .model import _as_int, _bracket, _field, as_state
 # Not called here: perfbench/tracer.py wraps synthesis.lie_bracket by name.
@@ -263,7 +263,9 @@ def frozen_control(sel, epsilon, m, a):
                + delta_{k,i2} sign(a_{i1i2}) sin(2 pi kappa t / eps) ].
 
     The S1 part, each pair's amplitude and signed amplitude, and each
-    pair's rate 2 pi kappa depend only on a, so they are computed here once.
+    pair's rate 2 pi kappa depend only on a, so they are computed here once,
+    in Python float arithmetic; an amplitude that is not finite (a subnormal
+    epsilon overflows it) raises NonFiniteError naming epsilon.
     The returned table(ts) maps a 1-d float64 array of times to the
     (len(ts), m) float64 array of u at each: one numpy pass per pair, each
     element taking the scalar operations in the scalar order (fmod, /, *,
@@ -278,9 +280,13 @@ def frozen_control(sel, epsilon, m, a):
     off = len(sel.s1)
     pairs = []
     for p, (i1, i2) in enumerate(sel.s2):
-        ap = a[off + p]
-        kap = sel.kappa[p]
-        amp = 2.0 * math.sqrt(math.pi * kap * abs(ap) / epsilon)
+        ap = float(a[off + p])
+        kap = float(sel.kappa[p])
+        amp = 2.0 * math.sqrt(math.pi * kap * abs(ap) / float(epsilon))
+        if not math.isfinite(amp):
+            raise NonFiniteError(
+                f"control amplitude 2 sqrt(pi kappa |a| / epsilon) of S2 pair ({i1}, {i2}) "
+                f"is not finite at epsilon={float(epsilon)!r}")
         pairs.append((i1 - 1, i2 - 1, amp, _sign(ap) * amp, TWO_PI * kap))
 
     def table(ts):

@@ -151,6 +151,18 @@ def guard_accepts_reference(x, cap=1e9):
         return bool(np.all(np.isfinite(x)) and np.linalg.norm(x) <= cap)
 
 
+def csv_text_reference(header, columns):
+    """The package's CSV writer before it formatted in numpy: one "%.17g"
+    per value, row by row.  Kept verbatim as the bitwise reference for
+    cli._csv_table."""
+    table = np.column_stack(columns)
+    row_fmt = ",".join(["%.17g"] * table.shape[1])
+    lines = [",".join(header)]
+    lines += [row_fmt % tuple(row) for row in table.tolist()]
+    lines.append("")
+    return "\n".join(lines)
+
+
 def antisym_iterated_integral(u1, u2, eps, n=1 << 15):
     """(1/2) * [ II(u2, u1) - II(u1, u2) ] over one period [0, eps].
 

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bracket_steer import cli
 from bracket_steer.cli import main
+from oracles import csv_text_reference
 
 
 def _lines(path):
@@ -227,6 +230,70 @@ def test_json_and_sweep_golden_bytes(tmp_path, case):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _float_bits(bits):
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def _csv_value_families():
+    """Values on which a "%.17g" writer is easy to get wrong, by family."""
+    rng = np.random.default_rng(20)
+    # Every biased exponent (subnormals, inf and NaN included), both signs,
+    # random mantissas; then bit patterns drawn at random.
+    exponents = np.repeat(np.arange(2048, dtype=np.uint64), 8)
+    mantissas = rng.integers(0, 1 << 52, size=exponents.size, dtype=np.uint64)
+    signs = rng.integers(0, 2, size=exponents.size, dtype=np.uint64)
+    by_exponent = _float_bits((signs << np.uint64(63)) | (exponents << np.uint64(52)) | mantissas)
+    random_bits = _float_bits(rng.integers(0, 2**64 - 1, size=20000, dtype=np.uint64))
+    decades = []
+    for k in range(-7, 19):
+        for direction in (-math.inf, math.inf):
+            v = 10.0 ** k
+            for _ in range(4):
+                decades.append(v)
+                v = math.nextafter(v, direction)
+    # Exact ties at the 17th digit, which "%.17g" rounds half to even.
+    ties = [1 + 2**-17] + [1 + (2 * i + 1) * 2**-20 for i in range(64)] \
+        + [1 - (2 * i + 1) * 2**-20 for i in range(64)]
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+                1e-4, 1e16, 1e17, 0.1, 123456789012345.67]
+    return {
+        "every-exponent": by_exponent,
+        "random-bits": random_bits,
+        "decade-neighbours": np.array(decades),
+        "dyadic-ties": np.array(ties),
+        "specials": np.array(specials),
+    }
+
+
+_CSV_FAMILIES = _csv_value_families()
+
+
+@pytest.mark.parametrize("family", sorted(_CSV_FAMILIES))
+@pytest.mark.parametrize("cols", [1, 3])
+def test_csv_table_matches_percent_formatting(family, cols):
+    values = _CSV_FAMILIES[family]
+    values = np.concatenate([values, -values])
+    table = np.resize(values, (-(-values.size // cols), cols))
+    header = [f"c{i}" for i in range(cols)]
+    assert cli._csv_table(header, [table]) == csv_text_reference(header, [table])
+
+
+@pytest.mark.parametrize("rows", [0, 1, cli._CSV_CHUNK_ROWS - 1, cli._CSV_CHUNK_ROWS,
+                                  cli._CSV_CHUNK_ROWS + 1, 2 * cli._CSV_CHUNK_ROWS + 3])
+def test_csv_table_row_counts_around_the_chunk(rows):
+    pool = np.concatenate(list(_CSV_FAMILIES.values()))
+    columns = [np.resize(pool[i::3], rows) for i in range(3)]
+    assert cli._csv_table(["a", "b", "c"], columns) == csv_text_reference(["a", "b", "c"], columns)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 5))
+def test_csv_table_matches_percent_formatting_hypothesis(values, cols):
+    table = np.resize(np.array(values), (-(-len(values) // cols), cols))
+    header = [f"c{i}" for i in range(cols)]
+    assert cli._csv_table(header, [table]) == csv_text_reference(header, [table])
 
 
 def test_validate_prints_certificate(capsys):
@@ -513,6 +580,20 @@ def test_divergence_stderr_is_the_error_line(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == [
         "error:DivergenceError:state diverged at t=0.025 (non-finite or norm > 1e+09)"]
+
+
+@pytest.mark.parametrize("name", ["unicycle-leader", "rolling-disc"])
+def test_subnormal_epsilon_exit_3(tmp_path, capsys, name):
+    # A subnormal epsilon overflows the control amplitude: one typed error
+    # line naming epsilon and no output.  In process, a numpy warning from
+    # the package would fail the test (tier 1 makes it an error).
+    out = tmp_path / "x.csv"
+    assert main(["run", name, "--epsilon", "1e-310", "--t-final", "1e-309",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error:NonFiniteError:control amplitude 2 sqrt(pi kappa |a| / epsilon) of S2 pair "
+        "(1, 2) is not finite at epsilon=1e-310"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["unicycle-leader", "rolling-disc"])

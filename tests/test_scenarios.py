@@ -323,6 +323,29 @@ def _edited(name, path, value):
     return d
 
 
+# A number field's name in the loader's message, its path in the disc's
+# scenario dict, and how to read it back from the bundle.
+_NUMBER_FIELDS = {
+    "gains.gamma": (("gains", "gamma"), lambda b: b.gains.gamma),
+    "x0 entry": (("x0", 0), lambda b: b.x0[0]),
+    "expected.rho": (("expected", "rho"), lambda b: b.expected["rho"]),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_NUMBER_FIELDS))
+@pytest.mark.parametrize("value", ["5", "nan", True, False, np.True_, None, [5.0]])
+def test_number_fields_refuse_strings_and_bools(where, value):
+    # Only ints, floats and numpy reals are numbers: a string or a bool is
+    # refused instead of converted.
+    path, read = _NUMBER_FIELDS[where]
+    with pytest.raises(ScenarioFormatError) as info:
+        scenario_from_dict(_edited("rolling-disc", path, value))
+    assert str(info.value) == f"{where} must be a number, got {value!r}"
+    for ok in (5, 5.0, np.int64(5), np.float32(5.0)):
+        got = read(scenario_from_dict(_edited("rolling-disc", path, ok)))
+        assert type(got) is float and got == 5.0, (ok, got)
+
+
 # Each constructor's refusal, as the loader reports it, and each registry
 # refusal, pinned as exact (type, message) pairs.
 _EXACT_ERRORS = {
