@@ -7,6 +7,7 @@ block carrying the thresholds acceptance runs check against.  The built-ins
 are scenario files shipped in the package's data/ directory.
 """
 
+import functools
 import json
 import math
 from contextlib import contextmanager
@@ -294,36 +295,256 @@ def load_scenario(path):
 
 
 def json_text(doc):
-    """The text of every JSON document the package writes: json.dumps(doc, indent=2) + "\n".
+    """The text of every JSON document the package writes.
 
-    A float list, or a list of float lists, is one repr() laid out by
-    str.replace: json writes a finite float with float.__repr__, which
-    list.__repr__ calls too.  Everything else goes to json.dumps itself.
+    json.dumps(doc, indent=2) + "\n", with each 1-d or 2-d float64 ndarray
+    in doc written as its tolist() would be.  Those arrays, and the lists
+    that could be their tolist(), are formatted in blocks of rows by
+    float_text, each value as float.__repr__ (which json uses) writes it;
+    everything else goes to json.dumps itself.  The parts are joined once.
     """
-    return _json(doc, "\n") + "\n"
+    parts = []
+    _json(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _json(o, nl):
-    """o's indent=2 text, its nested lines starting with nl (a newline and o's indent)."""
+def _json(o, nl, parts):
+    """Append o's indent=2 text to parts, its nested lines starting with nl
+    (a newline and o's indent)."""
     inner = nl + "  "
+    if type(o) is list and o and _all_floats(o):
+        o = np.asarray(o)
     if type(o) is dict and o and all(type(k) is str for k in o):
-        return "{" + inner + ("," + inner).join(
-            encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in o.items()) + nl + "}"
-    if type(o) is list and o:
-        types = {*map(type, o)}
-        if types == {float}:
-            text = repr(o)
-            if "n" not in text:  # inf and nan are json's Infinity and NaN
-                return "[" + inner + text[1:-1].replace(", ", "," + inner) + nl + "]"
-        elif types == {list} and all(o) and {*map(type, chain.from_iterable(o))} == {float}:
-            text = repr(o)
-            if "n" not in text:
-                row = inner + "  "
-                text = text[2:-2].replace("], [", inner + "]," + inner + "[" + row)
-                return ("[" + inner + "[" + row + text.replace(", ", "," + row)
-                        + inner + "]" + nl + "]")
-        return "[" + inner + ("," + inner).join(_json(v, inner) for v in o) + nl + "]"
-    return json.dumps(o, indent=2).replace("\n", nl)
+        sep = "{" + inner
+        for k, v in o.items():
+            parts.append(sep + encode_basestring_ascii(k) + ": ")
+            _json(v, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif type(o) is np.ndarray and o.dtype == np.float64 and o.ndim in (1, 2):
+        if o.size:
+            _json_floats(o, nl, parts)
+        else:
+            _json(o.tolist(), nl, parts)  # [] or rows of []
+    elif type(o) is list and o:
+        sep = "[" + inner
+        for v in o:
+            parts.append(sep)
+            _json(v, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "]")
+    else:
+        parts.append(json.dumps(o, indent=2).replace("\n", nl))
+
+
+def _all_floats(o):
+    """Whether the non-empty list o holds only floats, or only non-empty
+    lists of floats of one length: a 1-d or 2-d float64 array's tolist()."""
+    types = {*map(type, o)}
+    return types == {float} or (types == {list} and len({*map(len, o)}) == 1 and len(o[0]) > 0
+                                and {*map(type, chain.from_iterable(o))} == {float})
+
+
+_JSON_BLOCK_ROWS = 1024  # rows per float_text call
+
+
+def _json_floats(a, nl, parts):
+    """Append the indent=2 text of a non-empty 1-d or 2-d float64 array's
+    tolist() to parts."""
+    inner = nl + "  "
+    if a.ndim == 1:
+        a = a[:, None]
+        head, sep, row_end, tail = "[" + inner, "," + inner, "," + inner, nl + "]"
+    else:
+        row = inner + "  "
+        head, sep, row_end, tail = ("[" + inner + "[" + row, "," + row,
+                                    inner + "]," + inner + "[" + row, inner + "]" + nl + "]")
+    blocks = [float_text(a[start:start + _JSON_BLOCK_ROWS], True, sep, row_end)
+              for start in range(0, len(a), _JSON_BLOCK_ROWS)]
+    blocks[-1] = blocks[-1][:-len(row_end)]
+    parts += [head, *blocks, tail]
+
+
+# ---------------------------------------------------------------------------
+# float text
+
+# float_text writes a float64 block with one of two digit rules: "%.17g"
+# (the CSV's) or float.__repr__'s shortest round-trip digits (JSON's).  A
+# finite v with 1e-4 <= |v| < 1e16 takes the fast path, where both rules
+# write fixed notation: with X = floor(log10|v|) and k = 16 - X, 10^k is an
+# exact double and Dekker's TwoProduct gives E = |v| 10^k = hi + lo exactly,
+# hi >= 1e16 > 2^53 an integer.  A 17-digit integer D, the value's digits
+# followed by zeros, is gathered into text by a template chosen by (rule,
+# X, digits kept, sign), padded with NUL bytes that are deleted at the end.
+# Every other value (zeros, |v| < 1e-4, |v| >= 1e16, inf, NaN, an X
+# estimate that missed, and each case _shortest_digits cannot decide) is
+# formatted by "%" or float.__repr__ itself.
+_FIELD = 24  # the widest text, "-2.2250738585072014e-308"
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for binary64
+# A value's 24 source bytes, as six 4-byte words: NUL "." "-" "0", NUL NUL
+# NUL d0, then the digit groups d1..d4 to d13..d16.  Written out with digit
+# j as the letter chr(97 + j), they are _SOURCE.
+_SOURCE = b"\0.-0\0\0\0abcdefghijklmnopq"
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+@functools.cache
+def _float_tables():
+    """float_text's lookup tables, built by the first text written, so that
+    importing the package does not pay for them: 10^k and its Veltkamp
+    halves, the first two source words of each leading digit, the source
+    word of each 4-digit group, the digits each group keeps, and the text
+    templates of each rule."""
+    pow10 = np.array([10.0 ** k for k in range(23)])  # each exact
+    pow10_hi = pow10 * _SPLIT - (pow10 * _SPLIT - pow10)
+    lead_words = np.array([_SOURCE[:7] + b"%d" % d for d in range(10)]).view(np.uint64)
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    # "0000" to "9999": every choice of four digits, in lexicographic order.
+    group_words = np.stack(np.broadcast_arrays(*np.ix_(*[digits] * 4)), axis=-1).view(np.uint32).ravel()
+    groups = np.arange(10000)
+    # D's digits d0.. through the last nonzero one of group i = 0..3, 0 for 0000.
+    trailing_zeros = sum(groups % m == 0 for m in (10, 100, 1000))
+    group_keep = [np.where(groups > 0, 4 * i + 5 - trailing_zeros, 0).astype(np.int8)
+                  for i in range(4)]
+    return (pow10, pow10_hi, pow10 - pow10_hi, lead_words, group_words, group_keep,
+            (_templates(False), _templates(True)))
+
+
+def _templates(shortest):
+    """Source byte of each text byte, by ((X + 4) * 18 + digits kept) * 2 + sign.
+
+    Each template is written as the text with digit j as the letter
+    chr(97 + j), then translated to positions in _SOURCE.  repr writes a
+    whole number with ".0", where %g writes no point."""
+    letters = _SOURCE[7:].decode()
+    texts = []
+    for x in range(-4, 16):
+        for keep in range(18):
+            kept = letters[:max(keep, 1)]
+            if x < 0:
+                body = "0." + "0" * (-x - 1) + kept
+            elif keep > x + 1:
+                body = kept[:x + 1] + "." + kept[x + 1:]
+            else:
+                body = kept + ".0" * shortest
+            texts += [body.ljust(_FIELD, "\0"), ("-" + body).ljust(_FIELD, "\0")]
+    to_source = bytes.maketrans(_SOURCE[1:4] + _SOURCE[7:], bytes(range(1, 4)) + bytes(range(7, 24)))
+    text = "".join(texts).encode().translate(to_source)
+    return np.frombuffer(text, dtype=np.uint8).reshape(-1, _FIELD).astype(np.intp)
+
+
+def _nearest(h, f, p, t):
+    """The multiple c of p nearest to E = h + f (h an integer, f in [0, 1)),
+    whether c lies within t of E, and whether E is also halfway between two
+    multiples that do.
+
+    With divmod(h, p) = (q, r), c is q p at r + f from E or (q + 1) p at
+    p - r - f; see _shortest_digits for why comparing that distance, rounded
+    to a double, with t is exact."""
+    q, r = np.divmod(h, p)
+    down = r < p // 2
+    inside = np.where(down, r + f, (p - r) - f) < t
+    return (q + ~down) * p, inside, inside & (r == p // 2) & (f == 0.0)
+
+
+def _shortest_digits(a, scale, hi, lo, d, ok):
+    """float.__repr__'s digits of each a = |v| with ok set, as a 17-digit D
+    padded with zeros, given "%.17g"'s D; ok is cleared where they are not
+    decided here.
+
+    repr writes the shortest digits that read back as a, the nearest to a
+    of those.  A decimal strictly within t = 0.5 spacing(a) 10^k of E (on
+    E's scale) reads back as a.  E = hi + lo is normalised to h + f, h an
+    integer and f in [0, 1); E >= 1e16, a's 53-bit significand and 10^k <=
+    10^20 make E a multiple of 2^-46, so this is exact, and a distance to a
+    candidate other than t differs from t by 2^-47 or more, more than its
+    rounding error (2^-50 below 16).  Nor is the nearest candidate ever
+    exactly t away: the midpoint a + ulp/2 or a - ulp/2 has an odd 54-bit
+    significand, so it has 17 or more digits unless it is an odd integer M
+    < 10^16; then a = M -+ 1 is an integer, E = 10 a is its own nearest
+    multiple of 10, and 10 M is no multiple of 100.  The interval is
+    narrower than 2 t < 22.2, so it holds at most one multiple of 100, and
+    never two equally near: when the nearest one lies in it, it is repr's
+    digits (fewer digits are a multiple of 100 too), whose trailing zeros
+    the template drops.  Otherwise the nearest multiple of 10, when within
+    t, is repr's 16 digits, and else "%.17g"'s 17 are.  Below a power of two
+    the interval is half as wide; every such a in range is in the tests.
+    No candidate carries into 10^17: a would be 10^(X + 1) rounded down,
+    and no power of ten from 1e-3 to 1e16 rounds down.  Left to
+    float.__repr__: a tie of two candidates and a tie of the 17th digit.
+    """
+    floor_lo = np.floor(lo)
+    h = hi.astype(np.int64) + floor_lo.astype(np.int64)
+    f = lo - floor_lo
+    t = 0.5 * np.spacing(a) * scale
+    c16, in16, tie16 = _nearest(h, f, 10, t)
+    c15, in15, _ = _nearest(h, f, 100, t)
+    ok &= ~tie16 & (f != 0.5)
+    return np.where(in15, c15, np.where(in16, c16, d)), ok
+
+
+def float_text(block, shortest, sep, row_end):
+    """The text of a 2-d float64 block: each value followed by sep, the last
+    of each row by row_end (no shorter than sep).  Each value is written as
+    float.__repr__ writes it when shortest is true, else as "%.17g" does,
+    except that a non-finite value is JSON's NaN, Infinity or -Infinity
+    under shortest."""
+    pow10, pow10_hi, pow10_lo, lead_words, group_words, group_keep, templates = _float_tables()
+    rows, cols = block.shape
+    v = np.asarray(block, dtype=np.float64).reshape(-1)
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0
+    x = np.floor(np.log10(a)).astype(np.intp)
+    k = 16 - x
+    scale = np.take(pow10, k)
+    hi = a * scale
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    ph = np.take(pow10_hi, k)
+    pl = np.take(pow10_lo, k)
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    # "%.17g"'s digits: hi is even, so rint rounds half to even as it does.
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # hi + lo in [1e16, 1e17) confirms X; D = 10^17 would carry into X + 1.
+    ok = fast & (hi >= 1e16) & ((hi > 1e16) | (lo >= 0.0)) & (d < 10 ** 17)
+    if shortest:
+        d, ok = _shortest_digits(a, scale, hi, lo, d, ok)
+    d[~ok] = 10 ** 16
+    x[~ok] = 0
+    q, r8 = np.divmod(d, 10 ** 8)
+    d0, r = np.divmod(q, 10 ** 8)
+    g1, g2 = np.divmod(r, 10 ** 4)
+    g3, g4 = np.divmod(r8, 10 ** 4)
+    words = np.empty((v.size, 6), dtype=np.uint32)
+    words.view(np.uint64)[:, 0] = np.take(lead_words, d0)
+    for i, g in enumerate((g1, g2, g3, g4), 2):
+        words[:, i] = np.take(group_words, g)
+    keep = np.maximum(np.maximum(np.take(group_keep[0], g1), np.take(group_keep[1], g2)),
+                      np.maximum(np.take(group_keep[2], g3), np.take(group_keep[3], g4)))
+    # Both rules write every digit before the point: keep X + 1 at least.
+    keep = np.maximum(keep, x + 1)
+    src = np.take(templates[shortest], ((x + 4) * 18 + keep) * 2 + np.signbit(v), axis=0)
+    src += np.arange(0, len(_SOURCE) * v.size, len(_SOURCE))[:, None]
+    # Each row: cols fields of _FIELD text bytes and sep, then row_end over
+    # the last sep and the len(row_end) - len(sep) bytes after it.
+    width = _FIELD + len(sep)
+    out = np.empty((rows, cols * width + len(row_end) - len(sep)), dtype=np.uint8)
+    fields = out[:, :cols * width].reshape(rows, cols, width)
+    fields[..., :_FIELD] = np.take(words.view(np.uint8), src).reshape(rows, cols, _FIELD)
+    fields[..., _FIELD:] = np.frombuffer(sep.encode(), dtype=np.uint8)
+    out[:, cols * width - len(sep):] = np.frombuffer(row_end.encode(), dtype=np.uint8)
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        if shortest:
+            text = [_JSON_NONFINITE.get(s, s) for s in map(float.__repr__, v[slow].tolist())]
+        else:
+            text = ["%.17g" % f for f in v[slow].tolist()]
+        fields[(*np.divmod(slow, cols), slice(_FIELD))] = np.array(
+            text, dtype=f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def save_scenario(bundle, path):

@@ -21,6 +21,7 @@ back as NaN, never as LinAlgError, and the guards below test for it.
 
 import math
 from dataclasses import dataclass
+from sys import float_info
 from typing import Optional
 
 import numpy as np
@@ -235,8 +236,14 @@ def _solve_steering(F, rhs, cond_cap, x):
 
 def _steer(sys, sel, x, r, gamma, cond_cap):
     """a solving F(x) a = -gamma r for a checked selection and state x:
-    r = y - y* for one system, x - x_L - d for a follower."""
-    return _solve_steering(_extension_matrix(sys, sel, x), -gamma * r, cond_cap, x)
+    r = y - y* for one system, x - x_L - d for a follower.  -gamma r is
+    formed in Python floats, so a gain that overflows it raises
+    NonFiniteError naming gamma, without a numpy warning."""
+    gain = -float(gamma)
+    rhs = [gain * v for v in r.tolist()]
+    if not all(map(math.isfinite, rhs)):
+        raise NonFiniteError(f"steering right-hand side -gamma r is not finite at gamma={float(gamma)!r}")
+    return _solve_steering(_extension_matrix(sys, sel, x), rhs, cond_cap, x)
 
 
 def steering_coefficients(sys, sel, gains, x):
@@ -265,7 +272,8 @@ def frozen_control(sel, epsilon, m, a):
     The S1 part, each pair's amplitude and signed amplitude, and each
     pair's rate 2 pi kappa depend only on a, so they are computed here once,
     in Python float arithmetic; an amplitude that is not finite (a subnormal
-    epsilon overflows it) raises NonFiniteError naming epsilon.
+    epsilon or a huge coefficient overflows it) raises NonFiniteError naming
+    epsilon, and the coefficient unless epsilon is subnormal.
     The returned table(ts) maps a 1-d float64 array of times to the
     (len(ts), m) float64 array of u at each: one numpy pass per pair, each
     element taking the scalar operations in the scalar order (fmod, /, *,
@@ -284,9 +292,12 @@ def frozen_control(sel, epsilon, m, a):
         kap = float(sel.kappa[p])
         amp = 2.0 * math.sqrt(math.pi * kap * abs(ap) / float(epsilon))
         if not math.isfinite(amp):
+            # A subnormal epsilon overflows every amplitude; at a normal
+            # one the coefficient is as much the cause.
+            at = "" if float(epsilon) < float_info.min else f"a={ap!r}, "
             raise NonFiniteError(
                 f"control amplitude 2 sqrt(pi kappa |a| / epsilon) of S2 pair ({i1}, {i2}) "
-                f"is not finite at epsilon={float(epsilon)!r}")
+                f"is not finite at {at}epsilon={float(epsilon)!r}")
         pairs.append((i1 - 1, i2 - 1, amp, _sign(ap) * amp, TWO_PI * kap))
 
     def table(ts):

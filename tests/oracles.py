@@ -9,6 +9,7 @@ The *_reference functions are the exception: earlier package code kept
 verbatim, against which a faster rewrite must agree bitwise.
 """
 
+import json
 import math
 
 import numpy as np
@@ -161,6 +162,21 @@ def csv_text_reference(header, columns):
     lines += [row_fmt % tuple(row) for row in table.tolist()]
     lines.append("")
     return "\n".join(lines)
+
+
+def json_text_reference(doc):
+    """json.dumps(doc, indent=2) + "\n" with every ndarray in doc written as
+    its tolist(): json's own float.__repr__ per value, the reference for
+    scenarios.json_text."""
+    def lists(o):
+        if isinstance(o, np.ndarray):
+            return o.tolist()
+        if type(o) is dict:
+            return {k: lists(v) for k, v in o.items()}
+        if type(o) is list:
+            return [lists(v) for v in o]
+        return o
+    return json.dumps(lists(doc), indent=2) + "\n"
 
 
 def antisym_iterated_integral(u1, u2, eps, n=1 << 15):

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bracket_steer import cli
+from bracket_steer import cli, scenarios
 from bracket_steer.cli import main
-from oracles import csv_text_reference
+from oracles import csv_text_reference, json_text_reference
 
 
 def _lines(path):
@@ -294,6 +294,80 @@ def test_csv_table_matches_percent_formatting_hypothesis(values, cols):
     table = np.resize(np.array(values), (-(-len(values) // cols), cols))
     header = [f"c{i}" for i in range(cols)]
     assert cli._csv_table(header, [table]) == csv_text_reference(header, [table])
+
+
+def _near_midpoints():
+    """Doubles a, on both sides of a midpoint m = M 2^e between two of them
+    (M odd), where a decimal of 16 or 15 digits lies within 5^q 2^-s of m
+    on the scale E = a 10^k, s = -(e + k) up to 52 - q: M 5^(k - q) = +-1
+    (mod 2^(s + q)) puts m 10^k at +-5^q / 2^s from a multiple of 10^q.  So
+    the decimal reads back as one of the pair by a hair, not the other."""
+    out = []
+    for x in range(-4, 16):
+        k = 16 - x
+        for q in (1, 2):
+            for e in range(-120, 1):
+                s = -(e + k)
+                if not 1 <= s <= 53 - q:
+                    continue
+                mod = 2 ** (s + q)
+                for j in (1, -1):
+                    m0 = j * pow(5, q - k, mod) % mod
+                    for i in range(3):
+                        m = m0 + ((2 ** 53 - m0) // mod + 1 + i) * mod
+                        out += [a for a in (math.ldexp(m - 1, e), math.ldexp(m + 1, e))
+                                if 10.0 ** x <= a < 10.0 ** (x + 1)]
+    return np.array(out)
+
+
+def _json_value_families():
+    """Values on which a float.__repr__ writer is easy to get wrong, by family:
+    the CSV families, then powers of two (whose rounding interval is
+    asymmetric) and their neighbours, exact decimal ties at the 15th, 16th
+    and 17th digit, values whose shortest form has 1 to 15 digits, and
+    values with a 15- or 16-digit decimal a hair from a rounding boundary."""
+    rng = np.random.default_rng(21)
+    powers = 2.0 ** np.arange(-1074, 1024)
+    # m 5^j, with m odd and j >= 1, is the decimal expansion of m / 2^j:
+    # n digits ending in 5, so exactly halfway at the (n - 1)-th digit.
+    ties = []
+    for n in (16, 17, 18):
+        for j in range(1, 24):
+            lo, hi = -(-10 ** (n - 1) // 5 ** j), 10 ** n // 5 ** j
+            if hi > lo and hi < 2 ** 53:
+                for m in rng.integers(lo, hi, size=8).tolist():
+                    ties.append(((m | 1) * 5 ** j) / 10 ** j)
+    digits = rng.integers(1, 16, size=6000)
+    short = [float(f"{rng.integers(10 ** (n - 1), 10 ** n)}e{e}")
+             for n, e in zip(digits.tolist(), rng.integers(-22, 3, size=digits.size).tolist())]
+    return dict(_CSV_FAMILIES, **{
+        "powers-of-two": np.concatenate([powers, np.nextafter(powers, 0.0),
+                                         np.nextafter(powers, math.inf)]),
+        "decimal-ties": np.array(ties),
+        "short-decimals": np.array(short),
+        "near-midpoints": _near_midpoints(),
+    })
+
+
+_JSON_FAMILIES = _json_value_families()
+
+
+@pytest.mark.parametrize("family", sorted(_JSON_FAMILIES))
+@pytest.mark.parametrize("cols", [1, 3])
+def test_json_text_matches_repr(family, cols):
+    values = _JSON_FAMILIES[family]
+    values = np.concatenate([values, -values])
+    doc = {"v": values, "table": np.resize(values, (-(-values.size // cols), cols)),
+           "list": values[:200].tolist()}
+    assert scenarios.json_text(doc) == json_text_reference(doc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=60), st.integers(1, 5))
+def test_json_text_matches_repr_hypothesis(bits, cols):
+    values = _float_bits(bits)
+    doc = [values, np.resize(values, (-(-values.size // cols), cols))]
+    assert scenarios.json_text(doc) == json_text_reference(doc)
 
 
 def test_validate_prints_certificate(capsys):
@@ -596,6 +670,23 @@ def test_subnormal_epsilon_exit_3(tmp_path, capsys, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, line", [
+    ("rolling-disc", "error:NonFiniteError:steering right-hand side -gamma r is not finite "
+                     "at gamma=1e+308"),
+    ("unicycle-leader", "error:NonFiniteError:control amplitude 2 sqrt(pi kappa |a| / epsilon) "
+                        "of S2 pair (1, 2) is not finite at a=4.0000000000000004e+307, "
+                        "epsilon=0.1"),
+])
+def test_huge_gamma_exit_3(tmp_path, capsys, name, line):
+    # gamma = 1e308 overflows -gamma r on the disc and the control amplitude
+    # on the unicycle: one typed error line naming the cause, no output,
+    # and no numpy warning (tier 1 makes one from the package an error).
+    out = tmp_path / "x.csv"
+    assert main(["run", name, "--gamma", "1e308", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["unicycle-leader", "rolling-disc"])
 def test_undefined_decay_fit_exit_0(tmp_path, name):
     # Sampling instants near 1e-300 square to 0 in polyfit's column scale;
@@ -626,14 +717,28 @@ def test_log_env_does_not_change_output(tmp_path, monkeypatch):
     assert quiet.read_bytes() == loud.read_bytes()
 
 
-def _cli_process(*args):
-    """The CLI in a fresh interpreter, importing the package from this
-    checkout's src/ whatever PYTHONPATH the test run was given."""
+def _python_process(*args):
+    """A fresh interpreter, importing the package from this checkout's src/
+    whatever PYTHONPATH the test run was given."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, "-m", "bracket_steer.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, timeout=60, env=env)
+
+
+def _cli_process(*args):
+    """The CLI in a fresh interpreter (see _python_process)."""
+    return _python_process("-m", "bracket_steer.cli", *args)
+
+
+def test_import_builds_no_float_tables():
+    # The formatter's lookup tables are built by the first text written, so
+    # that a fresh interpreter's import does not pay for them.
+    proc = _python_process(
+        "-c", "import bracket_steer.cli; from bracket_steer import scenarios; "
+        "print(scenarios._float_tables.cache_info().currsize)")
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
 
 
 def test_console_script_smoke():

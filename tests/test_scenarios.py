@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bracket_steer import (BracketSelection, BracketSteerError, InvalidInputError,
                            ScenarioFormatError, SelectionShapeError,
@@ -17,6 +18,7 @@ from bracket_steer import (BracketSelection, BracketSteerError, InvalidInputErro
 from bracket_steer import library, scenarios
 from bracket_steer.scenarios import SINGLE, json_text, probe_states
 from bracket_steer.simulate import SimConfig
+from oracles import json_text_reference
 
 
 def test_builtin_names():
@@ -411,16 +413,18 @@ def test_validate_bundle_certifies_each_distinct_follower_once(monkeypatch):
     assert calls == [(first.system, first.selection), (other.system, other.selection)]
 
 
-# json_text must write json.dumps(doc, indent=2) + "\n" byte for byte: the
-# fast paths (float lists and float-list lists) next to every leaf json
-# encodes its own way.
+# json_text must write json.dumps(doc, indent=2) + "\n" byte for byte, each
+# ndarray as its tolist(): the numpy float path (float64 arrays and float
+# lists) next to every leaf json encodes its own way.
 _FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-05, 0.1,
                            math.inf, -math.inf, math.nan]) | st.floats()
+_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+                     elements=_FLOATS)
 _LEAVES = (_FLOATS | _FLOATS.map(np.float64) | st.integers() | st.booleans() | st.none()
            | st.text())
 _FLOAT_LISTS = st.lists(_FLOATS, max_size=5) | st.lists(st.lists(_FLOATS, max_size=4), max_size=4)
 _DOCS = st.recursive(
-    _LEAVES | _FLOAT_LISTS,
+    _LEAVES | _FLOAT_LISTS | _ARRAYS,
     lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
     max_leaves=40)
 
@@ -428,7 +432,11 @@ _DOCS = st.recursive(
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(_DOCS)
 def test_json_text_matches_json_dumps(doc):
-    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    assert json_text(doc) == json_text_reference(doc)
+
+
+_BLOCK = scenarios._JSON_BLOCK_ROWS
+_POOL = np.array([0.1, -2.5, 1e-300, 123456.789, -0.0, 0.0, math.inf, math.nan, 1 / 3, 7e22])
 
 
 @pytest.mark.parametrize("doc", [
@@ -437,6 +445,21 @@ def test_json_text_matches_json_dumps(doc):
     {"\u00e9\u2202 key": ["caf\u00e9", [0.5, -0.0]], "": {"x": [[5e-324, 1e308]]}},
     [{"x": [[1.0, 2.0], [3.0, 4.0]], "err": [0.25]}, [], {}], (1.0, 2.0),
     [np.float64(1.5), 2.0], 1.0, "text", None,
+    # ndarray leaves: empty, (0, n) and (n, 0), -0.0, inf and NaN, one row,
+    # strided and Fortran-ordered views, and keys json sorts out itself.
+    np.array([]), np.zeros((0, 3)), np.zeros((3, 0)), {"x": np.zeros((2, 0)), "y": [np.zeros(0)]},
+    np.array([-0.0, math.inf, -math.inf, math.nan]),
+    np.array([[-0.0, math.inf], [math.nan, 1.5]]), np.array([[0.1, 0.2, 0.3]]),
+    np.array([0.1]), {"t": np.arange(12.0)[::3], "x": np.arange(12.0).reshape(3, 4)[:, ::2],
+                      "u": np.asfortranarray(np.arange(6.0).reshape(3, 2) / 7)},
+    [np.array([1.0, 2.0]), {"leader": np.array([[1e-5, 1e16]])}, np.array([[1.0]])],
 ])
 def test_json_text_edge_cases(doc):
-    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    assert json_text(doc) == json_text_reference(doc)
+
+
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_json_text_row_counts_around_the_block(rows):
+    doc = {"t": np.resize(_POOL, rows), "x": np.resize(_POOL[::-1], (rows, 3)),
+           "u": np.resize(_POOL, (rows, 1))}
+    assert json_text(doc) == json_text_reference(doc)
