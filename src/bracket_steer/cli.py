@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,7 @@ from . import library, scenarios
 from .errors import (BracketSteerError, InvalidInputError, NumericError,
                      RankDegeneracyError, UnknownScenarioError)
 from .formation import gain_condition_report, simulate_formation, simulate_leader
-from .simulate import (SimConfig, _sweep_epsilons, decay_report, epsilon_sweep,
-                       simulate_pi_epsilon)
+from .simulate import _sweep_epsilons, decay_report, epsilon_sweep, simulate_pi_epsilon
 
 log = logging.getLogger("bracket_steer.cli")
 
@@ -350,25 +350,34 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    try:
-        return args.fn(args)
-    except InvalidInputError as exc:
-        _print_error(exc)
-        return 2
-    except NumericError as exc:
-        _print_error(exc)
-        return 3
-    except OSError as exc:
-        _print_error(exc)
-        return 4
-    except BracketSteerError as exc:  # pragma: no cover - safety net
-        _print_error(exc)
-        return 2
+    # A warning the filters let through is shown as one line, like an
+    # error; the filters themselves, and so which warnings show, are kept.
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.fn(args)
+        except InvalidInputError as exc:
+            _print_error(exc)
+            return 2
+        except NumericError as exc:
+            _print_error(exc)
+            return 3
+        except OSError as exc:
+            _print_error(exc)
+            return 4
+        except BracketSteerError as exc:  # pragma: no cover - safety net
+            _print_error(exc)
+            return 2
 
 
-def _print_error(exc):
+def _print_error(exc, kind="error"):
     msg = str(exc).replace("\n", " ")
-    print(f"error:{type(exc).__name__}:{msg}", file=sys.stderr)
+    print(f"{kind}:{type(exc).__name__}:{msg}", file=sys.stderr)
+
+
+def _print_warning(message, *_):
+    """warnings.showwarning for the CLI: message is the Warning instance."""
+    _print_error(message, "warning")
 
 
 if __name__ == "__main__":

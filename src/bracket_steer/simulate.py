@@ -22,12 +22,15 @@ each entry taken as a float64.  Rows of the built-in unicycle and rolling
 disc, and the figure-eight leader, skip that contract: their exact function
 objects select a block kernel in library (_row_integrators), which
 advances the row over a whole table block in one numpy pass and repeats
-the generic sub-steps' operations bit for bit.  When every row of a run has
-one, each block is one kernel call per row, one vector guard and one
-strided record append; a block that is not finite and well inside the
-guard's cap is redone by the generic sub-steps, so a failure is raised as
-they raise it.  Every other system or leader field, and a copy with any
-function swapped, puts the whole run on the generic sub-steps.
+the generic sub-steps' operations bit for bit.  The driver does the same
+for every table block: advance it, append its due dense points in one
+strided append, and raise the failure handed back.  When every row has a
+kernel, a block is one kernel call per row and one vector guard
+(_advance_block); otherwise, or when that block is not finite and well
+inside the guard's cap, it is the generic sub-steps of all rows together,
+guarded after each (_generic_block), so a failure is raised as they raise
+it.  Every other system or leader field, and a copy with any function
+swapped, puts the whole run on the generic sub-steps.
 """
 
 import math
@@ -184,10 +187,12 @@ def _rk4_step(stage, t, x, h, u0, uh, u1):
 class _Recorder:
     """Flat float64 buffers of the dense grid and sampling instants of one run.
 
-    record() appends t, the rows' states, each row's held control at t and
-    the interval index; sample() appends a sampling instant and the rows'
-    states there; build() hands the recorder to the caller's build, which
-    reshapes each buffer once into the caller's trajectory type.
+    record() appends one dense point, t, the rows' states, each row's held
+    control at t and the interval index: an interval's start, or t_final
+    after a tail; record_block() appends a table block's due sub-step ends
+    at once; sample() appends a sampling instant and the rows' states
+    there; build() hands the recorder to the caller's build, which reshapes
+    each buffer once into the caller's trajectory type.
     """
 
     def __init__(self, build):
@@ -309,6 +314,27 @@ def _advance_block(blocks, xs, h, ts, tables):
     return None
 
 
+def _generic_block(steps, xs, h, ts, tables, names):
+    """A table block by every row's generic sub-step, all rows guarded
+    (_guard_rows) after each: the stacked states (k, width) after each
+    sub-step that passed, and None, or the DivergenceError of the first
+    sub-step that failed.  An exception a field raises propagates."""
+    width = sum(map(len, xs))
+    tl = ts.tolist()
+    tabs = [tab.tolist() for tab in tables]
+    done, error = [], None
+    for c in range(0, len(tl) - 1, 3):  # a sub-step's start in the tables
+        xs = [step(tl[c], x, h, tab[c], tab[c + 1], tab[c + 2])
+              for step, x, tab in zip(steps, xs, tabs)]
+        try:
+            _guard_rows(xs, tl[c + 3], names)
+        except DivergenceError as exc:
+            error = exc
+            break
+        done.append(xs)
+    return np.array(done, dtype=float).reshape(len(done), width), error
+
+
 def _plan_run(cfg, gains, kappa_max, n_rows):
     """(t_final, nsub, n_int, tail, n_intervals) of a run, refused if empty or over budget."""
     eps = gains.epsilon
@@ -339,17 +365,21 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
     per interval, taking u at the sub-step's start, midpoint and end from
     its table, while the time argument runs on; one RuntimeWarning per run
     says when nsub gives kappa_max fewer than 20 sub-steps.  A final
-    partial interval ends exactly at t_final.  When every row has a block
-    kernel, each table block is advanced whole (_advance_block) and its
-    due dense points appended at once; otherwise, or when the block's
-    vector guard fails, sub-step by sub-step: after every sub-step one
-    norm test of the stacked state passes every row; only when it fails is
-    each row guarded, under its name, by the exact _guard_state
-    (_guard_rows).  A dense point (t, rows, interval, each row's held
-    control at t) is recorded at t = 0, every cfg.record_stride sub-steps
-    and at the end of the horizon.  Returns build(recorder); a DivergenceError or
-    RankDegeneracyError leaves with build(recorder) of the run so far
-    attached as .partial.
+    partial interval ends exactly at t_final.
+
+    Every interval, and the end of a horizon without a tail, begins with
+    one step: sample, steer, tabulate and record the start when due.  Each
+    table block is then advanced whole, by the rows' block kernels
+    (_advance_block) or, when a row has none or the kernels' vector guard
+    fails, by _generic_block: every row's generic sub-step, after each of
+    which one norm test of the stacked state passes every row and only
+    when it fails is each row guarded, under its name, by the exact
+    _guard_state (_guard_rows).  The block's due dense points are appended
+    at once, and then a failure it handed back is raised.  A dense point
+    (t, rows, interval, each row's held control at t) is recorded at t = 0,
+    every cfg.record_stride sub-steps and at the end of the horizon.
+    Returns build(recorder); a DivergenceError or RankDegeneracyError
+    leaves with build(recorder) of the run so far attached as .partial.
     """
     cfg = SimConfig() if cfg is None else cfg
     eps = gains.epsilon
@@ -391,48 +421,41 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
 
     rec = _Recorder(build)
     xs = x0.tolist()
+    g = 0  # sub-steps done, drives record_stride
     try:
-        rec.sample(0.0, xs)
-        held = steer(xs)
-        h, ts, tables = tabulate(held, 0, 0)
-        rec.record(0.0, xs, 0, tables, 0)
-        g = 0  # global sub-step counter, drives record_stride
-        for j in range(n_intervals):
+        for j in range(n_int + 1):
+            # Sampling instant tau_j: sample, resample the held controls and
+            # record the interval's start when due.
+            t = j * eps
+            rec.sample(t, xs)
+            held = steer(xs)
+            h, ts, tables = tabulate(held, j, 0)
+            if g % stride == 0 or g == total_substeps:
+                rec.record(t, xs, j, tables, 0)
+            if j == n_intervals:
+                break
             for lo in range(0, nsub, TABLE_SUBSTEPS):
                 if lo:
                     h, ts, tables = tabulate(held, j, lo)
                 end = len(ts) - 1  # the block's end in its tables
                 states = blocks and _advance_block(blocks, xs, h, ts, tables)
+                error = None
                 if states is None:
-                    # One generic sub-step per row at a time, guarded and
-                    # recorded after each; the block's end is done below.
-                    tl = ts.tolist()
-                    tabs = [tab.tolist() for tab in tables]
-                    for c in range(0, end, 3):  # a sub-step's start in the tables
-                        xs = [step(tl[c], x, h, tab[c], tab[c + 1], tab[c + 2])
-                              for step, x, tab in zip(steps, xs, tabs)]
-                        g += 1
-                        _guard_rows(xs, tl[c + 3], names)
-                        if c + 3 < end and g % stride == 0:
-                            rec.record(tl[c + 3], xs, j, tabs, c + 3)
-                else:
-                    # The block's sub-steps before its end that are due,
-                    # in one append.
-                    rec.record_block(ts, states, j, tables,
-                                     np.arange(stride - g % stride, end // 3, stride))
-                    g += end // 3
-                    last = states[-1].tolist()
-                    xs = [last[r:r + p] for r in range(0, len(last), p)]
-                t = float(ts[end])
-                k, e = j, end
-                if j < n_int and lo + TABLE_SUBSTEPS >= nsub:
-                    # Sampling instant tau_{j+1}: resample the held controls.
-                    rec.sample(t, xs)
-                    held = steer(xs)
-                    h, ts, tables = tabulate(held, j + 1, 0)
-                    k, e = j + 1, 0
-                if g % stride == 0 or g == total_substeps:
-                    rec.record(t, xs, k, tables, e)
+                    states, error = _generic_block(steps, xs, h, ts, tables, names)
+                # The due sub-steps among those done, in one append, but not
+                # the interval's last: the next interval's start records
+                # that point, or after a tail the final record.
+                recordable = end // 3 - (lo + TABLE_SUBSTEPS >= nsub)
+                rec.record_block(ts, states, j, tables, np.arange(
+                    stride - g % stride, min(len(states), recordable) + 1, stride))
+                if error is not None:
+                    raise error
+                g += end // 3
+                last = states[-1].tolist()
+                xs = [last[r:r + p] for r in range(0, len(last), p)]
+        else:
+            # The tail ran to t_final: its end is the final point.
+            rec.record(float(ts[end]), xs, n_int, tables, end)
     except (DivergenceError, RankDegeneracyError) as exc:
         exc.partial = rec.build()
         raise

@@ -656,6 +656,19 @@ def test_divergence_stderr_is_the_error_line(tmp_path):
         "error:DivergenceError:state diverged at t=0.025 (non-finite or norm > 1e+09)"]
 
 
+def test_substeps_warning_is_one_line(tmp_path):
+    # One sub-step per period warns: the CLI shows the RuntimeWarning as
+    # one warning:Type:msg line, like the error line after it, with no
+    # source location or source line.
+    proc = _cli_process("run", "rolling-disc", "--substeps", "1",
+                        "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "warning:RuntimeWarning:substeps_per_period=1 resolves the fastest oscillation "
+        "(kappa=1) with fewer than 20 sub-steps",
+        "error:DivergenceError:state diverged at t=15 (non-finite or norm > 1e+09)"]
+
+
 @pytest.mark.parametrize("name", ["unicycle-leader", "rolling-disc"])
 def test_subnormal_epsilon_exit_3(tmp_path, capsys, name):
     # A subnormal epsilon overflows the control amplitude: one typed error

@@ -287,9 +287,48 @@ def test_control_tables_in_blocks_match_whole_intervals(monkeypatch):
         return _arrays(single), [*_arrays(form.agent_trajs[0]), form.leader_states.tobytes()]
 
     want = runs()
+
+    # Failures at block edges: a divergence in the first sub-step, two
+    # mid-run (one with a record stride, one in a formation) and a
+    # RankDegeneracyError at the fourth sampling instant give the same
+    # error, t, state and .partial at every block size, with and without
+    # the block kernels.  A block of 1 sub-step makes every divergence hit
+    # a block's first sub-step, so the generic sub-steps hand back none.
+    def single(gamma, t_final, stride=1):
+        gains = dataclasses.replace(disc.gains, gamma=gamma)
+        return lambda: simulate_pi_epsilon(disc.system, disc.selection, gains, np.array(disc.x0),
+                                           SimConfig(t_final=t_final, record_stride=stride))
+
+    def degenerate():
+        real, calls = simulate_module.steering_coefficients, []
+
+        def steer(*args):
+            calls.append(1)
+            if len(calls) == 4:
+                raise RankDegeneracyError("degenerate here", state=np.asarray(args[-1]))
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(simulate_module, "steering_coefficients", steer)
+            return single(5.0, 4.5, 3)()
+
+    agents = [dataclasses.replace(agent, gamma=50.0) for agent in uni.agents] * 2
+    failures = [single(1e300, 2.0), single(100.0, 15.5, 3), degenerate,
+                lambda: simulate_formation(agents, uni.leader, uni.agent_x0s * 2, uni.gains,
+                                           SimConfig(t_final=2.0, record_stride=7))]
+    outcomes = [_run_outcome(run) for run in failures]
+    assert [type(got) for got in outcomes] == [tuple] * 4
+    assert [got[0] for got in outcomes] == [DivergenceError] * 2 + [RankDegeneracyError,
+                                                                    DivergenceError]
+
     for block in (1, 7, 40):
         monkeypatch.setattr(simulate_module, "TABLE_SUBSTEPS", block)
         assert runs() == want, block
+        for run, got in zip(failures, outcomes):
+            assert _run_outcome(run) == got, block
+            with monkeypatch.context() as m:
+                m.setattr(library, "_BLOCK_STEPS", {})
+                assert _run_outcome(run) == got, block
 
 
 def _run_outcome(run):

@@ -28,21 +28,51 @@ def test_tracer_targets_exist():
     assert missing == []
 
 
+def _module_imports(tree):
+    """The import statements of a module's own scope, not of its functions
+    or classes."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _module_imports(node)
+
+
+def _exported(tree):
+    """The names a module's __all__ lists."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def test_unused_imports_are_tracer_targets():
     # A name a module imports without using (# noqa: F401) is there only so
     # the tracer can wrap that module's copy: each must be a TARGETS pair,
     # or cli.json, which Tracer.install swaps for its shim.  A target that
-    # is dropped leaves its import dead, and this names it.
+    # is dropped leaves its import dead, and this names it.  Every other
+    # name a module imports at module level it must read, or list in
+    # __all__: an unmarked import that nothing reads is dead.
     wrapped = {(ns.__name__.rpartition(".")[2], attr) for ns, attr, _, _ in _load_tracer().TARGETS}
     wrapped.add(("cli", "json"))
-    imported = []
+    imported, unread = [], []
     for path in sorted((ROOT / "src" / "bracket_steer").glob("*.py")):
         text = path.read_text()
         lines = text.splitlines()
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
             if (isinstance(node, (ast.Import, ast.ImportFrom))
                     and "# noqa: F401" in lines[node.end_lineno - 1]):
                 imported += [(path.stem, alias.asname or alias.name) for alias in node.names]
+        read = _exported(tree) | {node.id for node in ast.walk(tree)
+                                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in _module_imports(tree):
+            if "# noqa: F401" not in lines[node.end_lineno - 1]:
+                unread += [f"{path.stem}.{name}" for name in
+                           ((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+                           if name not in read]
     assert imported
     assert [f"{module}.{name}" for module, name in imported
             if (module, name) not in wrapped] == []
+    assert unread == []
