@@ -181,6 +181,19 @@ def _cert_json(bundle, certs):
     return certs[0].to_dict()
 
 
+def _gain_condition(bundle, rho, ftraj=None):
+    """The gain_condition rows along the leader's path at every sub-step: a
+    run's own leader record when it kept every sub-step (record_stride 1),
+    else the leader alone (simulate_leader), so run and validate agree."""
+    if ftraj is not None and bundle.sim.record_stride == 1:
+        times, states = ftraj.dense_times, ftraj.leader_states
+    else:
+        kmax = max(a.selection.kappa_max for a in bundle.agents)
+        times, states = simulate_leader(bundle.leader, bundle.gains, bundle.sim, kmax)
+    return [row.to_dict() for row in gain_condition_report(
+        bundle.leader, bundle.agents, rho, times, states)]
+
+
 def _cmd_run(args):
     epsilon = None
     if args.epsilon is not None:
@@ -214,11 +227,7 @@ def _cmd_run(args):
                                    bundle.gains, bundle.sim)
         report = decay_report(ftraj.displacement_trajs[0], bundle.gains, rho)
         sidecar["decay_report"] = report.to_dict()
-        sidecar["gain_condition"] = [
-            row.to_dict() for row in gain_condition_report(
-                bundle.leader, bundle.agents, rho,
-                ftraj.dense_times, ftraj.leader_states)
-        ]
+        sidecar["gain_condition"] = _gain_condition(bundle, rho, ftraj)
         body = _csv_formation(ftraj, bundle.agents) if as_csv else _traj_json_formation(ftraj)
 
     out = Path(args.out or f"{bundle.name}.{args.format}")
@@ -277,11 +286,7 @@ def _cmd_validate(args):
     payload = {"scenario": bundle.name, "certificate": _cert_json(bundle, certs)}
 
     if bundle.kind == scenarios.FORMATION:
-        kmax = max(a.selection.kappa_max for a in bundle.agents)
-        times, states = simulate_leader(bundle.leader, bundle.gains, bundle.sim, kmax)
-        payload["gain_condition"] = [
-            row.to_dict() for row in gain_condition_report(
-                bundle.leader, bundle.agents, rho, times, states)]
+        payload["gain_condition"] = _gain_condition(bundle, rho)
 
     text = scenarios.json_text(payload)
     if args.out:

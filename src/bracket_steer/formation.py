@@ -6,10 +6,14 @@ variables y_l = x_l - x_L - d_l turns the formation into one partial
 stabilization problem whose extension matrix is block-diagonal.  A run
 hands simulate's sampled-loop engine the rows (x_L, x_1, ..., x_N): row 0
 is the leader's field with no control, row l + 1 agent l's f0 + sum_k u_k f_k
-held at its own frozen pair (x_l(tau_j), x_L(tau_j)).  The engine advances
-each row by its own RK4 sub-step, so each row follows exactly the
-trajectory it would have alone.  simulate_leader is the same run with no
-followers.
+held at its own frozen pair (x_l(tau_j), x_L(tau_j)).  The blocks are
+independent, so the followers are steered and advanced in groups: each run
+of consecutive agents that share one system object and an equal selection
+takes one stacked steering solve and one control table per sampling
+instant, and one block kernel call per table block.  The engine advances
+each row by its own RK4 sub-step, bit for bit, so each row follows exactly
+the trajectory it would have alone.  simulate_leader is the same run with
+no followers.
 """
 
 import math
@@ -23,7 +27,7 @@ from .errors import InvalidInputError, NonFiniteError, RankDegeneracyError
 from .model import as_state
 from .simulate import (SampledTrajectory, SimConfig, _check_field_length, _check_field_lengths,
                        _run_sampled)
-from .synthesis import _steer, check_selection, frozen_control, held_control
+from .synthesis import _steer, _steer_many, check_selection, frozen_control, held_control
 # Not called here: perfbench/tracer.py wraps formation._guard, _rk4_step,
 # extension_matrix and _solve_steering by name.
 from .simulate import _guard_state as _guard, _rk4_step  # noqa: F401
@@ -194,31 +198,72 @@ def simulate_leader(leader, gains, cfg=None, kappa_max=1):
 
 
 def _no_control(ts):
-    """The leader's control table: no entries at any time."""
-    return np.empty((len(ts), 0))
+    """The leader's control table: one row with no entries at any time."""
+    return np.empty((len(ts), 1, 0))
+
+
+def _follower_groups(agents):
+    """The runs of consecutive agents that share one system object and an
+    equal selection, as (index of the first, agents) pairs."""
+    groups = []
+    for idx, agent in enumerate(agents):
+        if groups and (agent.system is groups[-1][1][0].system
+                       and agent.selection == groups[-1][1][0].selection):
+            groups[-1][1].append(agent)
+        else:
+            groups.append((idx, [agent]))
+    return groups
 
 
 def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
-    """Run the stacked state, row 0 the leader and row l + 1 agent l."""
+    """Run the stacked state, row 0 the leader and row l + 1 agent l.
+
+    The followers advance in groups (_follower_groups): at each sampling
+    instant a group takes one stacked steering solve (synthesis._steer_many)
+    and one control table for all its agents, and the engine advances it
+    by one block kernel call per table block.  A group whose stacked solve
+    would fail is steered agent by agent, each follower_steering and then
+    its frozen_control, so the first failure in agent order is raised with
+    its agent_index.
+    """
     eps = gains.epsilon
     x0 = np.array([leader.x0_vec(), *x0s])
     n_rows, p = x0.shape
     ms = [agent.system.m for agent in agents]
     _check_field_length(leader.dynamics(0.0, leader.x0_vec()), p, "leader field")
-    rows = [("leader", leader.dynamics, ())]
     for idx, (agent, x) in enumerate(zip(agents, x0s)):
         _check_field_lengths(agent.system, x, f"agent {idx} ")
-        rows.append((f"agent {idx}", agent.system.drift, agent.system.control_fields))
+    groups = _follower_groups(agents)
+    rows = [(("leader",), leader.dynamics, ())]
+    rows += [(tuple(f"agent {idx}" for idx in range(lo, lo + len(group))),
+              group[0].system.drift, group[0].system.control_fields) for lo, group in groups]
+    offsets = [np.array([agent.offset for agent in group]) for _, group in groups]
+    gammas = [[agent.gamma for agent in group] for _, group in groups]
 
-    def steer(row_states):
-        held = [_no_control]
-        for idx, agent in enumerate(agents):
+    def steer_each(lo, group, X):
+        """A group's coefficients agent by agent: follower_steering, then
+        frozen_control for its checks, so the first failure in agent order
+        is raised as a lone agent raises it."""
+        coeffs = []
+        for idx, agent in enumerate(group, lo):
             try:
-                a = follower_steering(agent, gains, row_states[idx + 1], row_states[0])
+                a = follower_steering(agent, gains, X[idx + 1], X[0])
             except RankDegeneracyError as exc:
                 exc.agent_index = idx
                 raise
-            held.append(frozen_control(agent.selection, eps, agent.system.m, a))
+            frozen_control(agent.selection, eps, agent.system.m, a)
+            coeffs.append(a)
+        return np.array(coeffs)
+
+    def steer(X):
+        held = [_no_control]
+        for (lo, group), d, gamma in zip(groups, offsets, gammas):
+            sys, sel = group[0].system, group[0].selection
+            Xg = X[lo + 1:lo + 1 + len(group)]
+            coeffs = _steer_many(sys, sel, Xg, Xg - X[0] - d, gamma, gains.cond_cap)
+            if coeffs is None:
+                coeffs = steer_each(lo, group, X)
+            held.append(frozen_control(sel, eps, sys.m, coeffs))
         return held
 
     def build(rec):

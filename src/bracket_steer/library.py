@@ -5,9 +5,10 @@ are code registered here (built-ins below, user fields via register_*).
 Keeping fields out of config files keeps every Jacobian analytic.
 
 The built-ins also carry fast paths that simulate and synthesis choose by
-the identity of their exact function objects: a whole-block RK4 kernel per
-built-in row (_BLOCK_STEPS) and fused extension-matrix columns
-(_FUSED_COLUMNS), each bitwise the generic computation it replaces.
+the identity of their exact function objects: a whole-block RK4 kernel that
+advances a stack of built-in rows at once (_BLOCK_STEPS) and fused
+extension-matrix columns (_FUSED_COLUMNS), each bitwise the generic
+computation it replaces.
 """
 
 import math
@@ -160,63 +161,68 @@ def _identity_key(*funcs):
     return (*map(id, funcs),)
 
 
-# Whole-block RK4 kernels (x, h, ts, U) -> (n, p): a row's states after each
-# of n sub-steps of length h from x, given the block's times ts and control
-# table U as simulate tabulates them (each sub-step's start, midpoint and end
-# at rows 3i, 3i + 1 and 3i + 2, then the block's end).  Each repeats
-# simulate's generic _rk4_step on the generic stage in array form, so a
-# block whose states are all finite is bitwise n generic sub-steps; a
-# non-finite one is left to simulate's generic path.
+# Whole-block RK4 kernels (X, h, ts, U) -> (n, k, p): the states of k rows
+# X (k, p) after each of n sub-steps of length h, given the block's times ts
+# and its time-major control table U (len(ts), k, m) as simulate tabulates
+# them (each sub-step's start, midpoint and end at 3i, 3i + 1 and 3i + 2,
+# then the block's end).  Each repeats simulate's generic _rk4_step on the
+# generic stage in array form, elementwise and accumulated along the time
+# axis only, so a row whose states are all finite is bitwise n generic
+# sub-steps of that row alone, whatever the other rows hold; a non-finite
+# one is left to simulate's generic path.
 
 # Each sub-step's four RK4 stages read the table at its start, midpoint
-# (twice) and end.
+# (twice) and end; the last three stages step h/2, h/2 and h from its start.
 _RK4_STAGES = np.array([0, 1, 1, 2])
+_STAGE_STEPS = np.array([[0.5], [0.5], [1.0]])
 
 
 def _rk4_states(x, h, k):
-    """The (n + 1, p) states x_0 = x, x_{i+1} = x_i + h/6 (((k1 + 2 k2) + 2 k3)
-    + k4) from stage rates k of shape (n, 4, p): np.add.accumulate adds
-    strictly left to right, as the sub-steps do one after another."""
-    out = np.empty((len(k) + 1, len(x)))
+    """The (n + 1, *x.shape) states x_0 = x, x_{i+1} = x_i + h/6 (((k1 + 2 k2)
+    + 2 k3) + k4) from stage rates k of shape (n, 4, *x.shape), or one that
+    broadcasts to it: np.add.accumulate adds strictly left to right along
+    the time axis, as the sub-steps do one after another."""
+    out = np.empty((len(k) + 1, *np.shape(x)))
     out[0] = x
     out[1:] = (h / 6.0) * (((k[:, 0] + 2.0 * k[:, 1]) + 2.0 * k[:, 2]) + k[:, 3])
     return np.add.accumulate(out, out=out)
 
 
-def _heading_block(x, h, ts, U):
+def _heading_block(X, h, ts, U):
     """The unicycle's (p = 3) or the disc's (p = 4) block.  Their stage is
     0 + ua f1 + ub f2 with f1 = (cos x3, sin x3, 0, 1), f2 = (0, 0, 1, 0).
     For finite controls and heading the generic sum (a term only for a
     non-zero control, the * 0.0 and * 1.0 terms kept) reduces to
     (0.0 + ua cos x3, 0.0 + ua sin x3, 0.0 + ub, 0.0 + ua) bit for bit, signed
-    zeros included; a non-finite control or heading makes the block
+    zeros included; a non-finite control or heading makes the row
     non-finite.  The heading rate is ub alone, so every stage heading is
     known once the headings are accumulated, and one np.cos and one np.sin
-    take all four stages of every sub-step."""
-    n = len(ts) // 3
-    u = U[:3 * n].reshape(n, 3, 2)[:, _RK4_STAGES]
+    take all four stages of every sub-step and row."""
+    n, (rows, p) = len(ts) // 3, X.shape
+    u = U[:3 * n].reshape(n, 3, rows, 2)[:, _RK4_STAGES]  # (n, 4, k, 2)
     ua = u[..., 0]
     w = 0.0 + u[..., 1]
-    heading = _rk4_states(x[2:3], h, w[..., None])[:-1]  # at each sub-step's start
+    heading = _rk4_states(X[:, 2], h, w)[:-1]  # (n, k), at each sub-step's start
     # The stage headings x3, x3 + (h/2) k1, x3 + (h/2) k2 and x3 + h k3.
-    theta = np.empty((n, 4))
-    theta[:, :1] = heading
-    theta[:, 1:] = heading + np.array([0.5 * h, 0.5 * h, h]) * w[:, :3]
-    k = np.empty((n, 4, len(x)))
+    theta = np.empty(w.shape)
+    theta[:, 0] = heading
+    theta[:, 1:] = heading[:, None] + (h * _STAGE_STEPS) * w[:, :3]
+    k = np.empty((n, 4, rows, p))
     k[..., 0] = 0.0 + ua * np.cos(theta)
     k[..., 1] = 0.0 + ua * np.sin(theta)
     k[..., 2] = w
-    if len(x) == 4:
+    if p == 4:
         k[..., 3] = 0.0 + ua
-    return _rk4_states(x, h, k)[1:]
+    return _rk4_states(X, h, k)[1:]
 
 
-def _figure_eight_block(x, h, ts, U):
+def _figure_eight_block(X, h, ts, U):
     """The uncontrolled leader's block: the field ignores x, so its stages
-    are the field at each sub-step's start, midpoint (twice) and end."""
+    are the field at each sub-step's start, midpoint (twice) and end, the
+    same for every row."""
     n = len(ts) // 3
-    v = _figure_eight_velocities(ts[:3 * n]).reshape(n, 3, 3)
-    return _rk4_states(x, h, v[:, _RK4_STAGES])[1:]
+    v = _figure_eight_velocities(ts[:3 * n]).reshape(n, 3, 1, 3)
+    return _rk4_states(X, h, v[:, _RK4_STAGES])[1:]
 
 
 # Block kernels, keyed by (drift, *control_fields): the built-ins share

@@ -8,24 +8,28 @@ caller: the interval grid and its partial tail, the sub-step and boundary
 times, each row's step, divergence guard and control record, resampling at
 each sampling instant, the record stride, and the partial trajectory
 attached to a failure.  It runs one system (simulate_pi_epsilon, one row)
-or the formation's rows, each row a list of floats advanced by its own
-fixed-step RK4 sub-step in the operation order of the float64 array form,
-so results are bitwise those of arrays.
+or the formation's rows, in groups of consecutive rows that share their
+functions: the leader, then each run of followers that share one system
+and selection.  Each row is advanced by its own fixed-step RK4 sub-step in
+the operation order of the float64 array form, so results are bitwise
+those of arrays.
 
-At each sampling instant every row's held control is evaluated once, as a
-table over every time the interval uses (synthesis.frozen_control), and
-each row's sub-step (t, x, h, u0, uh, u1) takes its controls at the start,
-midpoint and end from that table.  The generic sub-step is _rk4_step on the
-stage (t, x, u) -> f0(t, x) + sum_k u_k f_k(x) (_row_stage).  Fields receive
-their row as a 1-d float64 ndarray and may return any sequence of numbers,
-each entry taken as a float64.  Rows of the built-in unicycle and rolling
-disc, and the figure-eight leader, skip that contract: their exact function
-objects select a block kernel in library (_row_integrators), which
-advances the row over a whole table block in one numpy pass and repeats
-the generic sub-steps' operations bit for bit.  The driver does the same
-for every table block: advance it, append its due dense points in one
-strided append, and raise the failure handed back.  When every row has a
-kernel, a block is one kernel call per row and one vector guard
+At each sampling instant every group's held controls are evaluated once,
+as one time-major table (len(ts), k, m) of its k rows' controls over every
+time the interval uses (synthesis.frozen_control), and each row's sub-step
+(t, x, h, u0, uh, u1) takes its controls at the start, midpoint and end
+from its rows of that table.  The generic sub-step is _rk4_step on the
+stage (t, x, u) -> f0(t, x) + sum_k u_k f_k(x) (_row_stage), on the row as
+a list of floats.  Fields receive their row as a 1-d float64 ndarray and
+may return any sequence of numbers, each entry taken as a float64.  Groups
+of the built-in unicycle and rolling disc, and the figure-eight leader,
+skip that contract: their exact function objects select a block kernel in
+library (_row_integrators), which advances all the group's rows over a
+whole table block in one numpy pass and repeats the generic sub-steps'
+operations bit for bit on each row.  The driver does the same for every
+table block: advance it, append its due dense points in one strided
+append, and raise the failure handed back.  When every group has a kernel,
+a block is one kernel call per group and one vector guard
 (_advance_block); otherwise, or when that block is not finite and well
 inside the guard's cap, it is the generic sub-steps of all rows together,
 guarded after each (_generic_block), so a failure is raised as they raise
@@ -38,6 +42,7 @@ import warnings
 from array import array
 from dataclasses import asdict, dataclass, replace
 from functools import partial
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -187,12 +192,13 @@ def _rk4_step(stage, t, x, h, u0, uh, u1):
 class _Recorder:
     """Flat float64 buffers of the dense grid and sampling instants of one run.
 
-    record() appends one dense point, t, the rows' states, each row's held
-    control at t and the interval index: an interval's start, or t_final
-    after a tail; record_block() appends a table block's due sub-step ends
-    at once; sample() appends a sampling instant and the rows' states
-    there; build() hands the recorder to the caller's build, which reshapes
-    each buffer once into the caller's trajectory type.
+    record() appends one dense point, t, the rows' states X (n_rows, p),
+    each row's held control at t from the group tables and the interval
+    index: an interval's start, or t_final after a tail; record_block()
+    appends a table block's due sub-step ends at once; sample() appends a
+    sampling instant and the rows' states there; build() hands the recorder
+    to the caller's build, which reshapes each buffer once into the
+    caller's trajectory type.
     """
 
     def __init__(self, build):
@@ -204,28 +210,27 @@ class _Recorder:
         self.sample_times = array("d")
         self.sample_states = array("d")
 
-    def record(self, t, xs, j, tables, e):
+    def record(self, t, X, j, tables, e):
         self.times.append(t)
-        for x in xs:
-            self.states.extend(x)
+        self.states.frombytes(X.tobytes())
         for tab in tables:
-            self.controls.extend(tab[e])
+            self.controls.frombytes(tab[e].tobytes())
         self.intervals.append(j)
 
     def record_block(self, ts, states, j, tables, subs):
-        """record() at the end of each listed sub-step (1-based, an int
-        array) of a table block, from its times and tables and its stacked
-        states (n, width) after each sub-step."""
-        ends = 3 * subs
+        """record() at the end of each sub-step in the range subs (1-based)
+        of a table block, from its times and group tables and its stacked
+        states (n, width) after each sub-step, as strided slices."""
+        ends = slice(3 * subs.start, 3 * subs.stop, 3 * subs.step)
         self.times.frombytes(ts[ends].tobytes())
-        self.states.frombytes(states[subs - 1].tobytes())
-        self.controls.frombytes(np.concatenate([tab[ends] for tab in tables], axis=1).tobytes())
+        self.states.frombytes(states[subs.start - 1:subs.stop - 1:subs.step].tobytes())
+        self.controls.frombytes(np.concatenate(
+            [tab[ends].reshape(len(subs), tab[0].size) for tab in tables], axis=1).tobytes())
         self.intervals.extend([j] * len(subs))
 
-    def sample(self, t, xs):
+    def sample(self, t, X):
         self.sample_times.append(t)
-        for x in xs:
-            self.sample_states.extend(x)
+        self.sample_states.frombytes(X.tobytes())
 
     def build(self):
         return self._build(self)
@@ -284,48 +289,54 @@ def _row_stage(drift, fields):
     return stage
 
 
-def _row_integrators(rows):
-    """The one lookup of a run's integrators: each row's generic RK4 sub-step
-    (t, x, h, u0, uh, u1) -> floats (_rk4_step on _row_stage), and each row's
-    whole-block kernel in library when every row has one, else None.
+def _row_integrators(groups):
+    """The one lookup of a run's integrators, per group of rows that share
+    (drift, fields): the group's generic RK4 sub-step of one row
+    (t, x, h, u0, uh, u1) -> floats (_rk4_step on _row_stage), and the
+    group's whole-block kernel in library when every group has one, else
+    None.
 
     Exactly the built-in unicycle's, rolling disc's and figure-eight
     leader's functions select a block kernel; any other functions, in any
-    row, leave the whole run on the generic sub-steps.
+    group, leave the whole run on the generic sub-steps.
     """
-    steps = [partial(_rk4_step, _row_stage(drift, fields)) for _, drift, fields in rows]
+    steps = [partial(_rk4_step, _row_stage(drift, fields)) for _, drift, fields in groups]
     blocks = [library._BLOCK_STEPS.get(library._identity_key(drift, *fields))
-              for _, drift, fields in rows]
+              for _, drift, fields in groups]
     return steps, (blocks if all(blocks) else None)
 
 
-def _advance_block(blocks, xs, h, ts, tables):
+def _advance_block(blocks, Xs, h, ts, tables):
     """The stacked states (n, width) after each of a table block's n
-    sub-steps, from each row's block kernel, or None unless every entry is
+    sub-steps, from one block kernel call per group on its rows Xs[g]
+    (k, p) and its table (len(ts), k, m), or None unless every entry is
     finite and max |v| * sqrt(width) < _GUARD_PASS_NORM.  That bounds every
     sub-step's stacked norm well inside the cap, so no row would fail its
     exact guard; a block that fails the test is redone by the generic
     sub-steps, so any failure is raised as the generic path raises it."""
     with np.errstate(all="ignore"):
-        states = np.concatenate([block(x, h, ts, tab)
-                                 for block, x, tab in zip(blocks, xs, tables)], axis=1)
+        states = np.concatenate([block(X, h, ts, tab).reshape(len(ts) // 3, -1)
+                                 for block, X, tab in zip(blocks, Xs, tables)], axis=1)
         if np.abs(states).max() * math.sqrt(states.shape[1]) < _GUARD_PASS_NORM:
             return states
     return None
 
 
-def _generic_block(steps, xs, h, ts, tables, names):
-    """A table block by every row's generic sub-step, all rows guarded
-    (_guard_rows) after each: the stacked states (k, width) after each
-    sub-step that passed, and None, or the DivergenceError of the first
-    sub-step that failed.  An exception a field raises propagates."""
-    width = sum(map(len, xs))
+def _generic_block(steps, Xs, h, ts, tables, names):
+    """A table block by every row's generic sub-step (its group's, on its
+    own rows of the group's table), all rows guarded (_guard_rows) after
+    each: the stacked states (k, width) after each sub-step that passed,
+    and None, or the DivergenceError of the first sub-step that failed.
+    An exception a field raises propagates."""
+    width = sum(X.size for X in Xs)
     tl = ts.tolist()
-    tabs = [tab.tolist() for tab in tables]
+    rows = [(step, tab[:, r].tolist())
+            for step, X, tab in zip(steps, Xs, tables) for r in range(len(X))]
+    xs = [x for X in Xs for x in X.tolist()]
     done, error = [], None
     for c in range(0, len(tl) - 1, 3):  # a sub-step's start in the tables
         xs = [step(tl[c], x, h, tab[c], tab[c + 1], tab[c + 2])
-              for step, x, tab in zip(steps, xs, tabs)]
+              for (step, tab), x in zip(rows, xs)]
         try:
             _guard_rows(xs, tl[c + 3], names)
         except DivergenceError as exc:
@@ -349,18 +360,21 @@ def _plan_run(cfg, gains, kappa_max, n_rows):
     return t_final, nsub, n_int, tail, n_intervals
 
 
-def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
+def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build):
     """Integrate a sampled closed loop from x0; the package's one clock.
 
-    x0 is (n_rows, p) and rows[r] = (name, drift, fields) describes row r.
-    At each sampling instant tau_j = j * epsilon, steer(row_states) returns
-    one frozen control per row, a function from an array of times to the
-    table of u at each (synthesis.frozen_control).  It is evaluated once
-    per interval (per TABLE_SUBSTEPS sub-steps of a longer one) at every
-    time the interval uses: each sub-step's start tau_j + (i - 1) h,
-    midpoint and end, and the interval's end.  Each row's integrators are
-    looked up once per run (_row_integrators: _rk4_step on the stage
-    drift + sum_k u_k fields[k], and the built-ins' block kernels).  Over
+    x0 is (n_rows, p), its rows in group order, and groups[g] =
+    (names, drift, fields) describes the consecutive rows, one per name,
+    that share the functions drift and fields.  At each sampling instant
+    tau_j = j * epsilon, steer(X), X the rows' states (n_rows, p), returns
+    one frozen control per group, a function from an array of times to the
+    time-major table (len(ts), k, m) of each of its k rows' u at each
+    (synthesis.frozen_control).  It is evaluated once per interval (per
+    TABLE_SUBSTEPS sub-steps of a longer one) at every time the interval
+    uses: each sub-step's start tau_j + (i - 1) h, midpoint and end, and
+    the interval's end.  Each group's integrators are looked up once per
+    run (_row_integrators: _rk4_step on the stage drift + sum_k u_k
+    fields[k], and the built-ins' block kernels).  Over
     [tau_j, tau_j + epsilon) each row advances by its own sub-step, nsub
     per interval, taking u at the sub-step's start, midpoint and end from
     its table, while the time argument runs on; one RuntimeWarning per run
@@ -369,8 +383,8 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
 
     Every interval, and the end of a horizon without a tail, begins with
     one step: sample, steer, tabulate and record the start when due.  Each
-    table block is then advanced whole, by the rows' block kernels
-    (_advance_block) or, when a row has none or the kernels' vector guard
+    table block is then advanced whole, by one block kernel call per group
+    (_advance_block) or, when a group has none or the kernels' vector guard
     fails, by _generic_block: every row's generic sub-step, after each of
     which one norm test of the stacked state passes every row and only
     when it fails is each row guarded, under its name, by the exact
@@ -390,9 +404,10 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
             f"(kappa={kappa_max}) with fewer than 20 sub-steps", RuntimeWarning)
     total_substeps = n_intervals * nsub
     stride = cfg.record_stride
-    names = [name for name, _, _ in rows]
-    p = x0.shape[1]
-    steps, blocks = _row_integrators(rows)
+    names = [name for group, _, _ in groups for name in group]
+    n_rows, p = x0.shape
+    bounds = [0, *accumulate(len(group) for group, _, _ in groups)]
+    steps, blocks = _row_integrators(groups)
 
     def tabulate(held, j, lo):
         """Interval j's sub-step length, the times its sub-steps lo + 1 .. hi
@@ -420,42 +435,42 @@ def _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build):
         return h, times, [control(times) for control in held]
 
     rec = _Recorder(build)
-    xs = x0.tolist()
+    X = x0
     g = 0  # sub-steps done, drives record_stride
     try:
         for j in range(n_int + 1):
             # Sampling instant tau_j: sample, resample the held controls and
             # record the interval's start when due.
             t = j * eps
-            rec.sample(t, xs)
-            held = steer(xs)
+            rec.sample(t, X)
+            held = steer(X)
             h, ts, tables = tabulate(held, j, 0)
             if g % stride == 0 or g == total_substeps:
-                rec.record(t, xs, j, tables, 0)
+                rec.record(t, X, j, tables, 0)
             if j == n_intervals:
                 break
             for lo in range(0, nsub, TABLE_SUBSTEPS):
                 if lo:
                     h, ts, tables = tabulate(held, j, lo)
                 end = len(ts) - 1  # the block's end in its tables
-                states = blocks and _advance_block(blocks, xs, h, ts, tables)
+                Xs = [X[a:b] for a, b in zip(bounds, bounds[1:])]
+                states = blocks and _advance_block(blocks, Xs, h, ts, tables)
                 error = None
                 if states is None:
-                    states, error = _generic_block(steps, xs, h, ts, tables, names)
+                    states, error = _generic_block(steps, Xs, h, ts, tables, names)
                 # The due sub-steps among those done, in one append, but not
                 # the interval's last: the next interval's start records
                 # that point, or after a tail the final record.
                 recordable = end // 3 - (lo + TABLE_SUBSTEPS >= nsub)
-                rec.record_block(ts, states, j, tables, np.arange(
+                rec.record_block(ts, states, j, tables, range(
                     stride - g % stride, min(len(states), recordable) + 1, stride))
                 if error is not None:
                     raise error
                 g += end // 3
-                last = states[-1].tolist()
-                xs = [last[r:r + p] for r in range(0, len(last), p)]
+                X = states[-1].reshape(n_rows, p)
         else:
             # The tail ran to t_final: its end is the final point.
-            rec.record(float(ts[end]), xs, n_int, tables, end)
+            rec.record(float(ts[end]), X, n_int, tables, end)
     except (DivergenceError, RankDegeneracyError) as exc:
         exc.partial = rec.build()
         raise
@@ -497,8 +512,8 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
         )
 
     return _run_sampled(
-        cfg, gains, sel.kappa_max, x0[None], [("state", sys.drift, sys.control_fields)],
-        lambda xs: [frozen_control(sel, eps, m, steering_coefficients(sys, sel, gains, xs[0]))],
+        cfg, gains, sel.kappa_max, x0[None], [(("state",), sys.drift, sys.control_fields)],
+        lambda X: [frozen_control(sel, eps, m, steering_coefficients(sys, sel, gains, X[0])[None])],
         build)
 
 

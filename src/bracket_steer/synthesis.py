@@ -13,14 +13,17 @@ one model field per S1 column and one model bracket per S2 column, each
 bracket evaluating its own fields and Jacobians; no benchmark workload
 reaches it.  validate_selection checks its probes in one pass and certifies
 them with one SVD per stack of at most PROBE_CHUNK matrices; each steering
-solve keeps one SVD for its condition guard and one LU solve.  Both are the
-LAPACK gufuncs that np.linalg.svd and np.linalg.solve call, called without
-those wrappers: the same routines, so the same bytes, but a failure comes
-back as NaN, never as LinAlgError, and the guards below test for it.
+solve keeps one SVD for its condition guard and one LU solve, and a stack
+of solves (_steer_many, for a formation's followers) one of each for the
+whole stack.  Both are the LAPACK gufuncs that np.linalg.svd and
+np.linalg.solve call, called without those wrappers: the same routines,
+so the same bytes, but a failure comes back as NaN, never as LinAlgError,
+and the guards below test for it.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from sys import float_info
 from typing import Optional
 
@@ -246,6 +249,34 @@ def _steer(sys, sel, x, r, gamma, cond_cap):
     return _solve_steering(_extension_matrix(sys, sel, x), rhs, cond_cap, x)
 
 
+def _steer_many(sys, sel, X, R, gammas, cond_cap):
+    """_steer for each row of a stack: the (k, width) coefficients a_l solving
+    F(x_l) a_l = -gamma_l r_l for states X (k, n), r_l the rows of R (k, n1)
+    and one gain per row, or None when any row's _steer would raise.
+
+    Each right-hand side is formed in Python floats, as _steer does, and
+    each row's _extension_matrix is stacked; then one _lapack_svd and one
+    _lapack_solve1 over the (k, n1, n1) stack make the same LAPACK call on
+    each matrix, so each row is bitwise its own _steer.  A non-finite
+    right-hand side, an error building a matrix, a condition number over
+    cond_cap or NaN, or a NaN solve gives None, and the caller takes the
+    rows one by one with _steer, which raises the first failure in row
+    order as it always has.
+    """
+    rhs = [[-float(g) * v for v in r] for g, r in zip(gammas, R.tolist())]
+    if not all(map(math.isfinite, chain.from_iterable(rhs))):
+        return None
+    try:
+        F = np.array([_extension_matrix(sys, sel, x) for x in X])
+    except Exception:  # the per-row pass raises it again, in its place
+        return None
+    with np.errstate(all="ignore"):
+        if not all(cond <= cond_cap for cond, _ in _conditioning(F)):
+            return None
+        a = _lapack_solve1(F, rhs, signature="dd->d")
+    return None if any(map(math.isnan, a.ravel().tolist())) else a
+
+
 def steering_coefficients(sys, sel, gains, x):
     """a(x) solving F(x) a = -gamma (y - y*), ordered as (S1 entries, S2 entries)."""
     x = as_state(x, sys.n)
@@ -269,46 +300,69 @@ def frozen_control(sel, epsilon, m, a):
              [ delta_{k,i1} cos(2 pi kappa t / eps)
                + delta_{k,i2} sign(a_{i1i2}) sin(2 pi kappa t / eps) ].
 
-    The S1 part, each pair's amplitude and signed amplitude, and each
-    pair's rate 2 pi kappa depend only on a, so they are computed here once,
-    in Python float arithmetic; an amplitude that is not finite (a subnormal
-    epsilon or a huge coefficient overflows it) raises NonFiniteError naming
-    epsilon, and the coefficient unless epsilon is subnormal.
+    a is one coefficient vector (sel.width,) or a block (k, sel.width) of
+    them, one per row.  The S1 part, each pair's amplitude and signed
+    amplitude per row, and each pair's rate 2 pi kappa depend only on a, so
+    they are computed here once, in Python float arithmetic, row by row; an
+    amplitude that is not finite (a subnormal epsilon or a huge coefficient
+    overflows it) raises NonFiniteError naming epsilon, and the coefficient
+    unless epsilon is subnormal.
     The returned table(ts) maps a 1-d float64 array of times to the
-    (len(ts), m) float64 array of u at each: one numpy pass per pair, each
-    element taking the scalar operations in the scalar order (fmod, /, *,
-    cos, sin, then the two adds), so every row is bitwise the control at
-    that time alone.  The phase is reduced with fmod(t, epsilon), so the
-    evaluation is epsilon-periodic exactly whenever t and t + epsilon round
-    to the same remainder (always true on dyadic grids).
+    time-major (len(ts), m) float64 array of u at each, or (len(ts), k, m)
+    for a block: one cos and one sin pass over the times per pair, shared
+    by every row, each element taking the scalar operations in the scalar
+    order (fmod, /, *, cos, sin, then the two adds), so every entry is
+    bitwise the control of that row at that time alone.  The phase is
+    reduced with fmod(t, epsilon), so the evaluation is epsilon-periodic
+    exactly whenever t and t + epsilon round to the same remainder (always
+    true on dyadic grids).
     """
-    base = np.zeros(m)
-    for idx, i in enumerate(sel.s1):
-        base[i - 1] += a[idx]
+    a = np.asarray(a, dtype=float)
+    lead = a.shape[:-1]
+    rows = a.reshape(-1, sel.width).tolist()
+    eps = float(epsilon)
+    base = [[0.0] * m for _ in rows]
     off = len(sel.s1)
-    pairs = []
-    for p, (i1, i2) in enumerate(sel.s2):
-        ap = float(a[off + p])
-        kap = float(sel.kappa[p])
-        amp = 2.0 * math.sqrt(math.pi * kap * abs(ap) / float(epsilon))
-        if not math.isfinite(amp):
-            # A subnormal epsilon overflows every amplitude; at a normal
-            # one the coefficient is as much the cause.
-            at = "" if float(epsilon) < float_info.min else f"a={ap!r}, "
-            raise NonFiniteError(
-                f"control amplitude 2 sqrt(pi kappa |a| / epsilon) of S2 pair ({i1}, {i2}) "
-                f"is not finite at {at}epsilon={float(epsilon)!r}")
-        pairs.append((i1 - 1, i2 - 1, amp, _sign(ap) * amp, TWO_PI * kap))
+    # Each pair's amplitudes, then its signed amplitudes, over the rows.
+    amps = [[] for _ in range(2 * len(sel.s2))]
+    for r, b in zip(rows, base):
+        for idx, i in enumerate(sel.s1):
+            b[i - 1] += r[idx]
+        for p, (i1, i2) in enumerate(sel.s2):
+            ap = r[off + p]
+            amp = 2.0 * math.sqrt(math.pi * float(sel.kappa[p]) * abs(ap) / eps)
+            if not math.isfinite(amp):
+                # A subnormal epsilon overflows every amplitude; at a normal
+                # one the coefficient is as much the cause.
+                at = "" if eps < float_info.min else f"a={ap!r}, "
+                raise NonFiniteError(
+                    f"control amplitude 2 sqrt(pi kappa |a| / epsilon) of S2 pair ({i1}, {i2}) "
+                    f"is not finite at {at}epsilon={eps!r}")
+            amps[2 * p].append(amp)
+            amps[2 * p + 1].append(_sign(ap) * amp)
+    base = np.array(base)
+    # A block broadcasts each pair's (k,) amplitudes against (len(ts), 1)
+    # phases.  One row takes float amplitudes and 1-d passes over its
+    # column instead, the same bytes: numpy's scalar loops skip the
+    # broadcasting set-up, a fixed cost per operation that outweighs a
+    # one-row table's arithmetic (the single-system run, disc-sweep).
+    one = len(rows) == 1
+    amps = [v[0] if one else np.array(v) for v in amps]
+    pairs = [(i1 - 1, i2 - 1, TWO_PI * float(kap), amps[2 * p], amps[2 * p + 1])
+             for p, ((i1, i2), kap) in enumerate(zip(sel.s2, sel.kappa))]
 
     def table(ts):
-        u = np.empty((len(ts), m))
+        u = np.empty((len(ts), len(rows), m))
         u[:] = base
         phase = np.fmod(ts, epsilon) / epsilon
-        for k1, k2, amp, signed_amp, rate in pairs:
+        cols = u[:, 0] if one else u
+        if not one:
+            phase = phase[:, None]
+        for k1, k2, rate, amp, signed_amp in pairs:
             ang = rate * phase
-            u[:, k1] += amp * np.cos(ang)
-            u[:, k2] += signed_amp * np.sin(ang)
-        return u
+            cols[..., k1] += amp * np.cos(ang)
+            cols[..., k2] += signed_amp * np.sin(ang)
+        return u.reshape(len(ts), *lead, m)
 
     return table
 

@@ -389,6 +389,27 @@ def test_validate_formation_gain_condition(tmp_path):
     assert 0.28 < gc["sup_leader_speed"] < 0.45
 
 
+def test_run_and_validate_agree_on_gain_condition(tmp_path):
+    # The gain condition is a supremum over the leader's whole path: a run
+    # that records every 97th sub-step still reports it over every
+    # sub-step, as validate does, and at stride 1 the run's own record is
+    # that path.
+    from bracket_steer import builtin_scenario, scenario_to_dict
+    rows = []
+    for stride in (97, 1):
+        d = scenario_to_dict(builtin_scenario("unicycle-leader"))
+        d["sim"]["record_stride"] = stride
+        path = tmp_path / f"stride-{stride}.json"
+        path.write_text(json.dumps(d))
+        assert main(["run", str(path), "--out", str(tmp_path / "x.csv")]) == 0
+        ran = json.loads((tmp_path / "x.report.json").read_text())["gain_condition"]
+        assert main(["validate", str(path), "--out", str(tmp_path / "v.json")]) == 0
+        assert json.loads((tmp_path / "v.json").read_text())["gain_condition"] == ran
+        rows.append(ran)
+    assert rows[0] == rows[1]
+    assert rows[0][0]["sup_leader_speed"] == 0.39549422133443085
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_leader_dimension_mismatch_exit_2(tmp_path, capsys, command):
     from bracket_steer import builtin_scenario, scenario_to_dict
@@ -491,9 +512,9 @@ def test_runs_reach_the_patched_integrator(tmp_path, monkeypatch):
             return wrapped
 
         def block(real):
-            def wrapped(x, h, ts, U):
-                blocked.append(len(ts) // 3)
-                return real(x, h, ts, U)
+            def wrapped(X, h, ts, U):
+                blocked.append(len(X) * (len(ts) // 3))
+                return real(X, h, ts, U)
             return wrapped
 
         return list(map(step, steps)), blocks and list(map(block, blocks))
@@ -698,6 +719,30 @@ def test_huge_gamma_exit_3(tmp_path, capsys, name, line):
     assert main(["run", name, "--gamma", "1e308", "--out", str(out)]) == 3
     assert capsys.readouterr().err.splitlines() == [line]
     assert not out.exists()
+
+
+def test_group_error_names_the_first_agent_exit_3(tmp_path, capsys):
+    # Eight built-in followers steered as one group, two of them with a
+    # gain whose control amplitude overflows: exit 3 with the error line a
+    # lone run of the first such agent (agent 2) gives, whichever of the
+    # two gains it has, and no output.
+    from bracket_steer import builtin_scenario, scenario_to_dict
+    base = scenario_to_dict(builtin_scenario("unicycle-leader"))
+    out = tmp_path / "x.csv"
+
+    def run(gammas):
+        d = json.loads(json.dumps(base))
+        d["agents"] = [dict(base["agents"][0], gamma=g) for g in gammas]
+        path = tmp_path / "swarm.json"
+        path.write_text(json.dumps(d))
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert not out.exists()
+        return capsys.readouterr().err.splitlines()
+
+    for first, second in ((1e308, 1.5e308), (1.5e308, 1e308)):
+        alone = run([first])
+        assert len(alone) == 1 and alone[0].startswith("error:NonFiniteError:control amplitude")
+        assert run([10.0, 10.0, first, 10.0, 10.0, second, 10.0, 10.0]) == alone
 
 
 @pytest.mark.parametrize("name", ["unicycle-leader", "rolling-disc"])

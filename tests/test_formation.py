@@ -158,6 +158,37 @@ def test_block_diagonal_equivalence(uni_agent, form_gains, fig8_leader):
     assert np.array_equal(joint.leader_states, solo0.leader_states)
     assert np.array_equal(joint.error_series[0], solo0.error_series[0])
 
+    # 16 seeded followers, one group with one stacked solve, control table
+    # and kernel call per step, and a mixed formation whose groups
+    # interleave: a second selection with another kappa, and an agent whose
+    # swapped field (an equal function) puts the run on the generic path.
+    # Every array of every agent is bitwise that agent's run alone, on the
+    # same grid.
+    rng = np.random.default_rng(16)
+    uni, sel = uni_agent.system, uni_agent.selection
+    swarm = [FollowerAgent(system=uni, selection=sel, gamma=float(g), offset=tuple(d))
+             for g, d in zip(rng.uniform(5.0, 15.0, 16), rng.uniform(-1.0, 1.0, (16, 3)))]
+    swarm_x0 = list(rng.uniform(-2.0, 2.0, (16, 3)))
+    fast = dataclasses.replace(sel, kappa=(2,))
+    swapped = dataclasses.replace(uni, control_fields=(
+        lambda x: uni.control_fields[0](x), uni.control_fields[1]))
+    mixed = [swarm[0], dataclasses.replace(swarm[1], selection=fast), swarm[2], swarm[3],
+             dataclasses.replace(swarm[4], system=swapped), dataclasses.replace(
+                 swarm[5], selection=fast), dataclasses.replace(swarm[6], selection=fast),
+             swarm[7]]
+    assert len(formation_module._follower_groups(mixed)) == 6
+    cfg = SimConfig(t_final=0.6, substeps_per_period=80, record_stride=3)
+    for agents, x0s in ((swarm, swarm_x0), (mixed, swarm_x0[:len(mixed)])):
+        joint = simulate_formation(agents, fig8_leader, x0s, form_gains, cfg)
+        for agent, x0, got, disp in zip(agents, x0s, joint.agent_trajs,
+                                        joint.displacement_trajs, strict=True):
+            solo = simulate_formation([agent], fig8_leader, [x0], form_gains, cfg)
+            assert solo.leader_states.tobytes() == joint.leader_states.tobytes()
+            for name in ("dense_times", "dense_states", "dense_controls", "y_error",
+                         "sample_times", "sample_states", "interval_index"):
+                for g, w in ((got, solo.agent_trajs[0]), (disp, solo.displacement_trajs[0])):
+                    assert getattr(g, name).tobytes() == getattr(w, name).tobytes(), name
+
 
 def test_follower_drift_is_integrated(uni, uni_sel):
     # Following a still leader at the origin with zero offset is the
@@ -334,6 +365,98 @@ def test_rank_degeneracy_names_agent(uni_agent, form_gains, pinch, pinch_sel,
                            SimConfig(t_final=1.0))
     assert info.value.agent_index == 0
     assert isinstance(info.value.partial, FormationTrajectory)
+
+
+def test_stacked_steering_raises_in_agent_order(pinch, pinch_sel):
+    # Eight pinch followers in one group, F = diag(1, x1).  At the fourth
+    # sampling instant (t = 0.3) one agent's x1 has decayed to 0.729, a
+    # condition number of 1.37 over the cap 1.3, and the leader's jump
+    # makes another's -gamma r overflow at gamma = 1e308.  The stacked
+    # solve fails and the agents are steered one by one, so the first
+    # failure in agent order is raised: agent 2's RankDegeneracyError, its
+    # .partial that of agents 0..2 alone, or with the two swapped, the
+    # NonFiniteError naming agent 2's gamma (agent 7's gamma would
+    # overflow too).
+    leader = LeaderModel(name="jump", dynamics=lambda t, x: (0.0, 0.0) if t < 0.25
+                         else (0.0, 50.0), x0=(0.0, 0.0))
+    gains = ControllerGains(epsilon=0.1, gamma=1.0, y_star=(0.0, 0.0), cond_cap=1.3)
+    cfg = SimConfig(t_final=1.0)
+    calm = FollowerAgent(system=pinch, selection=pinch_sel, gamma=1.0, offset=(1.0, 0.0))
+    decaying = dataclasses.replace(calm, offset=(0.0, 0.0))
+    huge = dataclasses.replace(calm, gamma=1e308)
+    x0s = [(1.0, 0.0)] * 8
+
+    def agents(at2, at5):
+        return [calm, calm, at2, calm, calm, at5, calm, dataclasses.replace(huge, gamma=1.5e308)]
+
+    with pytest.raises(RankDegeneracyError) as info:
+        simulate_formation(agents(decaying, huge), leader, x0s, gains, cfg)
+    exc = info.value
+    with pytest.raises(RankDegeneracyError) as alone:
+        simulate_formation([calm, calm, decaying], leader, x0s[:3], gains, cfg)
+    assert exc.agent_index == alone.value.agent_index == 2
+    assert (str(exc), exc.condition) == (str(alone.value), alone.value.condition)
+    assert exc.state.tobytes() == alone.value.state.tobytes()
+    partial, want = exc.partial, alone.value.partial
+    assert partial.sample_times.tolist() == [0.0, 0.1, 0.2, 0.30000000000000004]
+    assert partial.dense_times.tobytes() == want.dense_times.tobytes()
+    assert partial.leader_states.tobytes() == want.leader_states.tobytes()
+    for got, ref in zip(partial.agent_trajs, want.agent_trajs):
+        assert got.dense_states.tobytes() == ref.dense_states.tobytes()
+        assert got.dense_controls.tobytes() == ref.dense_controls.tobytes()
+        assert got.sample_states.tobytes() == ref.sample_states.tobytes()
+    assert len(partial.agent_trajs) == 8
+
+    with pytest.raises(NonFiniteError) as info:
+        simulate_formation(agents(huge, decaying), leader, x0s, gains, cfg)
+    assert str(info.value) == (
+        "steering right-hand side -gamma r is not finite at gamma=1e+308")
+
+
+def test_one_solve_table_and_kernel_call_per_group(monkeypatch, uni_agent, form_gains,
+                                                    fig8_leader):
+    # A formation of 16 followers in two groups (two selections, eight
+    # agents each) takes one _lapack_svd and one frozen_control per group
+    # per sampling instant, and one block kernel call per group per table
+    # block, whose stack holds all the group's rows: no per-agent work.
+    from bracket_steer import synthesis
+    counts = {"svd": 0, "table": 0}
+    kernel_rows = []
+    svd, frozen = synthesis._lapack_svd, formation_module.frozen_control
+
+    def counted_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_table(*args):
+        counts["table"] += 1
+        return frozen(*args)
+
+    def counted_blocks(real):
+        def row_integrators(groups):
+            steps, blocks = real(groups)
+
+            def counted(block):
+                def wrapped(X, h, ts, U):
+                    kernel_rows.append(len(X))
+                    return block(X, h, ts, U)
+                return wrapped
+            return steps, blocks and [counted(b) for b in blocks]
+        return row_integrators
+
+    monkeypatch.setattr(synthesis, "_lapack_svd", counted_svd)
+    monkeypatch.setattr(formation_module, "frozen_control", counted_table)
+    monkeypatch.setattr(simulate, "_row_integrators", counted_blocks(simulate._row_integrators))
+    fast = dataclasses.replace(uni_agent.selection, kappa=(2,))
+    rng = np.random.default_rng(7)
+    agents = [dataclasses.replace(uni_agent, selection=fast if i >= 8 else uni_agent.selection,
+                                  offset=tuple(rng.uniform(-1.0, 1.0, 3))) for i in range(16)]
+    x0s = list(rng.uniform(-2.0, 2.0, (16, 3)))
+    # 5 intervals of 80 sub-steps (kappa_max 2), one table block each, and
+    # 6 sampling instants with the end.
+    simulate_formation(agents, fig8_leader, x0s, form_gains, SimConfig(t_final=0.5))
+    assert counts == {"svd": 6 * 2, "table": 6 * 2}
+    assert kernel_rows == [1, 8, 8] * 5
 
 
 def test_divergent_leader_carries_partial(uni_agent, form_gains):

@@ -152,8 +152,10 @@ def _block_table(cases, m):
 
 
 def _block_states(block, x, h, cases, m):
+    """The block kernel on the one row x, as a stack of one: (n, p)."""
+    ts, table = _block_table(cases, m)
     with np.errstate(all="ignore"):
-        return block(x, h, *_block_table(cases, m))
+        return block(np.array([x], dtype=float), h, ts, table[:, None])[:, 0]
 
 
 def test_block_kernels_match_generic_steps_bitwise():
@@ -211,6 +213,59 @@ def test_block_kernels_chain_sub_steps_bitwise():
                 assert not np.isfinite(got[len(want):]).all(axis=1).any(), (block.__name__, h, x)
 
 
+def _stack_rows(fields, n):
+    """(ts, h, rows) blocks of the two tests above, rows a list of (state,
+    control table (len(ts), m)) that share the block's times: every edge
+    case and every edge state at least once, each paired with others, and
+    the chained controls at four rotations."""
+    m = len(fields)
+    states = _edge_states(n)
+    finite = [u for u in EDGE_CONTROLS if math.isfinite(u)]
+    us = [[a, b] for a in finite for b in finite]
+    for h in EDGE_STEPS:
+        cases = [case for case in _edge_cases(fields) if case[1] == h]
+        # One sub-step: the controlled systems' cases share t = 0.37, the
+        # leader's each have their own time.
+        by_time = [cases] if fields else [[case] for case in cases]
+        for group in by_time:
+            size = 2 * max(len(states), len(group))
+            tables = [_block_table([group[i % len(group)]], m) for i in range(size)]
+            yield tables[0][0], h, [(states[i % len(states)], tab) for i, (_, tab) in
+                                    enumerate(tables)]
+        # Chained sub-steps.
+        if fields:
+            chains = [[(0.37 + i * h, h, us[(i + r) % len(us)], us[(3 * i + 1 + r) % len(us)],
+                        us[(7 * i + 2 + r) % len(us)]) for i in range(40)] for r in range(4)]
+        else:
+            chains = [[(-5.2 + i * h, h, [], [], []) for i in range(40)]]
+        tables = [_block_table(chain, m) for chain in chains]
+        yield tables[0][0], h, [(x, tab) for x in states for _, tab in tables]
+
+
+@pytest.mark.parametrize("k", [16, 256])
+def test_stacked_block_kernels_match_single_rows_bitwise(k):
+    # Each block kernel advances a stack of k rows with one time axis: row
+    # r of the stack, whatever the other rows hold, is bitwise that row
+    # advanced alone, finite or not.  A row alone is a stack of one, which
+    # the two tests above pin to the generic sub-steps.  Every edge case
+    # and state of those tests lands at seeded rows of stacks of 16 and 256.
+    rng = np.random.default_rng(k)
+    for drift, fields, n in BUILTIN_ROWS:
+        _, (block,) = simulate_module._row_integrators([("row", drift, fields)])
+        for ts, h, rows in _stack_rows(fields, n):
+            with np.errstate(all="ignore"):
+                alone = [block(np.array([x]), h, ts, tab[:, None])[:, 0].tobytes()
+                         for x, tab in rows]
+                order = rng.permutation(len(rows))
+                for start in range(0, len(rows), k):
+                    pick = order[np.arange(start, start + k) % len(rows)]
+                    got = block(np.array([rows[i][0] for i in pick]), h, ts,
+                                np.stack([rows[i][1] for i in pick], axis=1))
+                    assert got.shape == (len(ts) // 3, k, n)
+                    for r, i in enumerate(pick):
+                        assert got[:, r].tobytes() == alone[i], (block.__name__, h, rows[i])
+
+
 def test_block_guard_passes_only_blocks_inside_the_cap():
     # _advance_block keeps a block only when every entry is finite and
     # max |v| * sqrt(width) is under the generic guard's pass norm, so every
@@ -225,7 +280,8 @@ def test_block_guard_passes_only_blocks_inside_the_cap():
     for x in ([0.45 * cap] * 4, [0.49 * cap, 0.0, -0.49 * cap, 0.0],
               [0.8 * cap, 0.8 * cap, 0.0, 0.0], [0.0, 0.99 * cap, 0.0, 0.0],
               [NAN, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -INF]):
-        states = simulate_module._advance_block(blocks, [x], 0.0, ts, [table])
+        states = simulate_module._advance_block(blocks, [np.array([x])], 0.0, ts,
+                                                [table[:, None]])
         assert (states is not None) == (
             np.isfinite(x).all() and max(map(abs, x)) * 2.0 < simulate_module._GUARD_PASS_NORM), x
         if states is not None:
@@ -387,10 +443,32 @@ def test_runs_match_the_generic_path_bitwise(monkeypatch):
         return patched
 
     from bracket_steer import formation as formation_module
+
+    def falling_back(run, calls):
+        # The stacked solve refuses at its calls-th call, as on a failing
+        # row, and the first agent's own solve on the per-agent fallback
+        # raises, so the run's error carries that agent's agent_index.
+        def patched():
+            real = formation_module._steer_many
+            count = []
+
+            def steer_many(*args):
+                count.append(1)
+                return None if len(count) == calls else real(*args)
+
+            def steer(agent, gains, x_agent, x_leader):
+                raise RankDegeneracyError("degenerate here", state=np.asarray(x_agent))
+
+            with monkeypatch.context() as m:
+                m.setattr(formation_module, "_steer_many", steer_many)
+                m.setattr(formation_module, "follower_steering", steer)
+                return run()
+        return patched
+
     runs = [single(5.0, 7.5, 3), formation(10.0, 0.35, 3), single(1e300, 2.0),
             formation(50.0, 2.0), formation(50.0, 2.0, 7),
             failing(single(5.0, 7.0), simulate_module, "steering_coefficients", 4),
-            failing(formation(10.0, 1.0), formation_module, "follower_steering", 9)]
+            falling_back(formation(10.0, 1.0), 5)]
     kinds = []
     for run in runs:
         got = _run_outcome(run)
@@ -399,6 +477,7 @@ def test_runs_match_the_generic_path_bitwise(monkeypatch):
             assert _run_outcome(run) == got
         kinds.append(got[0] if isinstance(got, tuple) else "done")
     assert kinds == ["done", "done", *[DivergenceError] * 3, *[RankDegeneracyError] * 2]
+    assert got[4] == 0
 
 
 def test_array_returning_disc_matches_builtin_bitwise(monkeypatch):

@@ -251,6 +251,34 @@ def test_direct_gufuncs_match_public_linalg_bitwise():
             assert got.tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.parametrize("k", [1, 16, 256])
+def test_stacked_steering_is_each_row_bitwise(k, disc, disc_sel, uni, uni_sel, pinch,
+                                              pinch_sel):
+    # _steer_many's one SVD and one LU solve over k stacked matrices give
+    # each row's _steer bitwise, one gain per row; a stack with any row
+    # _steer refuses (a condition over the cap or inf, an overflowing
+    # -gamma r) gives None, so the caller takes the rows one by one.
+    rng = np.random.default_rng(k)
+    for sys, sel in ((disc, disc_sel), (uni, uni_sel), (pinch, pinch_sel)):
+        X = rng.uniform(0.5, 3.0, (k, sys.n))
+        R = rng.normal(scale=2.0, size=(k, sys.n1))
+        gammas = rng.uniform(0.5, 20.0, k).tolist()
+        got = synthesis._steer_many(sys, sel, X, R, gammas, 1e6)
+        want = [synthesis._steer(sys, sel, x, r, g, 1e6) for x, r, g in zip(X, R, gammas)]
+        assert got.shape == (k, sel.width)
+        assert got.tobytes() == np.array(want).tobytes()
+    row = k // 2
+    for x1, gamma, cap in ((0.0, 1.0, 1e6), (1e-7, 1.0, 1e6), (0.25, 1.0, 3.0),
+                           (0.0, 1.0, math.inf), (1.0, 1e308, 1e6)):
+        X = np.ones((k, 2))
+        X[row, 0] = x1
+        gammas = [1.0] * k
+        gammas[row] = gamma
+        assert synthesis._steer_many(pinch, pinch_sel, X, 2.0 * X, gammas, cap) is None
+        with pytest.raises((RankDegeneracyError, NonFiniteError)):
+            synthesis._steer(pinch, pinch_sel, X[row], 2.0 * X[row], gamma, cap)
+
+
 # --- control law ------------------------------------------------------------
 
 def test_control_disc_worked_value(disc, disc_sel, disc_gains):
@@ -345,6 +373,35 @@ def test_frozen_control_matches_reference_bitwise(sel, m):
             for t in grid:
                 want = held_control_reference(sel, eps, m, a, t)
                 assert held_control(sel, eps, m, a, t).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sel, m", [
+    (BracketSelection(s1=(1,), s2=((1, 2),), kappa=(1,)), 2),
+    (BracketSelection(s1=(1, 1), s2=(), kappa=()), 2),
+    (BracketSelection(s1=(3,), s2=((1, 2), (1, 3)), kappa=(1, 3)), 3),
+])
+def test_frozen_control_block_matches_each_row_bitwise(sel, m):
+    # A block of k coefficient rows gives one time-major (len(ts), k, m)
+    # table, each pair's cos and sin taken once for all rows; entry
+    # [:, l] is bitwise row l's own table, and a (width,) vector's table is
+    # (len(ts), m).  An amplitude that overflows raises for the first such
+    # row, naming its coefficient.
+    rng = np.random.default_rng(23)
+    specials = [0.0, -0.0, -1.0, 2.5, -3e-9, 7e4]
+    coeffs = np.array([rng.choice(specials, size=sel.width) for _ in range(12)]
+                      + [rng.normal(scale=3.0, size=sel.width) for _ in range(12)])
+    eps = 0.1
+    ts = np.array(_interval_times(7 * eps, eps / 40, 40, 8 * eps) + [0.0, 1e6, 37.25])
+    got = frozen_control(sel, eps, m, coeffs)(ts)
+    assert got.shape == (len(ts), len(coeffs), m)
+    for row, a in enumerate(coeffs):
+        alone = frozen_control(sel, eps, m, a)(ts)
+        assert alone.shape == (len(ts), m)
+        assert got[:, row].tobytes() == alone.tobytes(), a
+    if sel.s2:
+        coeffs[[3, 5], len(sel.s1)] = [1e308, -1.5e308]
+        with pytest.raises(NonFiniteError, match=r"at a=1e\+308, epsilon=0\.1$"):
+            frozen_control(sel, eps, m, coeffs)
 
 
 def test_held_control_refuses_non_finite_time(disc_sel):
