@@ -27,7 +27,7 @@ from .errors import InvalidInputError, NonFiniteError, RankDegeneracyError
 from .model import as_state
 from .simulate import (SampledTrajectory, SimConfig, _check_field_length, _check_field_lengths,
                        _run_sampled)
-from .synthesis import _steer, _steer_many, check_selection, frozen_control, held_control
+from .synthesis import _SteeringPlan, check_selection, frozen_control, held_control
 # Not called here: perfbench/tracer.py wraps formation._guard, _rk4_step,
 # extension_matrix and _solve_steering by name.
 from .simulate import _guard_state as _guard, _rk4_step  # noqa: F401
@@ -128,8 +128,10 @@ def follower_steering(agent, gains, x_agent, x_leader):
     x_agent = as_state(x_agent, p)
     x_leader = as_state(x_leader, p)
     check_selection(agent.system, agent.selection)
-    return _steer(agent.system, agent.selection, x_agent,
-                  x_agent - x_leader - agent.offset_vec(), agent.gamma, gains.cond_cap)
+    # x - x_L - d in Python floats: the same subtractions as numpy's.
+    r = [(v - vl) - d for v, vl, d in zip(x_agent.tolist(), x_leader.tolist(), agent.offset)]
+    return _SteeringPlan(agent.system, agent.selection).solve(x_agent, r, agent.gamma,
+                                                              gains.cond_cap)
 
 
 def follower_controller(agent, gains):
@@ -218,9 +220,10 @@ def _follower_groups(agents):
 def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
     """Run the stacked state, row 0 the leader and row l + 1 agent l.
 
-    The followers advance in groups (_follower_groups): at each sampling
-    instant a group takes one stacked steering solve (synthesis._steer_many)
-    and one control table for all its agents, and the engine advances it
+    The followers advance in groups (_follower_groups), each with one
+    steering plan (synthesis._SteeringPlan) for the run: at each sampling
+    instant a group takes one stacked steering solve (its solve_many) and
+    one control table for all its agents, and the engine advances it
     by one block kernel call per table block.  A group whose stacked solve
     would fail is steered agent by agent, each follower_steering and then
     its frozen_control, so the first failure in agent order is raised with
@@ -237,10 +240,11 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
     rows = [(("leader",), leader.dynamics, ())]
     rows += [(tuple(f"agent {idx}" for idx in range(lo, lo + len(group))),
               group[0].system.drift, group[0].system.control_fields) for lo, group in groups]
+    plans = [_SteeringPlan(group[0].system, group[0].selection) for _, group in groups]
     offsets = [np.array([agent.offset for agent in group]) for _, group in groups]
     gammas = [[agent.gamma for agent in group] for _, group in groups]
 
-    def steer_each(lo, group, X):
+    def steer_each(lo, group, X, terms):
         """A group's coefficients agent by agent: follower_steering, then
         frozen_control for its checks, so the first failure in agent order
         is raised as a lone agent raises it."""
@@ -251,19 +255,18 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
             except RankDegeneracyError as exc:
                 exc.agent_index = idx
                 raise
-            frozen_control(agent.selection, eps, agent.system.m, a)
+            frozen_control(terms, eps, agent.system.m, a)
             coeffs.append(a)
         return np.array(coeffs)
 
     def steer(X):
         held = [_no_control]
-        for (lo, group), d, gamma in zip(groups, offsets, gammas):
-            sys, sel = group[0].system, group[0].selection
+        for (lo, group), plan, d, gamma in zip(groups, plans, offsets, gammas):
             Xg = X[lo + 1:lo + 1 + len(group)]
-            coeffs = _steer_many(sys, sel, Xg, Xg - X[0] - d, gamma, gains.cond_cap)
+            coeffs = plan.solve_many(Xg, Xg - X[0] - d, gamma, gains.cond_cap)
             if coeffs is None:
-                coeffs = steer_each(lo, group, X)
-            held.append(frozen_control(sel, eps, sys.m, coeffs))
+                coeffs = steer_each(lo, group, X, plan.terms)
+            held.append(frozen_control(plan.terms, eps, plan.sys.m, coeffs))
         return held
 
     def build(rec):

@@ -237,10 +237,19 @@ _BLOCK_STEPS = {
 }
 
 
-def _heading_columns(x):
-    """Every column a valid unicycle or disc selection can ask for at x: f1,
-    f2, [1,2] and [2,1], first three rows, as floats in the operations of
-    synthesis's generic construction, so the matrix is bitwise the same.
+# The column of each key in a fused rule's 3 x 4 matrix: every column a
+# valid unicycle or disc selection can ask for, f1, f2, [1,2] and [2,1].
+_FUSED_KEYS = {1: 0, 2: 1, (1, 2): 2, (2, 1): 3}
+
+
+def _heading_columns(x, trig=math):
+    """The first three rows of the columns f1, f2, [1,2] and [2,1] (the
+    keys of _FUSED_KEYS), row-major, a 3 x 4 matrix: at a state x (n,) with
+    trig = math, as floats, or at each row of a stack X (k, n) with
+    trig = np, as (k,) arrays and float constants.  Written once for both,
+    in the operations of synthesis's generic construction, so every matrix
+    built from it is bitwise that one (np.cos and np.sin round as math's
+    do; a test pins it).
 
     The bracket [i1,i2] is J_i2 f_i1 - J_i1 f_i2.  J_2 = 0, so J_2 f_1 is a
     sum of zeros with a +0.0 term, which is +0.0.  J_1 f_2 is (-s, c, 0)
@@ -248,12 +257,14 @@ def _heading_columns(x):
     +0.0 for every sign of a zero.  No finite check is needed: the state is
     finite (as_state checked it), and so are its cos and sin.
     """
-    c = math.cos(x[2])
-    s = math.sin(x[2])
+    heading = x[..., 2]
+    c = trig.cos(heading)
+    s = trig.sin(heading)
     b = 0.0 - s
     d = 0.0 + c
-    return {1: (c, s, 0.0), 2: (0.0, 0.0, 1.0),
-            (1, 2): (0.0 - b, 0.0 - d, 0.0), (2, 1): (b - 0.0, d - 0.0, 0.0)}
+    return (c, 0.0, 0.0 - b, b - 0.0,
+            s, 0.0, 0.0 - d, d - 0.0,
+            0.0, 1.0, 0.0, 0.0)
 
 
 # Fused extension-matrix columns, keyed by (*control_fields,
@@ -267,5 +278,6 @@ _FUSED_COLUMNS = {
 
 
 def _fused_columns(sys):
-    """x -> {column key: floats} for exactly sys's fields and Jacobians, or None."""
+    """The fused rule (x, trig) -> the columns _FUSED_KEYS for exactly sys's
+    fields and Jacobians, or None."""
     return _FUSED_COLUMNS.get(_identity_key(*sys.control_fields, *sys.control_jacobians))

@@ -7,6 +7,7 @@ finite-difference Jacobian is provided as an independent cross-check, not as
 a substitute.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,7 +23,9 @@ def as_state(x, n=None):
         raise InvalidInputError(f"state must be a 1-d vector, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise InvalidInputError(f"state has dimension {arr.shape[0]}, expected {n}")
-    if not np.isfinite(arr).all():
+    # Over the entries as Python floats (exact): a state has one entry per
+    # dimension, and on so few this is cheaper than np.isfinite(arr).all().
+    if not all(map(math.isfinite, arr.tolist())):
         raise InvalidInputError("state contains non-finite entries")
     return arr
 

@@ -50,9 +50,10 @@ import numpy as np
 from . import library
 from .errors import DivergenceError, InvalidInputError, RankDegeneracyError
 from .model import _as_int, as_state
-from .synthesis import check_selection, frozen_control, steering_coefficients
-# Not called here: perfbench/tracer.py wraps simulate.held_control by name.
-from .synthesis import held_control  # noqa: F401
+from .synthesis import _check_target, _SteeringPlan, check_selection, frozen_control
+# Not called here: perfbench/tracer.py wraps simulate.held_control and
+# simulate.steering_coefficients by name.
+from .synthesis import held_control, steering_coefficients  # noqa: F401
 
 DIVERGENCE_NORM_CAP = 1e9
 # The guard compares squared norms: sqrt is correctly rounded and
@@ -346,6 +347,19 @@ def _generic_block(steps, Xs, h, ts, tables, names):
     return np.array(done, dtype=float).reshape(len(done), width), error
 
 
+def _count(n):
+    """An int count as message text: in full below 10**15, else as "%.3g"
+    prints it (5e+299 for a count of 300 digits), exact from the int, so a
+    count past the float range prints too."""
+    if n < 10**15:
+        return str(n)
+    # Imported here, on this error path only: importing decimal costs every
+    # run about 2 ms.
+    from decimal import Decimal
+    mantissa, _, exponent = format(Decimal(n), ".2e").partition("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
+
+
 def _plan_run(cfg, gains, kappa_max, n_rows):
     """(t_final, nsub, n_int, tail, n_intervals) of a run, refused if empty or over budget."""
     eps = gains.epsilon
@@ -355,8 +369,9 @@ def _plan_run(cfg, gains, kappa_max, n_rows):
     if n_intervals == 0:
         raise InvalidInputError(f"t_final={t_final} is too short for epsilon={eps}")
     if n_intervals * nsub * n_rows > MAX_ROW_SUBSTEPS:
-        raise InvalidInputError(f"{n_intervals} intervals x {nsub} sub-steps x {n_rows} rows "
-                                f"exceed the budget MAX_ROW_SUBSTEPS = {MAX_ROW_SUBSTEPS}")
+        raise InvalidInputError(
+            f"{_count(n_intervals)} intervals x {_count(nsub)} sub-steps x {_count(n_rows)} rows "
+            f"exceed the budget MAX_ROW_SUBSTEPS = {MAX_ROW_SUBSTEPS}")
     return t_final, nsub, n_int, tail, n_intervals
 
 
@@ -493,6 +508,21 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
     m = sys.m
     n1 = sys.n1
     y_star = gains.y_star_vec()
+    target = y_star.tolist()
+    plan = _SteeringPlan(sys, sel)
+    gamma, cond_cap = gains.gamma, gains.cond_cap
+
+    def steer(X):
+        """The held control at a sampling instant: the public solve's y*
+        check, then the plan's solve at the row and its one-row table.  The
+        row needs no as_state: x0 passed it, and the guard passes only
+        finite states."""
+        x = X[0]
+        # Only the first instant's check can fail (gains are frozen); made
+        # here, a bad y* is refused after the run's budget check.
+        _check_target(sys, gains)
+        r = [v - t for v, t in zip(x.tolist(), target)]
+        return [frozen_control(plan.terms, eps, m, plan.solve(x, r, gamma, cond_cap)[None])]
 
     def build(rec):
         states = np.array(rec.states).reshape(-1, sys.n)
@@ -511,10 +541,8 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
             interval_index=np.array(rec.intervals, dtype=int),
         )
 
-    return _run_sampled(
-        cfg, gains, sel.kappa_max, x0[None], [(("state",), sys.drift, sys.control_fields)],
-        lambda X: [frozen_control(sel, eps, m, steering_coefficients(sys, sel, gains, X[0])[None])],
-        build)
+    return _run_sampled(cfg, gains, sel.kappa_max, x0[None],
+                        [(("state",), sys.drift, sys.control_fields)], steer, build)
 
 
 def averaged_reference(y0, gains, t):
@@ -598,7 +626,7 @@ def epsilon_sweep(sys, sel, gains_base, x0, t_final, eps_list,
         _, nsub, _, _, n_intervals = _plan_run(cfg, gains, sel.kappa_max, 1)
         total += n_intervals * nsub
     if total > MAX_ROW_SUBSTEPS:
-        raise InvalidInputError(f"the sweep's {total} row sub-steps exceed the budget "
+        raise InvalidInputError(f"the sweep's {_count(total)} row sub-steps exceed the budget "
                                 f"MAX_ROW_SUBSTEPS = {MAX_ROW_SUBSTEPS}")
     rows = []
     for e, gains in zip(eps_list, runs):

@@ -5,25 +5,31 @@ The control drives the y-block toward y* by realizing the average motion
 high-frequency cos/sin pairs whose second-order interaction moves the state
 along the selected Lie brackets in S2.
 
-The built-in unicycle and rolling disc, chosen by the identity of their
-exact fields and Jacobians, build the extension matrix from library's fused
-columns: a cos, a sin and one np.array, bitwise the generic construction.
-Every other registered system takes that construction, the definition:
-one model field per S1 column and one model bracket per S2 column, each
-bracket evaluating its own fields and Jacobians; no benchmark workload
-reaches it.  validate_selection checks its probes in one pass and certifies
-them with one SVD per stack of at most PROBE_CHUNK matrices; each steering
-solve keeps one SVD for its condition guard and one LU solve, and a stack
-of solves (_steer_many, for a formation's followers) one of each for the
-whole stack.  Both are the LAPACK gufuncs that np.linalg.svd and
-np.linalg.solve call, called without those wrappers: the same routines,
-so the same bytes, but a failure comes back as NaN, never as LinAlgError,
-and the guards below test for it.
+Every extension matrix and steering solve goes through one private plan
+per (system, selection) pair, _SteeringPlan, built per public call or per
+run and never kept across calls.  For the built-in unicycle and rolling
+disc, chosen by the identity of their exact fields and Jacobians, it picks
+the selection's entries from library's fused columns once: one matrix
+takes a cos, a sin and one np.array, and a stack of them one np.cos and one
+np.sin over the stack, each bitwise the generic construction.  Every other
+registered system takes that construction, the definition: one model field
+per S1 column and one model bracket per S2 column, each bracket evaluating
+its own fields and Jacobians, row by row; no benchmark workload reaches it.
+validate_selection checks its probes in one pass and certifies them with
+one stacked build and one SVD per stack of at most PROBE_CHUNK matrices;
+each steering solve keeps one SVD for its condition guard and one LU
+solve, and a stack of solves (solve_many, for a formation's followers) one
+of each for the whole stack.  Both are the LAPACK gufuncs that
+np.linalg.svd and np.linalg.solve call, called without those wrappers: the
+same routines, so the same bytes, but a failure comes back as NaN, never as
+LinAlgError, and the guards below test for it.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from sys import float_info
 from typing import Optional
 
@@ -32,7 +38,7 @@ from numpy.linalg._umath_linalg import solve1 as _lapack_solve1
 from numpy.linalg._umath_linalg import svd as _lapack_svd
 
 from .errors import InvalidInputError, NonFiniteError, RankDegeneracyError, SelectionShapeError
-from .library import _fused_columns
+from .library import _FUSED_KEYS, _fused_columns
 from .model import _as_int, _bracket, _field, as_state
 # Not called here: perfbench/tracer.py wraps synthesis.lie_bracket by name.
 from .model import lie_bracket  # noqa: F401
@@ -165,52 +171,151 @@ class RankCertificate:
 def extension_matrix(sys, sel, x):
     """Columns: y-rows of f_i for i in S1, then y-rows of [f_i1, f_i2] for S2."""
     check_selection(sys, sel)
-    return _extension_matrix(sys, sel, as_state(x, sys.n))
+    x = as_state(x, sys.n)
+    return _SteeringPlan(sys, sel).matrix(x)
 
 
-def _extension_matrix(sys, sel, x):
-    """extension_matrix for a checked selection and a checked state x.
+class _ControlTerms:
+    """A selection's constants in its control family, for frozen_control:
+    each S1 entry's (coefficient index, 0-based input), each S2 pair's
+    (coefficient index, i1, i2, pi kappa) for its amplitude and its
+    (0-based i1, 0-based i2, 2 pi kappa) for its table."""
 
-    The built-in unicycle and disc (their exact fields and Jacobians) take
-    library's fused columns: one np.array of the selected columns' y-rows,
-    bitwise the generic construction.  Every other system, which no
-    benchmark workload runs, takes the definition: model's _field for each
-    S1 column and _bracket, J_i2 f_i1 - J_i1 f_i2, for each S2 pair.
+    def __init__(self, sel):
+        self.s1 = [(idx, i - 1) for idx, i in enumerate(sel.s1)]
+        off = len(sel.s1)
+        self.pairs = [(off + p, i1, i2, math.pi * float(kap))
+                      for p, ((i1, i2), kap) in enumerate(zip(sel.s2, sel.kappa))]
+        self.rates = [(i1 - 1, i2 - 1, TWO_PI * float(kap))
+                      for (i1, i2), kap in zip(sel.s2, sel.kappa)]
+
+
+class _SteeringPlan:
+    """The steering layer of one (system, selection) pair that
+    check_selection passed: its extension matrices and steering solves.
+
+    It is built once per public call, per validate_selection, per
+    simulate_pi_epsilon run and per formation group and run, and lives no
+    longer.  It resolves once the system's fused columns (library's rule
+    for exactly the built-in unicycle's and disc's fields and Jacobians,
+    chosen by their identity) and the entries of the rule's 3 x 4 matrix
+    that the selection picks; a run also takes the selection's control
+    constants (terms) for frozen_control from it.  Every other system
+    takes the definition: model's _field for each S1 column and _bracket,
+    J_i2 f_i1 - J_i1 f_i2, for each S2 pair; no benchmark workload reaches
+    it.  Every state it is given has passed as_state, so no finite check
+    is made here: cos and sin of a finite float are finite.
     """
-    n1 = sys.n1
-    columns = _fused_columns(sys)
-    if columns is not None:
-        # No finite check can fail here: every caller passes a state that
-        # as_state found finite, and cos and sin of a finite float are finite.
-        col = columns(x)
-        # The selected columns transposed; rows past n1 are the z-block's.
-        return np.array([*zip(*[col[k] for k in (*sel.s1, *sel.s2)])][:n1])
-    cols = [_field(sys, i, 0.0, x)[:n1] for i in sel.s1]
-    cols += [_bracket(sys, i1, i2, x)[:n1] for (i1, i2) in sel.s2]
-    return np.column_stack(cols)
 
+    def __init__(self, sys, sel):
+        self.sys = sys
+        self.sel = sel
+        self.columns = _fused_columns(sys)
+        if self.columns is not None:
+            # F's entries, row-major: row i picks the selection's columns
+            # from row i of the rule's 3 x 4 matrix (rows past n1 are the
+            # z-block's).
+            cols = [_FUSED_KEYS[key] for key in (*sel.s1, *sel.s2)]
+            self.flat = [i + c for i in range(0, 4 * sys.n1, 4) for c in cols]
+            self.take = itemgetter(*self.flat)
 
-def _ratio(smax, smin):
-    """(smax / smin, smin); the ratio is inf when smin = 0."""
-    return (math.inf if smin == 0.0 else float(smax / smin)), smin
+    @cached_property
+    def terms(self):
+        """The selection's control constants, for frozen_control."""
+        return _ControlTerms(self.sel)
+
+    def matrix(self, x):
+        """The extension matrix (n1, n1) at a state x (n,)."""
+        sys, sel = self.sys, self.sel
+        if self.columns is None:
+            n1 = sys.n1
+            cols = [_field(sys, i, 0.0, x)[:n1] for i in sel.s1]
+            cols += [_bracket(sys, i1, i2, x)[:n1] for (i1, i2) in sel.s2]
+            return np.column_stack(cols)
+        return np.array(self.take(self.columns(x))).reshape(sys.n1, sys.n1)
+
+    def matrices(self, X, out=None):
+        """The extension matrices (k, n1, n1) at each row of X (k, n), into
+        out (C-contiguous) if given.  The fused columns take one np.cos and
+        one np.sin over the stack and one strided assignment per entry,
+        elementwise, so each matrix is bitwise matrix(x); any other system
+        builds them row by row, so a field's error is raised at its row."""
+        n1 = self.sys.n1
+        F = np.empty((len(X), n1, n1)) if out is None else out
+        if self.columns is None:
+            for k, x in enumerate(X):
+                F[k] = self.matrix(x)
+        else:
+            values = self.columns(X, np)
+            # Entry q of every matrix is row q of this (n1 * n1, k) view: an
+            # integer index, which numpy assigns faster than F[:, i, j].
+            entries = F.reshape(len(X), n1 * n1).T
+            for q, e in enumerate(self.flat):
+                entries[q] = values[e]
+        return F
+
+    def solve(self, x, r, gamma, cond_cap):
+        """a solving F(x) a = -gamma r at a state x: r, n1 floats, is y - y*
+        for one system and x - x_L - d for a follower.  -gamma r is formed
+        in Python floats, so a gain that overflows it raises NonFiniteError
+        naming gamma, without a numpy warning, before F(x) is built; the
+        solve is _solve_steering, looked up by name."""
+        gain = -float(gamma)
+        rhs = [gain * v for v in r]
+        if not all(map(math.isfinite, rhs)):
+            raise NonFiniteError(
+                f"steering right-hand side -gamma r is not finite at gamma={float(gamma)!r}")
+        return _solve_steering(self.matrix(x), rhs, cond_cap, x)
+
+    def solve_many(self, X, R, gammas, cond_cap):
+        """solve for each row of a stack: the (k, width) coefficients a_l
+        solving F(x_l) a_l = -gamma_l r_l for states X (k, n), r_l the rows
+        of R (k, n1) and one gain per row, or None when any row's solve
+        would raise.
+
+        Each right-hand side is formed in Python floats, as solve does, and
+        matrices builds the (k, n1, n1) stack; then one _lapack_svd and one
+        _lapack_solve1 over it make the same LAPACK call on each matrix, so
+        each row is bitwise its own solve.  A non-finite right-hand side,
+        an error building a matrix, a condition number over cond_cap or
+        NaN, or a NaN solve gives None, and the caller takes the rows one
+        by one, which raises the first failure in row order as it always
+        has.
+        """
+        rhs = [[-float(g) * v for v in r] for g, r in zip(gammas, R.tolist())]
+        if not all(map(math.isfinite, chain.from_iterable(rhs))):
+            return None
+        try:
+            F = self.matrices(X)
+        except Exception:  # the per-row pass raises it again, in its place
+            return None
+        with np.errstate(all="ignore"):
+            cond, _ = _conditioning(F)
+            if not (cond <= cond_cap).all():
+                return None
+            a = _lapack_solve1(F, rhs, signature="dd->d")
+        return None if any(map(math.isnan, a.ravel().tolist())) else a
 
 
 def _conditioning(F):
-    """_ratio of one matrix F, or an iterator of them for a (k, n1, n1) stack.
+    """(smax / smin, smin) of one matrix F as floats, the ratio inf when
+    smin = 0; or, for a (k, n1, n1) stack, the (k,) arrays of them.
 
     The singular values come from _lapack_svd, the gufunc np.linalg.svd
     calls, so every pair is bitwise the wrapper's.  An SVD that does not
     converge gives NaN singular values, so a NaN pair, where the wrapper
     raised LinAlgError; callers hold np.errstate(all="ignore") so that its
-    floating-point flag stays silent.  The gufunc makes the same LAPACK
-    call on each matrix of a stack, so each pair is bitwise that of the
-    matrix alone.  The pairs are made one at a time: a list of k would
-    leave k tuples on the free list.
+    floating-point flag, and a stack's division by a zero smin, stay
+    silent.  The gufunc makes the same LAPACK call on each matrix of a
+    stack, and numpy's division is the float one, so each pair is bitwise
+    that of the matrix alone.
     """
     sv = _lapack_svd(F, signature="d->d")
     if sv.ndim == 1:
-        return _ratio(sv[0], sv[-1])
-    return map(_ratio, sv[:, 0].tolist(), sv[:, -1].tolist())
+        smax, smin = sv[0], sv[-1]
+        return (math.inf if smin == 0.0 else float(smax / smin)), smin
+    smax, smin = sv[:, 0], sv[:, -1]
+    return np.where(smin == 0.0, math.inf, smax / smin), smin
 
 
 def _solve_steering(F, rhs, cond_cap, x):
@@ -237,54 +342,21 @@ def _solve_steering(F, rhs, cond_cap, x):
     return a
 
 
-def _steer(sys, sel, x, r, gamma, cond_cap):
-    """a solving F(x) a = -gamma r for a checked selection and state x:
-    r = y - y* for one system, x - x_L - d for a follower.  -gamma r is
-    formed in Python floats, so a gain that overflows it raises
-    NonFiniteError naming gamma, without a numpy warning."""
-    gain = -float(gamma)
-    rhs = [gain * v for v in r.tolist()]
-    if not all(map(math.isfinite, rhs)):
-        raise NonFiniteError(f"steering right-hand side -gamma r is not finite at gamma={float(gamma)!r}")
-    return _solve_steering(_extension_matrix(sys, sel, x), rhs, cond_cap, x)
-
-
-def _steer_many(sys, sel, X, R, gammas, cond_cap):
-    """_steer for each row of a stack: the (k, width) coefficients a_l solving
-    F(x_l) a_l = -gamma_l r_l for states X (k, n), r_l the rows of R (k, n1)
-    and one gain per row, or None when any row's _steer would raise.
-
-    Each right-hand side is formed in Python floats, as _steer does, and
-    each row's _extension_matrix is stacked; then one _lapack_svd and one
-    _lapack_solve1 over the (k, n1, n1) stack make the same LAPACK call on
-    each matrix, so each row is bitwise its own _steer.  A non-finite
-    right-hand side, an error building a matrix, a condition number over
-    cond_cap or NaN, or a NaN solve gives None, and the caller takes the
-    rows one by one with _steer, which raises the first failure in row
-    order as it always has.
-    """
-    rhs = [[-float(g) * v for v in r] for g, r in zip(gammas, R.tolist())]
-    if not all(map(math.isfinite, chain.from_iterable(rhs))):
-        return None
-    try:
-        F = np.array([_extension_matrix(sys, sel, x) for x in X])
-    except Exception:  # the per-row pass raises it again, in its place
-        return None
-    with np.errstate(all="ignore"):
-        if not all(cond <= cond_cap for cond, _ in _conditioning(F)):
-            return None
-        a = _lapack_solve1(F, rhs, signature="dd->d")
-    return None if any(map(math.isnan, a.ravel().tolist())) else a
+def _check_target(sys, gains):
+    """Refuse a y* whose dimension is not n1."""
+    if len(gains.y_star) != sys.n1:
+        raise InvalidInputError(
+            f"y_star has dimension {len(gains.y_star)}, expected n1 = {sys.n1}")
 
 
 def steering_coefficients(sys, sel, gains, x):
     """a(x) solving F(x) a = -gamma (y - y*), ordered as (S1 entries, S2 entries)."""
     x = as_state(x, sys.n)
-    y_star = gains.y_star_vec()
-    if y_star.shape != (sys.n1,):
-        raise InvalidInputError(f"y_star has dimension {y_star.size}, expected n1 = {sys.n1}")
+    _check_target(sys, gains)
     check_selection(sys, sel)
-    return _steer(sys, sel, x, x[: sys.n1] - y_star, gains.gamma, gains.cond_cap)
+    # y - y* in Python floats: the same subtraction as numpy's.
+    r = [v - t for v, t in zip(x.tolist(), gains.y_star)]
+    return _SteeringPlan(sys, sel).solve(x, r, gains.gamma, gains.cond_cap)
 
 
 def _sign(v):
@@ -292,7 +364,7 @@ def _sign(v):
     return math.copysign(1.0, v) if v != 0.0 else 0.0
 
 
-def frozen_control(sel, epsilon, m, a):
+def frozen_control(terms, epsilon, m, a):
     """The control family t -> u for coefficients a held over an interval.
 
     u_k(t) = sum_{i in S1} delta_{ki} a_i
@@ -300,13 +372,15 @@ def frozen_control(sel, epsilon, m, a):
              [ delta_{k,i1} cos(2 pi kappa t / eps)
                + delta_{k,i2} sign(a_{i1i2}) sin(2 pi kappa t / eps) ].
 
-    a is one coefficient vector (sel.width,) or a block (k, sel.width) of
-    them, one per row.  The S1 part, each pair's amplitude and signed
-    amplitude per row, and each pair's rate 2 pi kappa depend only on a, so
-    they are computed here once, in Python float arithmetic, row by row; an
-    amplitude that is not finite (a subnormal epsilon or a huge coefficient
-    overflows it) raises NonFiniteError naming epsilon, and the coefficient
-    unless epsilon is subnormal.
+    terms are a selection's _ControlTerms (its index pairs, pi kappa and
+    2 pi kappa), which a run takes once from its steering plan.  a is one
+    coefficient vector (sel.width,) or a block (k, sel.width) of them, one
+    per row.  The S1 part and each pair's amplitude and signed amplitude
+    per row depend only on a, so they are computed here once, in Python
+    float arithmetic, row by row; an amplitude that is not finite (a
+    subnormal epsilon or a huge coefficient overflows it) raises
+    NonFiniteError naming epsilon, and the coefficient unless epsilon is
+    subnormal.
     The returned table(ts) maps a 1-d float64 array of times to the
     time-major (len(ts), m) float64 array of u at each, or (len(ts), k, m)
     for a block: one cos and one sin pass over the times per pair, shared
@@ -318,19 +392,18 @@ def frozen_control(sel, epsilon, m, a):
     true on dyadic grids).
     """
     a = np.asarray(a, dtype=float)
-    lead = a.shape[:-1]
-    rows = a.reshape(-1, sel.width).tolist()
+    rows = [a.tolist()] if a.ndim == 1 else a.tolist()
     eps = float(epsilon)
-    base = [[0.0] * m for _ in rows]
-    off = len(sel.s1)
-    # Each pair's amplitudes, then its signed amplitudes, over the rows.
-    amps = [[] for _ in range(2 * len(sel.s2))]
-    for r, b in zip(rows, base):
-        for idx, i in enumerate(sel.s1):
-            b[i - 1] += r[idx]
-        for p, (i1, i2) in enumerate(sel.s2):
-            ap = r[off + p]
-            amp = 2.0 * math.sqrt(math.pi * float(sel.kappa[p]) * abs(ap) / eps)
+    base = []
+    amps = []  # (amplitude, signed amplitude) per row and pair
+    for r in rows:
+        b = [0.0] * m
+        for idx, k in terms.s1:
+            b[k] += r[idx]
+        base.append(b)
+        for idx, i1, i2, pik in terms.pairs:
+            ap = r[idx]
+            amp = 2.0 * math.sqrt(pik * abs(ap) / eps)
             if not math.isfinite(amp):
                 # A subnormal epsilon overflows every amplitude; at a normal
                 # one the coefficient is as much the cause.
@@ -338,8 +411,7 @@ def frozen_control(sel, epsilon, m, a):
                 raise NonFiniteError(
                     f"control amplitude 2 sqrt(pi kappa |a| / epsilon) of S2 pair ({i1}, {i2}) "
                     f"is not finite at {at}epsilon={eps!r}")
-            amps[2 * p].append(amp)
-            amps[2 * p + 1].append(_sign(ap) * amp)
+            amps.append((amp, _sign(ap) * amp))
     base = np.array(base)
     # A block broadcasts each pair's (k,) amplitudes against (len(ts), 1)
     # phases.  One row takes float amplitudes and 1-d passes over its
@@ -347,9 +419,10 @@ def frozen_control(sel, epsilon, m, a):
     # broadcasting set-up, a fixed cost per operation that outweighs a
     # one-row table's arithmetic (the single-system run, disc-sweep).
     one = len(rows) == 1
-    amps = [v[0] if one else np.array(v) for v in amps]
-    pairs = [(i1 - 1, i2 - 1, TWO_PI * float(kap), amps[2 * p], amps[2 * p + 1])
-             for p, ((i1, i2), kap) in enumerate(zip(sel.s2, sel.kappa))]
+    if not one:  # per pair, the rows' amplitudes and signed amplitudes
+        amps = np.array(amps).reshape(len(rows), -1, 2).transpose(1, 2, 0)
+    shape = (*a.shape[:-1], m)
+    rates = terms.rates
 
     def table(ts):
         u = np.empty((len(ts), len(rows), m))
@@ -358,11 +431,11 @@ def frozen_control(sel, epsilon, m, a):
         cols = u[:, 0] if one else u
         if not one:
             phase = phase[:, None]
-        for k1, k2, rate, amp, signed_amp in pairs:
+        for (k1, k2, rate), (amp, signed_amp) in zip(rates, amps):
             ang = rate * phase
             cols[..., k1] += amp * np.cos(ang)
             cols[..., k2] += signed_amp * np.sin(ang)
-        return u.reshape(len(ts), *lead, m)
+        return u.reshape(len(ts), *shape)
 
     return table
 
@@ -392,7 +465,7 @@ def held_control(sel, epsilon, m, a, t):
         raise InvalidInputError(f"a has shape {a.shape}, expected (sel.width,) = ({sel.width},)")
     if not np.isfinite(a).all():
         raise InvalidInputError(f"a must be finite, got {a.tolist()}")
-    return frozen_control(sel, epsilon, m, a)(np.array([t], dtype=float))[0]
+    return frozen_control(_ControlTerms(sel), epsilon, m, a)(np.array([t], dtype=float))[0]
 
 
 def control_value(sys, sel, gains, t, x_hold):
@@ -426,9 +499,12 @@ def validate_selection(sys, sel, probes, gains):
     is checked by as_state just before its matrix, so a bad probe's error
     and a field's error at an earlier probe keep the per-probe order.
     The probes' matrices fill one reused stack of at most PROBE_CHUNK
-    matrices and PROBE_STACK_ENTRIES entries (but at least one matrix), and
-    each full stack, then the rest, takes one _conditioning call.  A zero
-    or NaN (not converged) smallest singular value fails the rank.
+    matrices and PROBE_STACK_ENTRIES entries (but at least one matrix): in
+    one pass, the plan's matrices of the stack's rows; otherwise, the
+    plan's matrix of each probe.  Each full stack, then the rest, takes one
+    _conditioning call and one max of its ratios and of its 1 / smin, which
+    is the per-probe loop's result to the bit.  A zero or NaN (not
+    converged) smallest singular value fails the rank and makes both inf.
     """
     check_selection(sys, sel)
     if len(probes) == 0:
@@ -442,25 +518,28 @@ def validate_selection(sys, sel, probes, gains):
         states = rows.tolist()
     else:
         rows, states = probes, []
+    plan = _SteeringPlan(sys, sel)
     chunk = max(1, min(PROBE_CHUNK, PROBE_STACK_ENTRIES // (sys.n1 * sys.n1)))
     stack = np.empty((chunk, sys.n1, sys.n1))
     for start in range(0, len(probes), chunk):
         block = rows[start:start + chunk]
-        for k, x in enumerate(block):
-            if not one_pass:
+        if one_pass:
+            F = plan.matrices(block, out=stack[:len(block)])
+        else:
+            F = stack[:len(block)]
+            for k, x in enumerate(block):
                 x = as_state(x, sys.n)
                 states.append(x.tolist())
-            stack[k] = _extension_matrix(sys, sel, x)
+                F[k] = plan.matrix(x)
         with np.errstate(all="ignore"):
-            pairs = _conditioning(stack[:len(block)])
-        for cond, smin in pairs:
-            if not smin > 0.0:
+            cond, smin = _conditioning(F)
+            if (smin > 0.0).all():
+                # max over the probes in order skips a NaN ratio, as fmax does.
+                worst = max(worst, float(np.fmax.reduce(cond)))
+                alpha = max(alpha, float((1.0 / smin).max()))
+            else:
                 ok = False
-                worst = math.inf
-                alpha = math.inf
-                continue
-            worst = max(worst, cond)
-            alpha = max(alpha, float(1.0 / smin))
+                worst = alpha = math.inf
     if worst > gains.cond_cap:
         ok = False
     return RankCertificate(

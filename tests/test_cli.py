@@ -140,6 +140,27 @@ def test_sweep_requires_epsilon(tmp_path, capsys):
     assert "error:InvalidInputError" in capsys.readouterr().err
 
 
+def test_budget_message_writes_huge_counts_short_exit_2(tmp_path, capsys):
+    # A count of 10**15 or more is written as "%.3g" writes it, not in its
+    # hundreds of digits; a count past the float range too (a --substeps
+    # of 401 digits).  Smaller counts are written in full.
+    out = tmp_path / "x.csv"
+    huge = "1" + "0" * 400
+    for args, counts in ((["sweep", "rolling-disc", "--epsilon", "1e-300"], "5e+301 x 40 x 1"),
+                         (["sweep", "rolling-disc", "--epsilon", "0.1", "--substeps", huge],
+                          "500 x 1e+400 x 1"),
+                         (["run", "rolling-disc", "--substeps", "999999999999999"],
+                          "50 x 999999999999999 x 1"),
+                         (["run", "unicycle-leader", "--substeps", "1000000000000000"],
+                          "600 x 1e+15 x 2")):
+        assert main([*args, "--out", str(out)]) == 2
+        intervals, substeps, rows = counts.split(" x ")
+        assert capsys.readouterr().err == (
+            f"error:InvalidInputError:{intervals} intervals x {substeps} sub-steps x {rows} rows "
+            "exceed the budget MAX_ROW_SUBSTEPS = 10000000\n")
+    assert not out.exists()
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("called for an output format the run does not write")
 

@@ -11,7 +11,7 @@ from bracket_steer import (ControllerGains, DivergenceError, InvalidInputError,
                            default_t_final, epsilon_sweep, held_control,
                            simulate_pi_epsilon, steering_coefficients)
 from bracket_steer import FollowerAgent, LeaderModel, leader_field, simulate_formation
-from bracket_steer import builtin_scenario, library
+from bracket_steer import builtin_scenario, library, synthesis
 from bracket_steer import simulate as simulate_module
 from bracket_steer.simulate import interval_grid
 
@@ -356,16 +356,16 @@ def test_control_tables_in_blocks_match_whole_intervals(monkeypatch):
                                            SimConfig(t_final=t_final, record_stride=stride))
 
     def degenerate():
-        real, calls = simulate_module.steering_coefficients, []
+        real, calls = synthesis._SteeringPlan.solve, []
 
-        def steer(*args):
+        def steer(plan, x, *args):
             calls.append(1)
             if len(calls) == 4:
-                raise RankDegeneracyError("degenerate here", state=np.asarray(args[-1]))
-            return real(*args)
+                raise RankDegeneracyError("degenerate here", state=np.asarray(x))
+            return real(plan, x, *args)
 
         with monkeypatch.context() as m:
-            m.setattr(simulate_module, "steering_coefficients", steer)
+            m.setattr(synthesis._SteeringPlan, "solve", steer)
             return single(5.0, 4.5, 3)()
 
     agents = [dataclasses.replace(agent, gamma=50.0) for agent in uni.agents] * 2
@@ -426,19 +426,21 @@ def test_runs_match_the_generic_path_bitwise(monkeypatch):
         return lambda: simulate_formation(agents, uni.leader, uni.agent_x0s * 2, uni.gains,
                                           SimConfig(t_final=t_final, record_stride=stride))
 
-    def failing(run, module, name, calls):
+    def failing(run, calls):
+        # The plan's solve raises at its calls-th call: the run's
+        # calls-th sampling instant.
         def patched():
-            real = getattr(module, name)
+            real = synthesis._SteeringPlan.solve
             count = []
 
-            def steer(*args):
+            def steer(plan, x, *args):
                 count.append(1)
                 if len(count) == calls:
-                    raise RankDegeneracyError("degenerate here", state=np.asarray(args[-1]))
-                return real(*args)
+                    raise RankDegeneracyError("degenerate here", state=np.asarray(x))
+                return real(plan, x, *args)
 
             with monkeypatch.context() as m:
-                m.setattr(module, name, steer)
+                m.setattr(synthesis._SteeringPlan, "solve", steer)
                 return run()
         return patched
 
@@ -449,7 +451,7 @@ def test_runs_match_the_generic_path_bitwise(monkeypatch):
         # row, and the first agent's own solve on the per-agent fallback
         # raises, so the run's error carries that agent's agent_index.
         def patched():
-            real = formation_module._steer_many
+            real = synthesis._SteeringPlan.solve_many
             count = []
 
             def steer_many(*args):
@@ -460,14 +462,14 @@ def test_runs_match_the_generic_path_bitwise(monkeypatch):
                 raise RankDegeneracyError("degenerate here", state=np.asarray(x_agent))
 
             with monkeypatch.context() as m:
-                m.setattr(formation_module, "_steer_many", steer_many)
+                m.setattr(synthesis._SteeringPlan, "solve_many", steer_many)
                 m.setattr(formation_module, "follower_steering", steer)
                 return run()
         return patched
 
     runs = [single(5.0, 7.5, 3), formation(10.0, 0.35, 3), single(1e300, 2.0),
             formation(50.0, 2.0), formation(50.0, 2.0, 7),
-            failing(single(5.0, 7.0), simulate_module, "steering_coefficients", 4),
+            failing(single(5.0, 7.0), 4),
             falling_back(formation(10.0, 1.0), 5)]
     kinds = []
     for run in runs:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,9 +18,9 @@ from bracket_steer import (ROLLING_DISC, UNICYCLE, BracketSelection, ControllerG
                            steering_coefficients, validate_selection)
 from bracket_steer import formation, library, model, synthesis
 from bracket_steer.model import as_state
-from bracket_steer.scenarios import probe_states
+from bracket_steer.scenarios import SINGLE, probe_states
 from bracket_steer.simulate import interval_grid
-from bracket_steer.synthesis import frozen_control
+from bracket_steer.synthesis import _ControlTerms, frozen_control
 
 from oracles import (antisym_iterated_integral, control_series, disc_extension,
                      extension_matrix_reference, held_control_reference, steering,
@@ -254,19 +255,22 @@ def test_direct_gufuncs_match_public_linalg_bitwise():
 @pytest.mark.parametrize("k", [1, 16, 256])
 def test_stacked_steering_is_each_row_bitwise(k, disc, disc_sel, uni, uni_sel, pinch,
                                               pinch_sel):
-    # _steer_many's one SVD and one LU solve over k stacked matrices give
-    # each row's _steer bitwise, one gain per row; a stack with any row
-    # _steer refuses (a condition over the cap or inf, an overflowing
-    # -gamma r) gives None, so the caller takes the rows one by one.
+    # A plan's solve_many, one SVD and one LU solve over k stacked
+    # matrices, gives each row's solve bitwise, one gain per row; a stack
+    # with any row solve refuses (a condition over the cap or inf, an
+    # overflowing -gamma r) gives None, so the caller takes the rows one by
+    # one.
     rng = np.random.default_rng(k)
     for sys, sel in ((disc, disc_sel), (uni, uni_sel), (pinch, pinch_sel)):
+        plan = synthesis._SteeringPlan(sys, sel)
         X = rng.uniform(0.5, 3.0, (k, sys.n))
         R = rng.normal(scale=2.0, size=(k, sys.n1))
         gammas = rng.uniform(0.5, 20.0, k).tolist()
-        got = synthesis._steer_many(sys, sel, X, R, gammas, 1e6)
-        want = [synthesis._steer(sys, sel, x, r, g, 1e6) for x, r, g in zip(X, R, gammas)]
+        got = plan.solve_many(X, R, gammas, 1e6)
+        want = [plan.solve(x, r.tolist(), g, 1e6) for x, r, g in zip(X, R, gammas)]
         assert got.shape == (k, sel.width)
         assert got.tobytes() == np.array(want).tobytes()
+    plan = synthesis._SteeringPlan(pinch, pinch_sel)
     row = k // 2
     for x1, gamma, cap in ((0.0, 1.0, 1e6), (1e-7, 1.0, 1e6), (0.25, 1.0, 3.0),
                            (0.0, 1.0, math.inf), (1.0, 1e308, 1e6)):
@@ -274,9 +278,9 @@ def test_stacked_steering_is_each_row_bitwise(k, disc, disc_sel, uni, uni_sel, p
         X[row, 0] = x1
         gammas = [1.0] * k
         gammas[row] = gamma
-        assert synthesis._steer_many(pinch, pinch_sel, X, 2.0 * X, gammas, cap) is None
+        assert plan.solve_many(X, 2.0 * X, gammas, cap) is None
         with pytest.raises((RankDegeneracyError, NonFiniteError)):
-            synthesis._steer(pinch, pinch_sel, X[row], 2.0 * X[row], gamma, cap)
+            plan.solve(X[row], (2.0 * X[row]).tolist(), gamma, cap)
 
 
 # --- control law ------------------------------------------------------------
@@ -363,7 +367,7 @@ def test_frozen_control_matches_reference_bitwise(sel, m):
                 *rng.uniform(0.0, 1e6, size=40)]
         grids.append(grid)
         for a in coeffs:
-            table = frozen_control(sel, eps, m, a)
+            table = frozen_control(_ControlTerms(sel), eps, m, a)
             for ts in grids:
                 got = table(np.array(ts))
                 assert got.shape == (len(ts), m)
@@ -392,16 +396,16 @@ def test_frozen_control_block_matches_each_row_bitwise(sel, m):
                       + [rng.normal(scale=3.0, size=sel.width) for _ in range(12)])
     eps = 0.1
     ts = np.array(_interval_times(7 * eps, eps / 40, 40, 8 * eps) + [0.0, 1e6, 37.25])
-    got = frozen_control(sel, eps, m, coeffs)(ts)
+    got = frozen_control(_ControlTerms(sel), eps, m, coeffs)(ts)
     assert got.shape == (len(ts), len(coeffs), m)
     for row, a in enumerate(coeffs):
-        alone = frozen_control(sel, eps, m, a)(ts)
+        alone = frozen_control(_ControlTerms(sel), eps, m, a)(ts)
         assert alone.shape == (len(ts), m)
         assert got[:, row].tobytes() == alone.tobytes(), a
     if sel.s2:
         coeffs[[3, 5], len(sel.s1)] = [1e308, -1.5e308]
         with pytest.raises(NonFiniteError, match=r"at a=1e\+308, epsilon=0\.1$"):
-            frozen_control(sel, eps, m, coeffs)
+            frozen_control(_ControlTerms(sel), eps, m, coeffs)
 
 
 def test_held_control_refuses_non_finite_time(disc_sel):
@@ -499,7 +503,7 @@ def _per_probe_certificate(sys, sel, probes, gains):
     for x in probes:
         x = as_state(x, sys.n)
         states.append(tuple(float(v) for v in x))
-        cond, smin = synthesis._conditioning(synthesis._extension_matrix(sys, sel, x))
+        cond, smin = synthesis._conditioning(synthesis._SteeringPlan(sys, sel).matrix(x))
         if smin == 0.0:
             ok, worst, alpha = False, math.inf, math.inf
             continue
@@ -623,22 +627,28 @@ def test_validate_selection_field_error_before_later_bad_probe(pinch, pinch_sel)
 # --- the extension matrix against its per-bracket reference ------------------
 
 def _with_reference(monkeypatch, fn):
-    """fn() with every extension matrix built by the reference; and its count."""
+    """fn() with every extension matrix built by the reference, one at a
+    time or stacked: the steering plan's two builds; and its count."""
     calls = []
 
-    def reference(sys, sel, x):
+    def matrix(plan, x):
         calls.append(1)
-        return extension_matrix_reference(sys, sel, x)
+        return extension_matrix_reference(plan.sys, plan.sel, x)
+
+    def matrices(plan, X, out=None):
+        F = np.array([matrix(plan, x) for x in X])
+        if out is not None:
+            out[...] = F
+        return F
 
     with monkeypatch.context() as mp:
-        mp.setattr(synthesis, "_extension_matrix", reference)
-        mp.setattr(synthesis, "extension_matrix", reference)
-        mp.setattr(formation, "extension_matrix", reference)
+        mp.setattr(synthesis._SteeringPlan, "matrix", matrix)
+        mp.setattr(synthesis._SteeringPlan, "matrices", matrices)
         return fn(), len(calls)
 
 
 def _steering_layer(sys, sel, gains, probes, steer):
-    # Looked up on the module, so _with_reference swaps it too.
+    # Every matrix here comes from a steering plan, so _with_reference swaps each.
     cert = validate_selection(sys, sel, probes, gains)
     return (b"".join(synthesis.extension_matrix(sys, sel, x).tobytes() for x in probes),
             json.dumps(cert.to_dict(), sort_keys=True), cert.sampled_states,
@@ -752,6 +762,78 @@ def test_fused_extension_matrices_match_generic_bitwise(monkeypatch):
                 assert jac_calls or not sel.s2
                 assert got.flags.c_contiguous and got.shape == want.shape == (sys.n1, sys.n1)
                 assert got.tobytes() == want.tobytes(), (name, sel, x.tolist())
+
+
+@pytest.mark.parametrize("k", [1, 2, 255, 256, 257])
+def test_stacked_matrices_are_each_row_bitwise(k):
+    # A plan's matrices(X), one np.cos and one np.sin over the stack, is
+    # bitwise its matrix(x) row by row, fresh or into a reused stack, for
+    # every fused selection over the edge headings and seeded states, a
+    # stack of one included.  A copy of the unicycle off the fused table
+    # builds its stack row by row.
+    rng = np.random.default_rng(k)
+    swapped = dataclasses.replace(UNICYCLE, control_jacobians=tuple(
+        lambda x, f=f: f(x) for f in UNICYCLE.control_jacobians))
+    cases = [(sys, sel) for sys, sels in FUSED_MATRIX_CASES.values() for sel in sels]
+    cases.append((swapped, FUSED_MATRIX_CASES["unicycle"][1][0]))
+    for sys, sel in cases:
+        plan = synthesis._SteeringPlan(sys, sel)
+        assert (plan.columns is None) == (sys is swapped)
+        states = _heading_states(sys.n, seed=k)
+        X = np.array([states[i % len(states)] for i in rng.permutation(max(k, len(states)))])
+        out = np.full((257, sys.n1, sys.n1), np.nan)
+        for lo in range(0, len(X), k):
+            block = X[lo:lo + k]
+            want = b"".join(plan.matrix(x).tobytes() for x in block)
+            got = plan.matrices(block)
+            assert got.shape == (len(block), sys.n1, sys.n1) and got.flags.c_contiguous
+            assert got.tobytes() == want, (sys.name, sel, lo)
+            into = out[:len(block)]
+            assert plan.matrices(block, out=into) is into
+            assert into.tobytes() == want
+
+
+def test_unicycle_certificate_at_chunk_boundaries_matches_per_probe():
+    # The built-in unicycle's probes take the stacked fused build: at every
+    # count around a chunk boundary the certificate, sampled states
+    # included, is the per-probe loop's to the bit, for every fused
+    # unicycle selection, the singular repeated-pairs one among them.
+    C = synthesis.PROBE_CHUNK
+    rng = np.random.default_rng(24)
+    gains = ControllerGains(epsilon=0.1, gamma=10.0, y_star=(0.0, 0.0, 0.0))
+    edges = np.array(_heading_states(3))
+    ranks = []
+    for sel in FUSED_MATRIX_CASES["unicycle"][1]:
+        for count in (1, C - 1, C, C + 1, 2 * C + 1):
+            probes = rng.uniform(-3.0, 3.0, size=(count, 3))
+            probes[:len(edges)] = edges[:count]
+            want = _per_probe_certificate(UNICYCLE, sel, list(probes), gains)
+            got = validate_selection(UNICYCLE, sel, probes, gains)
+            assert repr(got) == repr(want), (sel, count)
+            ranks.append(got.rank_ok)
+    assert True in ranks and False in ranks
+
+
+@pytest.mark.parametrize("name", ["rolling-disc", "unicycle-leader"])
+def test_validate_selection_peak_memory_is_one_stack(name):
+    # 4000 probes: above the certificate returned, the traced peak holds
+    # the probes' state lists and one stack of PROBE_CHUNK matrices, about
+    # 0.37 MB (unicycle) and 0.39 MB (disc), never all 4000 matrices: a
+    # stack of 4000 3 x 3 matrices alone takes 0.29 MB more, and a batched
+    # SVD over every probe once raised a whole operation's peak by 1.25 MB.
+    b = builtin_scenario(name)
+    unit = b if b.kind == SINGLE else b.agents[0]
+    probes = np.random.default_rng(24).uniform(-3.0, 3.0, size=(4000, unit.system.n))
+    validate_selection(unit.system, unit.selection, probes, b.gains)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cert = validate_selection(unit.system, unit.selection, probes, b.gains)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cert.sampled_states) == 4000 and current > base
+    assert peak - current < 0.5e6
 
 
 def test_swapped_jacobian_takes_generic_matrix(monkeypatch):
