@@ -9,11 +9,11 @@ is the leader's field with no control, row l + 1 agent l's f0 + sum_k u_k f_k
 held at its own frozen pair (x_l(tau_j), x_L(tau_j)).  The blocks are
 independent, so the followers are steered and advanced in groups: each run
 of consecutive agents that share one system object and an equal selection
-takes one stacked steering solve and one control table per sampling
-instant, and one block kernel call per table block.  The engine advances
-each row by its own RK4 sub-step, bit for bit, so each row follows exactly
-the trajectory it would have alone.  simulate_leader is the same run with
-no followers.
+takes one steering step (synthesis._SteeringPlan.held, the single-system
+run's too) and so one control table per sampling instant, and one block
+kernel call per table block.  The engine advances each row by its own RK4
+sub-step, bit for bit, so each row follows exactly the trajectory it would
+have alone.  simulate_leader is the same run with no followers.
 """
 
 import math
@@ -23,11 +23,11 @@ from typing import Callable
 import numpy as np
 
 from . import library
-from .errors import InvalidInputError, NonFiniteError, RankDegeneracyError
-from .model import as_state
+from .errors import InvalidInputError, NonFiniteError
+from .model import _as_int, as_state
 from .simulate import (SampledTrajectory, SimConfig, _check_field_length, _check_field_lengths,
                        _run_sampled)
-from .synthesis import _SteeringPlan, check_selection, frozen_control, held_control
+from .synthesis import _SteeringPlan, check_selection, held_control
 # Not called here: perfbench/tracer.py wraps formation._guard, _rk4_step,
 # extension_matrix and _solve_steering by name.
 from .simulate import _guard_state as _guard, _rk4_step  # noqa: F401
@@ -194,6 +194,9 @@ def simulate_leader(leader, gains, cfg=None, kappa_max=1):
     Returns (dense_times, dense_states) with every sub-step recorded; used
     by the scenario validator when no full formation run is wanted.
     """
+    kappa_max = _as_int(kappa_max, "kappa_max")
+    if kappa_max < 1:
+        raise InvalidInputError(f"kappa_max must be >= 1, got {kappa_max}")
     cfg = replace(SimConfig() if cfg is None else cfg, record_stride=1)
     ftraj = _simulate_stacked((), leader, (), gains, cfg, kappa_max)
     return ftraj.dense_times, ftraj.leader_states
@@ -222,12 +225,10 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
 
     The followers advance in groups (_follower_groups), each with one
     steering plan (synthesis._SteeringPlan) for the run: at each sampling
-    instant a group takes one stacked steering solve (its solve_many) and
-    one control table for all its agents, and the engine advances it
-    by one block kernel call per table block.  A group whose stacked solve
-    would fail is steered agent by agent, each follower_steering and then
-    its frozen_control, so the first failure in agent order is raised with
-    its agent_index.
+    instant a group takes the plan's held, one control table for all its
+    agents from their residuals x_l - x_L - d_l, and the engine advances
+    it by one block kernel call per table block.  held raises the first
+    failure in agent order, a RankDegeneracyError naming its agent_index.
     """
     eps = gains.epsilon
     x0 = np.array([leader.x0_vec(), *x0s])
@@ -244,29 +245,12 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
     offsets = [np.array([agent.offset for agent in group]) for _, group in groups]
     gammas = [[agent.gamma for agent in group] for _, group in groups]
 
-    def steer_each(lo, group, X, terms):
-        """A group's coefficients agent by agent: follower_steering, then
-        frozen_control for its checks, so the first failure in agent order
-        is raised as a lone agent raises it."""
-        coeffs = []
-        for idx, agent in enumerate(group, lo):
-            try:
-                a = follower_steering(agent, gains, X[idx + 1], X[0])
-            except RankDegeneracyError as exc:
-                exc.agent_index = idx
-                raise
-            frozen_control(terms, eps, agent.system.m, a)
-            coeffs.append(a)
-        return np.array(coeffs)
-
     def steer(X):
         held = [_no_control]
         for (lo, group), plan, d, gamma in zip(groups, plans, offsets, gammas):
             Xg = X[lo + 1:lo + 1 + len(group)]
-            coeffs = plan.solve_many(Xg, Xg - X[0] - d, gamma, gains.cond_cap)
-            if coeffs is None:
-                coeffs = steer_each(lo, group, X, plan.terms)
-            held.append(frozen_control(plan.terms, eps, plan.sys.m, coeffs))
+            held.append(plan.held(Xg, Xg - X[0] - d, gamma, gains.cond_cap, eps,
+                                  range(lo, lo + len(group))))
         return held
 
     def build(rec):

@@ -12,7 +12,6 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
@@ -298,10 +297,10 @@ def json_text(doc):
     """The text of every JSON document the package writes.
 
     json.dumps(doc, indent=2) + "\n", with each 1-d or 2-d float64 ndarray
-    in doc written as its tolist() would be.  Those arrays, and the lists
-    that could be their tolist(), are formatted in blocks of rows by
-    float_text, each value as float.__repr__ (which json uses) writes it;
-    everything else goes to json.dumps itself.  The parts are joined once.
+    in doc written as its tolist() would be.  Those arrays are formatted in
+    blocks of rows by float_text, each value as float.__repr__ (which json
+    uses) writes it; everything else goes to json.dumps itself.  The parts
+    are joined once.
     """
     parts = []
     _json(doc, "\n", parts)
@@ -313,8 +312,6 @@ def _json(o, nl, parts):
     """Append o's indent=2 text to parts, its nested lines starting with nl
     (a newline and o's indent)."""
     inner = nl + "  "
-    if type(o) is list and o and _all_floats(o):
-        o = np.asarray(o)
     if type(o) is dict and o and all(type(k) is str for k in o):
         sep = "{" + inner
         for k, v in o.items():
@@ -336,14 +333,6 @@ def _json(o, nl, parts):
         parts.append(nl + "]")
     else:
         parts.append(json.dumps(o, indent=2).replace("\n", nl))
-
-
-def _all_floats(o):
-    """Whether the non-empty list o holds only floats, or only non-empty
-    lists of floats of one length: a 1-d or 2-d float64 array's tolist()."""
-    types = {*map(type, o)}
-    return types == {float} or (types == {list} and len({*map(len, o)}) == 1 and len(o[0]) > 0
-                                and {*map(type, chain.from_iterable(o))} == {float})
 
 
 _JSON_BLOCK_ROWS = 1024  # rows per float_text call
@@ -555,6 +544,9 @@ def save_scenario(bundle, path):
 
 def probe_states(bundle, n_probes=DEFAULT_PROBES, seed=PROBE_SEED):
     """Deterministic uniform probe states drawn from the bundle's probe box."""
+    n_probes = _as_int(n_probes, "n_probes")
+    if n_probes < 1:
+        raise InvalidInputError("at least one probe state is required")
     box = np.asarray(bundle.probe_box, dtype=float)
     rng = np.random.default_rng(seed)
     return rng.uniform(box[:, 0], box[:, 1], size=(n_probes, box.shape[0]))

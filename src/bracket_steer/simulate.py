@@ -14,11 +14,13 @@ and selection.  Each row is advanced by its own fixed-step RK4 sub-step in
 the operation order of the float64 array form, so results are bitwise
 those of arrays.
 
-At each sampling instant every group's held controls are evaluated once,
-as one time-major table (len(ts), k, m) of its k rows' controls over every
-time the interval uses (synthesis.frozen_control), and each row's sub-step
-(t, x, h, u0, uh, u1) takes its controls at the start, midpoint and end
-from its rows of that table.  The generic sub-step is _rk4_step on the
+At each sampling instant each steered group, a single system's row too,
+takes one steering step (synthesis._SteeringPlan.held), whose held
+controls are evaluated once, as one time-major table (len(ts), k, m) of
+its k rows' controls over every time the interval uses
+(synthesis.frozen_control), and each row's sub-step (t, x, h, u0, uh, u1)
+takes its controls at the start, midpoint and end from its rows of that
+table.  The generic sub-step is _rk4_step on the
 stage (t, x, u) -> f0(t, x) + sum_k u_k f_k(x) (_row_stage), on the row as
 a list of floats.  Fields receive their row as a 1-d float64 ndarray and
 may return any sequence of numbers, each entry taken as a float64.  Groups
@@ -50,7 +52,7 @@ import numpy as np
 from . import library
 from .errors import DivergenceError, InvalidInputError, RankDegeneracyError
 from .model import _as_int, as_state
-from .synthesis import _check_target, _SteeringPlan, check_selection, frozen_control
+from .synthesis import _check_target, _SteeringPlan, check_selection
 # Not called here: perfbench/tracer.py wraps simulate.held_control and
 # simulate.steering_coefficients by name.
 from .synthesis import held_control, steering_coefficients  # noqa: F401
@@ -268,7 +270,9 @@ def _check_field_length(value, n, what):
 
 
 def _check_field_lengths(sys, x0, who=""):
-    """_check_field_length for the drift (field 0) and each control field."""
+    """x0's domain check, then _check_field_length for each field (0 the drift)."""
+    if sys.domain_check is not None and not sys.domain_check(x0):
+        raise InvalidInputError(f"{who}x0 lies outside the system's declared domain")
     for k in range(sys.m + 1):
         value = sys.drift(0.0, x0) if k == 0 else sys.control_fields[k - 1](x0)
         _check_field_length(value, sys.n, f"{who}field {k}")
@@ -501,28 +505,22 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
     """
     check_selection(sys, sel)
     x0 = as_state(x0, sys.n)
-    if sys.domain_check is not None and not sys.domain_check(x0):
-        raise InvalidInputError("x0 lies outside the system's declared domain")
     _check_field_lengths(sys, x0)
     eps = gains.epsilon
     m = sys.m
     n1 = sys.n1
     y_star = gains.y_star_vec()
-    target = y_star.tolist()
     plan = _SteeringPlan(sys, sel)
-    gamma, cond_cap = gains.gamma, gains.cond_cap
 
     def steer(X):
         """The held control at a sampling instant: the public solve's y*
-        check, then the plan's solve at the row and its one-row table.  The
-        row needs no as_state: x0 passed it, and the guard passes only
-        finite states."""
-        x = X[0]
+        check, then the plan's step for a group of one row.  The row needs
+        no as_state: x0 passed it, and the guard passes only finite
+        states."""
         # Only the first instant's check can fail (gains are frozen); made
         # here, a bad y* is refused after the run's budget check.
         _check_target(sys, gains)
-        r = [v - t for v, t in zip(x.tolist(), target)]
-        return [frozen_control(plan.terms, eps, m, plan.solve(x, r, gamma, cond_cap)[None])]
+        return [plan.held(X, X[:, :n1] - y_star, (gains.gamma,), gains.cond_cap, eps, (None,))]
 
     def build(rec):
         states = np.array(rec.states).reshape(-1, sys.n)

@@ -18,11 +18,12 @@ its own fields and Jacobians, row by row; no benchmark workload reaches it.
 validate_selection checks its probes in one pass and certifies them with
 one stacked build and one SVD per stack of at most PROBE_CHUNK matrices;
 each steering solve keeps one SVD for its condition guard and one LU
-solve, and a stack of solves (solve_many, for a formation's followers) one
-of each for the whole stack.  Both are the LAPACK gufuncs that
-np.linalg.svd and np.linalg.solve call, called without those wrappers: the
-same routines, so the same bytes, but a failure comes back as NaN, never as
-LinAlgError, and the guards below test for it.
+solve, and a stack of solves (solve_many) one of each for the whole stack.
+Both are the LAPACK gufuncs that np.linalg.svd and np.linalg.solve call,
+called without those wrappers: the same routines, so the same bytes, but a
+failure comes back as NaN, never as LinAlgError, and the guards below test
+for it.  At each sampling instant every run steers by one step per group
+of rows, the plan's held: a single system is a group of one row.
 """
 
 import math
@@ -199,11 +200,11 @@ class _SteeringPlan:
     longer.  It resolves once the system's fused columns (library's rule
     for exactly the built-in unicycle's and disc's fields and Jacobians,
     chosen by their identity) and the entries of the rule's 3 x 4 matrix
-    that the selection picks; a run also takes the selection's control
-    constants (terms) for frozen_control from it.  Every other system
-    takes the definition: model's _field for each S1 column and _bracket,
-    J_i2 f_i1 - J_i1 f_i2, for each S2 pair; no benchmark workload reaches
-    it.  Every state it is given has passed as_state, so no finite check
+    that the selection picks; a run steers through its held, which takes
+    the selection's control constants (terms) for frozen_control.  Every
+    other system takes the definition: model's _field for each S1 column
+    and _bracket, J_i2 f_i1 - J_i1 f_i2, for each S2 pair; no benchmark
+    workload reaches it.  Every state it is given has passed as_state, so no finite check
     is made here: cos and sin of a finite float are finite.
     """
 
@@ -278,9 +279,7 @@ class _SteeringPlan:
         _lapack_solve1 over it make the same LAPACK call on each matrix, so
         each row is bitwise its own solve.  A non-finite right-hand side,
         an error building a matrix, a condition number over cond_cap or
-        NaN, or a NaN solve gives None, and the caller takes the rows one
-        by one, which raises the first failure in row order as it always
-        has.
+        NaN, or a NaN solve gives None, and held takes the rows one by one.
         """
         rhs = [[-float(g) * v for v in r] for g, r in zip(gammas, R.tolist())]
         if not all(map(math.isfinite, chain.from_iterable(rhs))):
@@ -295,6 +294,28 @@ class _SteeringPlan:
                 return None
             a = _lapack_solve1(F, rhs, signature="dd->d")
         return None if any(map(math.isnan, a.ravel().tolist())) else a
+
+    def held(self, X, R, gammas, cond_cap, eps, labels):
+        """A group's frozen control at a sampling instant from its states X
+        (k, n), residuals R (k, n1), and one gain and label per row.  More
+        than one row takes solve_many; one row, or a stack it refuses, goes
+        row by row (solve, then the row's amplitude checks), so the first
+        failure in row order is raised as that row alone raises it, a
+        RankDegeneracyError naming labels[row] in .agent_index."""
+        m = self.sys.m
+        a = self.solve_many(X, R, gammas, cond_cap) if len(X) > 1 else None
+        if a is None:
+            a = []
+            for k, (r, gamma, label) in enumerate(zip(R.tolist(), gammas, labels)):
+                if k:  # the table below checks the last row's amplitudes
+                    frozen_control(self.terms, eps, m, a[-1])
+                try:
+                    a.append(self.solve(X[k], r, gamma, cond_cap))
+                except RankDegeneracyError as exc:
+                    exc.agent_index = label
+                    raise
+            a = np.array(a)
+        return frozen_control(self.terms, eps, m, a)
 
 
 def _conditioning(F):

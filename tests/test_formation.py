@@ -422,7 +422,7 @@ def test_one_solve_table_and_kernel_call_per_group(monkeypatch, uni_agent, form_
     from bracket_steer import synthesis
     counts = {"svd": 0, "table": 0}
     kernel_rows = []
-    svd, frozen = synthesis._lapack_svd, formation_module.frozen_control
+    svd, frozen = synthesis._lapack_svd, synthesis.frozen_control
 
     def counted_svd(*args, **kwargs):
         counts["svd"] += 1
@@ -445,7 +445,7 @@ def test_one_solve_table_and_kernel_call_per_group(monkeypatch, uni_agent, form_
         return row_integrators
 
     monkeypatch.setattr(synthesis, "_lapack_svd", counted_svd)
-    monkeypatch.setattr(formation_module, "frozen_control", counted_table)
+    monkeypatch.setattr(synthesis, "frozen_control", counted_table)
     monkeypatch.setattr(simulate, "_row_integrators", counted_blocks(simulate._row_integrators))
     fast = dataclasses.replace(uni_agent.selection, kappa=(2,))
     rng = np.random.default_rng(7)
@@ -457,6 +457,74 @@ def test_one_solve_table_and_kernel_call_per_group(monkeypatch, uni_agent, form_
     simulate_formation(agents, fig8_leader, x0s, form_gains, SimConfig(t_final=0.5))
     assert counts == {"svd": 6 * 2, "table": 6 * 2}
     assert kernel_rows == [1, 8, 8] * 5
+
+
+def test_solve_many_only_for_groups_of_more_than_one(monkeypatch, uni_agent, form_gains,
+                                                     fig8_leader):
+    # A group of one is steered by the plan's solve alone; a group of eight
+    # takes one solve_many per sampling instant (6 with the end).
+    from bracket_steer import synthesis
+    calls = []
+    real = synthesis._SteeringPlan.solve_many
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(synthesis._SteeringPlan, "solve_many", counted)
+    cfg = SimConfig(t_final=0.5)
+    simulate_formation([uni_agent], fig8_leader, [AGENT_X0], form_gains, cfg)
+    assert calls == []
+    rng = np.random.default_rng(3)
+    simulate_formation([uni_agent] * 8, fig8_leader, list(rng.uniform(-2.0, 2.0, (8, 3))),
+                       form_gains, cfg)
+    assert len(calls) == 6
+
+
+def test_failing_group_of_one_raises_as_follower_steering(pinch, pinch_sel):
+    # Agent 1, a group of one, decays toward x1 = 0, where F = diag(1, x1)
+    # pinches: at t = 0.3 its condition number 1 / 0.729 passes the cap
+    # 1.3.  The run raises what follower_steering raises at that sampled
+    # state, naming agent 1; agent 0 (another system object, so another
+    # group) holds still.
+    gains = ControllerGains(epsilon=0.1, gamma=1.0, y_star=(0.0, 0.0), cond_cap=1.3)
+    leader = LeaderModel(name="stationary", dynamics=lambda t, x: np.zeros(2), x0=(0.0, 0.0))
+    calm = FollowerAgent(system=dataclasses.replace(pinch, name="pinch-copy"),
+                         selection=pinch_sel, gamma=1.0, offset=(1.0, 0.0))
+    decaying = FollowerAgent(system=pinch, selection=pinch_sel, gamma=1.0, offset=(0.0, 0.0))
+    with pytest.raises(RankDegeneracyError) as info:
+        simulate_formation([calm, decaying], leader, [(1.0, 0.0)] * 2, gains,
+                           SimConfig(t_final=1.0))
+    exc = info.value
+    assert exc.agent_index == 1
+    partial = exc.partial
+    assert partial.sample_times.tolist() == [0.0, 0.1, 0.2, 0.30000000000000004]
+    x_agent = partial.agent_trajs[1].sample_states[-1]
+    with pytest.raises(RankDegeneracyError) as alone:
+        follower_steering(decaying, gains, x_agent, partial.leader_samples[-1])
+    assert (type(exc), str(exc), exc.condition) == (
+        type(alone.value), str(alone.value), alone.value.condition)
+    assert exc.state.tobytes() == alone.value.state.tobytes() == x_agent.tobytes()
+
+
+def test_domain_check_rejects_agent_x0(uni, uni_sel, uni_gains, form_gains, fig8_leader):
+    # The x0 check both runs share refuses an x0 outside a system's domain,
+    # naming the agent in a formation.
+    guarded = dataclasses.replace(uni, name="guarded-unicycle",
+                                  domain_check=lambda x: bool(np.linalg.norm(x) < 0.1))
+    agent = FollowerAgent(system=guarded, selection=uni_sel, gamma=10.0, offset=OFFSET)
+    with pytest.raises(InvalidInputError) as info:
+        simulate_pi_epsilon(guarded, uni_sel, uni_gains, AGENT_X0)
+    assert str(info.value) == "x0 lies outside the system's declared domain"
+    with pytest.raises(InvalidInputError) as info:
+        simulate_formation([agent], fig8_leader, [AGENT_X0], form_gains)
+    assert str(info.value) == "agent 0 x0 lies outside the system's declared domain"
+
+
+@pytest.mark.parametrize("kappa_max", [0, -1, 1.5, True, "2"])
+def test_simulate_leader_refuses_a_bad_kappa_max(fig8_leader, form_gains, kappa_max):
+    with pytest.raises(InvalidInputError, match="^kappa_max must be"):
+        simulate_leader(fig8_leader, form_gains, SimConfig(t_final=0.5), kappa_max=kappa_max)
 
 
 def test_divergent_leader_carries_partial(uni_agent, form_gains):

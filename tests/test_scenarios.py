@@ -72,6 +72,18 @@ def test_validate_bundle_disc():
     assert len(cert.sampled_states) == 100
 
 
+@pytest.mark.parametrize("n_probes, message", [
+    (0, "at least one probe state is required"),
+    (-1, "at least one probe state is required"),
+    (1.5, "n_probes must be an integer, got 1.5"),
+    (True, "n_probes must be an integer, got True"),
+])
+def test_validate_bundle_refuses_a_bad_probe_count(n_probes, message):
+    with pytest.raises(InvalidInputError) as info:
+        validate_bundle(builtin_scenario("rolling-disc"), n_probes=n_probes)
+    assert str(info.value) == message
+
+
 def test_validate_bundle_formation():
     certs = validate_bundle(builtin_scenario("unicycle-leader"))
     assert isinstance(certs, tuple) and len(certs) == 1

@@ -444,11 +444,9 @@ def test_runs_match_the_generic_path_bitwise(monkeypatch):
                 return run()
         return patched
 
-    from bracket_steer import formation as formation_module
-
     def falling_back(run, calls):
         # The stacked solve refuses at its calls-th call, as on a failing
-        # row, and the first agent's own solve on the per-agent fallback
+        # row, and the first agent's own solve on the row-by-row fallback
         # raises, so the run's error carries that agent's agent_index.
         def patched():
             real = synthesis._SteeringPlan.solve_many
@@ -458,12 +456,12 @@ def test_runs_match_the_generic_path_bitwise(monkeypatch):
                 count.append(1)
                 return None if len(count) == calls else real(*args)
 
-            def steer(agent, gains, x_agent, x_leader):
+            def steer(plan, x_agent, *args):
                 raise RankDegeneracyError("degenerate here", state=np.asarray(x_agent))
 
             with monkeypatch.context() as m:
                 m.setattr(synthesis._SteeringPlan, "solve_many", steer_many)
-                m.setattr(formation_module, "follower_steering", steer)
+                m.setattr(synthesis._SteeringPlan, "solve", steer)
                 return run()
         return patched
 
@@ -689,6 +687,7 @@ def test_rank_degeneracy_mid_run(pinch, pinch_sel):
                             SimConfig(t_final=20.0))
     exc = info.value
     assert exc.condition > gains.cond_cap or math.isinf(exc.condition)
+    assert exc.agent_index is None  # a single system names no agent
     assert isinstance(exc.partial, SampledTrajectory)
     assert exc.partial.sample_times.shape[0] > 10
 
