@@ -8,6 +8,7 @@ a substitute.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -40,6 +41,18 @@ def _as_int(value, what, error=InvalidInputError):
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise error(f"{what} must be an integer, got {value!r}")
+
+
+def _as_real(value, what, error=InvalidInputError):
+    """value as a float: a real number (int, float, Fraction, a numpy
+    integer or floating) that float() takes.  A bool, a numpy bool or any
+    other value raises error naming what."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            pass
+    raise error(f"{what} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

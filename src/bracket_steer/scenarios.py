@@ -547,6 +547,9 @@ def probe_states(bundle, n_probes=DEFAULT_PROBES, seed=PROBE_SEED):
     n_probes = _as_int(n_probes, "n_probes")
     if n_probes < 1:
         raise InvalidInputError("at least one probe state is required")
+    seed = _as_int(seed, "seed")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     box = np.asarray(bundle.probe_box, dtype=float)
     rng = np.random.default_rng(seed)
     return rng.uniform(box[:, 0], box[:, 1], size=(n_probes, box.shape[0]))

@@ -37,6 +37,18 @@ inside the guard's cap, it is the generic sub-steps of all rows together,
 guarded after each (_generic_block), so a failure is raised as they raise
 it.  Every other system or leader field, and a copy with any function
 swapped, puts the whole run on the generic sub-steps.
+
+epsilon_sweep runs on this clock once for a whole sweep when that is
+bitwise the per-epsilon runs: the system is driftless (library._zero_field,
+by identity), every entry's period is its first's over a power of two and
+divides its horizon into whole intervals, and the values stay in the range
+where a power-of-two rescaling of time is exact.  A driftless loop is
+invariant under t -> t / c with (gamma, epsilon) -> (c gamma, epsilon / c),
+so each entry is a row at the first entry's period with its gain scaled
+down; the rows retire one by one at their own interval counts, and only
+sampling instants are recorded (_one_clock_sweep).  Any other sweep, or one
+whose stacked run raises or leaves that range, runs one simulate_pi_epsilon
+per entry, which also raises any failure.
 """
 
 import math
@@ -44,15 +56,15 @@ import warnings
 from array import array
 from dataclasses import asdict, dataclass, replace
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Optional
 
 import numpy as np
 
 from . import library
 from .errors import DivergenceError, InvalidInputError, RankDegeneracyError
-from .model import _as_int, as_state
-from .synthesis import _check_target, _SteeringPlan, check_selection
+from .model import _as_int, _as_real, as_state
+from .synthesis import _check_target, _SteeringPlan, check_selection, frozen_control
 # Not called here: perfbench/tracer.py wraps simulate.held_control and
 # simulate.steering_coefficients by name.
 from .synthesis import held_control, steering_coefficients  # noqa: F401
@@ -88,7 +100,7 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.t_final is not None and not 0 < self.t_final < math.inf:
+        if self.t_final is not None and not 0 < _as_real(self.t_final, "t_final") < math.inf:
             raise InvalidInputError(f"t_final must be finite and > 0, got {self.t_final}")
         if self.substeps_per_period is not None:
             nsub = _as_int(self.substeps_per_period, "substeps_per_period")
@@ -364,6 +376,20 @@ def _count(n):
     return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
 
 
+def _warn_substeps(nsub, kappa_max):
+    """A run's one RuntimeWarning when nsub gives the fastest oscillation
+    fewer than 20 sub-steps."""
+    if nsub < 20 * kappa_max:
+        warnings.warn(
+            f"substeps_per_period={nsub} resolves the fastest oscillation "
+            f"(kappa={kappa_max}) with fewer than 20 sub-steps", RuntimeWarning)
+
+
+def _first_rows(control, k):
+    """A frozen control whose tables keep only its first k rows."""
+    return lambda ts: control(ts)[:, :k]
+
+
 def _plan_run(cfg, gains, kappa_max, n_rows):
     """(t_final, nsub, n_int, tail, n_intervals) of a run, refused if empty or over budget."""
     eps = gains.epsilon
@@ -379,7 +405,7 @@ def _plan_run(cfg, gains, kappa_max, n_rows):
     return t_final, nsub, n_int, tail, n_intervals
 
 
-def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build):
+def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build, ends=None):
     """Integrate a sampled closed loop from x0; the package's one clock.
 
     x0 is (n_rows, p), its rows in group order, and groups[g] =
@@ -413,18 +439,27 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build):
     every cfg.record_stride sub-steps and at the end of the horizon.
     Returns build(recorder); a DivergenceError or RankDegeneracyError
     leaves with build(recorder) of the run so far attached as .partial.
+
+    ends, given for one group whose rows are separate runs of one clock
+    with no tail, holds each row's own interval count, non-increasing in
+    row order, the first the run's: row k takes its steering step at
+    tau_{ends[k]} and then leaves, so the stack shrinks to its first rows.
+    Such a run records its sampling instants only, and its caller budgets
+    and warns for each row's run (the plan here checks the first row).
     """
     cfg = SimConfig() if cfg is None else cfg
     eps = gains.epsilon
-    t_final, nsub, n_int, tail, n_intervals = _plan_run(cfg, gains, kappa_max, len(x0))
-    if nsub < 20 * kappa_max:
-        warnings.warn(
-            f"substeps_per_period={nsub} resolves the fastest oscillation "
-            f"(kappa={kappa_max}) with fewer than 20 sub-steps", RuntimeWarning)
+    dense = ends is None
+    t_final, nsub, n_int, tail, n_intervals = _plan_run(cfg, gains, kappa_max,
+                                                        len(x0) if dense else 1)
+    if dense:
+        _warn_substeps(nsub, kappa_max)
+    # The rows left after each instant at which some retire.
+    retire = {} if dense else {e: sum(f > e for f in ends) for e in ends if e < n_int}
     total_substeps = n_intervals * nsub
     stride = cfg.record_stride
     names = [name for group, _, _ in groups for name in group]
-    n_rows, p = x0.shape
+    p = x0.shape[1]
     bounds = [0, *accumulate(len(group) for group, _, _ in groups)]
     steps, blocks = _row_integrators(groups)
 
@@ -463,8 +498,12 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build):
             t = j * eps
             rec.sample(t, X)
             held = steer(X)
+            if j in retire:
+                X = X[:retire[j]]
+                bounds = [0, len(X)]
+                held = [_first_rows(control, len(X)) for control in held]
             h, ts, tables = tabulate(held, j, 0)
-            if g % stride == 0 or g == total_substeps:
+            if dense and (g % stride == 0 or g == total_substeps):
                 rec.record(t, X, j, tables, 0)
             if j == n_intervals:
                 break
@@ -481,12 +520,13 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build):
                 # the interval's last: the next interval's start records
                 # that point, or after a tail the final record.
                 recordable = end // 3 - (lo + TABLE_SUBSTEPS >= nsub)
-                rec.record_block(ts, states, j, tables, range(
-                    stride - g % stride, min(len(states), recordable) + 1, stride))
+                if dense:
+                    rec.record_block(ts, states, j, tables, range(
+                        stride - g % stride, min(len(states), recordable) + 1, stride))
                 if error is not None:
                     raise error
                 g += end // 3
-                X = states[-1].reshape(n_rows, p)
+                X = states[-1].reshape(len(X), p)
         else:
             # The tail ran to t_final: its end is the final point.
             rec.record(float(ts[end]), X, n_int, tables, end)
@@ -592,7 +632,7 @@ def decay_report(traj, gains, rho):
 
 def _sweep_epsilons(eps_list):
     """eps_list as floats, refused unless non-empty, positive, finite and strictly decreasing."""
-    eps_list = [float(e) for e in eps_list]
+    eps_list = [_as_real(e, "eps_list entry") for e in eps_list]
     if not eps_list:
         raise InvalidInputError("eps_list must be non-empty")
     if not all(e > 0 for e in eps_list):  # NaN fails e > 0 as well
@@ -604,6 +644,104 @@ def _sweep_epsilons(eps_list):
     return eps_list
 
 
+def _max_deviation(y0, gains, times, ys):
+    """max_j ||ys[j] - averaged_reference(y0, gains, times[j])||, at least 0.0:
+    the references in one array pass of averaged_reference's own operations
+    (math.exp per time, then elementwise), and each norm by np.linalg.norm
+    on its row, as a per-sample loop takes them."""
+    y_star = gains.y_star_vec()
+    decay = np.array([math.exp(-gains.gamma * t) for t in times])
+    refs = y_star + decay[:, None] * (y0 - y_star)
+    return max(0.0, *map(float, map(np.linalg.norm, ys - refs)))
+
+
+# A one-clock sweep's row for entry k runs that entry's loop at the period
+# eps0 = c eps_k, c a power of two, with the gain gamma / c: its times and
+# sub-step lengths are c times its own run's, and its steering right-hand
+# sides, coefficients and controls 1 / c times, exactly, while every one of
+# them and of their products is a normal float.  So a sweep takes one clock
+# only with c <= _MAX_SCALE (the work budget's own bound when t_final is
+# given) and epsilon, gamma and kappa_max within _SWEEP_RANGE of 1 in ratio,
+# and leaves it as soon as a row's state, residual y - y* or coefficients
+# have a non-zero entry not within _STEP_RANGE of 1 in ratio.
+_MAX_SCALE = 2.0 ** 24
+_SWEEP_RANGE = 2.0 ** 100
+_STEP_RANGE = 2.0 ** 300
+
+
+class _OutOfScale(Exception):
+    """A one-clock sweep left its exact-scaling range."""
+
+
+def _in_range(values, limit):
+    """Whether every non-zero value has 1 / limit <= |value| <= limit."""
+    sizes = list(map(abs, filter(None, values)))
+    return not sizes or 1.0 / limit <= min(sizes) and max(sizes) <= limit
+
+
+def _one_clock_sweep(sys, sel, runs, x0, plans):
+    """The sweep's rows from one stacked run on its first entry's clock, or
+    None when the sweep is not eligible or the run raises or leaves the
+    exact-scaling range.
+
+    Eligible: a driftless system (library._zero_field, by identity), every
+    eps0 / eps_k a power of two (equal math.frexp mantissas), every entry
+    whole intervals, and the ranges above.  Entry k is a row at eps0 with
+    gain gamma eps_k / eps0 over its own interval count; the rows are
+    stacked finest first, so each retires after its final instant's
+    steering step and the stack shrinks to a prefix (_run_sampled's ends).
+    Only sampling instants are recorded, and each row's deviation is
+    _max_deviation at its own times j eps_k, so every row is bitwise its
+    per-epsilon run's.
+    """
+    eps0 = runs[0].epsilon
+    scales = [eps0 / gains.epsilon for gains in runs]
+    if not (sys.drift is library._zero_field
+            and all(math.frexp(gains.epsilon)[0] == math.frexp(eps0)[0] for gains in runs)
+            and all(tail == 0.0 for _, _, _, tail, _ in plans)
+            and scales[-1] <= _MAX_SCALE
+            and _in_range([eps0, runs[-1].epsilon, runs[0].gamma, sel.kappa_max], _SWEEP_RANGE)):
+        return None
+    n1, m, size = sys.n1, sys.m, len(runs)
+    ends = [n_int for _, _, n_int, _, _ in reversed(plans)]
+    gammas = [runs[0].gamma / c for c in reversed(scales)]
+    labels = (None,) * size
+    y_star = runs[0].y_star_vec()
+    # The finest entry's horizon on the eps0 clock: the same quotient
+    # t_final / epsilon, so the same interval count.
+    t_final, nsub = plans[-1][:2]
+    cfg = SimConfig(t_final=t_final * scales[-1], substeps_per_period=nsub)
+
+    def steer(X):
+        R = X[:, :n1] - y_star
+        a = plan.coefficients(X, R, gammas[:len(X)], runs[0].cond_cap, eps0, labels)
+        if not _in_range(chain(X.ravel().tolist(), R.ravel().tolist(), a.ravel().tolist()),
+                         _STEP_RANGE):
+            raise _OutOfScale
+        return [frozen_control(plan.terms, eps0, m, a)]
+
+    try:
+        check_selection(sys, sel)
+        _check_field_lengths(sys, x0)
+        _check_target(sys, runs[0])
+        plan = _SteeringPlan(sys, sel)
+        rec = _run_sampled(cfg, runs[0], sel.kappa_max, np.tile(x0, (size, 1)),
+                           [(("state",) * size, sys.drift, sys.control_fields)],
+                           steer, lambda rec: rec, ends)
+    except Exception:  # the per-epsilon runs raise it again, as they raise it
+        return None
+    samples = np.array(rec.sample_states).reshape(-1, sys.n)
+    # The first sample of each instant: instant j samples the rows with ends >= j.
+    live = (np.array(ends) >= np.arange(ends[0] + 1)[:, None]).sum(axis=1)
+    first = np.cumsum(live) - live
+    rows = []
+    for k, (gains, (_, _, n_int, _, _)) in enumerate(zip(runs, plans)):
+        e = gains.epsilon
+        rows.append((e, _max_deviation(x0[:n1], gains, [j * e for j in range(n_int + 1)],
+                                       samples[first[:n_int + 1] + size - 1 - k, :n1])))
+    return rows
+
+
 def epsilon_sweep(sys, sel, gains_base, x0, t_final, eps_list,
                   substeps_per_period=None):
     """Max sampled deviation from the averaged flow, one row per epsilon.
@@ -612,26 +750,29 @@ def epsilon_sweep(sys, sel, gains_base, x0, t_final, eps_list,
     (epsilon, max_j ||y(tau_j) - yhat(tau_j)||) rows.  Every run uses
     SimConfig(t_final, substeps_per_period); None fields take the defaults.
     Every entry is planned before the first run, and the sweep as a whole
-    must stay within MAX_ROW_SUBSTEPS.
+    must stay within MAX_ROW_SUBSTEPS.  An eligible sweep runs on one clock
+    (_one_clock_sweep); any other, or one whose stacked run raises or leaves
+    its exact-scaling range, runs each epsilon by simulate_pi_epsilon.
+    Either way the rows, and any failure, are the per-epsilon runs'.
     """
     eps_list = _sweep_epsilons(eps_list)
     x0 = as_state(x0, sys.n)
-    y0 = x0[: sys.n1]
     cfg = SimConfig(t_final=t_final, substeps_per_period=substeps_per_period)
     runs = [replace(gains_base, epsilon=e) for e in eps_list]
-    total = 0
-    for gains in runs:  # refuse a bad entry before the first run
-        _, nsub, _, _, n_intervals = _plan_run(cfg, gains, sel.kappa_max, 1)
-        total += n_intervals * nsub
+    # Every entry is refused here, before the first run, if it is bad.
+    plans = [_plan_run(cfg, gains, sel.kappa_max, 1) for gains in runs]
+    total = sum(nsub * n_intervals for _, nsub, _, _, n_intervals in plans)
     if total > MAX_ROW_SUBSTEPS:
         raise InvalidInputError(f"the sweep's {_count(total)} row sub-steps exceed the budget "
                                 f"MAX_ROW_SUBSTEPS = {MAX_ROW_SUBSTEPS}")
+    rows = _one_clock_sweep(sys, sel, runs, x0, plans)
+    if rows is not None:
+        for _ in runs:  # the warning each entry's own run gives
+            _warn_substeps(plans[0][1], sel.kappa_max)
+        return rows
     rows = []
-    for e, gains in zip(eps_list, runs):
+    for gains in runs:
         traj = simulate_pi_epsilon(sys, sel, gains, x0, cfg)
-        dev = 0.0
-        for tau, state in zip(traj.sample_times, traj.sample_states):
-            ref = averaged_reference(y0, gains, float(tau))
-            dev = max(dev, float(np.linalg.norm(state[: sys.n1] - ref)))
-        rows.append((e, dev))
+        rows.append((gains.epsilon, _max_deviation(x0[:sys.n1], gains, traj.sample_times.tolist(),
+                                                   traj.sample_states[:, :sys.n1])))
     return rows

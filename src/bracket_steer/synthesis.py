@@ -295,27 +295,34 @@ class _SteeringPlan:
             a = _lapack_solve1(F, rhs, signature="dd->d")
         return None if any(map(math.isnan, a.ravel().tolist())) else a
 
-    def held(self, X, R, gammas, cond_cap, eps, labels):
-        """A group's frozen control at a sampling instant from its states X
-        (k, n), residuals R (k, n1), and one gain and label per row.  More
-        than one row takes solve_many; one row, or a stack it refuses, goes
-        row by row (solve, then the row's amplitude checks), so the first
-        failure in row order is raised as that row alone raises it, a
-        RankDegeneracyError naming labels[row] in .agent_index."""
-        m = self.sys.m
+    def coefficients(self, X, R, gammas, cond_cap, eps, labels):
+        """A group's coefficients (k, width) at a sampling instant from its
+        states X (k, n), residuals R (k, n1), and one gain and label per
+        row.  More than one row takes solve_many; one row, or a stack it
+        refuses, goes row by row (solve, then the row's amplitude checks
+        before the next row's solve), so the first failure in row order is
+        raised as that row alone raises it, a RankDegeneracyError naming
+        labels[row] in .agent_index; the last row's amplitudes are left to
+        frozen_control."""
         a = self.solve_many(X, R, gammas, cond_cap) if len(X) > 1 else None
         if a is None:
             a = []
             for k, (r, gamma, label) in enumerate(zip(R.tolist(), gammas, labels)):
-                if k:  # the table below checks the last row's amplitudes
-                    frozen_control(self.terms, eps, m, a[-1])
+                if k:
+                    frozen_control(self.terms, eps, self.sys.m, a[-1])
                 try:
                     a.append(self.solve(X[k], r, gamma, cond_cap))
                 except RankDegeneracyError as exc:
                     exc.agent_index = label
                     raise
             a = np.array(a)
-        return frozen_control(self.terms, eps, m, a)
+        return a
+
+    def held(self, X, R, gammas, cond_cap, eps, labels):
+        """A group's frozen control at a sampling instant: frozen_control of
+        its coefficients."""
+        return frozen_control(self.terms, eps, self.sys.m,
+                              self.coefficients(X, R, gammas, cond_cap, eps, labels))
 
 
 def _conditioning(F):

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bracket_steer import (BracketSelection, ControllerGains, PartitionedSystem,
-                           system)
+                           library, system)
 
 
 @pytest.fixture
@@ -81,6 +83,17 @@ def pinch():
 @pytest.fixture
 def pinch_sel():
     return BracketSelection(s1=(1, 2), s2=())
+
+
+@pytest.fixture
+def failing_sweep(pinch, pinch_sel):
+    """epsilon_sweep's arguments for a driftless copy of the pinch system
+    whose second entry fails: at epsilon = 0.5, gamma epsilon = 1 takes x1
+    to y1* = 0.05 in one interval, where the condition number 20 exceeds
+    the cap; at epsilon = 1, x1 only swaps sides of y1* and stays near 1."""
+    sys = dataclasses.replace(pinch, drift=library._zero_field)
+    gains = ControllerGains(epsilon=1.0, gamma=2.0, y_star=(0.05, 0.0), cond_cap=10.0)
+    return (sys, pinch_sel, gains, np.array([1.05, 0.3]), 4.0, [1.0, 0.5, 0.25])
 
 
 def _runaway_drift(t, x):

@@ -11,11 +11,13 @@ verbatim, against which a faster rewrite must agree bitwise.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson, solve_ivp
 
 from bracket_steer.model import as_state, eval_field, lie_bracket
+from bracket_steer.simulate import SimConfig, averaged_reference, simulate_pi_epsilon
 from bracket_steer.synthesis import check_selection
 
 
@@ -143,6 +145,26 @@ def extension_matrix_reference(sys, sel, x):
     cols = [eval_field(sys, i, 0.0, x)[: sys.n1] for i in sel.s1]
     cols += [lie_bracket(sys, i1, i2, x)[: sys.n1] for (i1, i2) in sel.s2]
     return np.column_stack(cols)
+
+
+def sweep_reference(sys, sel, gains_base, x0, t_final, eps_list, substeps_per_period=None):
+    """The package's epsilon_sweep before it ran on one clock: one
+    simulate_pi_epsilon run per epsilon and, per sample, the deviation from
+    averaged_reference.  Kept verbatim, without the sweep's input checks and
+    work budget, as the bitwise reference for every sweep row and failure."""
+    x0 = as_state(x0, sys.n)
+    y0 = x0[: sys.n1]
+    cfg = SimConfig(t_final=t_final, substeps_per_period=substeps_per_period)
+    rows = []
+    for e in eps_list:
+        gains = replace(gains_base, epsilon=e)
+        traj = simulate_pi_epsilon(sys, sel, gains, x0, cfg)
+        dev = 0.0
+        for tau, state in zip(traj.sample_times, traj.sample_states):
+            ref = averaged_reference(y0, gains, float(tau))
+            dev = max(dev, float(np.linalg.norm(state[: sys.n1] - ref)))
+        rows.append((e, dev))
+    return rows
 
 
 def guard_accepts_reference(x, cap=1e9):

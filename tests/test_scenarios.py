@@ -84,6 +84,18 @@ def test_validate_bundle_refuses_a_bad_probe_count(n_probes, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, got 1.5"),
+    ("x", "seed must be an integer, got 'x'"),
+    (True, "seed must be an integer, got True"),
+    (-1, "seed must be >= 0, got -1"),
+])
+def test_validate_bundle_refuses_a_bad_seed(seed, message):
+    with pytest.raises(InvalidInputError) as info:
+        validate_bundle(builtin_scenario("rolling-disc"), seed=seed)
+    assert str(info.value) == message
+
+
 def test_validate_bundle_formation():
     certs = validate_bundle(builtin_scenario("unicycle-leader"))
     assert isinstance(certs, tuple) and len(certs) == 1

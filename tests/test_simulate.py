@@ -15,7 +15,7 @@ from bracket_steer import builtin_scenario, library, synthesis
 from bracket_steer import simulate as simulate_module
 from bracket_steer.simulate import interval_grid
 
-from oracles import control_series, pi_eps_solve
+from oracles import control_series, pi_eps_solve, sweep_reference
 
 
 def test_defaults():
@@ -603,15 +603,27 @@ def test_substeps_warning(disc, disc_sel, disc_gains_moderate):
                             SimConfig(t_final=0.5, substeps_per_period=10))
 
 
-def test_sweep_warns_once_per_entry(disc, disc_sel, disc_gains_moderate):
-    # The sweep plans every entry before its first run; only the runs warn.
+def test_sweep_warns_once_per_entry(disc, disc_sel, disc_gains_moderate, failing_sweep):
+    # The sweep plans every entry before its first run; only the runs warn,
+    # one warning per entry run, on one clock or not.  A sweep whose second
+    # entry fails warns for the two entries that ran, as the per-epsilon
+    # loop does.
     import warnings
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        epsilon_sweep(disc, disc_sel, disc_gains_moderate, np.array([1.0, 0.5, 0.0, 0.0]),
-                      0.5, [0.25, 0.125], substeps_per_period=10)
-    messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert sum("fewer than 20 sub-steps" in m for m in messages) == 2
+
+    def warned(sweep, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                sweep(*args, substeps_per_period=10)
+            except RankDegeneracyError:
+                pass
+        messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        return sum("fewer than 20 sub-steps" in m for m in messages)
+
+    for args, count in (((disc, disc_sel, disc_gains_moderate, np.array([1.0, 0.5, 0.0, 0.0]),
+                          0.5, [0.25, 0.125]), 2),
+                        (failing_sweep, 2)):
+        assert warned(epsilon_sweep, *args) == count == warned(sweep_reference, *args)
 
 
 def test_refinement_stability(disc, disc_sel, disc_gains_moderate):

@@ -1,11 +1,20 @@
 """The closed loop's time-rescaling and x4 symmetries, and the epsilon sweep
 pinned against its per-epsilon oracle (tests/oracles.sweep_reference)."""
 
+import dataclasses
+import warnings
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bracket_steer import ControllerGains, SimConfig, builtin_scenario, simulate_pi_epsilon
+from bracket_steer import (ControllerGains, DivergenceError, InvalidInputError,
+                           RankDegeneracyError, SimConfig, builtin_scenario, epsilon_sweep,
+                           simulate_pi_epsilon)
+from bracket_steer import simulate as simulate_module
+
+from oracles import sweep_reference
 
 DISC = builtin_scenario("rolling-disc")
 BOX = np.array(DISC.probe_box)
@@ -55,3 +64,149 @@ def test_rolling_angle_does_not_enter_the_loop(x0, x4, gamma, eps):
         assert a.tobytes() == b.tobytes()
     for name in ("dense_controls", "y_error", "dense_times", "sample_times"):
         assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# epsilon_sweep against the per-epsilon loop
+
+def _wrapped(f):
+    def wrapped(*args):
+        return np.array(f(*args), dtype=float)
+    return wrapped
+
+
+# The built-in disc; a copy whose drift is wrapped, so the sweep is not
+# driftless by identity and runs per epsilon; and a copy whose control
+# fields alone are wrapped, a driftless sweep that runs on one clock on the
+# generic sub-steps.
+SYSTEMS = {
+    "disc": DISC.system,
+    "wrapped-drift": dataclasses.replace(DISC.system, drift=_wrapped(DISC.system.drift)),
+    "wrapped-fields": dataclasses.replace(
+        DISC.system, control_fields=tuple(map(_wrapped, DISC.system.control_fields))),
+}
+
+
+@st.composite
+def _sweeps(draw):
+    """(system, gains, x0, t_final, eps_list, substeps_per_period)."""
+    eps0 = draw(st.sampled_from([0.3, 0.4, 1.0]))
+    halvings = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+    eps_list = draw(st.sampled_from([
+        [eps0 / 2 ** k for k in sorted(halvings)],  # exact powers of two
+        [eps0, 0.75 * eps0],                        # not powers of two
+        [eps0, eps0 / 2, 0.3 * eps0]]))
+    t_final = draw(st.sampled_from([
+        eps0 * draw(st.integers(1, 4)),             # whole intervals
+        eps0 * draw(st.integers(1, 4)) + eps0 / 3,  # a tail
+        None]))                                     # the default horizon
+    x0 = draw(st.one_of(
+        _box_states(allow_subnormal=False),
+        # y - y* subnormal: the rescaling is not exact there.
+        st.tuples(st.floats(*BOX[2]), st.floats(*BOX[3])).map(
+            lambda z: np.array([1e-310, 2e-310, *z]))))
+    gains = ControllerGains(epsilon=eps0, gamma=draw(st.sampled_from([0.7, 2.0, 5.0])),
+                            y_star=(0.0, 0.0))
+    return (SYSTEMS[draw(st.sampled_from(sorted(SYSTEMS)))], gains, x0, t_final, eps_list,
+            draw(st.sampled_from([None, 8])))
+
+
+def _rows(sweep, system, gains, x0, t_final, eps_list, nsub):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return np.array(sweep(system, DISC.selection, gains, x0, t_final, eps_list,
+                              substeps_per_period=nsub)).tobytes()
+
+
+def _case(system, x0, t_final, eps_list, gamma=2.0, nsub=None):
+    gains = ControllerGains(epsilon=eps_list[0], gamma=gamma, y_star=(0.0, 0.0))
+    return (SYSTEMS[system], gains, np.array(x0), t_final, eps_list, nsub)
+
+
+HALVINGS = [0.4, 0.2, 0.1, 0.05, 0.025]
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(_sweeps())
+@example(_case("disc", DISC.x0, 10.0, HALVINGS))
+@example(_case("disc", DISC.x0, 2.0, [0.4, 0.3]))
+@example(_case("disc", DISC.x0, 2.1, [0.4, 0.2]))
+@example(_case("wrapped-drift", DISC.x0, 2.0, HALVINGS))
+@example(_case("wrapped-fields", DISC.x0, 2.0, HALVINGS, nsub=8))
+# y - y* subnormal: the stacked run leaves its range and runs per epsilon.
+@example(_case("disc", [1e-310, 2e-310, 0.5, 0.0], 2.0, [0.4, 0.2, 0.1]))
+@example(_case("disc", [1e-310, 2e-310, 0.0, 0.0], 4.0, [1.0, 0.25, 0.125], gamma=5.0))
+def test_sweep_rows_match_the_per_epsilon_oracle(case):
+    assert _rows(epsilon_sweep, *case) == _rows(sweep_reference, *case)
+
+
+def _outcome(sweep, *args, **kwargs):
+    """A sweep's rows, or its error's type, message, state, condition,
+    agent_index and every array of its .partial; and the number of
+    "fewer than 20 sub-steps" warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = np.array(sweep(*args, **kwargs)).tobytes()
+        except (DivergenceError, RankDegeneracyError) as exc:
+            partial = exc.partial
+            result = (type(exc), str(exc), exc.state.tobytes(), exc.condition,
+                      getattr(exc, "agent_index", None),
+                      *(getattr(partial, f.name).tobytes() for f in dataclasses.fields(partial)
+                        if isinstance(getattr(partial, f.name), np.ndarray)))
+    return result, sum("fewer than 20 sub-steps" in str(w.message) for w in caught)
+
+
+def test_failing_sweep_raises_as_the_per_epsilon_runs(failing_sweep):
+    # The stacked run fails, so the sweep runs per epsilon: the second
+    # entry's error, with its partial trajectory, after two runs' warnings.
+    args = failing_sweep
+    got = _outcome(epsilon_sweep, *args, substeps_per_period=10)
+    assert got == _outcome(sweep_reference, *args, substeps_per_period=10)
+    (kind, message, *_), warned = got
+    assert kind is RankDegeneracyError and "exceeds cap 10" in message
+    assert warned == 2
+
+
+@pytest.mark.parametrize("system", ["disc", "wrapped-fields"])
+def test_driftless_sweep_runs_on_one_clock(monkeypatch, system):
+    # With every per-epsilon run refused, the paper's sweep still returns
+    # its rows: one stacked run, whether its rows take the block kernel or
+    # the generic sub-steps.
+    gains = dataclasses.replace(DISC.gains, gamma=2.0)
+    args = (SYSTEMS[system], DISC.selection, gains, np.array(DISC.x0), 10.0,
+            [0.4, 0.2, 0.1, 0.05, 0.025])
+    want = np.array(sweep_reference(*args)).tobytes()
+
+    def refused(*_):
+        raise AssertionError("the sweep ran per epsilon")
+
+    monkeypatch.setattr(simulate_module, "simulate_pi_epsilon", refused)
+    assert np.array(epsilon_sweep(*args)).tobytes() == want
+
+
+@pytest.mark.parametrize("t_final, eps_list, message", [
+    ("x", [0.4], "t_final must be a real number, got 'x'"),
+    ([1.0], [0.4], "t_final must be a real number, got [1.0]"),
+    (True, [0.4], "t_final must be a real number, got True"),
+    (np.bool_(True), [0.4], f"t_final must be a real number, got {np.bool_(True)!r}"),
+    (2.0, ["x"], "eps_list entry must be a real number, got 'x'"),
+    (2.0, [[1.0]], "eps_list entry must be a real number, got [1.0]"),
+    (2.0, [0.4, False], "eps_list entry must be a real number, got False"),
+])
+def test_sweep_refuses_untyped_numbers(t_final, eps_list, message):
+    with pytest.raises(InvalidInputError) as info:
+        epsilon_sweep(DISC.system, DISC.selection, DISC.gains, np.array(DISC.x0),
+                      t_final, eps_list)
+    assert str(info.value) == message
+
+
+def test_sweep_default_horizon_and_integral_inputs():
+    # t_final=None takes each entry's default horizon; ints are reals.
+    gains = dataclasses.replace(DISC.gains, gamma=5.0)
+    x0 = np.array(DISC.x0)
+    for t_final, eps_list in ((None, [0.4, 0.2]), (2, [1, 0.5])):
+        got = epsilon_sweep(DISC.system, DISC.selection, gains, x0, t_final, eps_list)
+        want = sweep_reference(DISC.system, DISC.selection, gains, x0, t_final,
+                               [float(e) for e in eps_list])
+        assert np.array(got).tobytes() == np.array(want).tobytes()
