@@ -631,8 +631,13 @@ def decay_report(traj, gains, rho):
 
 
 def _sweep_epsilons(eps_list):
-    """eps_list as floats, refused unless non-empty, positive, finite and strictly decreasing."""
-    eps_list = [_as_real(e, "eps_list entry") for e in eps_list]
+    """eps_list as floats, refused unless a non-empty iterable of reals,
+    positive, finite and strictly decreasing."""
+    try:
+        entries = iter(eps_list)
+    except TypeError:
+        raise InvalidInputError(f"eps_list must be a list of numbers, got {eps_list!r}") from None
+    eps_list = [_as_real(e, "eps_list entry") for e in entries]
     if not eps_list:
         raise InvalidInputError("eps_list must be non-empty")
     if not all(e > 0 for e in eps_list):  # NaN fails e > 0 as well

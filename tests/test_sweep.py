@@ -131,6 +131,8 @@ HALVINGS = [0.4, 0.2, 0.1, 0.05, 0.025]
 @example(_case("disc", DISC.x0, 10.0, HALVINGS))
 @example(_case("disc", DISC.x0, 2.0, [0.4, 0.3]))
 @example(_case("disc", DISC.x0, 2.1, [0.4, 0.2]))
+# The default horizon gives both entries 50 intervals: no row retires early.
+@example(_case("disc", DISC.x0, None, [1.0, 0.5], gamma=5.0))
 @example(_case("wrapped-drift", DISC.x0, 2.0, HALVINGS))
 @example(_case("wrapped-fields", DISC.x0, 2.0, HALVINGS, nsub=8))
 # y - y* subnormal: the stacked run leaves its range and runs per epsilon.
@@ -193,6 +195,8 @@ def test_driftless_sweep_runs_on_one_clock(monkeypatch, system):
     (2.0, ["x"], "eps_list entry must be a real number, got 'x'"),
     (2.0, [[1.0]], "eps_list entry must be a real number, got [1.0]"),
     (2.0, [0.4, False], "eps_list entry must be a real number, got False"),
+    (2.0, 0.4, "eps_list must be a list of numbers, got 0.4"),
+    (2.0, None, "eps_list must be a list of numbers, got None"),
 ])
 def test_sweep_refuses_untyped_numbers(t_final, eps_list, message):
     with pytest.raises(InvalidInputError) as info:
