@@ -107,32 +107,59 @@ def _rho_for(bundle, args):
     return rho
 
 
-def _write_text(path, text):
+def _write_chunks(path, chunks):
+    """Write an iterable of str chunks to path as one UTF-8 file.
+
+    The file is opened once the first chunk is formed, so a first chunk
+    that raises leaves the path as it was.  A later chunk that raises, or a
+    write or close that fails, removes the partial file and re-raises: a
+    failed export leaves no file behind."""
     path = Path(path)
     if path.parent and not path.parent.exists():
         raise OSError(f"output directory {path.parent} does not exist")
-    path.write_text(text, encoding="utf-8")
+    chunks = iter(chunks)
+    first = next(chunks, "")
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(first)
+            fh.writelines(chunks)
+    except BaseException:
+        if path.is_file():  # never a device such as /dev/null
+            path.unlink()
+        raise
     return path
 
 
-_CSV_CHUNK_ROWS = 1024
+def _write_text(path, text):
+    return _write_chunks(path, (text,))
+
+
+def _csv_chunks(header, columns):
+    """CSV text in chunks: the rows of the column-stacked arrays, one
+    float_text block per chunk, each value as "%.17g" writes it, the first
+    led by the header line.  Only a block's rows are ever stacked."""
+    cols = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    step = scenarios.block_rows(cols)
+    head = ",".join(header) + "\n"
+    for start in range(0, len(columns[0]), step):
+        block = np.column_stack([c[start:start + step] for c in columns])
+        yield head + scenarios.float_text(block, False, ",", "\n")
+        head = ""
+    if head:  # no rows
+        yield head
 
 
 def _csv_table(header, columns):
-    """CSV text: the header, then one row per line of the column-stacked
-    arrays, each value as "%.17g" writes it."""
-    table = np.column_stack(columns)
-    parts = [",".join(header), "\n"]
-    for start in range(0, len(table), _CSV_CHUNK_ROWS):
-        parts.append(scenarios.float_text(table[start:start + _CSV_CHUNK_ROWS], False, ",", "\n"))
-    return "".join(parts)
+    """The CSV text of _csv_chunks(header, columns)."""
+    return "".join(_csv_chunks(header, columns))
 
 
 def _csv_single(traj, n, m):
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] \
         + [f"u{k}" for k in range(1, m + 1)] + ["err_y"]
-    return _csv_table(header, [traj.dense_times, traj.dense_states,
-                               traj.dense_controls, traj.y_error])
+    return _csv_chunks(header, [traj.dense_times, traj.dense_states,
+                                traj.dense_controls, traj.y_error])
 
 
 def _csv_formation(ftraj, agents):
@@ -145,9 +172,9 @@ def _csv_formation(ftraj, agents):
         + [f"u{k}" for k in range(1, m + 1)] + ["err_y"] \
         + [f"xL{i}" for i in range(1, p + 1)] \
         + [f"err_{a + 1}" for a in range(len(agents))]
-    return _csv_table(header, [ftraj.dense_times, first.dense_states,
-                               first.dense_controls, first.y_error,
-                               ftraj.leader_states, *ftraj.error_series])
+    return _csv_chunks(header, [ftraj.dense_times, first.dense_states,
+                                first.dense_controls, first.y_error,
+                                ftraj.leader_states, *ftraj.error_series])
 
 
 def _traj_json_single(traj):
@@ -232,13 +259,13 @@ def _cmd_run(args):
 
     out = Path(args.out or f"{bundle.name}.{args.format}")
     if as_csv:
-        _write_text(out, body)
+        _write_chunks(out, body)
         side_path = out.with_name(out.stem + ".report.json")
         _write_text(side_path, scenarios.json_text(sidecar))
         print(f"wrote {out} and {side_path}")
     else:
         sidecar["trajectory"] = body
-        _write_text(out, scenarios.json_text(sidecar))
+        _write_chunks(out, scenarios.json_chunks(sidecar))
         print(f"wrote {out}")
 
     lam = report.lambda_fit
@@ -267,12 +294,12 @@ def _cmd_sweep(args):
 
     out = Path(args.out or f"{bundle.name}-sweep.{args.format}")
     if args.format == "csv":
-        _write_text(out, _csv_table(["epsilon", "max_deviation"], [np.array(rows, dtype=float)]))
+        _write_chunks(out, _csv_chunks(["epsilon", "max_deviation"], [np.array(rows, dtype=float)]))
     else:
         payload = {"scenario": bundle.name, "overrides": overrides,
                    "certificate": _cert_json(bundle, certs),
                    "rows": [{"epsilon": e, "max_deviation": d} for e, d in rows]}
-        _write_text(out, scenarios.json_text(payload))
+        _write_chunks(out, scenarios.json_chunks(payload))
     print(f"wrote {out}")
     for eps, dev in rows:
         print(f"epsilon={_fmt(eps)} max_deviation={_fmt(dev)}")

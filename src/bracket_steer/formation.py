@@ -24,7 +24,7 @@ import numpy as np
 
 from . import library
 from .errors import InvalidInputError, NonFiniteError
-from .model import _as_int, as_state
+from .model import _as_int, _as_real, as_state
 from .simulate import (SampledTrajectory, SimConfig, _check_field_length, _check_field_lengths,
                        _run_sampled)
 from .synthesis import _SteeringPlan, check_selection, held_control
@@ -153,6 +153,7 @@ def follower_controller(agent, gains):
 
 def formation_error(traj, agent_index):
     """Dense ||x_l(t) - x_L(t) - d_l|| series for one agent."""
+    agent_index = _as_int(agent_index, "agent_index")
     if not 0 <= agent_index < len(traj.error_series):
         raise InvalidInputError(
             f"agent_index {agent_index} out of range 0..{len(traj.error_series) - 1}")
@@ -330,7 +331,7 @@ def gain_condition_report(leader, agents, rho, dense_times, leader_states):
     A leader speed of NaN at any point raises NonFiniteError naming t: max()
     would keep the supremum so far and report the condition as met.
     """
-    if not rho > 0:
+    if not _as_real(rho, "rho") > 0:
         raise InvalidInputError(f"rho must be > 0, got {rho}")
     sup = float(_leader_speeds(leader, dense_times, leader_states).max(initial=0.0))
     rows = []

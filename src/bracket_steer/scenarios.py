@@ -294,53 +294,66 @@ def load_scenario(path):
 
 
 def json_text(doc):
-    """The text of every JSON document the package writes.
+    """The text of every JSON document the package writes: json_chunks(doc)
+    joined."""
+    return "".join(json_chunks(doc))
+
+
+def json_chunks(doc):
+    """json_text(doc) as a stream of str chunks.
 
     json.dumps(doc, indent=2) + "\n", with each 1-d or 2-d float64 ndarray
-    in doc written as its tolist() would be.  Those arrays are formatted in
-    blocks of rows by float_text, each value as float.__repr__ (which json
-    uses) writes it; everything else goes to json.dumps itself.  The parts
-    are joined once.
+    in doc written as its tolist() would be.  Those arrays are formatted by
+    float_text, one block of rows (block_rows) per chunk, each value as
+    float.__repr__ (which json uses) writes it; everything else goes to
+    json.dumps itself.
     """
-    parts = []
-    _json(doc, "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
+    yield from _json(doc, "\n")
+    yield "\n"
 
 
-def _json(o, nl, parts):
-    """Append o's indent=2 text to parts, its nested lines starting with nl
-    (a newline and o's indent)."""
+def _json(o, nl):
+    """Yield o's indent=2 text, its nested lines starting with nl (a newline
+    and o's indent)."""
     inner = nl + "  "
     if type(o) is dict and o and all(type(k) is str for k in o):
         sep = "{" + inner
         for k, v in o.items():
-            parts.append(sep + encode_basestring_ascii(k) + ": ")
-            _json(v, inner, parts)
+            yield sep + encode_basestring_ascii(k) + ": "
+            yield from _json(v, inner)
             sep = "," + inner
-        parts.append(nl + "}")
+        yield nl + "}"
     elif type(o) is np.ndarray and o.dtype == np.float64 and o.ndim in (1, 2):
         if o.size:
-            _json_floats(o, nl, parts)
+            yield from _json_floats(o, nl)
         else:
-            _json(o.tolist(), nl, parts)  # [] or rows of []
+            yield from _json(o.tolist(), nl)  # [] or rows of []
     elif type(o) is list and o:
         sep = "[" + inner
         for v in o:
-            parts.append(sep)
-            _json(v, inner, parts)
+            yield sep
+            yield from _json(v, inner)
             sep = "," + inner
-        parts.append(nl + "]")
+        yield nl + "]"
     else:
-        parts.append(json.dumps(o, indent=2).replace("\n", nl))
+        yield json.dumps(o, indent=2).replace("\n", nl)
 
 
-_JSON_BLOCK_ROWS = 1024  # rows per float_text call
+# Values per float_text call.  Its temporaries grow with the values in a
+# block, about 450 bytes each, so a block of rows is capped by its value
+# count: whatever a table's width, a call holds a few MB at most.
+BLOCK_VALUES = 4096
 
 
-def _json_floats(a, nl, parts):
-    """Append the indent=2 text of a non-empty 1-d or 2-d float64 array's
-    tolist() to parts."""
+def block_rows(cols):
+    """Rows per float_text call for a table of cols columns: BLOCK_VALUES
+    values, and one row at least."""
+    return max(1, BLOCK_VALUES // cols)
+
+
+def _json_floats(a, nl):
+    """Yield the indent=2 text of a non-empty 1-d or 2-d float64 array's
+    tolist(), one float_text block at a time."""
     inner = nl + "  "
     if a.ndim == 1:
         a = a[:, None]
@@ -349,10 +362,13 @@ def _json_floats(a, nl, parts):
         row = inner + "  "
         head, sep, row_end, tail = ("[" + inner + "[" + row, "," + row,
                                     inner + "]," + inner + "[" + row, inner + "]" + nl + "]")
-    blocks = [float_text(a[start:start + _JSON_BLOCK_ROWS], True, sep, row_end)
-              for start in range(0, len(a), _JSON_BLOCK_ROWS)]
-    blocks[-1] = blocks[-1][:-len(row_end)]
-    parts += [head, *blocks, tail]
+    step = block_rows(a.shape[1])
+    yield head
+    for start in range(0, len(a), step):
+        text = float_text(a[start:start + step], True, sep, row_end)
+        # The last row ends in tail, not row_end.
+        yield text if start + step < len(a) else text[:-len(row_end)]
+    yield tail
 
 
 # ---------------------------------------------------------------------------

@@ -585,7 +585,7 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
 
 def averaged_reference(y0, gains, t):
     """The averaged flow y* + exp(-gamma t) (y0 - y*) the control emulates."""
-    if t < 0:
+    if _as_real(t, "t") < 0:
         raise InvalidInputError(f"t must be >= 0, got {t}")
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     y_star = gains.y_star_vec()
@@ -594,6 +594,7 @@ def averaged_reference(y0, gains, t):
 
 def decay_report(traj, gains, rho):
     """Summarize the sampled stabilization error against a floor radius rho."""
+    _as_real(rho, "rho")
     times = np.asarray(traj.sample_times, dtype=float)
     if times.size < 2:
         raise InvalidInputError("decay report needs at least 2 samples")

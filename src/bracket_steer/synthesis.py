@@ -40,7 +40,7 @@ from numpy.linalg._umath_linalg import svd as _lapack_svd
 
 from .errors import InvalidInputError, NonFiniteError, RankDegeneracyError, SelectionShapeError
 from .library import _FUSED_KEYS, _fused_columns
-from .model import _as_int, _bracket, _field, as_state
+from .model import _as_int, _as_real, _bracket, _field, as_state
 # Not called here: perfbench/tracer.py wraps synthesis.lie_bracket by name.
 from .model import lie_bracket  # noqa: F401
 
@@ -134,11 +134,11 @@ class ControllerGains:
     cond_cap: float = 1e6
 
     def __post_init__(self):
-        if not self.epsilon > 0:
+        if not _as_real(self.epsilon, "epsilon") > 0:
             raise InvalidInputError(f"epsilon must be > 0, got {self.epsilon}")
-        if not self.gamma > 0:
+        if not _as_real(self.gamma, "gamma") > 0:
             raise InvalidInputError(f"gamma must be > 0, got {self.gamma}")
-        if not self.cond_cap > 1:
+        if not _as_real(self.cond_cap, "cond_cap") > 1:
             raise InvalidInputError(f"cond_cap must be > 1, got {self.cond_cap}")
         object.__setattr__(self, "y_star", tuple(float(v) for v in np.atleast_1d(self.y_star)))
         for key in ("epsilon", "gamma", "y_star"):

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bracket_steer import cli, scenarios
+from bracket_steer import NumericError, cli, scenarios, simulate
 from bracket_steer.cli import main
 from oracles import csv_text_reference, json_text_reference
 
@@ -301,12 +302,35 @@ def test_csv_table_matches_percent_formatting(family, cols):
     assert cli._csv_table(header, [table]) == csv_text_reference(header, [table])
 
 
-@pytest.mark.parametrize("rows", [0, 1, cli._CSV_CHUNK_ROWS - 1, cli._CSV_CHUNK_ROWS,
-                                  cli._CSV_CHUNK_ROWS + 1, 2 * cli._CSV_CHUNK_ROWS + 3])
+# Rows per float_text block of a 4-column table.
+_CHUNK = scenarios.block_rows(4)
+
+
+@pytest.mark.parametrize("rows", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
 def test_csv_table_row_counts_around_the_chunk(rows):
     pool = np.concatenate(list(_CSV_FAMILIES.values()))
-    columns = [np.resize(pool[i::3], rows) for i in range(3)]
-    assert cli._csv_table(["a", "b", "c"], columns) == csv_text_reference(["a", "b", "c"], columns)
+    columns = [np.resize(pool[i::4], rows) for i in range(4)]
+    header = ["a", "b", "c", "d"]
+    assert cli._csv_table(header, columns) == csv_text_reference(header, columns)
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3, 11, 26])
+@pytest.mark.parametrize("offset", [-1, 0, 1, "2x+3"])
+def test_csv_chunks_at_the_block_boundary(cols, offset):
+    # One chunk per block of block_rows(cols) rows, each within
+    # BLOCK_VALUES values, the first led by the header; together the
+    # reference text.  The columns mix 1-d and 2-d arrays, as a run's do.
+    block = scenarios.block_rows(cols)
+    assert block * cols <= scenarios.BLOCK_VALUES or block == 1
+    rows = 2 * block + 3 if offset == "2x+3" else block + offset
+    pool = np.concatenate(list(_CSV_FAMILIES.values()))
+    table = np.resize(pool, (rows, cols))
+    columns = [table[:, 0], table[:, 1:]] if cols > 1 else [table[:, 0]]
+    header = [f"c{i}" for i in range(cols)]
+    chunks = list(cli._csv_chunks(header, columns))
+    assert "".join(chunks) == csv_text_reference(header, [table])
+    rows_per_chunk = [min(block, rows - start) for start in range(0, rows, block)]
+    assert [c.count("\n") for c in chunks] == [rows_per_chunk[0] + 1, *rows_per_chunk[1:]]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -785,6 +809,112 @@ def test_unwritable_output_exit_4(capsys):
                "--out", "/nonexistent-dir/deep/out.csv"])
     assert rc == 4
     assert "error:" in capsys.readouterr().err
+
+
+def _chunks_then(exc, *chunks):
+    yield from chunks
+    raise exc
+
+
+@pytest.mark.parametrize("exc", [OSError("disk full"), NumericError("late failure"),
+                                 KeyboardInterrupt()], ids=lambda e: type(e).__name__)
+def test_failed_chunk_leaves_no_file(tmp_path, exc):
+    # A chunk that raises after the first was written removes the partial
+    # file and re-raises the chunk's own exception.
+    out = tmp_path / "out.csv"
+    with pytest.raises(type(exc)) as info:
+        cli._write_chunks(out, _chunks_then(exc, "t,x1\n"))
+    assert info.value is exc
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_first_chunk_keeps_what_was_there(tmp_path):
+    # The file is opened only once the first chunk is formed.
+    out = tmp_path / "out.csv"
+    out.write_text("earlier run\n")
+    with pytest.raises(NumericError):
+        cli._write_chunks(out, _chunks_then(NumericError("at once")))
+    assert out.read_text() == "earlier run\n"
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    # The second chunk cannot be encoded: the write fails part-way.
+    out = tmp_path / "out.json"
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_chunks(out, iter(["[1.0,\n", "\ud800"]))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_open_keeps_what_was_there(tmp_path, capsys):
+    # A path that cannot be opened for writing is left as it was.
+    (tmp_path / "out.csv").mkdir()
+    assert main(["run", "rolling-disc", "--t-final", "2", "--out", str(tmp_path / "out.csv")]) == 4
+    assert capsys.readouterr().err.startswith("error:IsADirectoryError:")
+    assert (tmp_path / "out.csv").is_dir()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_export_exit_4_leaves_no_file(tmp_path, capsys, monkeypatch, fmt):
+    # The CLI streams its output: a failure after the first block exits 4
+    # as before, with no trajectory file; the CSV's sidecar is not written.
+    float_text = scenarios.float_text
+    calls = []
+
+    def failing_float_text(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return float_text(*args)
+
+    monkeypatch.setattr(scenarios, "float_text", failing_float_text)
+    out = tmp_path / f"out.{fmt}"
+    assert main(["run", "unicycle-leader", "--t-final", "12", "--format", fmt,
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error:OSError:disk full\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _recorder_bytes_per_substep(monkeypatch):
+    """Bytes of the recorder's buffers per dense row, read as it is built."""
+    sizes = []
+    build = simulate._Recorder.build
+
+    def measured(rec):
+        bufs = (rec.times, rec.states, rec.controls, rec.intervals,
+                rec.sample_times, rec.sample_states)
+        sizes.append(sum(len(b) * b.itemsize for b in bufs) / len(rec.times))
+        return build(rec)
+
+    monkeypatch.setattr(simulate._Recorder, "build", measured)
+    return sizes
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_run_peak_memory_grows_with_the_record_not_the_text(tmp_path, monkeypatch, fmt):
+    # Traced peak of `run unicycle-leader` at two horizons, 4800 and 9600
+    # sub-steps, both past every float_text block (4096 rows at most).  The
+    # run keeps its record, about 81 recorder bytes per sub-step, 104 once
+    # built into the trajectory with its error series; the export streams
+    # one block at a time, so the peak grows by under twice the recorder's
+    # bytes per sub-step.  A whole CSV text is about 217 bytes per row and
+    # was held twice (about 430 bytes per sub-step), and a whole JSON text
+    # about 830 bytes per sub-step.
+    sizes = _recorder_bytes_per_substep(monkeypatch)
+    peaks = {}
+    for t_final in (12, 24):
+        argv = ["run", "unicycle-leader", "--t-final", str(t_final), "--format", fmt,
+                "--out", str(tmp_path / f"out.{fmt}")]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peaks[t_final] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    per_substep = (peaks[24] - peaks[12]) / 4800
+    assert 70 < sizes[-1] < 90
+    assert 0 < per_substep < 2 * sizes[-1], (per_substep, sizes)
 
 
 def test_log_env_does_not_change_output(tmp_path, monkeypatch):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bracket_steer import (InvalidInputError, NonFiniteError, PartitionedSystem,
-                           as_state, eval_field, finite_diff_jacobian, jacobian,
-                           lie_bracket)
+from bracket_steer import (ControllerGains, InvalidInputError, NonFiniteError,
+                           PartitionedSystem, SimConfig, as_state, averaged_reference,
+                           builtin_scenario, decay_report, eval_field, finite_diff_jacobian,
+                           formation_error, gain_condition_report, jacobian, lie_bracket,
+                           simulate_formation)
 
 from oracles import disc_fields, fd_bracket, fd_jacobian, unicycle_fields
 
@@ -162,3 +164,57 @@ def test_bracket_properties_hypothesis(xs):
     assert np.array_equal(ab, -lie_bracket(disc, 2, 1, x))
     # The disc bracket has unit norm everywhere: (sin, -cos, 0, 0).
     assert abs(np.linalg.norm(ab) - 1.0) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def short_formation():
+    b = builtin_scenario("unicycle-leader")
+    ftraj = simulate_formation(b.agents, b.leader, b.agent_x0s, b.gains, SimConfig(t_final=0.5))
+    return b, ftraj
+
+
+def _gains(**kw):
+    return ControllerGains(**dict(dict(epsilon=0.1, gamma=1.0, y_star=(0.0,)), **kw))
+
+
+# Each public numeric parameter checked by model._as_real or _as_int: a
+# call with the value in its place, the value the table's bad values
+# replace, and the rule it is held to.
+_TYPED_PARAMETERS = {
+    "ControllerGains.epsilon": (lambda v, _: _gains(epsilon=v), 0.1, "a real number"),
+    "ControllerGains.gamma": (lambda v, _: _gains(gamma=v), 1.0, "a real number"),
+    "ControllerGains.cond_cap": (lambda v, _: _gains(cond_cap=v), 1e6, "a real number"),
+    "decay_report.rho": (lambda v, f: decay_report(f[1].displacement_trajs[0], f[0].gains, v),
+                         0.1, "a real number"),
+    "averaged_reference.t": (lambda v, _: averaged_reference([1.0], _gains(), v),
+                             0.5, "a real number"),
+    "gain_condition_report.rho": (
+        lambda v, f: gain_condition_report(f[0].leader, f[0].agents, v,
+                                           f[1].dense_times, f[1].leader_states),
+        0.1, "a real number"),
+    "formation_error.agent_index": (lambda v, f: formation_error(f[1], v), 0, "an integer"),
+}
+
+
+@pytest.mark.parametrize("bad", ["x", None, [1.0], True, np.bool_(False)], ids=repr)
+@pytest.mark.parametrize("param", sorted(_TYPED_PARAMETERS))
+def test_public_numeric_parameters_refuse_non_numbers(short_formation, param, bad):
+    call, good, rule = _TYPED_PARAMETERS[param]
+    call(good, short_formation)
+    with pytest.raises(InvalidInputError) as info:
+        call(bad, short_formation)
+    name = param.rpartition(".")[2]
+    assert str(info.value) == f"{name} must be {rule}, got {bad!r}"
+
+
+def test_agent_index_refuses_a_fraction(short_formation):
+    with pytest.raises(InvalidInputError, match=r"^agent_index must be an integer, got 5e-324$"):
+        formation_error(short_formation[1], 5e-324)
+    assert formation_error(short_formation[1], 0.0) is short_formation[1].error_series[0]
+
+
+def test_gains_store_their_values_as_given():
+    # The check reads each value as a float; the dataclass keeps it as given.
+    gains = _gains(epsilon=1, gamma=np.float32(2.0), cond_cap=10)
+    assert (type(gains.epsilon), type(gains.gamma), type(gains.cond_cap)) == (
+        int, np.float32, int)

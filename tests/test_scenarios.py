@@ -459,7 +459,8 @@ def test_json_text_matches_json_dumps(doc):
     assert json_text(doc) == json_text_reference(doc)
 
 
-_BLOCK = scenarios._JSON_BLOCK_ROWS
+# Rows per float_text block of a 4-column array.
+_BLOCK = scenarios.block_rows(4)
 _POOL = np.array([0.1, -2.5, 1e-300, 123456.789, -0.0, 0.0, math.inf, math.nan, 1 / 3, 7e22])
 
 
@@ -484,6 +485,24 @@ def test_json_text_edge_cases(doc):
 
 @pytest.mark.parametrize("rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
 def test_json_text_row_counts_around_the_block(rows):
-    doc = {"t": np.resize(_POOL, rows), "x": np.resize(_POOL[::-1], (rows, 3)),
+    doc = {"t": np.resize(_POOL, rows), "x": np.resize(_POOL[::-1], (rows, 4)),
            "u": np.resize(_POOL, (rows, 1))}
     assert json_text(doc) == json_text_reference(doc)
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3, 11, 26])
+@pytest.mark.parametrize("offset", [-1, 0, 1, "2x+3"])
+def test_json_chunks_at_the_block_boundary(cols, offset):
+    # Each array is streamed as its head, one chunk per block of
+    # block_rows(cols) rows, and its tail; together the reference text.
+    # A 1-column table is written both as a 1-d and as a 2-d array.
+    block = scenarios.block_rows(cols)
+    assert block * cols <= scenarios.BLOCK_VALUES or block == 1
+    rows = 2 * block + 3 if offset == "2x+3" else block + offset
+    table = np.resize(_POOL, (rows, cols))
+    doc = {"x": table, "t": table[:, 0]} if cols == 1 else {"x": table}
+    chunks = list(scenarios.json_chunks(doc))
+    assert "".join(chunks) == json_text_reference(doc)
+    per_array = 2 + len(range(0, rows, block))
+    # Each array: "{" or "," and its key, then its chunks; the document's "}" and "\n".
+    assert len(chunks) == len(doc) * (1 + per_array) + 2

@@ -2,12 +2,19 @@
 
 perfbench/tracer.py replaces every (namespace, attribute) in TARGETS with a
 timing wrapper by reading ``namespace.__dict__[attribute]``, so a renamed or
-removed name fails every traced operation.  The module is only imported.
+removed name fails every traced operation.  The module is imported, and
+its Tracer installed around short runs.
 """
 
 import ast
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
+
+import pytest
+
+from bracket_steer import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -76,3 +83,28 @@ def test_unused_imports_are_tracer_targets():
     assert [f"{module}.{name}" for module, name in imported
             if (module, name) not in wrapped] == []
     assert unread == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_traced_run_writes_the_untraced_bytes(tmp_path, fmt):
+    # The tracer counts the bytes of cli._write_text as len(args[1]), so
+    # that writer is only ever handed text; streamed output goes through
+    # cli._write_chunks.  A traced run exits 0 and writes what an untraced
+    # one does.
+    tracer = _load_tracer().Tracer()
+    argv = ["run", "unicycle-leader", "--t-final", "0.5", "--format", fmt]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*argv, "--out", str(tmp_path / f"plain.{fmt}")]) == 0
+        tracer.install()
+        try:
+            rc = cli.main([*argv, "--out", str(tmp_path / f"traced.{fmt}")])
+        finally:
+            tracer.uninstall()
+    assert rc == 0
+    suffixes = [f".{fmt}", ".report.json"] if fmt == "csv" else [f".{fmt}"]
+    for suffix in suffixes:
+        assert ((tmp_path / f"traced{suffix}").read_bytes()
+                == (tmp_path / f"plain{suffix}").read_bytes())
+    metrics = tracer.per_layer(1, 1.0, 1)
+    assert metrics["trace.spans"]["value"] > 0
+    assert metrics["cli.integrate_s"]["value"] > 0
