@@ -98,10 +98,7 @@ def _certify(bundle):
 
 def _rho_for(bundle, args):
     """--rho, else the scenario's expected.rho, else 0.1; finite and > 0."""
-    if args.rho is not None:
-        rho = args.rho
-    else:
-        rho = float(bundle.expected.get("rho", 0.1))
+    rho = args.rho if args.rho is not None else bundle.expected.get("rho", 0.1)
     if not 0.0 < rho < math.inf:
         raise InvalidInputError(f"rho must be finite and > 0, got {rho}")
     return rho

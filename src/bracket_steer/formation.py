@@ -24,7 +24,7 @@ import numpy as np
 
 from . import library
 from .errors import InvalidInputError, NonFiniteError
-from .model import _as_int, _as_real, as_state
+from .model import _as_int, _as_real, _as_reals, as_state
 from .simulate import (SampledTrajectory, SimConfig, _check_field_length, _check_field_lengths,
                        _run_sampled)
 from .synthesis import _SteeringPlan, check_selection, held_control
@@ -51,13 +51,13 @@ class FollowerAgent:
         if self.system.n2 != 0:
             raise InvalidInputError(
                 f"follower systems must have n2 = 0, got n2 = {self.system.n2}")
-        if not self.gamma > 0:
+        if not _as_real(self.gamma, "gamma") > 0:
             raise InvalidInputError(f"agent gamma must be > 0, got {self.gamma}")
-        offset = tuple(float(v) for v in np.atleast_1d(self.offset))
+        offset = _as_reals(self.offset, "offset")
         if len(offset) != self.system.n:
             raise InvalidInputError(
                 f"offset has dimension {len(offset)}, expected {self.system.n}")
-        if not np.isfinite([self.gamma, *offset]).all():
+        if not all(map(math.isfinite, (self.gamma, *offset))):
             raise InvalidInputError(f"agent gamma {self.gamma} and offset {offset} must be finite")
         object.__setattr__(self, "offset", offset)
 
@@ -79,8 +79,8 @@ class LeaderModel:
     x0: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", tuple(float(v) for v in np.atleast_1d(self.x0)))
-        if not np.isfinite(self.x0).all():
+        object.__setattr__(self, "x0", _as_reals(self.x0, "x0"))
+        if not all(map(math.isfinite, self.x0)):
             raise InvalidInputError(f"x0 must be finite, got {self.x0}")
 
     def x0_vec(self):
@@ -303,17 +303,21 @@ def _leader_speeds(leader, dense_times, leader_states):
     other field is called point by point.  A NaN speed raises
     NonFiniteError naming the first such t, on either path.
     """
+    try:
+        times = np.asarray(dense_times, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # the gate names the entry at fault
+        times = np.array(_as_reals(dense_times, "dense_times"))
     if leader.dynamics is library._figure_eight:
         with np.errstate(invalid="ignore"):
-            v = library._figure_eight_velocities(np.asarray(dense_times, dtype=float))
+            v = library._figure_eight_velocities(times)
         speeds = np.sqrt(np.vecdot(v, v))
         nan = np.flatnonzero(np.isnan(speeds))
         if nan.size:
-            raise _nan_speed(leader, dense_times[nan[0]])
+            raise _nan_speed(leader, times[nan[0]])
         return speeds
     speeds = []
-    for t, xL in zip(dense_times, leader_states):
-        v = np.asarray(leader.dynamics(float(t), xL), float)
+    for t, xL in zip(times.tolist(), leader_states):
+        v = np.asarray(leader.dynamics(t, xL), float)
         speed = math.sqrt(v.dot(v))
         if math.isnan(speed):
             raise _nan_speed(leader, t)
@@ -334,9 +338,6 @@ def gain_condition_report(leader, agents, rho, dense_times, leader_states):
     if not _as_real(rho, "rho") > 0:
         raise InvalidInputError(f"rho must be > 0, got {rho}")
     sup = float(_leader_speeds(leader, dense_times, leader_states).max(initial=0.0))
-    rows = []
-    for idx, agent in enumerate(agents):
-        rows.append(GainConditionRow(
-            agent_index=idx, gamma=agent.gamma, sup_leader_speed=sup,
-            rho=float(rho), satisfied=agent.gamma > sup / rho))
-    return tuple(rows)
+    return tuple(GainConditionRow(agent_index=idx, gamma=agent.gamma, sup_leader_speed=sup,
+                                  rho=float(rho), satisfied=agent.gamma > sup / rho)
+                 for idx, agent in enumerate(agents))

@@ -17,9 +17,15 @@ import numpy as np
 from .errors import InvalidInputError, NonFiniteError
 
 
+MAX_ROW_SUBSTEPS = 10_000_000  # work budget: intervals x sub-steps x rows
+
+
 def as_state(x, n=None):
     """Coerce x to a finite 1-d float64 vector, optionally of dimension n."""
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # the gate names the entry at fault
+        arr = np.array(_as_reals(x, "state"))
     if arr.ndim != 1:
         raise InvalidInputError(f"state must be a 1-d vector, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
@@ -55,6 +61,36 @@ def _as_real(value, what, error=InvalidInputError):
     raise error(f"{what} must be a real number, got {value!r}")
 
 
+def _as_reals(value, what, error=InvalidInputError):
+    """value, a real number or a list, tuple or 1-d array of them, as a tuple of floats:
+    _as_real of a number as what, of each entry as f"{what} entry" (so none may nest)."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return tuple(_as_real(v, f"{what} entry", error) for v in value)
+    return (_as_real(value, what, error),)
+
+
+def _count(n):
+    """An int count as message text: in full below 10**15, else in "%.3g" form from
+    the exact int (5e+299 for 300 digits), so a count past the float range prints too."""
+    if n < 10**15:
+        return str(n)
+    # Imported here, on this error path only: importing decimal costs every
+    # run about 2 ms.
+    from decimal import Decimal
+    mantissa, _, exponent = format(Decimal(n), ".2e").partition("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
+
+
+def _within_budget(n, what):
+    """An int count n, refused past MAX_ROW_SUBSTEPS before anything of its size exists."""
+    if n > MAX_ROW_SUBSTEPS:
+        raise InvalidInputError(
+            f"{what}={_count(n)} exceeds the budget MAX_ROW_SUBSTEPS = {MAX_ROW_SUBSTEPS}")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class PartitionedSystem:
     """Control-affine system with a y/z state partition.
@@ -75,6 +111,8 @@ class PartitionedSystem:
     domain_check: Optional[Callable[[np.ndarray], bool]] = None
 
     def __post_init__(self):
+        for key in ("n", "n1", "n2", "m"):
+            object.__setattr__(self, key, _as_int(getattr(self, key), key))
         if self.n1 < 1 or self.n2 < 0 or self.n1 + self.n2 != self.n:
             raise InvalidInputError(
                 f"partition invariant violated: n1={self.n1}, n2={self.n2}, n={self.n} "
@@ -125,12 +163,12 @@ def _jac(sys, field_id, x):
 
 def eval_field(sys, field_id, t, x):
     """Evaluate field field_id at (t, x); id 0 is the drift, 1..m the controls."""
-    return _field(sys, field_id, t, as_state(x, sys.n))
+    return _field(sys, _as_int(field_id, "field_id"), t, as_state(x, sys.n))
 
 
 def jacobian(sys, field_id, x):
     """Analytic Jacobian of control field field_id (1..m) at x."""
-    return _jac(sys, field_id, as_state(x, sys.n))
+    return _jac(sys, _as_int(field_id, "field_id"), as_state(x, sys.n))
 
 
 def _bracket(sys, j1, j2, x):
@@ -143,7 +181,7 @@ def _bracket(sys, j1, j2, x):
 
 def lie_bracket(sys, j1, j2, x):
     """[f_j1, f_j2](x) = (df_j2/dx) f_j1(x) - (df_j1/dx) f_j2(x)."""
-    return _bracket(sys, j1, j2, as_state(x, sys.n))
+    return _bracket(sys, _as_int(j1, "j1"), _as_int(j2, "j2"), as_state(x, sys.n))
 
 
 def finite_diff_jacobian(field, x, h=1e-6):
@@ -152,8 +190,8 @@ def finite_diff_jacobian(field, x, h=1e-6):
     Test oracle for analytic Jacobians; column i is
     (field(x + h e_i) - field(x - h e_i)) / (2h).
     """
-    if h <= 0:
-        raise InvalidInputError("finite-difference step h must be > 0")
+    if not 0 < _as_real(h, "h") < math.inf:
+        raise InvalidInputError(f"finite-difference step h must be finite and > 0, got {h}")
     x = as_state(x)
     cols = []
     for i in range(x.shape[0]):

@@ -21,7 +21,7 @@ import numpy as np
 from . import library
 from .errors import InvalidInputError, ScenarioFormatError, UnknownScenarioError
 from .formation import FollowerAgent, LeaderModel
-from .model import _as_int
+from .model import _as_int, _as_real, _as_reals, _within_budget
 from .simulate import SimConfig
 from .synthesis import BracketSelection, ControllerGains, check_selection, validate_selection
 
@@ -122,25 +122,11 @@ def _optional(mapping, key, default, where):
     return _object(mapping, where).get(key, default)
 
 
-def _number(value, where):
-    """value as a float: an int, a float or a numpy real, never a bool or a string."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ScenarioFormatError(f"{where} must be a number, got {value!r}")
-
-
-def _integer(value, where):
-    return _as_int(value, where, ScenarioFormatError)
-
-
 def _numbers(value, where, n=None):
     """A list of numbers as a tuple of floats, of length n when n is given."""
     if not isinstance(value, (list, tuple)):
         raise ScenarioFormatError(f"{where} must be a list of numbers, got {value!r}")
-    out = tuple(_number(v, f"{where} entry") for v in value)
+    out = _as_reals(value, where, ScenarioFormatError)
     if n is not None and len(out) != n:
         raise ScenarioFormatError(f"{where} has dimension {len(out)}, expected {n}")
     return out
@@ -191,10 +177,11 @@ def _selection_from_dict(d, where):
 
 
 def _gains_from_dict(d, where):
-    epsilon = _number(_require(d, "epsilon", where), f"{where}.epsilon")
-    gamma = _number(_require(d, "gamma", where), f"{where}.gamma")
+    epsilon = _as_real(_require(d, "epsilon", where), f"{where}.epsilon", ScenarioFormatError)
+    gamma = _as_real(_require(d, "gamma", where), f"{where}.gamma", ScenarioFormatError)
     y_star = _numbers(_require(d, "y_star", where), f"{where}.y_star")
-    cond_cap = _number(_optional(d, "cond_cap", 1e6, where), f"{where}.cond_cap")
+    cond_cap = _as_real(_optional(d, "cond_cap", 1e6, where), f"{where}.cond_cap",
+                        ScenarioFormatError)
     with _constructing(where):
         return ControllerGains(epsilon=epsilon, gamma=gamma, y_star=y_star, cond_cap=cond_cap)
 
@@ -202,11 +189,9 @@ def _gains_from_dict(d, where):
 def _sim_from_dict(d, where):
     t_final = _optional(d, "t_final", None, where)
     if t_final is not None:
-        t_final = _number(t_final, f"{where}.t_final")
+        t_final = _as_real(t_final, f"{where}.t_final", ScenarioFormatError)
     nsub = _optional(d, "substeps_per_period", None, where)
-    if nsub is not None:
-        nsub = _integer(nsub, f"{where}.substeps_per_period")
-    stride = _integer(_optional(d, "record_stride", 1, where), f"{where}.record_stride")
+    stride = _optional(d, "record_stride", 1, where)
     with _constructing(where):
         return SimConfig(t_final=t_final, substeps_per_period=nsub, record_stride=stride)
 
@@ -228,8 +213,8 @@ def scenario_from_dict(data):
     gains = _gains_from_dict(_require(data, "gains", "top level"), "gains")
     sim = _sim_from_dict(_optional(data, "sim", {}, "top level"), "sim")
     probe_spec = _require(data, "probe_box", "top level")
-    expected = {key: _number(v, f"expected.{key}") for key, v in
-                _object(_optional(data, "expected", {}, "top level"), "expected").items()}
+    expected = _object(_optional(data, "expected", {}, "top level"), "expected")
+    expected = {k: _as_real(v, f"expected.{k}", ScenarioFormatError) for k, v in expected.items()}
 
     if kind == SINGLE:
         system = _registered(library.system, _require(data, "system", "top level"))
@@ -257,7 +242,8 @@ def scenario_from_dict(data):
         with _constructing(where):
             agent = FollowerAgent(
                 system=system, selection=selection,
-                gamma=_number(_require(spec, "gamma", where), f"{where}.gamma"),
+                gamma=_as_real(_require(spec, "gamma", where), f"{where}.gamma",
+                               ScenarioFormatError),
                 offset=_numbers(_require(spec, "offset", where), f"{where}.offset"),
             )
         agents.append(agent)
@@ -560,7 +546,7 @@ def save_scenario(bundle, path):
 
 def probe_states(bundle, n_probes=DEFAULT_PROBES, seed=PROBE_SEED):
     """Deterministic uniform probe states drawn from the bundle's probe box."""
-    n_probes = _as_int(n_probes, "n_probes")
+    n_probes = _within_budget(_as_int(n_probes, "n_probes"), "n_probes")
     if n_probes < 1:
         raise InvalidInputError("at least one probe state is required")
     seed = _as_int(seed, "seed")

@@ -63,7 +63,9 @@ import numpy as np
 
 from . import library
 from .errors import DivergenceError, InvalidInputError, RankDegeneracyError
-from .model import _as_int, _as_real, as_state
+# MAX_ROW_SUBSTEPS is read here by name, so patching simulate.MAX_ROW_SUBSTEPS
+# moves the run's budget.
+from .model import MAX_ROW_SUBSTEPS, _as_int, _as_real, _as_reals, _count, as_state
 from .synthesis import _check_target, _SteeringPlan, check_selection, frozen_control
 # Not called here: perfbench/tracer.py wraps simulate.held_control and
 # simulate.steering_coefficients by name.
@@ -79,7 +81,6 @@ DIVERGENCE_SQNORM_CAP = DIVERGENCE_NORM_CAP * DIVERGENCE_NORM_CAP
 # else (near the cap, NaN, inf, an overflowing x.x) takes the exact per-row
 # test, so the decision is the same.
 _GUARD_PASS_NORM = DIVERGENCE_NORM_CAP * (1 - 1e-12)
-MAX_ROW_SUBSTEPS = 10_000_000  # work budget: intervals x sub-steps x rows
 # Sub-steps per control table: a table holds 3 entries per sub-step and row,
 # so long intervals are tabulated in blocks of this many sub-steps.
 TABLE_SUBSTEPS = 256
@@ -166,7 +167,7 @@ def default_t_final(gains):
 
 
 def default_substeps(kappa_max):
-    return 40 * kappa_max
+    return 40 * _as_int(kappa_max, "kappa_max")
 
 
 def resolve_config(cfg, gains, kappa_max):
@@ -248,7 +249,10 @@ class _Recorder:
         self.sample_states.frombytes(X.tobytes())
 
     def build(self):
-        return self._build(self)
+        # A failed run's partial holds x0, which no guard checked: a norm
+        # past the float range there is inf, not a warning.
+        with np.errstate(over="ignore"):
+            return self._build(self)
 
 
 def _guard_state(x, t, what):
@@ -361,19 +365,6 @@ def _generic_block(steps, Xs, h, ts, tables, names):
             break
         done.append(xs)
     return np.array(done, dtype=float).reshape(len(done), width), error
-
-
-def _count(n):
-    """An int count as message text: in full below 10**15, else as "%.3g"
-    prints it (5e+299 for a count of 300 digits), exact from the int, so a
-    count past the float range prints too."""
-    if n < 10**15:
-        return str(n)
-    # Imported here, on this error path only: importing decimal costs every
-    # run about 2 ms.
-    from decimal import Decimal
-    mantissa, _, exponent = format(Decimal(n), ".2e").partition("e")
-    return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
 
 
 def _warn_substeps(nsub, kappa_max):
@@ -587,14 +578,14 @@ def averaged_reference(y0, gains, t):
     """The averaged flow y* + exp(-gamma t) (y0 - y*) the control emulates."""
     if _as_real(t, "t") < 0:
         raise InvalidInputError(f"t must be >= 0, got {t}")
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    y0 = as_state(_as_reals(y0, "y0"))
     y_star = gains.y_star_vec()
     return y_star + math.exp(-gains.gamma * t) * (y0 - y_star)
 
 
 def decay_report(traj, gains, rho):
     """Summarize the sampled stabilization error against a floor radius rho."""
-    _as_real(rho, "rho")
+    rho = _as_real(rho, "rho")
     times = np.asarray(traj.sample_times, dtype=float)
     if times.size < 2:
         raise InvalidInputError("decay report needs at least 2 samples")
@@ -627,18 +618,16 @@ def decay_report(traj, gains, rho):
             zeta_fit = float(math.exp(intercept))
 
     monotone = float(np.mean(errs[1:] <= errs[:-1]))
-    return DecayReport(rho=float(rho), t1=t1, lambda_fit=lambda_fit,
+    return DecayReport(rho=rho, t1=t1, lambda_fit=lambda_fit,
                        zeta_fit=zeta_fit, monotone_fraction=monotone)
 
 
 def _sweep_epsilons(eps_list):
-    """eps_list as floats, refused unless a non-empty iterable of reals,
+    """eps_list as floats, refused unless a non-empty list of reals,
     positive, finite and strictly decreasing."""
-    try:
-        entries = iter(eps_list)
-    except TypeError:
-        raise InvalidInputError(f"eps_list must be a list of numbers, got {eps_list!r}") from None
-    eps_list = [_as_real(e, "eps_list entry") for e in entries]
+    if not isinstance(eps_list, (list, tuple, np.ndarray)):
+        raise InvalidInputError(f"eps_list must be a list of numbers, got {eps_list!r}")
+    eps_list = list(_as_reals(eps_list, "eps_list"))
     if not eps_list:
         raise InvalidInputError("eps_list must be non-empty")
     if not all(e > 0 for e in eps_list):  # NaN fails e > 0 as well

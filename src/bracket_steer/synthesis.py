@@ -29,7 +29,6 @@ of rows, the plan's held: a single system is a group of one row.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import itemgetter
 from sys import float_info
 from typing import Optional
@@ -40,7 +39,7 @@ from numpy.linalg._umath_linalg import svd as _lapack_svd
 
 from .errors import InvalidInputError, NonFiniteError, RankDegeneracyError, SelectionShapeError
 from .library import _FUSED_KEYS, _fused_columns
-from .model import _as_int, _as_real, _bracket, _field, as_state
+from .model import _as_int, _as_real, _as_reals, _bracket, _field, _within_budget, as_state
 # Not called here: perfbench/tracer.py wraps synthesis.lie_bracket by name.
 from .model import lie_bracket  # noqa: F401
 
@@ -134,15 +133,12 @@ class ControllerGains:
     cond_cap: float = 1e6
 
     def __post_init__(self):
-        if not _as_real(self.epsilon, "epsilon") > 0:
-            raise InvalidInputError(f"epsilon must be > 0, got {self.epsilon}")
-        if not _as_real(self.gamma, "gamma") > 0:
-            raise InvalidInputError(f"gamma must be > 0, got {self.gamma}")
-        if not _as_real(self.cond_cap, "cond_cap") > 1:
-            raise InvalidInputError(f"cond_cap must be > 1, got {self.cond_cap}")
-        object.__setattr__(self, "y_star", tuple(float(v) for v in np.atleast_1d(self.y_star)))
+        for key, low in (("epsilon", 0), ("gamma", 0), ("cond_cap", 1)):
+            if not _as_real(getattr(self, key), key) > low:
+                raise InvalidInputError(f"{key} must be > {low}, got {getattr(self, key)}")
+        object.__setattr__(self, "y_star", _as_reals(self.y_star, "y_star"))
         for key in ("epsilon", "gamma", "y_star"):
-            if not np.isfinite(getattr(self, key)).all():
+            if not all(map(math.isfinite, _as_reals(getattr(self, key), key))):
                 raise InvalidInputError(f"{key} must be finite, got {getattr(self, key)}")
 
     def y_star_vec(self):
@@ -256,17 +252,10 @@ class _SteeringPlan:
         return F
 
     def solve(self, x, r, gamma, cond_cap):
-        """a solving F(x) a = -gamma r at a state x: r, n1 floats, is y - y*
-        for one system and x - x_L - d for a follower.  -gamma r is formed
-        in Python floats, so a gain that overflows it raises NonFiniteError
-        naming gamma, without a numpy warning, before F(x) is built; the
-        solve is _solve_steering, looked up by name."""
-        gain = -float(gamma)
-        rhs = [gain * v for v in r]
-        if not all(map(math.isfinite, rhs)):
-            raise NonFiniteError(
-                f"steering right-hand side -gamma r is not finite at gamma={float(gamma)!r}")
-        return _solve_steering(self.matrix(x), rhs, cond_cap, x)
+        """a solving F(x) a = -gamma r at a state x (r, n1 floats, is y - y*
+        for one system and x - x_L - d for a follower): _steering_rhs, then
+        F(x) and the solve, _solve_steering, looked up by name."""
+        return _solve_steering(self.matrix(x), _steering_rhs(gamma, r), cond_cap, x)
 
     def solve_many(self, X, R, gammas, cond_cap):
         """solve for each row of a stack: the (k, width) coefficients a_l
@@ -274,17 +263,15 @@ class _SteeringPlan:
         of R (k, n1) and one gain per row, or None when any row's solve
         would raise.
 
-        Each right-hand side is formed in Python floats, as solve does, and
-        matrices builds the (k, n1, n1) stack; then one _lapack_svd and one
+        Each right-hand side is _steering_rhs's, as in solve, and matrices
+        builds the (k, n1, n1) stack; then one _lapack_svd and one
         _lapack_solve1 over it make the same LAPACK call on each matrix, so
         each row is bitwise its own solve.  A non-finite right-hand side,
         an error building a matrix, a condition number over cond_cap or
         NaN, or a NaN solve gives None, and held takes the rows one by one.
         """
-        rhs = [[-float(g) * v for v in r] for g, r in zip(gammas, R.tolist())]
-        if not all(map(math.isfinite, chain.from_iterable(rhs))):
-            return None
         try:
+            rhs = [_steering_rhs(g, r) for g, r in zip(gammas, R.tolist())]
             F = self.matrices(X)
         except Exception:  # the per-row pass raises it again, in its place
             return None
@@ -323,6 +310,16 @@ class _SteeringPlan:
         its coefficients."""
         return frozen_control(self.terms, eps, self.sys.m,
                               self.coefficients(X, R, gammas, cond_cap, eps, labels))
+
+
+def _steering_rhs(gamma, r):
+    """-gamma r in Python floats for a row r of them: a gain that overflows
+    it raises NonFiniteError naming gamma, without a numpy warning."""
+    gain = -float(gamma)
+    rhs = [gain * v for v in r]
+    if not all(map(math.isfinite, rhs)):
+        raise NonFiniteError(f"steering right-hand side -gamma r is not finite at gamma={-gain!r}")
+    return rhs
 
 
 def _conditioning(F):
@@ -477,18 +474,18 @@ def held_control(sel, epsilon, m, a, t):
     >= 1, and a finite with sel.width entries.  frozen_control, the sampled
     loop's path, takes them unchecked.
     """
-    if not math.isfinite(t):
+    if not math.isfinite(_as_real(t, "t")):
         raise InvalidInputError(f"t must be finite, got {t}")
-    if not (math.isfinite(epsilon) and epsilon > 0):
+    if not 0 < _as_real(epsilon, "epsilon") < math.inf:
         raise InvalidInputError(f"epsilon must be finite and > 0, got {epsilon}")
-    m = _as_int(m, "m")
+    m = _within_budget(_as_int(m, "m"), "m")
     for i in (*sel.s1, *(i for pair in sel.s2 for i in pair)):
         if not 1 <= i <= m:
             raise InvalidInputError(f"selection index {i} outside 1..m, m = {m}")
     for k in sel.kappa:
         if k < 1:
             raise InvalidInputError(f"kappa entry {k} must be >= 1")
-    a = np.asarray(a, dtype=float)
+    a = np.array(_as_reals(a, "a"))
     if a.shape != (sel.width,):
         raise InvalidInputError(f"a has shape {a.shape}, expected (sel.width,) = ({sel.width},)")
     if not np.isfinite(a).all():

@@ -649,6 +649,41 @@ def test_bad_rho_exit_2(tmp_path, capsys, monkeypatch):
                 assert not out.exists()
 
 
+# Each numeric flag of each subcommand, on both built-ins; a run that
+# proceeds is kept short.
+_NUMERIC_FLAGS = [(cmd, name, flag) for name in ("rolling-disc", "unicycle-leader")
+                  for cmd in ("run", "sweep")
+                  for flag in ("--epsilon", "--gamma", "--t-final", "--substeps", "--rho")]
+_NUMERIC_FLAGS += [("validate", name, "--rho") for name in ("rolling-disc", "unicycle-leader")]
+
+
+@pytest.mark.parametrize("cmd, name, flag", _NUMERIC_FLAGS)
+def test_numeric_flags_exit_typed(tmp_path, capsys, cmd, name, flag):
+    # Any value exits 0, 2 or 3: argparse's usage error, or one
+    # error:Type:message line and no output file, never a traceback.
+    base = {"run": {"--t-final": "1"}, "sweep": {"--epsilon": "0.5,0.25", "--t-final": "1"},
+            "validate": {}}[cmd]
+    for i, value in enumerate(["nan", "inf", "-inf", "-1", "0", "1e308", "5e-324", "x"]):
+        out = tmp_path / f"{i}.{'json' if cmd == 'validate' else 'csv'}"
+        args = [cmd, name, *(f"{k}={v}" for k, v in base.items() if k != flag),
+                f"{flag}={value}", "--out", str(out)]
+        try:
+            rc = main(args)
+        except SystemExit as exc:  # argparse refuses the flag or the value
+            assert exc.code == 2, args
+            assert capsys.readouterr().err.startswith("usage: "), args
+            continue
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3), args
+        if rc:
+            assert len(err.splitlines()) == 1 and err.startswith("error:"), (args, err)
+            assert list(tmp_path.iterdir()) == [], args
+        else:
+            assert err == "", (args, err)
+            for path in tmp_path.iterdir():
+                path.unlink()
+
+
 def test_wrong_length_field_exit_2(tmp_path, capsys, monkeypatch):
     # A registered drift of the wrong length passes validate, which never
     # evaluates the drift, and exits 2 before the run starts, for a single

@@ -1,15 +1,23 @@
+import dataclasses
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bracket_steer import (ControllerGains, InvalidInputError, NonFiniteError,
-                           PartitionedSystem, SimConfig, as_state, averaged_reference,
-                           builtin_scenario, decay_report, eval_field, finite_diff_jacobian,
-                           formation_error, gain_condition_report, jacobian, lie_bracket,
-                           simulate_formation)
+import bracket_steer
+from bracket_steer import (BracketSelection, BracketSteerError, ControllerGains,
+                           InvalidInputError, NonFiniteError, PartitionedSystem, SimConfig,
+                           as_state, averaged_reference, builtin_scenario, control_value,
+                           decay_report, default_substeps, epsilon_sweep, eval_field,
+                           extension_matrix, finite_diff_jacobian, follower_steering,
+                           formation_error, gain_condition_report, held_control, jacobian,
+                           lie_bracket, simulate_formation, simulate_leader,
+                           simulate_pi_epsilon, steering_coefficients, validate_bundle,
+                           validate_selection)
 
 from oracles import disc_fields, fd_bracket, fd_jacobian, unicycle_fields
 
@@ -24,6 +32,9 @@ def test_as_state_converts_and_checks():
         as_state([[1.0, 2.0]])
     with pytest.raises(InvalidInputError):
         as_state([1.0, math.nan])
+    # An entry np.asarray cannot take is named by the gate.
+    with pytest.raises(InvalidInputError, match=r"^state entry must be a real number, got 'x'$"):
+        as_state([1.0, "x"])
 
 
 def test_partitioned_system_validation():
@@ -177,34 +188,213 @@ def _gains(**kw):
     return ControllerGains(**dict(dict(epsilon=0.1, gamma=1.0, y_star=(0.0,)), **kw))
 
 
-# Each public numeric parameter checked by model._as_real or _as_int: a
-# call with the value in its place, the value the table's bad values
-# replace, and the rule it is held to.
-_TYPED_PARAMETERS = {
-    "ControllerGains.epsilon": (lambda v, _: _gains(epsilon=v), 0.1, "a real number"),
-    "ControllerGains.gamma": (lambda v, _: _gains(gamma=v), 1.0, "a real number"),
-    "ControllerGains.cond_cap": (lambda v, _: _gains(cond_cap=v), 1e6, "a real number"),
-    "decay_report.rho": (lambda v, f: decay_report(f[1].displacement_trajs[0], f[0].gains, v),
-                         0.1, "a real number"),
+DISC = builtin_scenario("rolling-disc")
+SYS, SEL = DISC.system, DISC.selection
+DISC_GAINS = ControllerGains(epsilon=0.5, gamma=1.0, y_star=(0.0, 0.0))
+SHORT = SimConfig(t_final=1.0)
+
+
+def _state(v, n=4):
+    """A state with v as its first entry."""
+    return [v, 0.5, 0.25, 0.0][:n]
+
+
+def _system(**kw):
+    f = lambda x: np.ones(2)
+    J = lambda x: np.zeros((2, 2))
+    return PartitionedSystem(**dict(dict(name="p", n=2, n1=2, n2=0, m=1,
+                                         drift=lambda t, x: np.zeros(2), control_fields=(f,),
+                                         control_jacobians=(J,)), **kw))
+
+
+# Every numeric parameter of a callable in bracket_steer.__all__, or an
+# entry of one that takes a list of numbers, as "callable.parameter": a
+# call with the value v in its place (f is the short_formation fixture),
+# a value the call takes, and the refusal that model's gate gives a value
+# of the wrong type ("y_star entry must be a real number"), or None where
+# the call's own checks type every value (a state's entries go through
+# as_state's np.asarray and its finite check, so True is 1.0 there).
+_NUMBERS = {
+    "PartitionedSystem.n": (lambda v, _: _system(n=v), 2, "n must be an integer"),
+    "PartitionedSystem.n1": (lambda v, _: _system(n1=v), 2, "n1 must be an integer"),
+    "PartitionedSystem.n2": (lambda v, _: _system(n2=v), 0, "n2 must be an integer"),
+    "PartitionedSystem.m": (lambda v, _: _system(m=v), 1, "m must be an integer"),
+    "as_state.x": (lambda v, _: as_state(_state(v)), 0.0, None),
+    "as_state.n": (lambda v, _: as_state(_state(0.0), v), 4, None),
+    "eval_field.field_id": (lambda v, _: eval_field(SYS, v, 0.0, _state(0.0)), 1,
+                            "field_id must be an integer"),
+    "eval_field.t": (lambda v, _: eval_field(SYS, 0, v, _state(0.0)), 0.0, None),
+    "eval_field.x": (lambda v, _: eval_field(SYS, 1, 0.0, _state(v)), 0.0, None),
+    "jacobian.field_id": (lambda v, _: jacobian(SYS, v, _state(0.0)), 1,
+                          "field_id must be an integer"),
+    "jacobian.x": (lambda v, _: jacobian(SYS, 1, _state(v)), 0.0, None),
+    "lie_bracket.j1": (lambda v, _: lie_bracket(SYS, v, 2, _state(0.0)), 1,
+                       "j1 must be an integer"),
+    "lie_bracket.j2": (lambda v, _: lie_bracket(SYS, 1, v, _state(0.0)), 2,
+                       "j2 must be an integer"),
+    "lie_bracket.x": (lambda v, _: lie_bracket(SYS, 1, 2, _state(v)), 0.0, None),
+    "finite_diff_jacobian.x": (lambda v, _: finite_diff_jacobian(np.sin, _state(v)), 0.0, None),
+    "finite_diff_jacobian.h": (lambda v, _: finite_diff_jacobian(np.sin, _state(0.0), v), 1e-6,
+                               "h must be a real number"),
+    "BracketSelection.s1": (lambda v, _: BracketSelection(s1=(v,), s2=()), 1,
+                            "s1 entry must be an integer"),
+    "BracketSelection.s2": (lambda v, _: BracketSelection(s1=(), s2=((v, 2),)), 1,
+                            "s2 entry must be an integer"),
+    "BracketSelection.kappa": (lambda v, _: BracketSelection(s1=(), s2=((1, 2),), kappa=(v,)),
+                               1, "kappa entry must be an integer"),
+    "ControllerGains.epsilon": (lambda v, _: _gains(epsilon=v), 0.1,
+                                "epsilon must be a real number"),
+    "ControllerGains.gamma": (lambda v, _: _gains(gamma=v), 1.0, "gamma must be a real number"),
+    "ControllerGains.y_star": (lambda v, _: _gains(y_star=(v, 0.0)), 0.0,
+                               "y_star entry must be a real number"),
+    "ControllerGains.cond_cap": (lambda v, _: _gains(cond_cap=v), 1e6,
+                                 "cond_cap must be a real number"),
+    "extension_matrix.x": (lambda v, _: extension_matrix(SYS, SEL, _state(v)), 0.0, None),
+    "steering_coefficients.x": (
+        lambda v, _: steering_coefficients(SYS, SEL, DISC_GAINS, _state(v)), 0.0, None),
+    "control_value.t": (lambda v, _: control_value(SYS, SEL, DISC_GAINS, v, _state(0.0)), 0.0,
+                        "t must be a real number"),
+    "control_value.x_hold": (lambda v, _: control_value(SYS, SEL, DISC_GAINS, 0.0, _state(v)),
+                             0.0, None),
+    "held_control.epsilon": (lambda v, _: held_control(SEL, v, 2, [1.0, 2.0], 0.3), 0.5,
+                             "epsilon must be a real number"),
+    "held_control.m": (lambda v, _: held_control(SEL, 0.5, v, [1.0, 2.0], 0.3), 2,
+                       "m must be an integer"),
+    "held_control.a": (lambda v, _: held_control(SEL, 0.5, 2, [v, 2.0], 0.3), 1.0,
+                       "a entry must be a real number"),
+    "held_control.t": (lambda v, _: held_control(SEL, 0.5, 2, [1.0, 2.0], v), 0.3,
+                       "t must be a real number"),
+    "validate_selection.probes": (
+        lambda v, _: validate_selection(SYS, SEL, [_state(0.0), _state(v)], DISC_GAINS), 0.0,
+        None),
+    "SimConfig.t_final": (lambda v, _: SimConfig(t_final=v), 1.0, "t_final must be a real number"),
+    "SimConfig.substeps_per_period": (lambda v, _: SimConfig(substeps_per_period=v), 40,
+                                      "substeps_per_period must be an integer"),
+    "SimConfig.record_stride": (lambda v, _: SimConfig(record_stride=v), 1,
+                                "record_stride must be an integer"),
+    "simulate_pi_epsilon.x0": (
+        lambda v, _: simulate_pi_epsilon(SYS, SEL, DISC_GAINS, _state(v), SHORT), 0.0, None),
+    # At t = 1e308, exp(-gamma t) = 0: an infinite entry would make 0 * inf.
+    "averaged_reference.y0": (lambda v, _: [averaged_reference([v, 0.0], DISC_GAINS, t)
+                                            for t in (0.5, 1e308)], 1.0,
+                              "y0 entry must be a real number"),
     "averaged_reference.t": (lambda v, _: averaged_reference([1.0], _gains(), v),
-                             0.5, "a real number"),
+                             0.5, "t must be a real number"),
+    "decay_report.rho": (lambda v, f: decay_report(f[1].displacement_trajs[0], f[0].gains, v),
+                         0.1, "rho must be a real number"),
+    "epsilon_sweep.x0": (
+        lambda v, _: epsilon_sweep(SYS, SEL, DISC_GAINS, _state(v), 1.0, [0.5]), 0.0, None),
+    "epsilon_sweep.t_final": (
+        lambda v, _: epsilon_sweep(SYS, SEL, DISC_GAINS, _state(0.0), v, [0.5]), 1.0,
+        "t_final must be a real number"),
+    "epsilon_sweep.eps_list": (
+        lambda v, _: epsilon_sweep(SYS, SEL, DISC_GAINS, _state(0.0), 1.0, [v]), 0.5,
+        "eps_list entry must be a real number"),
+    "epsilon_sweep.substeps_per_period": (
+        lambda v, _: epsilon_sweep(SYS, SEL, DISC_GAINS, _state(0.0), 1.0, [0.5], v), 40,
+        "substeps_per_period must be an integer"),
+    "default_substeps.kappa_max": (lambda v, _: default_substeps(v), 1,
+                                   "kappa_max must be an integer"),
+    "FollowerAgent.gamma": (
+        lambda v, f: dataclasses.replace(f[0].agents[0], gamma=v), 2.0,
+        "gamma must be a real number"),
+    "FollowerAgent.offset": (
+        lambda v, f: dataclasses.replace(f[0].agents[0], offset=(v, 0.0, 0.0)), 0.0,
+        "offset entry must be a real number"),
+    "LeaderModel.x0": (lambda v, f: dataclasses.replace(f[0].leader, x0=(v, 0.0, 0.0)), 0.0,
+                       "x0 entry must be a real number"),
+    "follower_steering.x_agent": (
+        lambda v, f: follower_steering(f[0].agents[0], f[0].gains, _state(v, 3), _state(0.0, 3)),
+        0.0, None),
+    "follower_steering.x_leader": (
+        lambda v, f: follower_steering(f[0].agents[0], f[0].gains, _state(0.0, 3), _state(v, 3)),
+        0.0, None),
+    "simulate_formation.x0s": (
+        lambda v, f: simulate_formation(f[0].agents[:1], f[0].leader, [_state(v, 3)], f[0].gains,
+                                        SimConfig(t_final=0.2)), 0.0, None),
+    "simulate_leader.kappa_max": (
+        lambda v, f: simulate_leader(f[0].leader, f[0].gains, SimConfig(t_final=0.2), v), 1,
+        "kappa_max must be an integer"),
+    "formation_error.agent_index": (lambda v, f: formation_error(f[1], v), 0,
+                                    "agent_index must be an integer"),
     "gain_condition_report.rho": (
         lambda v, f: gain_condition_report(f[0].leader, f[0].agents, v,
                                            f[1].dense_times, f[1].leader_states),
-        0.1, "a real number"),
-    "formation_error.agent_index": (lambda v, f: formation_error(f[1], v), 0, "an integer"),
+        0.1, "rho must be a real number"),
+    "gain_condition_report.dense_times": (
+        lambda v, f: gain_condition_report(f[0].leader, f[0].agents, 0.1, [0.0, v],
+                                           f[1].leader_states[:2]), 0.1, None),
+    "gain_condition_report.leader_states": (
+        lambda v, f: gain_condition_report(f[0].leader, f[0].agents, 0.1, f[1].dense_times[:1],
+                                           [_state(v, 3)]), 0.0, None),
+    "validate_bundle.n_probes": (lambda v, _: validate_bundle(DISC, n_probes=v), 3,
+                                 "n_probes must be an integer"),
+    "validate_bundle.seed": (lambda v, _: validate_bundle(DISC, n_probes=3, seed=v), 1,
+                             "seed must be an integer"),
 }
+
+# Parameters that hold no number: systems, selections, gains, configs,
+# agents, runs, names, paths, callables and flags.
+_NOT_NUMBERS = {"sys", "sel", "gains", "gains_base", "cfg", "system", "selection", "agent",
+                "agents", "leader", "traj", "bundle", "data", "path", "name", "dynamics",
+                "drift", "control_fields", "control_jacobians", "domain_check", "field",
+                "replace"}
+# Records: exceptions and results keep what they are given, unchecked; a
+# ScenarioBundle is built by the loader, which checks every field.
+_RECORDS = {"BracketSteerError", "InvalidInputError", "SelectionShapeError",
+            "ScenarioFormatError", "UnknownScenarioError", "NumericError", "NonFiniteError",
+            "RankDegeneracyError", "DivergenceError", "RankCertificate", "SampledTrajectory",
+            "DecayReport", "FormationTrajectory", "GainConditionRow", "ScenarioBundle"}
+
+_BAD = [math.nan, math.inf, -math.inf, -1, 0, 1.5, True, "x", None, 1e308, 5e-324, [1.0]]
+
+
+def test_number_table_covers_every_public_parameter():
+    # A numeric parameter added to a public callable fails here until the
+    # table holds it, and so until it is typed.
+    listed = set()
+    for name in bracket_steer.__all__:
+        obj = getattr(bracket_steer, name)
+        if not callable(obj) or name in _RECORDS:
+            continue
+        for param in inspect.signature(obj).parameters:
+            key = f"{name}.{param}"
+            assert key in _NUMBERS or param in _NOT_NUMBERS, key
+            listed.add(key)
+    assert set(_NUMBERS) <= listed and _RECORDS <= set(bracket_steer.__all__)
+
+
+@pytest.mark.parametrize("param", sorted(_NUMBERS))
+def test_public_numbers_are_typed(short_formation, param):
+    # Each bad value either is taken or is refused with a package error;
+    # never a bare TypeError, ValueError or OverflowError, and never a
+    # numpy warning.
+    call, good, _ = _NUMBERS[param]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(good, short_formation)
+        for bad in _BAD:
+            try:
+                call(bad, short_formation)
+            except BracketSteerError:
+                pass
+
+
+# None asks these for their default.
+_TAKES_NONE = {"SimConfig.t_final", "SimConfig.substeps_per_period", "epsilon_sweep.t_final",
+               "epsilon_sweep.substeps_per_period"}
 
 
 @pytest.mark.parametrize("bad", ["x", None, [1.0], True, np.bool_(False)], ids=repr)
-@pytest.mark.parametrize("param", sorted(_TYPED_PARAMETERS))
+@pytest.mark.parametrize("param", sorted(k for k, row in _NUMBERS.items() if row[2]))
 def test_public_numeric_parameters_refuse_non_numbers(short_formation, param, bad):
-    call, good, rule = _TYPED_PARAMETERS[param]
-    call(good, short_formation)
+    # The gate's refusal, naming the parameter or its entry.
+    call, _, refusal = _NUMBERS[param]
+    if bad is None and param in _TAKES_NONE:
+        return
     with pytest.raises(InvalidInputError) as info:
         call(bad, short_formation)
-    name = param.rpartition(".")[2]
-    assert str(info.value) == f"{name} must be {rule}, got {bad!r}"
+    assert str(info.value) == f"{refusal}, got {bad!r}"
 
 
 def test_agent_index_refuses_a_fraction(short_formation):

@@ -77,6 +77,9 @@ def test_validate_bundle_disc():
     (-1, "at least one probe state is required"),
     (1.5, "n_probes must be an integer, got 1.5"),
     (True, "n_probes must be an integer, got True"),
+    # Refused before any probe is drawn: the work budget bounds the count.
+    (10_000_001, "n_probes=10000001 exceeds the budget MAX_ROW_SUBSTEPS = 10000000"),
+    (1e308, "n_probes=1e+308 exceeds the budget MAX_ROW_SUBSTEPS = 10000000"),
 ])
 def test_validate_bundle_refuses_a_bad_probe_count(n_probes, message):
     with pytest.raises(InvalidInputError) as info:
@@ -366,7 +369,7 @@ def test_number_fields_refuse_strings_and_bools(where, value):
     path, read = _NUMBER_FIELDS[where]
     with pytest.raises(ScenarioFormatError) as info:
         scenario_from_dict(_edited("rolling-disc", path, value))
-    assert str(info.value) == f"{where} must be a number, got {value!r}"
+    assert str(info.value) == f"{where} must be a real number, got {value!r}"
     for ok in (5, 5.0, np.int64(5), np.float32(5.0)):
         got = read(scenario_from_dict(_edited("rolling-disc", path, ok)))
         assert type(got) is float and got == 5.0, (ok, got)
@@ -387,7 +390,7 @@ _EXACT_ERRORS = {
         ScenarioFormatError, "agents[0]: agent gamma must be > 0, got -1.0"),
     "agents[i]-value": (lambda: scenario_from_dict(
         _edited("unicycle-leader", ("agents", 0, "gamma"), "x")),
-        ScenarioFormatError, "agents[0]: agents[0].gamma must be a number, got 'x'"),
+        ScenarioFormatError, "agents[0]: agents[0].gamma must be a real number, got 'x'"),
     "leader": (lambda: scenario_from_dict(
         _edited("unicycle-leader", ("leader", "x0"), [math.inf, 0.0, 0.0])),
         ScenarioFormatError, "leader: x0 must be finite, got (inf, 0.0, 0.0)"),

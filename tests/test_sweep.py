@@ -9,14 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bracket_steer import (ControllerGains, DivergenceError, InvalidInputError,
-                           RankDegeneracyError, SimConfig, builtin_scenario, epsilon_sweep,
-                           simulate_pi_epsilon)
+from bracket_steer import (ControllerGains, DivergenceError, FollowerAgent, InvalidInputError,
+                           LeaderModel, RankDegeneracyError, SimConfig, builtin_scenario,
+                           epsilon_sweep, leader_field, simulate_formation, simulate_pi_epsilon)
 from bracket_steer import simulate as simulate_module
 
 from oracles import sweep_reference
 
 DISC = builtin_scenario("rolling-disc")
+FOLLOWER = builtin_scenario("unicycle-leader").agents[0]
 BOX = np.array(DISC.probe_box)
 
 
@@ -64,6 +65,37 @@ def test_rolling_angle_does_not_enter_the_loop(x0, x4, gamma, eps):
         assert a.tobytes() == b.tobytes()
     for name in ("dense_controls", "y_error", "dense_times", "sample_times"):
         assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
+
+
+def _still_formation(c):
+    """Two unicycle followers of the stationary leader, their gains scaled
+    by c and epsilon and t_final by 1 / c."""
+    agents = [FollowerAgent(system=FOLLOWER.system, selection=FOLLOWER.selection,
+                            gamma=c * gamma, offset=offset)
+              for gamma, offset in ((2.0, (0.3, -0.2, 0.0)), (3.0, (-0.4, 0.1, 0.0)))]
+    leader = LeaderModel(name="stationary", dynamics=leader_field("stationary"),
+                         x0=(0.2, -0.1, 0.5))
+    gains = ControllerGains(epsilon=0.2 / c, gamma=1.0, y_star=(0.0, 0.0, 0.0))
+    return simulate_formation(agents, leader, [(1.0, 0.5, 0.3), (-0.7, 0.8, -1.1)], gains,
+                              SimConfig(t_final=4.0 / c))
+
+
+@pytest.mark.parametrize("c", [0.25, 0.5, 2.0, 4.0])
+def test_stationary_leader_formation_time_rescaling_is_bitwise(c):
+    # The stationary leader has no block kernel, so the whole run takes the
+    # generic sub-steps, and its two followers steer as one group: the
+    # rescaling pins that path's stage times and sums, which no benchmark
+    # workload reaches.
+    base, scaled = _still_formation(1.0), _still_formation(c)
+    assert scaled.leader_states.tobytes() == base.leader_states.tobytes()
+    assert scaled.dense_times.tobytes() == (base.dense_times / c).tobytes()
+    assert scaled.sample_times.tobytes() == (base.sample_times / c).tobytes()
+    for got, want in zip(scaled.agent_trajs, base.agent_trajs):
+        assert got.dense_states.tobytes() == want.dense_states.tobytes()
+        assert got.sample_states.tobytes() == want.sample_states.tobytes()
+        assert got.dense_controls.tobytes() == (want.dense_controls * c).tobytes()
+    for got, want in zip(scaled.error_series, base.error_series):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -423,11 +423,14 @@ def test_held_control_refuses_non_finite_time(disc_sel):
     (1, 0.25, 2, [1.0], r"a has shape \(1,\), expected \(sel.width,\) = \(2,\)"),
     (1, 0.25, 2, [1.0, math.nan], r"a must be finite, got \[1.0, nan\]"),
     (-1, 0.25, 2, [1.0, 2.0], "kappa entry -1 must be >= 1"),
+    (1, 0.25, 1e308, [1.0, 2.0], r"m=1e\+308 exceeds the budget MAX_ROW_SUBSTEPS = 10000000"),
+    (1, 0.25, 2, [1.0, "2"], "a entry must be a real number, got '2'"),
 ], ids=["epsilon-zero", "epsilon-negative", "epsilon-nan", "m-below-index", "a-short",
-        "a-nan", "kappa-negative"])
+        "a-nan", "kappa-negative", "m-over-budget", "a-string"])
 def test_held_control_refuses_bad_inputs(kappa, epsilon, m, a, match):
     # Each once failed untyped (ZeroDivisionError, math domain error,
-    # IndexError) or returned a silent NaN row.
+    # IndexError, OverflowError from a huge m, ValueError from a string) or
+    # returned a silent NaN row.
     sel = BracketSelection(s1=(1,), s2=((1, 2),), kappa=(kappa,))
     with pytest.raises(InvalidInputError, match=match):
         held_control(sel, epsilon, m, a, 0.3)
