@@ -24,7 +24,7 @@ import numpy as np
 
 from . import library
 from .errors import InvalidInputError, NonFiniteError
-from .model import _as_int, _as_real, _as_reals, as_state
+from .model import _as_int, _as_list, _as_real, _as_reals, as_state
 from .simulate import (SampledTrajectory, SimConfig, _check_field_length, _check_field_lengths,
                        _run_sampled)
 from .synthesis import _SteeringPlan, check_selection, held_control
@@ -171,7 +171,7 @@ def simulate_formation(agents, leader, x0s, gains, cfg=None):
     up to the failure as .partial; a RankDegeneracyError also names the
     agent in .agent_index.
     """
-    agents = tuple(agents)
+    agents = tuple(_as_list(agents, "agents"))
     if not agents:
         raise InvalidInputError("at least one agent is required")
     p = agents[0].system.n
@@ -179,7 +179,7 @@ def simulate_formation(agents, leader, x0s, gains, cfg=None):
         if agent.system.n != p:
             raise InvalidInputError("all agents must share one state dimension")
         check_selection(agent.system, agent.selection)
-    x0s = [as_state(x0, p) for x0 in x0s]
+    x0s = [as_state(x0, p) for x0 in _as_list(x0s, "x0s")]
     if len(x0s) != len(agents):
         raise InvalidInputError(f"got {len(x0s)} initial states for {len(agents)} agents")
     if len(leader.x0) != p:
@@ -300,7 +300,8 @@ def _leader_speeds(leader, dense_times, leader_states):
 
     The figure-eight leader, chosen by identity, takes one numpy pass over
     the times (np.vecdot sums v . v as v.dot(v) does on a 3-vector); any
-    other field is called point by point.  A NaN speed raises
+    other field is called point by point, at one leader state per time, so
+    unequal counts are refused there.  A NaN speed raises
     NonFiniteError naming the first such t, on either path.
     """
     try:
@@ -315,6 +316,9 @@ def _leader_speeds(leader, dense_times, leader_states):
         if nan.size:
             raise _nan_speed(leader, times[nan[0]])
         return speeds
+    if len(times) != len(leader_states):
+        raise InvalidInputError(
+            f"got {len(times)} dense_times for {len(leader_states)} leader_states")
     speeds = []
     for t, xL in zip(times.tolist(), leader_states):
         v = np.asarray(leader.dynamics(t, xL), float)
@@ -337,6 +341,9 @@ def gain_condition_report(leader, agents, rho, dense_times, leader_states):
     """
     if not _as_real(rho, "rho") > 0:
         raise InvalidInputError(f"rho must be > 0, got {rho}")
+    agents = _as_list(agents, "agents")
+    dense_times = _as_list(dense_times, "dense_times")
+    leader_states = _as_list(leader_states, "leader_states")
     sup = float(_leader_speeds(leader, dense_times, leader_states).max(initial=0.0))
     return tuple(GainConditionRow(agent_index=idx, gamma=agent.gamma, sup_leader_speed=sup,
                                   rho=float(rho), satisfied=agent.gamma > sup / rho)

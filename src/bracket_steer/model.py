@@ -71,6 +71,19 @@ def _as_reals(value, what, error=InvalidInputError):
     return (_as_real(value, what, error),)
 
 
+def _as_list(value, what, error=InvalidInputError):
+    """value as a sequence: an array of one or more dimensions as it is, any
+    other iterable as the tuple of its items.  A value that is not iterable
+    (a number, None, a 0-d array) raises error naming what."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        return value
+    try:
+        items = iter(value)
+    except TypeError:
+        raise error(f"{what} must be a list, got {value!r}") from None
+    return tuple(items)
+
+
 def _count(n):
     """An int count as message text: in full below 10**15, else in "%.3g" form from
     the exact int (5e+299 for 300 digits), so a count past the float range prints too."""
@@ -119,8 +132,8 @@ class PartitionedSystem:
                 "(need n1 >= 1, n2 >= 0, n1 + n2 = n)")
         if self.m < 1:
             raise InvalidInputError("at least one control field is required")
-        object.__setattr__(self, "control_fields", tuple(self.control_fields))
-        object.__setattr__(self, "control_jacobians", tuple(self.control_jacobians))
+        for key in ("control_fields", "control_jacobians"):
+            object.__setattr__(self, key, tuple(_as_list(getattr(self, key), key)))
         if len(self.control_fields) != self.m or len(self.control_jacobians) != self.m:
             raise InvalidInputError(
                 f"expected {self.m} control fields and {self.m} Jacobians, got "

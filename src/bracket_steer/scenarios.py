@@ -166,14 +166,8 @@ def _selection_from_dict(d, where):
     s1 = _require(d, "s1", where)
     s2 = _require(d, "s2", where)
     kappa = _optional(d, "kappa", None, where)
-    try:
-        with _constructing(where):
-            return BracketSelection(s1=tuple(s1), s2=tuple(tuple(p) for p in s2),
-                                    kappa=tuple(kappa) if kappa is not None else None)
-    except (TypeError, ValueError, IndexError, OverflowError):
-        raise ScenarioFormatError(
-            f"{where}: s1 must list integers, s2 integer pairs and kappa integers, "
-            f"got {d!r}") from None
+    with _constructing(where):
+        return BracketSelection(s1=s1, s2=s2, kappa=kappa)
 
 
 def _gains_from_dict(d, where):

@@ -45,10 +45,10 @@ divides its horizon into whole intervals, and the values stay in the range
 where a power-of-two rescaling of time is exact.  A driftless loop is
 invariant under t -> t / c with (gamma, epsilon) -> (c gamma, epsilon / c),
 so each entry is a row at the first entry's period with its gain scaled
-down; the rows retire one by one at their own interval counts, and only
-sampling instants are recorded (_one_clock_sweep).  Any other sweep, or one
-whose stacked run raises or leaves that range, runs one simulate_pi_epsilon
-per entry, which also raises any failure.
+down; the rows retire one by one at their own interval counts, every table
+keeping the rows left, and only sampling instants are recorded
+(_one_clock_sweep).  Any other sweep, or one whose stacked run raises or
+leaves that range, runs one simulate_pi_epsilon per entry.
 """
 
 import math
@@ -376,11 +376,6 @@ def _warn_substeps(nsub, kappa_max):
             f"(kappa={kappa_max}) with fewer than 20 sub-steps", RuntimeWarning)
 
 
-def _first_rows(control, k):
-    """A frozen control whose tables keep only its first k rows."""
-    return lambda ts: control(ts)[:, :k]
-
-
 def _plan_run(cfg, gains, kappa_max, n_rows):
     """(t_final, nsub, n_int, tail, n_intervals) of a run, refused if empty or over budget."""
     eps = gains.epsilon
@@ -417,8 +412,9 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build, ends=None):
     says when nsub gives kappa_max fewer than 20 sub-steps.  A final
     partial interval ends exactly at t_final.
 
-    Every interval, and the end of a horizon without a tail, begins with
-    one step: sample, steer, tabulate and record the start when due.  Each
+    Every interval, and the end of a horizon without a tail (an interval of
+    length 0), begins with one step: sample, steer, tabulate and record the
+    start when due.  Each
     table block is then advanced whole, by one block kernel call per group
     (_advance_block) or, when a group has none or the kernels' vector guard
     fails, by _generic_block: every row's generic sub-step, after each of
@@ -456,28 +452,25 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build, ends=None):
 
     def tabulate(held, j, lo):
         """Interval j's sub-step length, the times its sub-steps lo + 1 .. hi
-        use, and each row's held control at each, as arrays: every
-        sub-step's start base_t + (i - 1) h, midpoint and end, then the
-        block's end (the next sub-step's start, or the interval's end).
-        Past the last interval, its start alone, for the final record."""
+        use, and each group's held control at each (its first len(X) rows),
+        as arrays: every sub-step's start base_t + (i - 1) h, midpoint and
+        end, then the block's end (the next sub-step's start, or the
+        interval's end).  A tail-less horizon's end is interval n_int, h = 0."""
         base_t = j * eps
-        if j == n_intervals:
-            h, times = 0.0, np.array([base_t])
-        else:
-            is_tail = j == n_int
-            h = (tail if is_tail else eps) / nsub
-            hi = min(lo + TABLE_SUBSTEPS, nsub)
-            starts = base_t + np.arange(lo, hi) * h
-            n = 3 * (hi - lo)
-            times = np.empty(n + 1)
-            times[0:n:3] = starts
-            times[1:n:3] = starts + 0.5 * h
-            times[2:n:3] = starts + h
-            # Boundary instants use the grid expression, not accumulated
-            # sub-steps, to match the sampling clock exactly.
-            times[n] = (base_t + hi * h if hi < nsub
-                        else t_final if is_tail else (j + 1) * eps)
-        return h, times, [control(times) for control in held]
+        is_tail = j == n_int
+        h = (tail if is_tail else eps) / nsub
+        hi = min(lo + TABLE_SUBSTEPS, nsub)
+        starts = base_t + np.arange(lo, hi) * h
+        n = 3 * (hi - lo)
+        times = np.empty(n + 1)
+        times[0:n:3] = starts
+        times[1:n:3] = starts + 0.5 * h
+        times[2:n:3] = starts + h
+        # Boundary instants use the grid expression, not accumulated
+        # sub-steps, to match the sampling clock exactly.
+        times[n] = (base_t + hi * h if hi < nsub
+                    else t_final if is_tail else (j + 1) * eps)
+        return h, times, [control(times)[:, :len(X)] for control in held]
 
     rec = _Recorder(build)
     X = x0
@@ -491,8 +484,6 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build, ends=None):
             held = steer(X)
             if j in retire:
                 X = X[:retire[j]]
-                bounds = [0, len(X)]
-                held = [_first_rows(control, len(X)) for control in held]
             h, ts, tables = tabulate(held, j, 0)
             if dense and (g % stride == 0 or g == total_substeps):
                 rec.record(t, X, j, tables, 0)
@@ -550,7 +541,7 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
         states."""
         # Only the first instant's check can fail (gains are frozen); made
         # here, a bad y* is refused after the run's budget check.
-        _check_target(sys, gains)
+        _check_target(gains, n1)
         return [plan.held(X, X[:, :n1] - y_star, (gains.gamma,), gains.cond_cap, eps, (None,))]
 
     def build(rec):
@@ -579,19 +570,20 @@ def averaged_reference(y0, gains, t):
     if _as_real(t, "t") < 0:
         raise InvalidInputError(f"t must be >= 0, got {t}")
     y0 = as_state(_as_reals(y0, "y0"))
+    _check_target(gains, len(y0))
     y_star = gains.y_star_vec()
     return y_star + math.exp(-gains.gamma * t) * (y0 - y_star)
 
 
 def decay_report(traj, gains, rho):
-    """Summarize the sampled stabilization error against a floor radius rho."""
+    """Summarize the sampled stabilization error ||y - y*|| against a floor
+    radius rho; y* must have traj.n1 entries."""
     rho = _as_real(rho, "rho")
     times = np.asarray(traj.sample_times, dtype=float)
     if times.size < 2:
         raise InvalidInputError("decay report needs at least 2 samples")
-    y_star = gains.y_star_vec()
-    k = y_star.size
-    errs = np.linalg.norm(np.asarray(traj.sample_states)[:, :k] - y_star, axis=1)
+    _check_target(gains, traj.n1)
+    errs = np.linalg.norm(np.asarray(traj.sample_states)[:, :traj.n1] - gains.y_star_vec(), axis=1)
 
     t1 = math.inf
     # Scan from the end: t1 is the earliest instant whose whole suffix is <= rho.
@@ -718,7 +710,7 @@ def _one_clock_sweep(sys, sel, runs, x0, plans):
     try:
         check_selection(sys, sel)
         _check_field_lengths(sys, x0)
-        _check_target(sys, runs[0])
+        _check_target(runs[0], n1)
         plan = _SteeringPlan(sys, sel)
         rec = _run_sampled(cfg, runs[0], sel.kappa_max, np.tile(x0, (size, 1)),
                            [(("state",) * size, sys.drift, sys.control_fields)],

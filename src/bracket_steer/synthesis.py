@@ -15,8 +15,8 @@ np.sin over the stack, each bitwise the generic construction.  Every other
 registered system takes that construction, the definition: one model field
 per S1 column and one model bracket per S2 column, each bracket evaluating
 its own fields and Jacobians, row by row; no benchmark workload reaches it.
-validate_selection checks its probes in one pass and certifies them with
-one stacked build and one SVD per stack of at most PROBE_CHUNK matrices;
+validate_selection checks its probes in one pass (or per probe, in order)
+and certifies them by one stacked build and SVD per PROBE_CHUNK matrices;
 each steering solve keeps one SVD for its condition guard and one LU
 solve, and a stack of solves (solve_many) one of each for the whole stack.
 Both are the LAPACK gufuncs that np.linalg.svd and np.linalg.solve call,
@@ -39,7 +39,8 @@ from numpy.linalg._umath_linalg import svd as _lapack_svd
 
 from .errors import InvalidInputError, NonFiniteError, RankDegeneracyError, SelectionShapeError
 from .library import _FUSED_KEYS, _fused_columns
-from .model import _as_int, _as_real, _as_reals, _bracket, _field, _within_budget, as_state
+from .model import (_as_int, _as_list, _as_real, _as_reals, _bracket, _field, _within_budget,
+                    as_state)
 # Not called here: perfbench/tracer.py wraps synthesis.lie_bracket by name.
 from .model import lie_bracket  # noqa: F401
 
@@ -67,8 +68,9 @@ class BracketSelection:
     kappa: Optional[tuple] = None
 
     def __post_init__(self):
-        s1 = tuple(_as_int(i, "s1 entry") for i in self.s1)
-        s2 = tuple(tuple(_as_int(i, "s2 entry") for i in p) for p in self.s2)
+        s1 = tuple(_as_int(i, "s1 entry") for i in _as_list(self.s1, "s1"))
+        s2 = tuple(tuple(_as_int(i, "s2 entry") for i in _as_list(p, "s2 entry"))
+                   for p in _as_list(self.s2, "s2"))
         for p in s2:
             if len(p) != 2:
                 raise InvalidInputError(f"s2 entry must be a pair of indices, got {p!r}")
@@ -81,7 +83,7 @@ class BracketSelection:
             except KeyError as exc:
                 raise InvalidInputError(f"kappa mapping is missing pair {exc.args[0]}") from None
         else:
-            kappa = tuple(_as_int(k, "kappa entry") for k in kappa)
+            kappa = tuple(_as_int(k, "kappa entry") for k in _as_list(kappa, "kappa"))
             if len(kappa) != len(s2):
                 raise InvalidInputError(
                     f"kappa has {len(kappa)} entries for {len(s2)} bracket pairs")
@@ -367,17 +369,16 @@ def _solve_steering(F, rhs, cond_cap, x):
     return a
 
 
-def _check_target(sys, gains):
-    """Refuse a y* whose dimension is not n1."""
-    if len(gains.y_star) != sys.n1:
-        raise InvalidInputError(
-            f"y_star has dimension {len(gains.y_star)}, expected n1 = {sys.n1}")
+def _check_target(gains, n1):
+    """Refuse a y* whose dimension is not n1, the stabilized block's."""
+    if len(gains.y_star) != n1:
+        raise InvalidInputError(f"y_star has dimension {len(gains.y_star)}, expected n1 = {n1}")
 
 
 def steering_coefficients(sys, sel, gains, x):
     """a(x) solving F(x) a = -gamma (y - y*), ordered as (S1 entries, S2 entries)."""
     x = as_state(x, sys.n)
-    _check_target(sys, gains)
+    _check_target(gains, sys.n1)
     check_selection(sys, sel)
     # y - y* in Python floats: the same subtraction as numpy's.
     r = [v - t for v, t in zip(x.tolist(), gains.y_star)]
@@ -504,11 +505,11 @@ def _probe_array(probes, n):
 
     One np.asarray and one shape and finiteness test stand for every
     probe's as_state.  None, when any probe would fail it or the
-    conversion itself fails, sends the caller to its per-probe checks.
+    conversion itself fails, sends the caller to its per-probe pre-pass.
     """
     try:
         arr = np.asarray(probes, dtype=float)
-    except Exception:  # the per-probe check raises it again, in its place
+    except Exception:  # the per-probe pre-pass raises it again, in its place
         return None
     if arr.shape != (len(probes), n) or not np.isfinite(arr).all():
         return None
@@ -520,42 +521,35 @@ def validate_selection(sys, sel, probes, gains):
 
     Raises SelectionShapeError for structurally malformed selections;
     conditioning failures are reported in the certificate, not raised.
-    The probes are checked in one pass (_probe_array); if that fails, each
-    is checked by as_state just before its matrix, so a bad probe's error
-    and a field's error at an earlier probe keep the per-probe order.
-    The probes' matrices fill one reused stack of at most PROBE_CHUNK
-    matrices and PROBE_STACK_ENTRIES entries (but at least one matrix): in
-    one pass, the plan's matrices of the stack's rows; otherwise, the
-    plan's matrix of each probe.  Each full stack, then the rest, takes one
-    _conditioning call and one max of its ratios and of its 1 / smin, which
-    is the per-probe loop's result to the bit.  A zero or NaN (not
-    converged) smallest singular value fails the rank and makes both inf.
+    The probes are checked in one pass (_probe_array); if that fails, a
+    pre-pass checks each by as_state and builds its matrix alone, so errors
+    keep the per-probe order, and probes that pass go on as the rows.  The
+    rows' matrices (the plan's matrices) fill one reused stack of at most
+    PROBE_CHUNK matrices and PROBE_STACK_ENTRIES entries (but at least
+    one).  Each full stack, then the rest, takes one _conditioning call and
+    one max of its ratios and of its 1 / smin, which is the per-probe
+    loop's result to the bit.  A zero or NaN (not converged) smallest
+    singular value fails the rank and makes both inf.
     """
     check_selection(sys, sel)
+    probes = _as_list(probes, "probes")
     if len(probes) == 0:
         raise InvalidInputError("at least one probe state is required")
-    worst = 0.0
-    alpha = 0.0
+    worst = alpha = 0.0
     ok = True
-    rows = _probe_array(probes, sys.n)
-    one_pass = rows is not None
-    if one_pass:
-        states = rows.tolist()
-    else:
-        rows, states = probes, []
     plan = _SteeringPlan(sys, sel)
+    rows = _probe_array(probes, sys.n)
+    if rows is None:
+        rows = []
+        for x in probes:
+            rows.append(as_state(x, sys.n))
+            plan.matrix(rows[-1])
+        rows = np.array(rows)
     chunk = max(1, min(PROBE_CHUNK, PROBE_STACK_ENTRIES // (sys.n1 * sys.n1)))
     stack = np.empty((chunk, sys.n1, sys.n1))
-    for start in range(0, len(probes), chunk):
+    for start in range(0, len(rows), chunk):
         block = rows[start:start + chunk]
-        if one_pass:
-            F = plan.matrices(block, out=stack[:len(block)])
-        else:
-            F = stack[:len(block)]
-            for k, x in enumerate(block):
-                x = as_state(x, sys.n)
-                states.append(x.tolist())
-                F[k] = plan.matrix(x)
+        F = plan.matrices(block, out=stack[:len(block)])
         with np.errstate(all="ignore"):
             cond, smin = _conditioning(F)
             if (smin > 0.0).all():
@@ -568,5 +562,5 @@ def validate_selection(sys, sel, probes, gains):
     if worst > gains.cond_cap:
         ok = False
     return RankCertificate(
-        sampled_states=tuple(map(tuple, states)), worst_condition=worst,
+        sampled_states=tuple(map(tuple, rows.tolist())), worst_condition=worst,
         rank_ok=ok, alpha_estimate=alpha, cond_cap=gains.cond_cap)

@@ -190,6 +190,7 @@ def _gains(**kw):
 
 DISC = builtin_scenario("rolling-disc")
 SYS, SEL = DISC.system, DISC.selection
+FOLLOWER = builtin_scenario("unicycle-leader").agents[0]
 DISC_GAINS = ControllerGains(epsilon=0.5, gamma=1.0, y_star=(0.0, 0.0))
 SHORT = SimConfig(t_final=1.0)
 
@@ -333,12 +334,83 @@ _NUMBERS = {
                              "seed must be an integer"),
 }
 
-# Parameters that hold no number: systems, selections, gains, configs,
-# agents, runs, names, paths, callables and flags.
+# Every list-valued parameter of a callable in bracket_steer.__all__, as
+# "callable.parameter": a call with the value v in the whole list's place
+# (f is the short_formation fixture), a list the call takes, and the
+# refusal of a number or None in its place ("s1 must be a list"), or None
+# where the call's own checks type them: a list of numbers takes one number
+# as its one entry, and a state goes through as_state.
+_LISTS = {
+    "PartitionedSystem.control_fields": (lambda v, _: _system(control_fields=v), (np.sin,),
+                                         "control_fields must be a list"),
+    "PartitionedSystem.control_jacobians": (lambda v, _: _system(control_jacobians=v),
+                                            (np.sin,), "control_jacobians must be a list"),
+    "as_state.x": (lambda v, _: as_state(v), [0.0], None),
+    "eval_field.x": (lambda v, _: eval_field(SYS, 1, 0.0, v), _state(0.0), None),
+    "jacobian.x": (lambda v, _: jacobian(SYS, 1, v), _state(0.0), None),
+    "lie_bracket.x": (lambda v, _: lie_bracket(SYS, 1, 2, v), _state(0.0), None),
+    "finite_diff_jacobian.x": (lambda v, _: finite_diff_jacobian(np.sin, v), _state(0.0), None),
+    "BracketSelection.s1": (lambda v, _: BracketSelection(s1=v, s2=()), (1,), "s1 must be a list"),
+    "BracketSelection.s2": (lambda v, _: BracketSelection(s1=(), s2=v), ((1, 2),),
+                            "s2 must be a list"),
+    "BracketSelection.kappa": (lambda v, _: BracketSelection(s1=(), s2=((1, 2),), kappa=v),
+                               (1,), "kappa must be a list"),
+    "ControllerGains.y_star": (lambda v, _: _gains(y_star=v), (0.0,), None),
+    "extension_matrix.x": (lambda v, _: extension_matrix(SYS, SEL, v), _state(0.0), None),
+    "steering_coefficients.x": (lambda v, _: steering_coefficients(SYS, SEL, DISC_GAINS, v),
+                                _state(0.0), None),
+    "control_value.x_hold": (lambda v, _: control_value(SYS, SEL, DISC_GAINS, 0.0, v),
+                             _state(0.0), None),
+    "held_control.a": (lambda v, _: held_control(SEL, 0.5, 2, v, 0.3), [1.0, 2.0], None),
+    "validate_selection.probes": (lambda v, _: validate_selection(SYS, SEL, v, DISC_GAINS),
+                                  [_state(0.0)], "probes must be a list"),
+    "simulate_pi_epsilon.x0": (lambda v, _: simulate_pi_epsilon(SYS, SEL, DISC_GAINS, v, SHORT),
+                               _state(0.0), None),
+    "averaged_reference.y0": (lambda v, _: averaged_reference(v, DISC_GAINS, 0.5), [1.0, 0.0],
+                              None),
+    "epsilon_sweep.x0": (lambda v, _: epsilon_sweep(SYS, SEL, DISC_GAINS, v, 1.0, [0.5]),
+                         _state(0.0), None),
+    "epsilon_sweep.eps_list": (
+        lambda v, _: epsilon_sweep(SYS, SEL, DISC_GAINS, _state(0.0), 1.0, v), [0.5],
+        "eps_list must be a list of numbers"),
+    "FollowerAgent.offset": (lambda v, f: dataclasses.replace(f[0].agents[0], offset=v),
+                             (0.0, 0.0, 0.0), None),
+    "LeaderModel.x0": (lambda v, f: dataclasses.replace(f[0].leader, x0=v), (0.0, 0.0, 0.0),
+                       None),
+    "follower_steering.x_agent": (
+        lambda v, f: follower_steering(f[0].agents[0], f[0].gains, v, _state(0.0, 3)),
+        _state(0.0, 3), None),
+    "follower_steering.x_leader": (
+        lambda v, f: follower_steering(f[0].agents[0], f[0].gains, _state(0.0, 3), v),
+        _state(0.0, 3), None),
+    "simulate_formation.agents": (
+        lambda v, f: simulate_formation(v, f[0].leader, [_state(0.0, 3)], f[0].gains,
+                                        SimConfig(t_final=0.2)), (FOLLOWER,),
+        "agents must be a list"),
+    "simulate_formation.x0s": (
+        lambda v, f: simulate_formation(f[0].agents[:1], f[0].leader, v, f[0].gains,
+                                        SimConfig(t_final=0.2)), [_state(0.0, 3)],
+        "x0s must be a list"),
+    "gain_condition_report.agents": (
+        lambda v, f: gain_condition_report(f[0].leader, v, 0.1, f[1].dense_times,
+                                           f[1].leader_states), (FOLLOWER,),
+        "agents must be a list"),
+    "gain_condition_report.dense_times": (
+        lambda v, f: gain_condition_report(f[0].leader, f[0].agents, 0.1, v,
+                                           f[1].leader_states[:1]), [0.0],
+        "dense_times must be a list"),
+    "gain_condition_report.leader_states": (
+        lambda v, f: gain_condition_report(f[0].leader, f[0].agents, 0.1, f[1].dense_times[:1],
+                                           v), [_state(0.0, 3)], "leader_states must be a list"),
+}
+# None asks these for their default.
+_LIST_TAKES_NONE = {"BracketSelection.kappa"}
+
+# Parameters that hold no number and no list: systems, selections, gains,
+# configs, agents, runs, names, paths, callables and flags.
 _NOT_NUMBERS = {"sys", "sel", "gains", "gains_base", "cfg", "system", "selection", "agent",
-                "agents", "leader", "traj", "bundle", "data", "path", "name", "dynamics",
-                "drift", "control_fields", "control_jacobians", "domain_check", "field",
-                "replace"}
+                "leader", "traj", "bundle", "data", "path", "name", "dynamics", "drift",
+                "domain_check", "field", "replace"}
 # Records: exceptions and results keep what they are given, unchecked; a
 # ScenarioBundle is built by the loader, which checks every field.
 _RECORDS = {"BracketSteerError", "InvalidInputError", "SelectionShapeError",
@@ -359,9 +431,9 @@ def test_number_table_covers_every_public_parameter():
             continue
         for param in inspect.signature(obj).parameters:
             key = f"{name}.{param}"
-            assert key in _NUMBERS or param in _NOT_NUMBERS, key
+            assert key in _NUMBERS or key in _LISTS or param in _NOT_NUMBERS, key
             listed.add(key)
-    assert set(_NUMBERS) <= listed and _RECORDS <= set(bracket_steer.__all__)
+    assert set(_NUMBERS) | set(_LISTS) <= listed and _RECORDS <= set(bracket_steer.__all__)
 
 
 @pytest.mark.parametrize("param", sorted(_NUMBERS))
@@ -395,6 +467,41 @@ def test_public_numeric_parameters_refuse_non_numbers(short_formation, param, ba
     with pytest.raises(InvalidInputError) as info:
         call(bad, short_formation)
     assert str(info.value) == f"{refusal}, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [1.5, None], ids=repr)
+@pytest.mark.parametrize("param", sorted(_LISTS))
+def test_public_lists_refuse_a_number_or_none(short_formation, param, bad):
+    # A number or None where a list belongs is taken, or refused with a
+    # package error, naming the parameter where the row gives its refusal;
+    # never a bare TypeError from iterating it.
+    call, good, refusal = _LISTS[param]
+    call(good, short_formation)
+    if refusal is None or (bad is None and param in _LIST_TAKES_NONE):
+        try:
+            call(bad, short_formation)
+        except BracketSteerError:
+            pass
+        return
+    with pytest.raises(InvalidInputError) as info:
+        call(bad, short_formation)
+    assert str(info.value) == f"{refusal}, got {bad!r}"
+
+
+def test_list_entries_and_paired_lengths_are_typed(short_formation):
+    # A number or None in place of an S2 pair, and a leader path whose
+    # times and states differ in count on the per-point path, which pairs
+    # them.
+    for bad in (1, None):
+        with pytest.raises(InvalidInputError) as info:
+            BracketSelection(s1=(), s2=(bad,))
+        assert str(info.value) == f"s2 entry must be a list, got {bad!r}"
+    b, ftraj = short_formation
+    leader = dataclasses.replace(b.leader, dynamics=lambda t, x: b.leader.dynamics(t, x))
+    with pytest.raises(InvalidInputError) as info:
+        gain_condition_report(leader, b.agents, 0.1, ftraj.dense_times[:5],
+                              ftraj.leader_states[:3])
+    assert str(info.value) == "got 5 dense_times for 3 leader_states"
 
 
 def test_agent_index_refuses_a_fraction(short_formation):

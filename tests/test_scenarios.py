@@ -342,6 +342,24 @@ def test_integer_fields_refuse_non_integers(key, value):
             assert repr(got) in ("2", "(2,)", "((1, 2),)"), (ok, got)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("s1", 1.5, "s1 must be a list, got 1.5"),
+    ("s1", None, "s1 must be a list, got None"),
+    ("s2", 2, "s2 must be a list, got 2"),
+    ("s2", [1, 2], "s2 entry must be a list, got 1"),
+    ("s2", [None], "s2 entry must be a list, got None"),
+    ("kappa", 1, "kappa must be a list, got 1"),
+])
+def test_selection_lists_refuse_a_number_or_none(key, value, message):
+    # BracketSelection types its own lists, so the loader reports its
+    # refusal under the block's name.
+    d = scenario_to_dict(builtin_scenario("rolling-disc"))
+    d["selection"][key] = value
+    with pytest.raises(ScenarioFormatError) as info:
+        scenario_from_dict(d)
+    assert str(info.value) == f"selection: {message}"
+
+
 def _edited(name, path, value):
     """The built-in's scenario dict with the entry at path set to value."""
     d = scenario_to_dict(builtin_scenario(name))

@@ -724,6 +724,38 @@ def test_averaged_reference():
         averaged_reference(y0, gains, -0.1)
 
 
+def test_averaged_reference_refuses_a_y_star_of_another_dimension():
+    # y* and y0 are both the stabilized block: neither broadcasts against
+    # the other, and the refusal is the steering solve's.
+    gains2 = ControllerGains(epsilon=0.25, gamma=2.0, y_star=(1.0, -1.0))
+    gains1 = ControllerGains(epsilon=0.25, gamma=2.0, y_star=(1.0,))
+    gains3 = ControllerGains(epsilon=0.25, gamma=2.0, y_star=(1.0, -1.0, 0.0))
+    for y0, gains, message in (([3.0, 0.0], gains1, "y_star has dimension 1, expected n1 = 2"),
+                               ([3.0], gains2, "y_star has dimension 2, expected n1 = 1"),
+                               ([3.0, 0.0], gains3, "y_star has dimension 3, expected n1 = 2")):
+        with pytest.raises(InvalidInputError) as info:
+            averaged_reference(y0, gains, 0.5)
+        assert str(info.value) == message
+
+
+def test_decay_report_measures_the_stabilized_block_of_the_trajectory():
+    # A formation's displacement trajectory has n1 = 3: its y* has three
+    # entries, and a shorter or longer one is refused, not cut to its own
+    # length or broadcast.
+    b = builtin_scenario("unicycle-leader")
+    traj = simulate_formation(b.agents[:1], b.leader, b.agent_x0s[:1], b.gains,
+                              SimConfig(t_final=2.0)).displacement_trajs[0]
+    assert traj.n1 == 3
+    want = decay_report(traj, b.gains, 0.3)
+    errs = np.linalg.norm(traj.sample_states, axis=1)
+    assert want.t1 == traj.sample_times[np.flatnonzero(errs > 0.3)[-1] + 1]
+    for y_star in ((0.0,), (0.0,) * 4):
+        gains = dataclasses.replace(b.gains, y_star=y_star)
+        with pytest.raises(InvalidInputError) as info:
+            decay_report(traj, gains, 0.3)
+        assert str(info.value) == f"y_star has dimension {len(y_star)}, expected n1 = 3"
+
+
 def _synthetic_traj(times, errs):
     states = np.column_stack([errs, np.zeros_like(errs)])
     return SampledTrajectory(

@@ -1,5 +1,6 @@
-"""The closed loop's time-rescaling and x4 symmetries, and the epsilon sweep
-pinned against its per-epsilon oracle (tests/oracles.sweep_reference)."""
+"""The closed loop's time-rescaling, x4 and SE(2) rotation symmetries, and the
+epsilon sweep pinned against its per-epsilon oracle
+(tests/oracles.sweep_reference)."""
 
 import dataclasses
 import warnings
@@ -96,6 +97,86 @@ def test_stationary_leader_formation_time_rescaling_is_bitwise(c):
         assert got.dense_controls.tobytes() == (want.dense_controls * c).tobytes()
     for got, want in zip(scaled.error_series, base.error_series):
         assert got.tobytes() == want.tobytes()
+
+
+# SE(2) equivariance: rotating every position by phi about the origin, and
+# adding phi to every heading, rotates the whole run under the same
+# controls.  It holds to rounding, not bitwise, and the bracket amplitude
+# 2 sqrt(pi kappa |a| / epsilon) magnifies rounding where a coefficient
+# nears 0: once y - y* (or x - x_L - d) has converged, its last-bit
+# difference delta ~ 1e-16 |y*| moves an amplitude by up to
+# 2 sqrt(pi kappa gamma delta / epsilon), about 1e-7 here.  Calibrated once
+# over the draw in _rotation_runs (ROTATION_SEED; phi in _ANGLES; t <= 10):
+# worst state difference 3.84e-8 (the disc, phi = 1.0, either path), worst
+# control difference 5.77e-7 (the formation, phi = 0.3).  With y* = 0 and
+# the built-in x0 there is no cancellation, and the disc agrees within
+# 1.1e-14 (states) and 8.4e-14 (controls).  The tolerances keep a 5x
+# margin over the worst observed values.
+ROTATION_SEED = 20261020
+ROTATION_STATE_TOL = 2e-7
+ROTATION_CONTROL_TOL = 3e-6
+_ANGLES = (0.3, 1.0, 2.5)
+
+
+def _rotate(phi, x, heading=True):
+    """x (..., p) with its first two entries rotated by phi, and phi added
+    to its third, the heading, when heading is set."""
+    c, s = np.cos(phi), np.sin(phi)
+    out = np.array(x, dtype=float)
+    out[..., 0], out[..., 1] = c * out[..., 0] - s * out[..., 1], s * out[..., 0] + c * out[..., 1]
+    if heading:
+        out[..., 2] += phi
+    return out
+
+
+def _rotation_runs(case, phi):
+    """The dense states and controls of case's seeded runs, everything
+    rotated by phi: the disc from three probe-box x0s toward seeded y*
+    (the block kernel, or "generic", a copy with wrapped fields, the
+    generic sub-steps and matrix), or "formation", two unicycle followers
+    of a stationary leader (the generic sub-steps), whose x0s, offsets and
+    leader state turn together."""
+    rng = np.random.default_rng(ROTATION_SEED)
+    runs = []
+    if case == "formation":
+        offsets = [(*rng.uniform(-0.5, 0.5, size=2), 0.0) for _ in range(2)]
+        x0s = rng.uniform(-1.5, 1.5, size=(2, 3))
+        agents = [FollowerAgent(system=FOLLOWER.system, selection=FOLLOWER.selection,
+                                gamma=gamma, offset=tuple(_rotate(phi, d, heading=False)))
+                  for gamma, d in zip((2.0, 3.0), offsets)]
+        leader = LeaderModel(name="stationary", dynamics=leader_field("stationary"),
+                             x0=tuple(_rotate(phi, rng.uniform(-1.0, 1.0, size=3))))
+        gains = ControllerGains(epsilon=0.2, gamma=1.0, y_star=(0.0, 0.0, 0.0))
+        ftraj = simulate_formation(agents, leader, _rotate(phi, x0s), gains,
+                                   SimConfig(t_final=10.0))
+        runs.append((ftraj.leader_states, np.empty(0)))
+        runs += [(traj.dense_states, traj.dense_controls) for traj in ftraj.agent_trajs]
+        return runs
+    system = SYSTEMS["wrapped-fields" if case == "generic" else "disc"]
+    for x0, y_star in zip(rng.uniform(BOX[:, 0], BOX[:, 1], size=(3, 4)),
+                          rng.uniform(-1.0, 1.0, size=(3, 2))):
+        gains = ControllerGains(epsilon=0.4, gamma=2.0,
+                                y_star=tuple(_rotate(phi, y_star, heading=False)))
+        traj = simulate_pi_epsilon(system, DISC.selection, gains, _rotate(phi, x0),
+                                   SimConfig(t_final=10.0))
+        runs.append((traj.dense_states, traj.dense_controls))
+    return runs
+
+
+def _rotation_differences(case, phi):
+    """The largest state and control differences between case's runs
+    rotated by phi and its unrotated runs turned by phi afterwards."""
+    pairs = list(zip(_rotation_runs(case, phi), _rotation_runs(case, 0.0)))
+    return (max(np.abs(got - _rotate(phi, want)).max() for (got, _), (want, _) in pairs),
+            max(np.abs(got - want).max(initial=0.0) for (_, got), (_, want) in pairs))
+
+
+@pytest.mark.parametrize("phi", _ANGLES)
+@pytest.mark.parametrize("case", ["disc", "generic", "formation"])
+def test_rotation_equivariance(case, phi):
+    states, controls = _rotation_differences(case, phi)
+    assert states <= ROTATION_STATE_TOL
+    assert controls <= ROTATION_CONTROL_TOL
 
 
 # ---------------------------------------------------------------------------
