@@ -24,9 +24,9 @@ import numpy as np
 
 from . import library
 from .errors import InvalidInputError, NonFiniteError
-from .model import _as_int, _as_list, _as_real, _as_reals, as_state
+from .model import BLOCK_VALUES, _as_int, _as_list, _as_real, _as_reals, as_state
 from .simulate import (SampledTrajectory, SimConfig, _check_field_length, _check_field_lengths,
-                       _run_sampled)
+                       _error_norms, _run_sampled)
 from .synthesis import _SteeringPlan, check_selection, held_control
 # Not called here: perfbench/tracer.py wraps formation._guard, _rk4_step,
 # extension_matrix and _solve_steering by name.
@@ -255,12 +255,12 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
         return held
 
     def build(rec):
-        dense = np.array(rec.states).reshape(-1, n_rows, p)
-        samples = np.array(rec.sample_states).reshape(-1, n_rows, p)
-        sample_times = np.array(rec.sample_times)
-        dense_times = np.array(rec.times)
-        intervals = np.array(rec.intervals, dtype=int)
-        controls = np.split(np.array(rec.controls).reshape(len(dense_times), sum(ms)),
+        dense = np.frombuffer(rec.states).reshape(-1, n_rows, p)
+        samples = np.frombuffer(rec.sample_states).reshape(-1, n_rows, p)
+        sample_times = np.frombuffer(rec.sample_times)
+        dense_times = np.frombuffer(rec.times)
+        intervals = np.frombuffer(rec.intervals, dtype=np.int64)
+        controls = np.split(np.frombuffer(rec.controls).reshape(len(dense_times), sum(ms)),
                             np.cumsum(ms)[:-1], axis=1)
         leader_states = dense[:, 0]
         leader_samples = samples[:, 0]
@@ -270,8 +270,11 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
         for idx, agent in enumerate(agents):
             states = dense[:, idx + 1]
             d = agent.offset_vec()
-            disp_dense = states - leader_states - d
-            err = np.linalg.norm(disp_dense, axis=1)
+            # (x - x_L) - d, rounded as states - leader_states - d is, with
+            # no second whole-run temporary.
+            disp_dense = np.subtract(states, leader_states)
+            disp_dense -= d
+            err = _error_norms(disp_dense, 0.0)
             shared = dict(epsilon=eps, n1=p, sample_times=sample_times,
                           dense_times=dense_times, dense_controls=controls[idx],
                           y_error=err, interval_index=intervals)
@@ -296,29 +299,32 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
 
 
 def _leader_speeds(leader, dense_times, leader_states):
-    """||f(t, x_L(t))|| = sqrt(v . v) at each dense point, as an array.
+    """||f(t, x_L(t))|| = sqrt(v . v) at each dense point, as an array, one
+    per leader state: unequal counts are refused.
 
-    The figure-eight leader, chosen by identity, takes one numpy pass over
-    the times (np.vecdot sums v . v as v.dot(v) does on a 3-vector); any
-    other field is called point by point, at one leader state per time, so
-    unequal counts are refused there.  A NaN speed raises
-    NonFiniteError naming the first such t, on either path.
+    The figure-eight leader, chosen by identity, fills the speeds one block
+    of BLOCK_VALUES times at a time, in numpy passes over the times
+    (np.vecdot sums v . v as v.dot(v) does on a 3-vector); any other field
+    is called point by point.  A NaN speed raises NonFiniteError naming the
+    first such t, on either path.
     """
     try:
         times = np.asarray(dense_times, dtype=float)
     except (TypeError, ValueError, OverflowError):  # the gate names the entry at fault
         times = np.array(_as_reals(dense_times, "dense_times"))
+    if len(times) != len(leader_states):
+        raise InvalidInputError(
+            f"got {len(times)} dense_times for {len(leader_states)} leader_states")
     if leader.dynamics is library._figure_eight:
+        speeds = np.empty(len(times))
         with np.errstate(invalid="ignore"):
-            v = library._figure_eight_velocities(times)
-        speeds = np.sqrt(np.vecdot(v, v))
+            for lo in range(0, len(times), BLOCK_VALUES):
+                v = library._figure_eight_velocities(times[lo:lo + BLOCK_VALUES])
+                speeds[lo:lo + BLOCK_VALUES] = np.sqrt(np.vecdot(v, v))
         nan = np.flatnonzero(np.isnan(speeds))
         if nan.size:
             raise _nan_speed(leader, times[nan[0]])
         return speeds
-    if len(times) != len(leader_states):
-        raise InvalidInputError(
-            f"got {len(times)} dense_times for {len(leader_states)} leader_states")
     speeds = []
     for t, xL in zip(times.tolist(), leader_states):
         v = np.asarray(leader.dynamics(t, xL), float)

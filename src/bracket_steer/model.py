@@ -19,6 +19,18 @@ from .errors import InvalidInputError, NonFiniteError
 
 MAX_ROW_SUBSTEPS = 10_000_000  # work budget: intervals x sub-steps x rows
 
+# Values per block of every whole-run array pass: float_text's calls, the
+# error norms and the leader speeds.  A block's temporaries grow with its
+# values, so a run's peak memory is its trajectory plus one block's
+# temporaries, a few MB at most, whatever its length or a table's width.
+BLOCK_VALUES = 4096
+
+
+def block_rows(cols):
+    """Rows per block of a table of cols columns: BLOCK_VALUES values, and
+    one row at least."""
+    return max(1, BLOCK_VALUES // cols)
+
 
 def as_state(x, n=None):
     """Coerce x to a finite 1-d float64 vector, optionally of dimension n."""

@@ -21,7 +21,7 @@ import numpy as np
 from . import library
 from .errors import InvalidInputError, ScenarioFormatError, UnknownScenarioError
 from .formation import FollowerAgent, LeaderModel
-from .model import _as_int, _as_real, _as_reals, _within_budget
+from .model import BLOCK_VALUES, _as_int, _as_real, _as_reals, _within_budget, block_rows
 from .simulate import SimConfig
 from .synthesis import BracketSelection, ControllerGains, check_selection, validate_selection
 
@@ -319,18 +319,6 @@ def _json(o, nl):
         yield json.dumps(o, indent=2).replace("\n", nl)
 
 
-# Values per float_text call.  Its temporaries grow with the values in a
-# block, about 450 bytes each, so a block of rows is capped by its value
-# count: whatever a table's width, a call holds a few MB at most.
-BLOCK_VALUES = 4096
-
-
-def block_rows(cols):
-    """Rows per float_text call for a table of cols columns: BLOCK_VALUES
-    values, and one row at least."""
-    return max(1, BLOCK_VALUES // cols)
-
-
 def _json_floats(a, nl):
     """Yield the indent=2 text of a non-empty 1-d or 2-d float64 array's
     tolist(), one float_text block at a time."""
@@ -372,6 +360,9 @@ _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for binary64
 # j as the letter chr(97 + j), they are _SOURCE.
 _SOURCE = b"\0.-0\0\0\0abcdefghijklmnopq"
 _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+# Values per gather of text bytes in float_text: its source indices take
+# 192 bytes per value, so a block's are built a few slices at a time.
+_GATHER_VALUES = BLOCK_VALUES // 8
 
 
 @functools.cache
@@ -474,7 +465,13 @@ def float_text(block, shortest, sep, row_end):
     of each row by row_end (no shorter than sep).  Each value is written as
     float.__repr__ writes it when shortest is true, else as "%.17g" does,
     except that a non-finite value is JSON's NaN, Infinity or -Infinity
-    under shortest."""
+    under shortest.
+
+    Each intermediate is dropped once consumed, and the text's source
+    indices are gathered _GATHER_VALUES values at a time, so a call's
+    transient memory is about 110 bytes per value of the block for "%.17g"
+    and 140 for the shortest digits, and under 200 when every value falls
+    back to "%" or float.__repr__."""
     pow10, pow10_hi, pow10_lo, lead_words, group_words, group_keep, templates = _float_tables()
     rows, cols = block.shape
     v = np.asarray(block, dtype=np.float64).reshape(-1)
@@ -487,38 +484,57 @@ def float_text(block, shortest, sep, row_end):
     hi = a * scale
     t = a * _SPLIT
     ah = t - (t - a)
+    del t
     al = a - ah
     ph = np.take(pow10_hi, k)
     pl = np.take(pow10_lo, k)
+    del k
     lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    del ah, al, ph, pl
     # "%.17g"'s digits: hi is even, so rint rounds half to even as it does.
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     # hi + lo in [1e16, 1e17) confirms X; D = 10^17 would carry into X + 1.
     ok = fast & (hi >= 1e16) & ((hi > 1e16) | (lo >= 0.0)) & (d < 10 ** 17)
+    del fast
     if shortest:
         d, ok = _shortest_digits(a, scale, hi, lo, d, ok)
+    del a, scale, hi, lo
     d[~ok] = 10 ** 16
     x[~ok] = 0
     q, r8 = np.divmod(d, 10 ** 8)
+    del d
     d0, r = np.divmod(q, 10 ** 8)
+    del q
     g1, g2 = np.divmod(r, 10 ** 4)
     g3, g4 = np.divmod(r8, 10 ** 4)
+    del r, r8
     words = np.empty((v.size, 6), dtype=np.uint32)
     words.view(np.uint64)[:, 0] = np.take(lead_words, d0)
+    del d0
     for i, g in enumerate((g1, g2, g3, g4), 2):
         words[:, i] = np.take(group_words, g)
     keep = np.maximum(np.maximum(np.take(group_keep[0], g1), np.take(group_keep[1], g2)),
                       np.maximum(np.take(group_keep[2], g3), np.take(group_keep[3], g4)))
+    del g, g1, g2, g3, g4
     # Both rules write every digit before the point: keep X + 1 at least.
     keep = np.maximum(keep, x + 1)
-    src = np.take(templates[shortest], ((x + 4) * 18 + keep) * 2 + np.signbit(v), axis=0)
-    src += np.arange(0, len(_SOURCE) * v.size, len(_SOURCE))[:, None]
+    template = ((x + 4) * 18 + keep) * 2 + np.signbit(v)
+    del x, keep
     # Each row: cols fields of _FIELD text bytes and sep, then row_end over
     # the last sep and the len(row_end) - len(sep) bytes after it.
     width = _FIELD + len(sep)
     out = np.empty((rows, cols * width + len(row_end) - len(sep)), dtype=np.uint8)
     fields = out[:, :cols * width].reshape(rows, cols, width)
-    fields[..., :_FIELD] = np.take(words.view(np.uint8), src).reshape(rows, cols, _FIELD)
+    source = words.view(np.uint8).reshape(v.size, len(_SOURCE))
+    step = max(1, _GATHER_VALUES // cols)
+    offsets = np.arange(0, len(_SOURCE) * step * cols, len(_SOURCE))[:, None]
+    for r in range(0, rows, step):
+        stop = min(r + step, rows)
+        span = slice(r * cols, stop * cols)
+        src = np.take(templates[shortest], template[span], axis=0)
+        src += offsets[:len(src)]
+        fields[r:stop, :, :_FIELD] = np.take(source[span], src).reshape(stop - r, cols, _FIELD)
+    del words, source, template
     fields[..., _FIELD:] = np.frombuffer(sep.encode(), dtype=np.uint8)
     out[:, cols * width - len(sep):] = np.frombuffer(row_end.encode(), dtype=np.uint8)
     slow = np.flatnonzero(~ok)

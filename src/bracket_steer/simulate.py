@@ -65,7 +65,8 @@ from . import library
 from .errors import DivergenceError, InvalidInputError, RankDegeneracyError
 # MAX_ROW_SUBSTEPS is read here by name, so patching simulate.MAX_ROW_SUBSTEPS
 # moves the run's budget.
-from .model import MAX_ROW_SUBSTEPS, _as_int, _as_real, _as_reals, _count, as_state
+from .model import (MAX_ROW_SUBSTEPS, _as_int, _as_real, _as_reals, _count, as_state,
+                    block_rows)
 from .synthesis import _check_target, _SteeringPlan, check_selection, frozen_control
 # Not called here: perfbench/tracer.py wraps simulate.held_control and
 # simulate.steering_coefficients by name.
@@ -213,8 +214,11 @@ class _Recorder:
     index: an interval's start, or t_final after a tail; record_block()
     appends a table block's due sub-step ends at once; sample() appends a
     sampling instant and the rows' states there; build() hands the recorder
-    to the caller's build, which reshapes each buffer once into the
-    caller's trajectory type.
+    to the caller's build, which wraps each buffer with np.frombuffer, no
+    copy, and reshapes it into the caller's trajectory type.  The buffers so
+    become the trajectory: nothing is appended after build, which either
+    ends the run or makes the failure's .partial (and an array.array that
+    exports its buffer refuses to grow).
     """
 
     def __init__(self, build):
@@ -253,6 +257,17 @@ class _Recorder:
         # past the float range there is inf, not a warning.
         with np.errstate(over="ignore"):
             return self._build(self)
+
+
+def _error_norms(rows, target):
+    """np.linalg.norm(rows - target, axis=1), a block of BLOCK_VALUES values
+    of rows at a time: each row's norm is the same, bit for bit, and the
+    temporaries are one block's."""
+    norms = np.empty(len(rows))
+    step = block_rows(rows.shape[1])
+    for lo in range(0, len(rows), step):
+        norms[lo:lo + step] = np.linalg.norm(rows[lo:lo + step] - target, axis=1)
+    return norms
 
 
 def _guard_state(x, t, what):
@@ -545,20 +560,17 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
         return [plan.held(X, X[:, :n1] - y_star, (gains.gamma,), gains.cond_cap, eps, (None,))]
 
     def build(rec):
-        states = np.array(rec.states).reshape(-1, sys.n)
-        # The error is taken right after stacking: later, its temporary
-        # would sit on top of every other array and raise peak memory.
-        y_err = np.linalg.norm(states[:, :n1] - y_star, axis=1)
+        states = np.frombuffer(rec.states).reshape(-1, sys.n)
         return SampledTrajectory(
             epsilon=eps,
             n1=n1,
-            sample_times=np.array(rec.sample_times),
-            sample_states=np.array(rec.sample_states).reshape(-1, sys.n),
-            dense_times=np.array(rec.times),
+            sample_times=np.frombuffer(rec.sample_times),
+            sample_states=np.frombuffer(rec.sample_states).reshape(-1, sys.n),
+            dense_times=np.frombuffer(rec.times),
             dense_states=states,
-            dense_controls=np.array(rec.controls).reshape(-1, m),
-            y_error=y_err,
-            interval_index=np.array(rec.intervals, dtype=int),
+            dense_controls=np.frombuffer(rec.controls).reshape(-1, m),
+            y_error=_error_norms(states[:, :n1], y_star),
+            interval_index=np.frombuffer(rec.intervals, dtype=np.int64),
         )
 
     return _run_sampled(cfg, gains, sel.kappa_max, x0[None],
@@ -632,14 +644,30 @@ def _sweep_epsilons(eps_list):
 
 
 def _max_deviation(y0, gains, times, ys):
-    """max_j ||ys[j] - averaged_reference(y0, gains, times[j])||, at least 0.0:
-    the references in one array pass of averaged_reference's own operations
-    (math.exp per time, then elementwise), and each norm by np.linalg.norm
-    on its row, as a per-sample loop takes them."""
+    """max_j ||ys[j] - averaged_reference(y0, gains, times[j])||, at least 0.0,
+    bitwise the per-sample loop's: the references in one array pass of
+    averaged_reference's own operations (math.exp per time, then
+    elementwise), and the maximum over each row's np.linalg.norm.
+
+    That norm's length-n dot product rounds its sum of squares unlike an
+    array sum, but each is within gamma_n = n u / (1 - n u) of the exact sum
+    in ratio (u = 2^-53), so the row of largest norm has an array square
+    within 1 - ((1 - gamma_n) / (1 + gamma_n))^2 < 8 (n + 1) u of the largest
+    one, and only the rows that close take np.linalg.norm.  When the largest
+    square lies outside [2^-900, 2^900), inf included, where underflow or
+    overflow voids that bound, every row does.  A NaN row is never the
+    maximum, as in the loop's max.
+    """
     y_star = gains.y_star_vec()
     decay = np.array([math.exp(-gains.gamma * t) for t in times])
-    refs = y_star + decay[:, None] * (y0 - y_star)
-    return max(0.0, *map(float, map(np.linalg.norm, ys - refs)))
+    residuals = ys - (y_star + decay[:, None] * (y0 - y_star))
+    with np.errstate(over="ignore"):  # an inf square sends every row to the norm
+        squares = (residuals * residuals).sum(axis=1)
+    top = np.fmax.reduce(squares, initial=0.0)
+    if 2.0 ** -900 <= top < 2.0 ** 900:
+        margin = 8 * (residuals.shape[1] + 1) * 2.0 ** -53
+        residuals = residuals[squares >= top * (1 - margin)]
+    return max(0.0, *map(float, map(np.linalg.norm, residuals)))
 
 
 # A one-clock sweep's row for entry k runs that entry's loop at the period
@@ -717,7 +745,7 @@ def _one_clock_sweep(sys, sel, runs, x0, plans):
                            steer, lambda rec: rec, ends)
     except Exception:  # the per-epsilon runs raise it again, as they raise it
         return None
-    samples = np.array(rec.sample_states).reshape(-1, sys.n)
+    samples = np.frombuffer(rec.sample_states).reshape(-1, sys.n)
     # The first sample of each instant: instant j samples the rows with ends >= j.
     live = (np.array(ends) >= np.arange(ends[0] + 1)[:, None]).sum(axis=1)
     first = np.cumsum(live) - live

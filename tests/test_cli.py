@@ -924,22 +924,41 @@ def _recorder_bytes_per_substep(monkeypatch):
     return sizes
 
 
+def _trajectory_bytes(monkeypatch):
+    """Traced bytes held by each trajectory cli's simulate_formation returns."""
+    sizes = []
+    simulate_formation = cli.simulate_formation
+
+    def measured(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        ftraj = simulate_formation(*args)
+        sizes.append(tracemalloc.get_traced_memory()[0] - before)
+        return ftraj
+
+    monkeypatch.setattr(cli, "simulate_formation", measured)
+    return sizes
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_run_peak_memory_grows_with_the_record_not_the_text(tmp_path, monkeypatch, fmt):
-    # Traced peak of `run unicycle-leader` at two horizons, 4800 and 9600
-    # sub-steps, both past every float_text block (4096 rows at most).  The
-    # run keeps its record, about 81 recorder bytes per sub-step, 104 once
-    # built into the trajectory with its error series; the export streams
-    # one block at a time, so the peak grows by under twice the recorder's
-    # bytes per sub-step.  A whole CSV text is about 217 bytes per row and
-    # was held twice (about 430 bytes per sub-step), and a whole JSON text
-    # about 830 bytes per sub-step.
+    # Traced peak of `run unicycle-leader` at four horizons: 4800 and 9600
+    # sub-steps, both past every float_text block (4096 values at most), and
+    # 24 000 and 48 000.  The run keeps its record, about 81 recorder bytes
+    # per sub-step.  The trajectory built from it holds those buffers
+    # themselves (np.frombuffer) and the displacements and error series:
+    # about 113 traced bytes per sub-step.  Everything else (norms, leader
+    # speeds, text) is made one block at a time, so the peak grows by under
+    # twice the recorder's bytes per sub-step, and by under 1.3 times the
+    # trajectory's.  A whole CSV text was held twice (about 430 bytes per
+    # sub-step) and a whole JSON text about 830; with the export streamed,
+    # the build's copies of the buffers and the whole-run norm and speed
+    # temporaries still made about 226 bytes per sub-step.
     sizes = _recorder_bytes_per_substep(monkeypatch)
+    held = _trajectory_bytes(monkeypatch)
     peaks = {}
-    for t_final in (12, 24):
+    for t_final in (12, 12, 24, 60, 120):  # the first run warms every cache
         argv = ["run", "unicycle-leader", "--t-final", str(t_final), "--format", fmt,
                 "--out", str(tmp_path / f"out.{fmt}")]
-        assert main(argv) == 0
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -947,9 +966,13 @@ def test_run_peak_memory_grows_with_the_record_not_the_text(tmp_path, monkeypatc
             peaks[t_final] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-    per_substep = (peaks[24] - peaks[12]) / 4800
+    short = (peaks[24] - peaks[12]) / 4800
+    long = (peaks[120] - peaks[60]) / 24_000
+    built = (held[-1] - held[-2]) / 24_000
     assert 70 < sizes[-1] < 90
-    assert 0 < per_substep < 2 * sizes[-1], (per_substep, sizes)
+    assert 100 < built < 140, held
+    assert 0 < short < 2 * sizes[-1], (short, sizes)
+    assert 0 < long <= 1.3 * built, (long, built, peaks)
 
 
 def test_log_env_does_not_change_output(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,8 +305,28 @@ def test_figure_eight_speeds_match_the_loop_per_point(uni_agent, form_gains, fig
     times = times[:40].copy()
     times[17:19] = math.nan
     with pytest.raises(NonFiniteError) as info:
-        gain_condition_report(fig8_leader, [uni_agent], 0.3, times, states)
+        gain_condition_report(fig8_leader, [uni_agent], 0.3, times, states[:40])
     assert str(info.value) == "leader field 'figure-eight' returned NaN at t=nan"
+
+
+def test_gain_condition_peak_grows_by_the_speeds_only(uni_agent, fig8_leader):
+    # The figure-eight's speeds are filled one block of times at a time, so
+    # the traced peak of the report grows with the path by the speeds array
+    # alone (8 bytes a point); whole-path velocities and their temporaries
+    # grew it by about 100 bytes a point.
+    peaks = {}
+    for n in (100_001, 100_001, 200_001):  # the first call warms every cache
+        times = np.arange(n) * 0.0025
+        states = np.zeros((n, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            row, = gain_condition_report(fig8_leader, [uni_agent], 0.3, times, states)
+            peaks[n] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert row.sup_leader_speed > 0
+    assert peaks[200_001] - peaks[100_001] <= 8 * 200_001, peaks
 
 
 def test_leader_horizon_too_short(fig8_leader, form_gains):

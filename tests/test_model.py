@@ -490,18 +490,20 @@ def test_public_lists_refuse_a_number_or_none(short_formation, param, bad):
 
 def test_list_entries_and_paired_lengths_are_typed(short_formation):
     # A number or None in place of an S2 pair, and a leader path whose
-    # times and states differ in count on the per-point path, which pairs
-    # them.
+    # times and states differ in count, on the per-point path, which pairs
+    # them, and on the figure-eight's numpy pass, which reads the times.
     for bad in (1, None):
         with pytest.raises(InvalidInputError) as info:
             BracketSelection(s1=(), s2=(bad,))
         assert str(info.value) == f"s2 entry must be a list, got {bad!r}"
     b, ftraj = short_formation
-    leader = dataclasses.replace(b.leader, dynamics=lambda t, x: b.leader.dynamics(t, x))
-    with pytest.raises(InvalidInputError) as info:
-        gain_condition_report(leader, b.agents, 0.1, ftraj.dense_times[:5],
-                              ftraj.leader_states[:3])
-    assert str(info.value) == "got 5 dense_times for 3 leader_states"
+    wrapped = dataclasses.replace(b.leader, dynamics=lambda t, x: b.leader.dynamics(t, x))
+    for leader in (wrapped, b.leader):
+        for times, states in ((5, 3), (3, 5)):
+            with pytest.raises(InvalidInputError) as info:
+                gain_condition_report(leader, b.agents, 0.1, ftraj.dense_times[:times],
+                                      ftraj.leader_states[:states])
+            assert str(info.value) == f"got {times} dense_times for {states} leader_states"
 
 
 def test_agent_index_refuses_a_fraction(short_formation):

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from bracket_steer import (BracketSelection, BracketSteerError, InvalidInputErro
 from bracket_steer import library, scenarios
 from bracket_steer.scenarios import SINGLE, json_text, probe_states
 from bracket_steer.simulate import SimConfig
-from oracles import json_text_reference
+from oracles import csv_text_reference, json_text_reference
 
 
 def test_builtin_names():
@@ -509,6 +510,33 @@ def test_json_text_row_counts_around_the_block(rows):
     doc = {"t": np.resize(_POOL, rows), "x": np.resize(_POOL[::-1], (rows, 4)),
            "u": np.resize(_POOL, (rows, 1))}
     assert json_text(doc) == json_text_reference(doc)
+
+
+@pytest.mark.parametrize("cols", [1, 11])
+@pytest.mark.parametrize("exponents", [(-3, 3), (-8, 3), (-12, -5)], ids=["fast", "mixed", "slow"])
+def test_float_text_block_peak_per_value(cols, exponents):
+    # One block of BLOCK_VALUES values, on the fast path, partly below 1e-4
+    # (the "%" and float.__repr__ fallback) and wholly below it, holds at
+    # most 250 traced bytes per value (about 460 while every intermediate
+    # and the whole block's source indices lived to the end), and writes
+    # the references' bytes.
+    rng = np.random.default_rng(5)
+    rows = scenarios.block_rows(cols)
+    block = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(*exponents, (rows, cols))
+    block[::7, 0] = np.resize([0.0, -0.0, math.inf, math.nan, 1e300, -5e-324], len(block[::7]))
+    want = {False: csv_text_reference(["h"], [block])[2:],
+            True: "".join(",".join(map(json.dumps, row)) + "\n" for row in block.tolist())}
+    for shortest in (False, True):
+        scenarios.float_text(block, shortest, ",", "\n")  # builds the tables
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            text = scenarios.float_text(block, shortest, ",", "\n")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert text == want[shortest]
+        assert peak <= 250 * block.size, (shortest, peak / block.size)
 
 
 @pytest.mark.parametrize("cols", [1, 2, 3, 11, 26])

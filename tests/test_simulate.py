@@ -535,6 +535,22 @@ def test_determinism_bitwise(disc, disc_sel, disc_gains_moderate):
         assert np.array_equal(getattr(t1, name), getattr(t2, name))
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 9, 33])
+def test_error_norms_in_blocks_are_the_whole_array_norms(p):
+    # Error series are taken one block of BLOCK_VALUES values at a time:
+    # each row's norm is, bit for bit, np.linalg.norm's over the whole
+    # array, around the block boundary, with a one-row last block and on a
+    # strided view of the first p columns, as a run's y block is.
+    rng = np.random.default_rng(p)
+    block = simulate_module.block_rows(p)
+    for rows in (1, block - 1, block, block + 1, 3 * block + 1):
+        states = (rng.standard_normal((rows, p + 2))
+                  * 10.0 ** rng.uniform(-30, 30, (rows, p + 2)))[:, :p]
+        target = rng.standard_normal(p)
+        want = np.linalg.norm(states - target, axis=1)
+        assert simulate_module._error_norms(states, target).tobytes() == want.tobytes()
+
+
 def test_grid_structure(disc, disc_sel, disc_gains_moderate):
     traj = simulate_pi_epsilon(disc, disc_sel, disc_gains_moderate,
                                np.array([1.0, 0.5, 0.0, 0.0]),

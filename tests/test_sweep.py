@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bracket_steer import (ControllerGains, DivergenceError, FollowerAgent, InvalidInputError,
-                           LeaderModel, RankDegeneracyError, SimConfig, builtin_scenario,
-                           epsilon_sweep, leader_field, simulate_formation, simulate_pi_epsilon)
+                           LeaderModel, RankDegeneracyError, SimConfig, averaged_reference,
+                           builtin_scenario, epsilon_sweep, leader_field, simulate_formation,
+                           simulate_pi_epsilon)
 from bracket_steer import simulate as simulate_module
 
 from oracles import sweep_reference
@@ -298,6 +299,55 @@ def test_driftless_sweep_runs_on_one_clock(monkeypatch, system):
 
     monkeypatch.setattr(simulate_module, "simulate_pi_epsilon", refused)
     assert np.array(epsilon_sweep(*args)).tobytes() == want
+
+
+def _loop_deviation(y0, gains, times, ys):
+    """The per-sample loop _max_deviation replaces, as sweep_reference runs it."""
+    dev = 0.0
+    for t, y in zip(times, ys):
+        dev = max(dev, float(np.linalg.norm(y - averaged_reference(y0, gains, t))))
+    return dev
+
+
+def _tied_rows(rng, n, scale):
+    """Seven rows of dimension n that tie to the last ulp: each a
+    permutation of one random base row with one entry moved by one ulp and
+    signs flipped, scaled by a power of two.  For n > 1 an array sum of
+    squares ranks 6 to 10 groups in a hundred unlike np.linalg.norm."""
+    base = rng.standard_normal(n)
+    rows = [base]
+    for _ in range(6):
+        row = base.copy()
+        i = rng.integers(n)
+        row[i] = np.nextafter(row[i], rng.choice([-np.inf, np.inf]))
+        rows.append(rng.permutation(row) * rng.choice([-1.0, 1.0], n))
+    return np.array(rows) * scale
+
+
+# At 2^-520 the squares are subnormal, at 2^-700 zero, at 2^511 some
+# overflow and at 2^600 all do: each past the array pass's range, where
+# every row takes the norm.
+@pytest.mark.parametrize("exponent", [0, -400, 400, -520, -700, 511, 600])
+def test_max_deviation_is_the_per_sample_loop(exponent):
+    # With y0 = y* = 0 the references are exactly 0, so the rows are the
+    # residuals: their maximum norm, NaN rows skipped as the loop's max
+    # skips them, is the loop's bitwise, with the loop's warnings (an
+    # overflowing norm's).
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 4):
+        zero = (0.0,) * n
+        gains = ControllerGains(epsilon=0.25, gamma=2.0, y_star=zero)
+        for extra in [[]] * 150 + [[np.nan], [np.inf], [-np.inf, np.nan]]:
+            ys = np.vstack([_tied_rows(rng, n, 2.0 ** exponent),
+                            np.zeros((len(extra), n)) + np.array(extra)[:, None]])
+            times = [0.25 * j for j in range(len(ys))]
+            results = []
+            for deviation in (simulate_module._max_deviation, _loop_deviation):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    value = deviation(np.array(zero), gains, times, ys)
+                results.append((np.float64(value).tobytes(), [str(w.message) for w in caught]))
+            assert results[0] == results[1], (n, ys)
 
 
 @pytest.mark.parametrize("t_final, eps_list, message", [
