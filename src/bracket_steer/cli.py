@@ -12,7 +12,6 @@ import dataclasses
 # so the name must stay.
 import json  # noqa: F401
 import logging
-import math
 import os
 import sys
 import warnings
@@ -24,6 +23,7 @@ from . import library, scenarios
 from .errors import (BracketSteerError, InvalidInputError, NumericError,
                      RankDegeneracyError, UnknownScenarioError)
 from .formation import gain_condition_report, simulate_formation, simulate_leader
+from .model import _as_positive
 from .simulate import _sweep_epsilons, decay_report, epsilon_sweep, simulate_pi_epsilon
 
 log = logging.getLogger("bracket_steer.cli")
@@ -84,9 +84,9 @@ def _certificates(bundle):
     return cert if isinstance(cert, tuple) else (cert,)
 
 
-def _certify(bundle):
-    """Validate before simulating; a failed certificate is a numeric failure."""
-    certs = _certificates(bundle)
+def _certify(bundle, certs):
+    """certs, the bundle's certificates; the first that failed is refused
+    as a numeric failure."""
     for c in certs:
         if not c.rank_ok:
             raise RankDegeneracyError(
@@ -98,10 +98,7 @@ def _certify(bundle):
 
 def _rho_for(bundle, args):
     """--rho, else the scenario's expected.rho, else 0.1; finite and > 0."""
-    rho = args.rho if args.rho is not None else bundle.expected.get("rho", 0.1)
-    if not 0.0 < rho < math.inf:
-        raise InvalidInputError(f"rho must be finite and > 0, got {rho}")
-    return rho
+    return _as_positive(bundle.expected.get("rho", 0.1) if args.rho is None else args.rho, "rho")
 
 
 def _write_chunks(path, chunks):
@@ -227,7 +224,7 @@ def _cmd_run(args):
             raise InvalidInputError(f"--epsilon must be a number, got '{args.epsilon}'") from None
     bundle, overrides = _apply_overrides(_load_bundle(args.scenario), args, epsilon)
     rho = _rho_for(bundle, args)
-    certs = _certify(bundle)
+    certs = _certify(bundle, _certificates(bundle))
 
     sidecar = {
         "scenario": bundle.name,
@@ -284,7 +281,7 @@ def _cmd_sweep(args):
     bundle, overrides = _apply_overrides(_load_bundle(args.scenario), args)
     if bundle.kind != scenarios.SINGLE:
         raise InvalidInputError("sweep supports single-system scenarios only")
-    certs = _certify(bundle)
+    certs = _certify(bundle, _certificates(bundle))
     rows = epsilon_sweep(bundle.system, bundle.selection, bundle.gains,
                          np.array(bundle.x0), bundle.sim.t_final, eps_list,
                          substeps_per_period=bundle.sim.substeps_per_period)
@@ -319,9 +316,7 @@ def _cmd_validate(args):
     else:
         print(text, end="")
 
-    if not all(c.rank_ok for c in certs):
-        raise RankDegeneracyError(
-            f"scenario '{bundle.name}' failed rank validation over its probe box")
+    _certify(bundle, certs)
     return 0
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import library
 from .errors import InvalidInputError, NonFiniteError
-from .model import BLOCK_VALUES, _as_int, _as_list, _as_real, _as_reals, as_state
+from .model import BLOCK_VALUES, _as_int, _as_list, _as_positive, _as_real, _as_reals, as_state
 from .simulate import (SampledTrajectory, SimConfig, _check_field_length, _check_field_lengths,
                        _error_norms, _run_sampled)
 from .synthesis import _SteeringPlan, check_selection, held_control
@@ -36,7 +36,9 @@ from .synthesis import extension_matrix, _solve_steering  # noqa: F401
 
 @dataclass(frozen=True)
 class FollowerAgent:
-    """A follower: its own system, bracket selection, gain, and offset.
+    """A follower: its own system, bracket selection, gain, and offset, the
+    gain stored as the float and the offset as the tuple of floats their
+    gates return.
 
     The agent's whole state is the stabilized block (n2 = 0); offset d is
     the desired displacement from the leader.
@@ -51,14 +53,16 @@ class FollowerAgent:
         if self.system.n2 != 0:
             raise InvalidInputError(
                 f"follower systems must have n2 = 0, got n2 = {self.system.n2}")
-        if not _as_real(self.gamma, "gamma") > 0:
+        gamma = _as_real(self.gamma, "gamma")
+        if not gamma > 0:
             raise InvalidInputError(f"agent gamma must be > 0, got {self.gamma}")
         offset = _as_reals(self.offset, "offset")
         if len(offset) != self.system.n:
             raise InvalidInputError(
                 f"offset has dimension {len(offset)}, expected {self.system.n}")
-        if not all(map(math.isfinite, (self.gamma, *offset))):
+        if not all(map(math.isfinite, (gamma, *offset))):
             raise InvalidInputError(f"agent gamma {self.gamma} and offset {offset} must be finite")
+        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "offset", offset)
 
     def offset_vec(self):
@@ -340,17 +344,17 @@ def _nan_speed(leader, t):
 
 
 def gain_condition_report(leader, agents, rho, dense_times, leader_states):
-    """Check gamma_l > sup_t ||f(t, x_L(t))|| / rho along a leader path.
+    """Check gamma_l > sup_t ||f(t, x_L(t))|| / rho along a leader path,
+    for a rho finite and > 0.
 
     A leader speed of NaN at any point raises NonFiniteError naming t: max()
     would keep the supremum so far and report the condition as met.
     """
-    if not _as_real(rho, "rho") > 0:
-        raise InvalidInputError(f"rho must be > 0, got {rho}")
+    rho = _as_positive(rho, "rho")
     agents = _as_list(agents, "agents")
     dense_times = _as_list(dense_times, "dense_times")
     leader_states = _as_list(leader_states, "leader_states")
     sup = float(_leader_speeds(leader, dense_times, leader_states).max(initial=0.0))
     return tuple(GainConditionRow(agent_index=idx, gamma=agent.gamma, sup_leader_speed=sup,
-                                  rho=float(rho), satisfied=agent.gamma > sup / rho)
+                                  rho=rho, satisfied=agent.gamma > sup / rho)
                  for idx, agent in enumerate(agents))

@@ -73,6 +73,15 @@ def _as_real(value, what, error=InvalidInputError):
     raise error(f"{what} must be a real number, got {value!r}")
 
 
+def _as_positive(value, what):
+    """value as the float _as_real gives, refused with InvalidInputError
+    naming what unless it is finite and > 0."""
+    number = _as_real(value, what)
+    if not 0 < number < math.inf:
+        raise InvalidInputError(f"{what} must be finite and > 0, got {value}")
+    return number
+
+
 def _as_reals(value, what, error=InvalidInputError):
     """value, a real number or a list, tuple or 1-d array of them, as a tuple of floats:
     _as_real of a number as what, of each entry as f"{what} entry" (so none may nest)."""
@@ -215,8 +224,7 @@ def finite_diff_jacobian(field, x, h=1e-6):
     Test oracle for analytic Jacobians; column i is
     (field(x + h e_i) - field(x - h e_i)) / (2h).
     """
-    if not 0 < _as_real(h, "h") < math.inf:
-        raise InvalidInputError(f"finite-difference step h must be finite and > 0, got {h}")
+    h = _as_positive(h, "h")
     x = as_state(x)
     cols = []
     for i in range(x.shape[0]):

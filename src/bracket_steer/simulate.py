@@ -65,8 +65,8 @@ from . import library
 from .errors import DivergenceError, InvalidInputError, RankDegeneracyError
 # MAX_ROW_SUBSTEPS is read here by name, so patching simulate.MAX_ROW_SUBSTEPS
 # moves the run's budget.
-from .model import (MAX_ROW_SUBSTEPS, _as_int, _as_real, _as_reals, _count, as_state,
-                    block_rows)
+from .model import (MAX_ROW_SUBSTEPS, _as_int, _as_list, _as_positive, _as_real, _as_reals,
+                    _count, as_state, block_rows)
 from .synthesis import _check_target, _SteeringPlan, check_selection, frozen_control
 # Not called here: perfbench/tracer.py wraps simulate.held_control and
 # simulate.steering_coefficients by name.
@@ -102,8 +102,8 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.t_final is not None and not 0 < _as_real(self.t_final, "t_final") < math.inf:
-            raise InvalidInputError(f"t_final must be finite and > 0, got {self.t_final}")
+        if self.t_final is not None:
+            object.__setattr__(self, "t_final", _as_positive(self.t_final, "t_final"))
         if self.substeps_per_period is not None:
             nsub = _as_int(self.substeps_per_period, "substeps_per_period")
             if nsub < 1:
@@ -579,7 +579,8 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
 
 def averaged_reference(y0, gains, t):
     """The averaged flow y* + exp(-gamma t) (y0 - y*) the control emulates."""
-    if _as_real(t, "t") < 0:
+    t = _as_real(t, "t")
+    if t < 0:
         raise InvalidInputError(f"t must be >= 0, got {t}")
     y0 = as_state(_as_reals(y0, "y0"))
     _check_target(gains, len(y0))
@@ -589,13 +590,13 @@ def averaged_reference(y0, gains, t):
 
 def decay_report(traj, gains, rho):
     """Summarize the sampled stabilization error ||y - y*|| against a floor
-    radius rho; y* must have traj.n1 entries."""
-    rho = _as_real(rho, "rho")
+    radius rho, finite and > 0; y* must have traj.n1 entries."""
+    rho = _as_positive(rho, "rho")
     times = np.asarray(traj.sample_times, dtype=float)
     if times.size < 2:
         raise InvalidInputError("decay report needs at least 2 samples")
     _check_target(gains, traj.n1)
-    errs = np.linalg.norm(np.asarray(traj.sample_states)[:, :traj.n1] - gains.y_star_vec(), axis=1)
+    errs = _error_norms(np.asarray(traj.sample_states)[:, :traj.n1], gains.y_star_vec())
 
     t1 = math.inf
     # Scan from the end: t1 is the earliest instant whose whole suffix is <= rho.
@@ -627,11 +628,9 @@ def decay_report(traj, gains, rho):
 
 
 def _sweep_epsilons(eps_list):
-    """eps_list as floats, refused unless a non-empty list of reals,
-    positive, finite and strictly decreasing."""
-    if not isinstance(eps_list, (list, tuple, np.ndarray)):
-        raise InvalidInputError(f"eps_list must be a list of numbers, got {eps_list!r}")
-    eps_list = list(_as_reals(eps_list, "eps_list"))
+    """eps_list, any iterable of reals, as a list of floats, refused unless
+    non-empty, positive, finite and strictly decreasing."""
+    eps_list = list(_as_reals(_as_list(eps_list, "eps_list"), "eps_list"))
     if not eps_list:
         raise InvalidInputError("eps_list must be non-empty")
     if not all(e > 0 for e in eps_list):  # NaN fails e > 0 as well
@@ -761,9 +760,10 @@ def epsilon_sweep(sys, sel, gains_base, x0, t_final, eps_list,
                   substeps_per_period=None):
     """Max sampled deviation from the averaged flow, one row per epsilon.
 
-    eps_list must be strictly decreasing, positive and finite; returns a list of
-    (epsilon, max_j ||y(tau_j) - yhat(tau_j)||) rows.  Every run uses
-    SimConfig(t_final, substeps_per_period); None fields take the defaults.
+    eps_list, any iterable of periods, must be strictly decreasing, positive
+    and finite; returns a list of (epsilon, max_j ||y(tau_j) - yhat(tau_j)||)
+    rows.  Every run uses SimConfig(t_final, substeps_per_period); None
+    fields take the defaults.
     Every entry is planned before the first run, and the sweep as a whole
     must stay within MAX_ROW_SUBSTEPS.  An eligible sweep runs on one clock
     (_one_clock_sweep); any other, or one whose stacked run raises or leaves

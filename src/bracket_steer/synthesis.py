@@ -39,18 +39,17 @@ from numpy.linalg._umath_linalg import svd as _lapack_svd
 
 from .errors import InvalidInputError, NonFiniteError, RankDegeneracyError, SelectionShapeError
 from .library import _FUSED_KEYS, _fused_columns
-from .model import (_as_int, _as_list, _as_real, _as_reals, _bracket, _field, _within_budget,
-                    as_state)
+from .model import (_as_int, _as_list, _as_positive, _as_real, _as_reals, _bracket, _field,
+                    _within_budget, as_state, block_rows)
 # Not called here: perfbench/tracer.py wraps synthesis.lie_bracket by name.
 from .model import lie_bracket  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
-# Probe matrices per SVD call in validate_selection, and the most entries
-# one stack holds unless a single matrix is larger: the stack's memory does
-# not grow with the probe count (the built-ins' 2x2 and 3x3 matrices go 256
-# at a time, an n1 > 4 system's fewer, down to one).
+# Probe matrices per SVD call in validate_selection, at most one block of
+# model.BLOCK_VALUES entries unless a single matrix is larger: the stack's
+# memory does not grow with the probe count (the built-ins' 2x2 and 3x3
+# matrices go 256 at a time, an n1 > 4 system's fewer, down to one).
 PROBE_CHUNK = 256
-PROBE_STACK_ENTRIES = PROBE_CHUNK * 16
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,8 @@ def check_selection(sys, sel):
 
 @dataclass(frozen=True)
 class ControllerGains:
-    """Sampling period epsilon, gain gamma, target y*, and condition cap."""
+    """Sampling period epsilon, gain gamma, target y*, and condition cap,
+    each stored as the float (y*, the tuple of floats) its gate returns."""
 
     epsilon: float
     gamma: float
@@ -136,11 +136,13 @@ class ControllerGains:
 
     def __post_init__(self):
         for key, low in (("epsilon", 0), ("gamma", 0), ("cond_cap", 1)):
-            if not _as_real(getattr(self, key), key) > low:
+            value = _as_real(getattr(self, key), key)
+            if not value > low:
                 raise InvalidInputError(f"{key} must be > {low}, got {getattr(self, key)}")
+            object.__setattr__(self, key, value)
         object.__setattr__(self, "y_star", _as_reals(self.y_star, "y_star"))
         for key in ("epsilon", "gamma", "y_star"):
-            if not all(map(math.isfinite, _as_reals(getattr(self, key), key))):
+            if not np.isfinite(getattr(self, key)).all():
                 raise InvalidInputError(f"{key} must be finite, got {getattr(self, key)}")
 
     def y_star_vec(self):
@@ -453,7 +455,7 @@ def frozen_control(terms, epsilon, m, a):
     def table(ts):
         u = np.empty((len(ts), len(rows), m))
         u[:] = base
-        phase = np.fmod(ts, epsilon) / epsilon
+        phase = np.fmod(ts, eps) / eps
         cols = u[:, 0] if one else u
         if not one:
             phase = phase[:, None]
@@ -475,10 +477,10 @@ def held_control(sel, epsilon, m, a, t):
     >= 1, and a finite with sel.width entries.  frozen_control, the sampled
     loop's path, takes them unchecked.
     """
-    if not math.isfinite(_as_real(t, "t")):
+    t = _as_real(t, "t")
+    if not math.isfinite(t):
         raise InvalidInputError(f"t must be finite, got {t}")
-    if not 0 < _as_real(epsilon, "epsilon") < math.inf:
-        raise InvalidInputError(f"epsilon must be finite and > 0, got {epsilon}")
+    epsilon = _as_positive(epsilon, "epsilon")
     m = _within_budget(_as_int(m, "m"), "m")
     for i in (*sel.s1, *(i for pair in sel.s2 for i in pair)):
         if not 1 <= i <= m:
@@ -491,7 +493,7 @@ def held_control(sel, epsilon, m, a, t):
         raise InvalidInputError(f"a has shape {a.shape}, expected (sel.width,) = ({sel.width},)")
     if not np.isfinite(a).all():
         raise InvalidInputError(f"a must be finite, got {a.tolist()}")
-    return frozen_control(_ControlTerms(sel), epsilon, m, a)(np.array([t], dtype=float))[0]
+    return frozen_control(_ControlTerms(sel), epsilon, m, a)(np.array([t]))[0]
 
 
 def control_value(sys, sel, gains, t, x_hold):
@@ -525,9 +527,9 @@ def validate_selection(sys, sel, probes, gains):
     pre-pass checks each by as_state and builds its matrix alone, so errors
     keep the per-probe order, and probes that pass go on as the rows.  The
     rows' matrices (the plan's matrices) fill one reused stack of at most
-    PROBE_CHUNK matrices and PROBE_STACK_ENTRIES entries (but at least
-    one).  Each full stack, then the rest, takes one _conditioning call and
-    one max of its ratios and of its 1 / smin, which is the per-probe
+    PROBE_CHUNK matrices and one block_rows block of entries (but at least
+    one matrix).  Each full stack, then the rest, takes one _conditioning
+    call and one max of its ratios and of its 1 / smin, which is the per-probe
     loop's result to the bit.  A zero or NaN (not converged) smallest
     singular value fails the rank and makes both inf.
     """
@@ -545,7 +547,7 @@ def validate_selection(sys, sel, probes, gains):
             rows.append(as_state(x, sys.n))
             plan.matrix(rows[-1])
         rows = np.array(rows)
-    chunk = max(1, min(PROBE_CHUNK, PROBE_STACK_ENTRIES // (sys.n1 * sys.n1)))
+    chunk = min(PROBE_CHUNK, block_rows(sys.n1 * sys.n1))
     stack = np.empty((chunk, sys.n1, sys.n1))
     for start in range(0, len(rows), chunk):
         block = rows[start:start + chunk]

@@ -1013,3 +1013,48 @@ def test_console_script_smoke():
     assert proc.returncode == 0
     assert "rolling-disc" in proc.stdout
     assert "unicycle-leader" in proc.stdout
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf, -math.inf], ids=repr)
+def test_rho_is_refused_alike_at_every_entry(tmp_path, capsys, monkeypatch, rho):
+    # One rule, model._as_positive, refuses rho in decay_report,
+    # gain_condition_report, run --rho and validate --rho, with one message.
+    from bracket_steer import (InvalidInputError, builtin_scenario, decay_report,
+                               gain_condition_report, simulate_formation, SimConfig)
+    message = f"rho must be finite and > 0, got {rho!r}"
+    b = builtin_scenario("unicycle-leader")
+    ftraj = simulate_formation(b.agents, b.leader, b.agent_x0s, b.gains, SimConfig(t_final=0.5))
+    for call in (lambda: decay_report(ftraj.displacement_trajs[0], b.gains, rho),
+                 lambda: gain_condition_report(b.leader, b.agents, rho, ftraj.dense_times,
+                                               ftraj.leader_states)):
+        with pytest.raises(InvalidInputError) as info:
+            call()
+        assert str(info.value) == message
+    monkeypatch.setattr(simulate, "_row_integrators", _no_integration)
+    out = tmp_path / "x.csv"
+    for cmd in ("run", "validate"):
+        assert main([cmd, "unicycle-leader", f"--rho={rho!r}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error:InvalidInputError:{message}\n"
+        assert not out.exists()
+
+
+def test_failed_certificate_is_one_refusal(tmp_path, capsys):
+    # A certificate over its cap is refused by run and validate with one
+    # message, naming the worst condition and the cap, exit 3; validate
+    # writes its certificate JSON first.
+    from bracket_steer import builtin_scenario, scenario_to_dict
+    d = scenario_to_dict(builtin_scenario("unicycle-leader"))
+    d["gains"]["cond_cap"] = math.nextafter(1.0, 2.0)
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps(d))
+    errs = []
+    for cmd in ("run", "validate"):
+        out = tmp_path / f"{cmd}.out"
+        assert main([cmd, str(path), "--out", str(out)]) == 3
+        errs.append(capsys.readouterr().err)
+        assert out.exists() == (cmd == "validate")
+    assert errs[0] == errs[1]
+    assert errs[0] == ("error:RankDegeneracyError:scenario 'unicycle-leader' failed rank "
+                       "validation over its probe box (worst condition 1, cap 1)\n")
+    cert = json.loads((tmp_path / "validate.out").read_text())["certificate"][0]
+    assert cert["rank_ok"] is False and cert["worst_condition"] > cert["cond_cap"]

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -372,7 +373,7 @@ _LISTS = {
                          _state(0.0), None),
     "epsilon_sweep.eps_list": (
         lambda v, _: epsilon_sweep(SYS, SEL, DISC_GAINS, _state(0.0), 1.0, v), [0.5],
-        "eps_list must be a list of numbers"),
+        "eps_list must be a list"),
     "FollowerAgent.offset": (lambda v, f: dataclasses.replace(f[0].agents[0], offset=v),
                              (0.0, 0.0, 0.0), None),
     "LeaderModel.x0": (lambda v, f: dataclasses.replace(f[0].leader, x0=v), (0.0, 0.0, 0.0),
@@ -512,8 +513,73 @@ def test_agent_index_refuses_a_fraction(short_formation):
     assert formation_error(short_formation[1], 0.0) is short_formation[1].error_series[0]
 
 
-def test_gains_store_their_values_as_given():
-    # The check reads each value as a float; the dataclass keeps it as given.
-    gains = _gains(epsilon=1, gamma=np.float32(2.0), cond_cap=10)
-    assert (type(gains.epsilon), type(gains.gamma), type(gains.cond_cap)) == (
-        int, np.float32, int)
+def _bytes(value):
+    """Every array and number a run returns, as bytes, in field order."""
+    if dataclasses.is_dataclass(value):
+        return b"".join(_bytes(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return b"".join(map(_bytes, value))
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _three_paths(epsilon=1.0, gamma=5.0, cond_cap=1e6, t_final=3.0, agent_gamma=1.0):
+    """The stored numbers, and the disc run, the formation run and the
+    sweep as bytes, with each given number in its place."""
+    disc = dataclasses.replace(DISC.gains, epsilon=epsilon, gamma=gamma, cond_cap=cond_cap)
+    cfg = SimConfig(t_final=t_final)
+    b = builtin_scenario("unicycle-leader")
+    form = dataclasses.replace(b.gains, epsilon=epsilon, gamma=gamma, cond_cap=cond_cap)
+    agents = tuple(dataclasses.replace(a, gamma=agent_gamma) for a in b.agents)
+    stored = (disc.epsilon, disc.gamma, disc.cond_cap, cfg.t_final, agents[0].gamma)
+    runs = (simulate_pi_epsilon(SYS, SEL, disc, np.array(DISC.x0), cfg),
+            simulate_formation(agents, b.leader, b.agent_x0s, form, cfg),
+            epsilon_sweep(SYS, SEL, dataclasses.replace(disc, epsilon=1.0), np.array(DISC.x0),
+                          t_final, [epsilon, epsilon / 2]))
+    return stored, [_bytes(run) for run in runs]
+
+
+@pytest.mark.parametrize("kind", [int, Fraction, np.float32, np.float64],
+                         ids=lambda k: k.__name__)
+@pytest.mark.parametrize("param, value", [("epsilon", 1), ("gamma", 5), ("cond_cap", 10**6),
+                                          ("t_final", 3), ("agent_gamma", 1)])
+def test_gated_numbers_are_stored_as_floats(param, value, kind):
+    # Each public number is kept as the float its gate returns, so an int, a
+    # Fraction or a numpy float of an exactly representable value runs the
+    # disc, the formation and the sweep bitwise as the Python float does
+    # (an np.float32 epsilon once sub-stepped in float32, and a Fraction
+    # one reached np.fmod).
+    stored, runs = _three_paths(**{param: kind(value)})
+    want_stored, want_runs = _three_paths(**{param: float(value)})
+    assert [type(v) for v in stored] == [float] * 5
+    assert stored == want_stored
+    assert runs == want_runs
+
+
+def test_fraction_epsilon_runs_as_its_float():
+    # A Fraction period once reached np.fmod as an object and raised a bare
+    # AttributeError on every run path and in control_value and held_control.
+    assert _three_paths(epsilon=Fraction(1, 2)) == _three_paths(epsilon=0.5)
+    x = np.array(DISC.x0)
+    got, want = ([control_value(SYS, SEL, _gains(epsilon=e, y_star=(0.0, 0.0)), t, x).tobytes(),
+                  held_control(SEL, e, 2, [1.0, 2.0], t).tobytes()]
+                 for e, t in ((Fraction(1, 2), Fraction(3, 10)), (0.5, 0.3)))
+    assert got == want
+
+
+def test_averaged_reference_keeps_the_float_of_t():
+    # -gamma t is taken in float64: an np.float32 t once made it a float32
+    # product.
+    gains = _gains(gamma=5.0, y_star=(0.0, 0.0))
+    got, want = (averaged_reference([1.0, 0.0], gains, t) for t in (np.float32(0.3),
+                                                                     float(np.float32(0.3))))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_float32_horizon_runs_as_its_float():
+    # np.float32(2.3) is the float 2.299999952316284: its run is that
+    # float's, not a run whose t_final / epsilon is taken in float32.
+    gains = dataclasses.replace(DISC.gains, epsilon=0.1)
+    runs = [simulate_pi_epsilon(SYS, SEL, gains, np.array(DISC.x0), SimConfig(t_final=t))
+            for t in (np.float32(2.3), float(np.float32(2.3)))]
+    assert len(runs[0].sample_times) == len(runs[1].sample_times) == 23
+    assert _bytes(runs[0]) == _bytes(runs[1])

@@ -557,8 +557,9 @@ def test_validate_selection_chunks_match_per_probe(monkeypatch, disc, disc_sel, 
     assert not cert.rank_ok
     assert math.isinf(cert.worst_condition) and math.isinf(cert.alpha_estimate)
     assert repr(cert) == repr(want)
-    # An n1 = 8 system's stacks hold PROBE_STACK_ENTRIES entries: 64 matrices.
-    assert synthesis.PROBE_STACK_ENTRIES == 16 * C
+    # An n1 = 8 system's stacks are one block_rows block of 64-entry rows:
+    # 64 matrices.
+    assert synthesis.block_rows(8 * 8) == 64
     n = 8
     unit = PartitionedSystem(
         name="unit", n=n, n1=n, n2=0, m=n, drift=lambda t, x: np.zeros(n),
