@@ -24,7 +24,8 @@ import numpy as np
 
 from . import library
 from .errors import InvalidInputError, NonFiniteError
-from .model import BLOCK_VALUES, _as_int, _as_list, _as_positive, _as_real, _as_reals, as_state
+from .model import (BLOCK_VALUES, _as_finite_reals, _as_int, _as_list, _as_positive, _as_reals,
+                    as_state)
 from .simulate import (SampledTrajectory, SimConfig, _check_field_length, _check_field_lengths,
                        _error_norms, _run_sampled)
 from .synthesis import _SteeringPlan, check_selection, held_control
@@ -53,17 +54,11 @@ class FollowerAgent:
         if self.system.n2 != 0:
             raise InvalidInputError(
                 f"follower systems must have n2 = 0, got n2 = {self.system.n2}")
-        gamma = _as_real(self.gamma, "gamma")
-        if not gamma > 0:
-            raise InvalidInputError(f"agent gamma must be > 0, got {self.gamma}")
-        offset = _as_reals(self.offset, "offset")
-        if len(offset) != self.system.n:
+        object.__setattr__(self, "gamma", _as_positive(self.gamma, "gamma"))
+        object.__setattr__(self, "offset", _as_finite_reals(self.offset, "offset"))
+        if len(self.offset) != self.system.n:
             raise InvalidInputError(
-                f"offset has dimension {len(offset)}, expected {self.system.n}")
-        if not all(map(math.isfinite, (gamma, *offset))):
-            raise InvalidInputError(f"agent gamma {self.gamma} and offset {offset} must be finite")
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "offset", offset)
+                f"offset has dimension {len(self.offset)}, expected {self.system.n}")
 
     def offset_vec(self):
         return np.array(self.offset, dtype=float)
@@ -83,9 +78,7 @@ class LeaderModel:
     x0: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", _as_reals(self.x0, "x0"))
-        if not all(map(math.isfinite, self.x0)):
-            raise InvalidInputError(f"x0 must be finite, got {self.x0}")
+        object.__setattr__(self, "x0", _as_finite_reals(self.x0, "x0"))
 
     def x0_vec(self):
         return np.array(self.x0, dtype=float)

@@ -49,28 +49,28 @@ def as_state(x, n=None):
     return arr
 
 
-def _as_int(value, what, error=InvalidInputError):
+def _as_int(value, what):
     """value as an int: an int, a numpy integer or an integral float.
 
-    A bool or any other value raises error naming what; nothing is truncated.
+    A bool or any other value raises InvalidInputError naming what; nothing is truncated.
     """
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
-    raise error(f"{what} must be an integer, got {value!r}")
+    raise InvalidInputError(f"{what} must be an integer, got {value!r}")
 
 
-def _as_real(value, what, error=InvalidInputError):
+def _as_real(value, what):
     """value as a float: a real number (int, float, Fraction, a numpy
     integer or floating) that float() takes.  A bool, a numpy bool or any
-    other value raises error naming what."""
+    other value raises InvalidInputError naming what."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:  # an int past the float range
             pass
-    raise error(f"{what} must be a real number, got {value!r}")
+    raise InvalidInputError(f"{what} must be a real number, got {value!r}")
 
 
 def _as_positive(value, what):
@@ -82,26 +82,35 @@ def _as_positive(value, what):
     return number
 
 
-def _as_reals(value, what, error=InvalidInputError):
+def _as_reals(value, what):
     """value, a real number or a list, tuple or 1-d array of them, as a tuple of floats:
     _as_real of a number as what, of each entry as f"{what} entry" (so none may nest)."""
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, (list, tuple)):
-        return tuple(_as_real(v, f"{what} entry", error) for v in value)
-    return (_as_real(value, what, error),)
+        return tuple(_as_real(v, f"{what} entry") for v in value)
+    return (_as_real(value, what),)
 
 
-def _as_list(value, what, error=InvalidInputError):
+def _as_finite_reals(value, what):
+    """The tuple _as_reals gives, refused with InvalidInputError naming what
+    unless every entry is finite."""
+    values = _as_reals(value, what)
+    if not all(map(math.isfinite, values)):
+        raise InvalidInputError(f"{what} must be finite, got {values}")
+    return values
+
+
+def _as_list(value, what):
     """value as a sequence: an array of one or more dimensions as it is, any
     other iterable as the tuple of its items.  A value that is not iterable
-    (a number, None, a 0-d array) raises error naming what."""
+    (a number, None, a 0-d array) raises InvalidInputError naming what."""
     if isinstance(value, np.ndarray) and value.ndim:
         return value
     try:
         items = iter(value)
     except TypeError:
-        raise error(f"{what} must be a list, got {value!r}") from None
+        raise InvalidInputError(f"{what} must be a list, got {value!r}") from None
     return tuple(items)
 
 

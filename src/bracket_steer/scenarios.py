@@ -122,11 +122,17 @@ def _optional(mapping, key, default, where):
     return _object(mapping, where).get(key, default)
 
 
-def _numbers(value, where, n=None):
-    """A list of numbers as a tuple of floats, of length n when n is given."""
+def _list(value, where):
+    """value, which must be a list; its entries are left to whatever types them."""
     if not isinstance(value, (list, tuple)):
         raise ScenarioFormatError(f"{where} must be a list of numbers, got {value!r}")
-    out = _as_reals(value, where, ScenarioFormatError)
+    return value
+
+
+def _numbers(value, where, n=None):
+    """A list of numbers as a tuple of floats, of length n when n is given."""
+    with _constructing():
+        out = _as_reals(_list(value, where), where)
     if n is not None and len(out) != n:
         raise ScenarioFormatError(f"{where} has dimension {len(out)}, expected {n}")
     return out
@@ -147,19 +153,13 @@ def _probe_box(value, n):
 
 
 @contextmanager
-def _constructing(where):
-    """Re-raise a constructor's InvalidInputError as ScenarioFormatError(f"{where}: {exc}")."""
+def _constructing(where=None):
+    """Re-raise an InvalidInputError as ScenarioFormatError: as f"{where}: {exc}" where
+    a constructor names only the field, else as it is (the call named the full path)."""
     try:
         yield
     except InvalidInputError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from exc
-
-
-def _registered(lookup, name):
-    try:
-        return lookup(str(name))
-    except InvalidInputError as exc:
-        raise ScenarioFormatError(str(exc)) from exc
+        raise ScenarioFormatError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 def _selection_from_dict(d, where):
@@ -171,19 +171,16 @@ def _selection_from_dict(d, where):
 
 
 def _gains_from_dict(d, where):
-    epsilon = _as_real(_require(d, "epsilon", where), f"{where}.epsilon", ScenarioFormatError)
-    gamma = _as_real(_require(d, "gamma", where), f"{where}.gamma", ScenarioFormatError)
-    y_star = _numbers(_require(d, "y_star", where), f"{where}.y_star")
-    cond_cap = _as_real(_optional(d, "cond_cap", 1e6, where), f"{where}.cond_cap",
-                        ScenarioFormatError)
+    epsilon = _require(d, "epsilon", where)
+    gamma = _require(d, "gamma", where)
+    y_star = _list(_require(d, "y_star", where), f"{where}.y_star")
+    cond_cap = _optional(d, "cond_cap", 1e6, where)
     with _constructing(where):
         return ControllerGains(epsilon=epsilon, gamma=gamma, y_star=y_star, cond_cap=cond_cap)
 
 
 def _sim_from_dict(d, where):
     t_final = _optional(d, "t_final", None, where)
-    if t_final is not None:
-        t_final = _as_real(t_final, f"{where}.t_final", ScenarioFormatError)
     nsub = _optional(d, "substeps_per_period", None, where)
     stride = _optional(d, "record_stride", 1, where)
     with _constructing(where):
@@ -208,10 +205,12 @@ def scenario_from_dict(data):
     sim = _sim_from_dict(_optional(data, "sim", {}, "top level"), "sim")
     probe_spec = _require(data, "probe_box", "top level")
     expected = _object(_optional(data, "expected", {}, "top level"), "expected")
-    expected = {k: _as_real(v, f"expected.{k}", ScenarioFormatError) for k, v in expected.items()}
+    with _constructing():
+        expected = {k: _as_real(v, f"expected.{k}") for k, v in expected.items()}
 
     if kind == SINGLE:
-        system = _registered(library.system, _require(data, "system", "top level"))
+        with _constructing():
+            system = library.system(str(_require(data, "system", "top level")))
         selection = _selection_from_dict(_require(data, "selection", "top level"), "selection")
         check_selection(system, selection)  # raises naming the invariant
         x0 = _numbers(_require(data, "x0", "top level"), "x0", system.n)
@@ -221,7 +220,9 @@ def scenario_from_dict(data):
 
     leader_spec = _require(data, "leader", "top level")
     leader_name = str(_require(leader_spec, "field", "leader"))
-    dynamics = _registered(library.leader_field, leader_name)
+    with _constructing():
+        dynamics = library.leader_field(leader_name)
+    # Typed before the agents: a mistyped entry outranks their SelectionShapeError.
     leader_x0 = _numbers(_require(leader_spec, "x0", "leader"), "leader.x0")
     agents = []
     x0s = []
@@ -230,17 +231,15 @@ def scenario_from_dict(data):
         raise ScenarioFormatError("formation scenarios need at least one agent")
     for i, spec in enumerate(agent_specs):
         where = f"agents[{i}]"
-        system = _registered(library.system, _require(spec, "system", where))
+        with _constructing():
+            system = library.system(str(_require(spec, "system", where)))
         selection = _selection_from_dict(_require(spec, "selection", where), where)
         check_selection(system, selection)
+        gamma = _require(spec, "gamma", where)
+        offset = _list(_require(spec, "offset", where), f"{where}.offset")
         with _constructing(where):
-            agent = FollowerAgent(
-                system=system, selection=selection,
-                gamma=_as_real(_require(spec, "gamma", where), f"{where}.gamma",
-                               ScenarioFormatError),
-                offset=_numbers(_require(spec, "offset", where), f"{where}.offset"),
-            )
-        agents.append(agent)
+            agents.append(FollowerAgent(system=system, selection=selection,
+                                        gamma=gamma, offset=offset))
         x0s.append(_numbers(_require(spec, "x0", where), f"{where}.x0", system.n))
     p = agents[0].system.n
     if len(leader_x0) != p:

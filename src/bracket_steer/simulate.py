@@ -630,13 +630,9 @@ def decay_report(traj, gains, rho):
 def _sweep_epsilons(eps_list):
     """eps_list, any iterable of reals, as a list of floats, refused unless
     non-empty, positive, finite and strictly decreasing."""
-    eps_list = list(_as_reals(_as_list(eps_list, "eps_list"), "eps_list"))
+    eps_list = [_as_positive(e, "eps_list entry") for e in _as_list(eps_list, "eps_list")]
     if not eps_list:
         raise InvalidInputError("eps_list must be non-empty")
-    if not all(e > 0 for e in eps_list):  # NaN fails e > 0 as well
-        raise InvalidInputError("eps_list entries must be > 0")
-    if math.inf in eps_list:
-        raise InvalidInputError(f"eps_list entries must be finite, got {math.inf}")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise InvalidInputError("eps_list must be strictly decreasing")
     return eps_list

@@ -39,8 +39,8 @@ from numpy.linalg._umath_linalg import svd as _lapack_svd
 
 from .errors import InvalidInputError, NonFiniteError, RankDegeneracyError, SelectionShapeError
 from .library import _FUSED_KEYS, _fused_columns
-from .model import (_as_int, _as_list, _as_positive, _as_real, _as_reals, _bracket, _field,
-                    _within_budget, as_state, block_rows)
+from .model import (_as_finite_reals, _as_int, _as_list, _as_positive, _as_real, _as_reals,
+                    _bracket, _field, _within_budget, as_state, block_rows)
 # Not called here: perfbench/tracer.py wraps synthesis.lie_bracket by name.
 from .model import lie_bracket  # noqa: F401
 
@@ -135,15 +135,13 @@ class ControllerGains:
     cond_cap: float = 1e6
 
     def __post_init__(self):
-        for key, low in (("epsilon", 0), ("gamma", 0), ("cond_cap", 1)):
-            value = _as_real(getattr(self, key), key)
-            if not value > low:
-                raise InvalidInputError(f"{key} must be > {low}, got {getattr(self, key)}")
-            object.__setattr__(self, key, value)
-        object.__setattr__(self, "y_star", _as_reals(self.y_star, "y_star"))
-        for key in ("epsilon", "gamma", "y_star"):
-            if not np.isfinite(getattr(self, key)).all():
-                raise InvalidInputError(f"{key} must be finite, got {getattr(self, key)}")
+        for key in ("epsilon", "gamma"):
+            object.__setattr__(self, key, _as_positive(getattr(self, key), key))
+        cond_cap = _as_real(self.cond_cap, "cond_cap")
+        if not cond_cap > 1:  # inf is a cap that never refuses
+            raise InvalidInputError(f"cond_cap must be > 1, got {self.cond_cap}")
+        object.__setattr__(self, "cond_cap", cond_cap)
+        object.__setattr__(self, "y_star", _as_finite_reals(self.y_star, "y_star"))
 
     def y_star_vec(self):
         return np.array(self.y_star, dtype=float)

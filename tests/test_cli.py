@@ -192,10 +192,14 @@ def test_sweep_parses_epsilon_before_any_work(tmp_path, capsys, monkeypatch):
                            ([], "sweep requires --epsilon"),
                            (["--epsilon", "0.1,0.2"], "eps_list must be strictly decreasing"),
                            (["--epsilon", ","], "eps_list must be non-empty"),
-                           (["--epsilon", "0.2,-0.1"], "eps_list entries must be > 0"),
-                           (["--epsilon", "0.5,nan"], "eps_list entries must be > 0"),
-                           (["--epsilon", "inf,0.5"], "eps_list entries must be finite, got inf"),
-                           (["--epsilon", "1e400"], "eps_list entries must be finite, got inf")):
+                           (["--epsilon", "0.2,-0.1"],
+                            "eps_list entry must be finite and > 0, got -0.1"),
+                           (["--epsilon", "0.5,nan"],
+                            "eps_list entry must be finite and > 0, got nan"),
+                           (["--epsilon", "inf,0.5"],
+                            "eps_list entry must be finite and > 0, got inf"),
+                           (["--epsilon", "1e400"],
+                            "eps_list entry must be finite and > 0, got inf")):
         assert main(["sweep", "rolling-disc", *extra, "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith(f"error:InvalidInputError:{message}")
     assert not (tmp_path / "x.csv").exists()
@@ -243,6 +247,9 @@ GOLDEN_OTHER_SHA256 = {
     "sweep-disc-csv": (["sweep", "rolling-disc", "--gamma", "2", "--t-final", "10",
                         "--epsilon", "0.4,0.2,0.1,0.05,0.025"],
                        "9bf3596de3c1fdc0dc5e3c5f1563109af1cba53087e89289d5c2b3b2b79f71f4"),
+    "sweep-disc-json": (["sweep", "rolling-disc", "--gamma", "2", "--t-final", "10",
+                         "--epsilon", "0.4,0.2,0.1,0.05,0.025", "--format", "json"],
+                        "e7372616cb69ba0fadf4e22d96defd20b20db34c4f0a054958b213f0e05b5d29"),
 }
 
 

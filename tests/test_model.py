@@ -3,6 +3,7 @@ import inspect
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -583,3 +584,21 @@ def test_float32_horizon_runs_as_its_float():
             for t in (np.float32(2.3), float(np.float32(2.3)))]
     assert len(runs[0].sample_times) == len(runs[1].sample_times) == 23
     assert _bytes(runs[0]) == _bytes(runs[1])
+
+
+def test_each_gate_rule_is_written_once():
+    # model's gates raise InvalidInputError only; a caller that needs
+    # another error maps it (scenarios._constructing), so no gate takes an
+    # error parameter.  Their three rules are written in model alone: any
+    # other module that refuses a value for its type, or for not being
+    # finite and > 0, calls a gate.
+    from bracket_steer import model
+    gates = [name for name, value in vars(model).items()
+             if name.startswith("_as_") and inspect.isfunction(value)]
+    assert {"_as_int", "_as_real", "_as_reals", "_as_list", "_as_positive"} <= set(gates)
+    assert [name for name in gates
+            if "error" in inspect.signature(getattr(model, name)).parameters] == []
+    rules = ("must be finite and > 0", "must be a real number", "must be an integer")
+    written = {path.name: [rule for rule in rules if rule in path.read_text()]
+               for path in sorted(Path(model.__file__).parent.glob("*.py"))}
+    assert {name: found for name, found in written.items() if found} == {"model.py": list(rules)}

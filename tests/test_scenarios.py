@@ -371,12 +371,13 @@ def _edited(name, path, value):
     return d
 
 
-# A number field's name in the loader's message, its path in the disc's
-# scenario dict, and how to read it back from the bundle.
+# A number field, its path in the disc's scenario dict, how to read it back
+# from the bundle, and its name in the loader's message: the block's name
+# and the constructor's message where a constructor types the value.
 _NUMBER_FIELDS = {
-    "gains.gamma": (("gains", "gamma"), lambda b: b.gains.gamma),
-    "x0 entry": (("x0", 0), lambda b: b.x0[0]),
-    "expected.rho": (("expected", "rho"), lambda b: b.expected["rho"]),
+    "gains.gamma": (("gains", "gamma"), lambda b: b.gains.gamma, "gains: gamma"),
+    "x0 entry": (("x0", 0), lambda b: b.x0[0], "x0 entry"),
+    "expected.rho": (("expected", "rho"), lambda b: b.expected["rho"], "expected.rho"),
 }
 
 
@@ -385,10 +386,10 @@ _NUMBER_FIELDS = {
 def test_number_fields_refuse_strings_and_bools(where, value):
     # Only ints, floats and numpy reals are numbers: a string or a bool is
     # refused instead of converted.
-    path, read = _NUMBER_FIELDS[where]
+    path, read, named = _NUMBER_FIELDS[where]
     with pytest.raises(ScenarioFormatError) as info:
         scenario_from_dict(_edited("rolling-disc", path, value))
-    assert str(info.value) == f"{where} must be a real number, got {value!r}"
+    assert str(info.value) == f"{named} must be a real number, got {value!r}"
     for ok in (5, 5.0, np.int64(5), np.float32(5.0)):
         got = read(scenario_from_dict(_edited("rolling-disc", path, ok)))
         assert type(got) is float and got == 5.0, (ok, got)
@@ -398,7 +399,7 @@ def test_number_fields_refuse_strings_and_bools(where, value):
 # refusal, pinned as exact (type, message) pairs.
 _EXACT_ERRORS = {
     "gains": (lambda: scenario_from_dict(_edited("rolling-disc", ("gains", "epsilon"), -1.0)),
-              ScenarioFormatError, "gains: epsilon must be > 0, got -1.0"),
+              ScenarioFormatError, "gains: epsilon must be finite and > 0, got -1.0"),
     "sim": (lambda: scenario_from_dict(_edited("rolling-disc", ("sim", "record_stride"), 0)),
             ScenarioFormatError, "sim: record_stride must be >= 1"),
     "selection": (lambda: scenario_from_dict(
@@ -406,10 +407,10 @@ _EXACT_ERRORS = {
         ScenarioFormatError, "selection: kappa has 2 entries for 1 bracket pairs"),
     "agents[i]": (lambda: scenario_from_dict(
         _edited("unicycle-leader", ("agents", 0, "gamma"), -1.0)),
-        ScenarioFormatError, "agents[0]: agent gamma must be > 0, got -1.0"),
+        ScenarioFormatError, "agents[0]: gamma must be finite and > 0, got -1.0"),
     "agents[i]-value": (lambda: scenario_from_dict(
         _edited("unicycle-leader", ("agents", 0, "gamma"), "x")),
-        ScenarioFormatError, "agents[0]: agents[0].gamma must be a real number, got 'x'"),
+        ScenarioFormatError, "agents[0]: gamma must be a real number, got 'x'"),
     "leader": (lambda: scenario_from_dict(
         _edited("unicycle-leader", ("leader", "x0"), [math.inf, 0.0, 0.0])),
         ScenarioFormatError, "leader: x0 must be finite, got (inf, 0.0, 0.0)"),
@@ -437,6 +438,79 @@ def test_exact_loader_and_registry_errors(monkeypatch, case):
     with pytest.raises(InvalidInputError) as info:
         call()
     assert (type(info.value), str(info.value)) == (error, message)
+
+
+# Every value field of a scenario file, fed a non-number and a value out of
+# its range, with the loader's exact message: the block's name and the
+# message of the constructor that types the value, or the full path alone
+# where the loader types it (x0 entries, the leader's before the agents,
+# and expected values).  None marks a value the loader takes: it has no
+# range rule for x0 entries or expected values (run refuses a non-finite
+# x0, and a rho that is not finite and > 0).
+_LOADER_MESSAGES = [
+    ("rolling-disc", ("gains", "epsilon"), "x", "gains: epsilon must be a real number, got 'x'"),
+    ("rolling-disc", ("gains", "epsilon"), -1, "gains: epsilon must be finite and > 0, got -1"),
+    ("rolling-disc", ("gains", "gamma"), None, "gains: gamma must be a real number, got None"),
+    ("rolling-disc", ("gains", "gamma"), math.inf, "gains: gamma must be finite and > 0, got inf"),
+    ("rolling-disc", ("gains", "cond_cap"), "1e6",
+     "gains: cond_cap must be a real number, got '1e6'"),
+    ("rolling-disc", ("gains", "cond_cap"), 1, "gains: cond_cap must be > 1, got 1"),
+    ("rolling-disc", ("gains", "y_star"), [0.0, "0"],
+     "gains: y_star entry must be a real number, got '0'"),
+    ("rolling-disc", ("gains", "y_star"), [0.0, math.nan],
+     "gains: y_star must be finite, got (0.0, nan)"),
+    ("rolling-disc", ("sim", "t_final"), True, "sim: t_final must be a real number, got True"),
+    ("rolling-disc", ("sim", "t_final"), 0, "sim: t_final must be finite and > 0, got 0"),
+    ("rolling-disc", ("sim", "substeps_per_period"), 2.5,
+     "sim: substeps_per_period must be an integer, got 2.5"),
+    ("rolling-disc", ("sim", "substeps_per_period"), 0, "sim: substeps_per_period must be >= 1"),
+    ("rolling-disc", ("sim", "record_stride"), "2", "sim: record_stride must be an integer, got '2'"),
+    ("rolling-disc", ("sim", "record_stride"), -1, "sim: record_stride must be >= 1"),
+    ("unicycle-leader", ("agents", 0, "gamma"), "x", "agents[0]: gamma must be a real number, got 'x'"),
+    ("unicycle-leader", ("agents", 0, "gamma"), math.inf,
+     "agents[0]: gamma must be finite and > 0, got inf"),
+    ("unicycle-leader", ("agents", 0, "offset"), [0.1, "x", 0.0],
+     "agents[0]: offset entry must be a real number, got 'x'"),
+    ("unicycle-leader", ("agents", 0, "offset"), [math.inf, 0.1, 0.0],
+     "agents[0]: offset must be finite, got (inf, 0.1, 0.0)"),
+    ("unicycle-leader", ("agents", 0, "x0"), [0.0, None, 0.0],
+     "agents[0].x0 entry must be a real number, got None"),
+    ("unicycle-leader", ("agents", 0, "x0"), [0.0, 0.0], "agents[0].x0 has dimension 2, expected 3"),
+    ("unicycle-leader", ("agents", 0, "x0"), [math.inf, 0.0, 0.0], None),
+    ("unicycle-leader", ("leader", "x0"), [0.0, False, 0.0],
+     "leader.x0 entry must be a real number, got False"),
+    ("unicycle-leader", ("leader", "x0"), [math.inf, 0.0, 0.0],
+     "leader: x0 must be finite, got (inf, 0.0, 0.0)"),
+    ("rolling-disc", ("x0",), [0.0, 0.0, 0.0, "x"], "x0 entry must be a real number, got 'x'"),
+    ("rolling-disc", ("x0",), [0.0, 0.0], "x0 has dimension 2, expected 4"),
+    ("rolling-disc", ("x0",), [math.inf, 0.0, 0.0, 0.0], None),
+    ("rolling-disc", ("expected", "rho"), [0.1], "expected.rho must be a real number, got [0.1]"),
+    ("rolling-disc", ("expected", "rho"), -1.0, None),
+]
+
+
+@pytest.mark.parametrize("name, path, value, message", _LOADER_MESSAGES,
+                         ids=[".".join(map(str, row[1])) + f"={row[2]!r}"
+                              for row in _LOADER_MESSAGES])
+def test_loader_names_each_field_once(name, path, value, message):
+    data = _edited(name, path, value)
+    if message is None:
+        scenario_from_dict(data)
+        return
+    with pytest.raises(ScenarioFormatError) as info:
+        scenario_from_dict(data)
+    assert (type(info.value), str(info.value)) == (ScenarioFormatError, message)
+    # The field, and the block or agent holding it, are each named once,
+    # and no other field of that block is blamed.
+    field = path[-1]
+    assert message.count(field) == 1
+    if len(path) > 1:
+        block = _edited(name, path, value)
+        for key in path[:-1]:
+            block = block[key]
+        owner = "agents[0]" if path[0] == "agents" else path[0]
+        assert message.count(owner) == 1
+        assert [key for key in block if key != field and key in message] == []
 
 
 def test_validate_bundle_certifies_each_distinct_follower_once(monkeypatch):

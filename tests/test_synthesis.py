@@ -498,6 +498,11 @@ def test_validate_selection_rejects_malformed(disc, disc_gains):
         validate_selection(disc, bad, [np.zeros(4)], disc_gains)
 
 
+def test_validate_selection_refuses_no_probes(disc, disc_sel, disc_gains):
+    with pytest.raises(InvalidInputError, match=r"^at least one probe state is required$"):
+        validate_selection(disc, disc_sel, [], disc_gains)
+
+
 def _per_probe_certificate(sys, sel, probes, gains):
     """validate_selection as one _conditioning call per probe: its reference."""
     worst = alpha = 0.0
