@@ -28,7 +28,7 @@ from .model import (BLOCK_VALUES, _as_finite_reals, _as_int, _as_list, _as_posit
                     as_state)
 from .simulate import (SampledTrajectory, SimConfig, _check_field_length, _check_field_lengths,
                        _error_norms, _run_sampled)
-from .synthesis import _SteeringPlan, check_selection, held_control
+from .synthesis import _plan, held_control
 # Not called here: perfbench/tracer.py wraps formation._guard, _rk4_step,
 # extension_matrix and _solve_steering by name.
 from .simulate import _guard_state as _guard, _rk4_step  # noqa: F401
@@ -124,11 +124,10 @@ def follower_steering(agent, gains, x_agent, x_leader):
     p = agent.system.n
     x_agent = as_state(x_agent, p)
     x_leader = as_state(x_leader, p)
-    check_selection(agent.system, agent.selection)
+    plan = _plan(agent.system, agent.selection)
     # x - x_L - d in Python floats: the same subtractions as numpy's.
     r = [(v - vl) - d for v, vl, d in zip(x_agent.tolist(), x_leader.tolist(), agent.offset)]
-    return _SteeringPlan(agent.system, agent.selection).solve(x_agent, r, agent.gamma,
-                                                              gains.cond_cap)
+    return plan.solve(x_agent, r, agent.gamma, gains.cond_cap)
 
 
 def follower_controller(agent, gains):
@@ -137,7 +136,7 @@ def follower_controller(agent, gains):
     Same control family as the single-system law, with y - y* replaced by
     the displacement from the leader-plus-offset target.
     """
-    check_selection(agent.system, agent.selection)
+    _plan(agent.system, agent.selection)
     m = agent.system.m
     eps = gains.epsilon
 
@@ -175,7 +174,7 @@ def simulate_formation(agents, leader, x0s, gains, cfg=None):
     for agent in agents:
         if agent.system.n != p:
             raise InvalidInputError("all agents must share one state dimension")
-        check_selection(agent.system, agent.selection)
+        _plan(agent.system, agent.selection)
     x0s = [as_state(x0, p) for x0 in _as_list(x0s, "x0s")]
     if len(x0s) != len(agents):
         raise InvalidInputError(f"got {len(x0s)} initial states for {len(agents)} agents")
@@ -221,8 +220,8 @@ def _follower_groups(agents):
 def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
     """Run the stacked state, row 0 the leader and row l + 1 agent l.
 
-    The followers advance in groups (_follower_groups), each with one
-    steering plan (synthesis._SteeringPlan) for the run: at each sampling
+    The followers advance in groups (_follower_groups), each with its
+    pair's steering plan (synthesis._plan) for the run: at each sampling
     instant a group takes the plan's held, one control table for all its
     agents from their residuals x_l - x_L - d_l, and the engine advances
     it by one block kernel call per table block.  held raises the first
@@ -239,7 +238,7 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
     rows = [(("leader",), leader.dynamics, ())]
     rows += [(tuple(f"agent {idx}" for idx in range(lo, lo + len(group))),
               group[0].system.drift, group[0].system.control_fields) for lo, group in groups]
-    plans = [_SteeringPlan(group[0].system, group[0].selection) for _, group in groups]
+    plans = [_plan(group[0].system, group[0].selection) for _, group in groups]
     offsets = [np.array([agent.offset for agent in group]) for _, group in groups]
     gammas = [[agent.gamma for agent in group] for _, group in groups]
 

@@ -9,7 +9,6 @@ are scenario files shipped in the package's data/ directory.
 
 import functools
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
@@ -21,7 +20,7 @@ import numpy as np
 from . import library
 from .errors import InvalidInputError, ScenarioFormatError, UnknownScenarioError
 from .formation import FollowerAgent, LeaderModel
-from .model import BLOCK_VALUES, _as_int, _as_real, _as_reals, _within_budget, block_rows
+from .model import BLOCK_VALUES, _as_finite_reals, _as_int, _as_real, _within_budget, block_rows
 from .simulate import SimConfig
 from .synthesis import BracketSelection, ControllerGains, check_selection, validate_selection
 
@@ -130,25 +129,24 @@ def _list(value, where):
 
 
 def _numbers(value, where, n=None):
-    """A list of numbers as a tuple of floats, of length n when n is given."""
+    """A list of finite numbers as a tuple of floats, of length n when n is given."""
     with _constructing():
-        out = _as_reals(_list(value, where), where)
+        out = _as_finite_reals(_list(value, where), where)
     if n is not None and len(out) != n:
         raise ScenarioFormatError(f"{where} has dimension {len(out)}, expected {n}")
     return out
 
 
 def _probe_box(value, n):
-    """One finite [lo, hi] pair with lo <= hi per state coordinate."""
+    """One finite [lo, hi] pair (_numbers) with lo <= hi per state coordinate."""
     if not isinstance(value, (list, tuple)) or len(value) != n:
         raise ScenarioFormatError(
             f"probe_box must hold {n} [lo, hi] pairs, one per state coordinate, "
             f"got {value!r}")
     box = tuple(_numbers(pair, "probe_box pair", 2) for pair in value)
     for lo, hi in box:
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ScenarioFormatError(
-                f"probe_box pair [{lo!r}, {hi!r}] must be finite with lo <= hi")
+        if not lo <= hi:
+            raise ScenarioFormatError(f"probe_box pair [{lo!r}, {hi!r}] must have lo <= hi")
     return box
 
 
@@ -222,7 +220,7 @@ def scenario_from_dict(data):
     leader_name = str(_require(leader_spec, "field", "leader"))
     with _constructing():
         dynamics = library.leader_field(leader_name)
-    # Typed before the agents: a mistyped entry outranks their SelectionShapeError.
+    # Checked before the agents: a bad entry outranks their SelectionShapeError.
     leader_x0 = _numbers(_require(leader_spec, "x0", "leader"), "leader.x0")
     agents = []
     x0s = []
@@ -248,8 +246,7 @@ def scenario_from_dict(data):
     if gains.y_star != (0.0,) * p:
         raise ScenarioFormatError(
             f"gains.y_star must be {p} zeros in a formation, got {list(gains.y_star)}")
-    with _constructing("leader"):
-        leader = LeaderModel(name=leader_name, dynamics=dynamics, x0=leader_x0)
+    leader = LeaderModel(name=leader_name, dynamics=dynamics, x0=leader_x0)
     return ScenarioBundle(name=name, kind=kind, agents=tuple(agents), leader=leader,
                           agent_x0s=tuple(x0s), gains=gains, sim=sim,
                           probe_box=_probe_box(probe_spec, p), expected=expected)

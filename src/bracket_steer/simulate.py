@@ -67,7 +67,7 @@ from .errors import DivergenceError, InvalidInputError, RankDegeneracyError
 # moves the run's budget.
 from .model import (MAX_ROW_SUBSTEPS, _as_int, _as_list, _as_positive, _as_real, _as_reals,
                     _count, as_state, block_rows)
-from .synthesis import _check_target, _SteeringPlan, check_selection, frozen_control
+from .synthesis import _check_target, _plan, frozen_control
 # Not called here: perfbench/tracer.py wraps simulate.held_control and
 # simulate.steering_coefficients by name.
 from .synthesis import held_control, steering_coefficients  # noqa: F401
@@ -540,14 +540,13 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
     state attached) if the extension matrix degenerates at a sampling
     instant, and DivergenceError if the state leaves the guarded region.
     """
-    check_selection(sys, sel)
+    plan = _plan(sys, sel)
     x0 = as_state(x0, sys.n)
     _check_field_lengths(sys, x0)
     eps = gains.epsilon
     m = sys.m
     n1 = sys.n1
     y_star = gains.y_star_vec()
-    plan = _SteeringPlan(sys, sel)
 
     def steer(X):
         """The held control at a sampling instant: the public solve's y*
@@ -731,10 +730,9 @@ def _one_clock_sweep(sys, sel, runs, x0, plans):
         return [frozen_control(plan.terms, eps0, m, a)]
 
     try:
-        check_selection(sys, sel)
+        plan = _plan(sys, sel)
         _check_field_lengths(sys, x0)
         _check_target(runs[0], n1)
-        plan = _SteeringPlan(sys, sel)
         rec = _run_sampled(cfg, runs[0], sel.kappa_max, np.tile(x0, (size, 1)),
                            [(("state",) * size, sys.drift, sys.control_fields)],
                            steer, lambda rec: rec, ends)

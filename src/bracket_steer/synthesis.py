@@ -6,10 +6,12 @@ high-frequency cos/sin pairs whose second-order interaction moves the state
 along the selected Lie brackets in S2.
 
 Every extension matrix and steering solve goes through one private plan
-per (system, selection) pair, _SteeringPlan, built per public call or per
-run and never kept across calls.  For the built-in unicycle and rolling
-disc, chosen by the identity of their exact fields and Jacobians, it picks
-the selection's entries from library's fused columns once: one matrix
+per (system, selection) pair, _SteeringPlan, which _plan checks and builds
+once and keeps in a memo of at most PLAN_CACHE_SIZE pairs, the least
+recently used dropped first: every public call, validation and run on a
+pair shares its plan.  For the built-in unicycle and rolling disc, chosen
+by the identity of their exact fields and Jacobians, the plan picks the
+selection's entries from library's fused columns once: one matrix
 takes a cos, a sin and one np.array, and a stack of them one np.cos and one
 np.sin over the stack, each bitwise the generic construction.  Every other
 registered system takes that construction, the definition: one model field
@@ -28,7 +30,7 @@ of rows, the plan's held: a single system is a group of one row.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from sys import float_info
 from typing import Optional
@@ -39,8 +41,8 @@ from numpy.linalg._umath_linalg import svd as _lapack_svd
 
 from .errors import InvalidInputError, NonFiniteError, RankDegeneracyError, SelectionShapeError
 from .library import _FUSED_KEYS, _fused_columns
-from .model import (_as_finite_reals, _as_int, _as_list, _as_positive, _as_real, _as_reals,
-                    _bracket, _field, _within_budget, as_state, block_rows)
+from .model import (_as_finite_reals, _as_int, _as_list, _as_positive, _as_real, _bracket,
+                    _field, _within_budget, as_state, block_rows)
 # Not called here: perfbench/tracer.py wraps synthesis.lie_bracket by name.
 from .model import lie_bracket  # noqa: F401
 
@@ -169,9 +171,8 @@ class RankCertificate:
 
 def extension_matrix(sys, sel, x):
     """Columns: y-rows of f_i for i in S1, then y-rows of [f_i1, f_i2] for S2."""
-    check_selection(sys, sel)
-    x = as_state(x, sys.n)
-    return _SteeringPlan(sys, sel).matrix(x)
+    plan = _plan(sys, sel)
+    return plan.matrix(as_state(x, sys.n))
 
 
 class _ControlTerms:
@@ -193,12 +194,14 @@ class _SteeringPlan:
     """The steering layer of one (system, selection) pair that
     check_selection passed: its extension matrices and steering solves.
 
-    It is built once per public call, per validate_selection, per
-    simulate_pi_epsilon run and per formation group and run, and lives no
-    longer.  It resolves once the system's fused columns (library's rule
-    for exactly the built-in unicycle's and disc's fields and Jacobians,
-    chosen by their identity) and the entries of the rule's 3 x 4 matrix
-    that the selection picks; a run steers through its held, which takes
+    Only _plan builds it, once per pair while its memo keeps the pair, and
+    every public call, validate_selection, simulate_pi_epsilon run and
+    formation group on the pair shares it: nothing in it changes after
+    construction but terms, cached from the selection alone.  It resolves
+    once the system's fused columns (library's rule for exactly the
+    built-in unicycle's and disc's fields and Jacobians, chosen by their
+    identity) and the entries of the rule's 3 x 4 matrix that the
+    selection picks; a run steers through its held, which takes
     the selection's control constants (terms) for frozen_control.  Every
     other system takes the definition: model's _field for each S1 column
     and _bracket, J_i2 f_i1 - J_i1 f_i2, for each S2 pair; no benchmark
@@ -314,6 +317,32 @@ class _SteeringPlan:
                               self.coefficients(X, R, gammas, cond_cap, eps, labels))
 
 
+# Steering plans _plan keeps, the least recently used dropped first.  A
+# plan is a few short lists, but it holds its system (and so the system's
+# functions) alive, so the bound caps the memo's memory at a few dozen
+# systems.  A workload steers one pair per built-in and a formation one
+# per distinct follower pair, far fewer, so no run rebuilds a plan; past
+# the bound a pair is checked and built again, the same plan.
+PLAN_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(sys, sel):
+    """The steering plan of (sys, sel), after check_selection, memoized.
+
+    Sound because both keys are immutable.  A PartitionedSystem is frozen
+    and hashes by identity (eq=False), and the memo holds it, so its id is
+    not reused; a BracketSelection is frozen and holds tuples of ints, so
+    equal selections share a plan; and a plan picks its fused columns by
+    the identity of its system's functions, which a frozen system keeps.
+    A pair that fails the check raises on every call and is never kept
+    (lru_cache stores no exception).  A plan built before library's fused
+    table changes keeps its columns until _plan.cache_clear().
+    """
+    check_selection(sys, sel)
+    return _SteeringPlan(sys, sel)
+
+
 def _steering_rhs(gamma, r):
     """-gamma r in Python floats for a row r of them: a gain that overflows
     it raises NonFiniteError naming gamma, without a numpy warning."""
@@ -379,10 +408,10 @@ def steering_coefficients(sys, sel, gains, x):
     """a(x) solving F(x) a = -gamma (y - y*), ordered as (S1 entries, S2 entries)."""
     x = as_state(x, sys.n)
     _check_target(gains, sys.n1)
-    check_selection(sys, sel)
+    plan = _plan(sys, sel)
     # y - y* in Python floats: the same subtraction as numpy's.
     r = [v - t for v, t in zip(x.tolist(), gains.y_star)]
-    return _SteeringPlan(sys, sel).solve(x, r, gains.gamma, gains.cond_cap)
+    return plan.solve(x, r, gains.gamma, gains.cond_cap)
 
 
 def _sign(v):
@@ -472,8 +501,8 @@ def held_control(sel, epsilon, m, a, t):
     The frozen control's table at the one time t.  Each input is checked
     here and a bad one raises InvalidInputError naming it: t finite, epsilon
     finite and > 0, m an integer covering every selection index, each kappa
-    >= 1, and a finite with sel.width entries.  frozen_control, the sampled
-    loop's path, takes them unchecked.
+    >= 1, and a finite (_as_finite_reals) with sel.width entries.
+    frozen_control, the sampled loop's path, takes them unchecked.
     """
     t = _as_real(t, "t")
     if not math.isfinite(t):
@@ -486,11 +515,9 @@ def held_control(sel, epsilon, m, a, t):
     for k in sel.kappa:
         if k < 1:
             raise InvalidInputError(f"kappa entry {k} must be >= 1")
-    a = np.array(_as_reals(a, "a"))
+    a = np.array(_as_finite_reals(a, "a"))
     if a.shape != (sel.width,):
         raise InvalidInputError(f"a has shape {a.shape}, expected (sel.width,) = ({sel.width},)")
-    if not np.isfinite(a).all():
-        raise InvalidInputError(f"a must be finite, got {a.tolist()}")
     return frozen_control(_ControlTerms(sel), epsilon, m, a)(np.array([t]))[0]
 
 
@@ -531,13 +558,12 @@ def validate_selection(sys, sel, probes, gains):
     loop's result to the bit.  A zero or NaN (not converged) smallest
     singular value fails the rank and makes both inf.
     """
-    check_selection(sys, sel)
+    plan = _plan(sys, sel)
     probes = _as_list(probes, "probes")
     if len(probes) == 0:
         raise InvalidInputError("at least one probe state is required")
     worst = alpha = 0.0
     ok = True
-    plan = _SteeringPlan(sys, sel)
     rows = _probe_array(probes, sys.n)
     if rows is None:
         rows = []

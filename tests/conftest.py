@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from bracket_steer import (BracketSelection, ControllerGains, PartitionedSystem,
-                           library, system)
+                           library, synthesis, system)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_plans():
+    """Every test starts with an empty steering-plan memo, so a plan kept by
+    an earlier test never hides a patch of library's tables or of model."""
+    synthesis._plan.cache_clear()
 
 
 @pytest.fixture

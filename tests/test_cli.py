@@ -534,8 +534,38 @@ def test_malformed_formation_values_exit_2(tmp_path, capsys, where, key, value):
                  ["run", str(path), "--out", str(tmp_path / "x.csv")]):
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error:ScenarioFormatError:{where}: "), err
+        # A constructor's refusal names its block; the loader's (each x0) the full path.
+        named = f"{where}.{key} " if key == "x0" else f"{where}: "
+        assert err.startswith(f"error:ScenarioFormatError:{named}"), err
         assert key in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _no_certifying(*args):
+    raise AssertionError("a refused file reached validate_selection")
+
+
+@pytest.mark.parametrize("name, path, value, message", [
+    ("rolling-disc", ("x0",), math.inf, "x0 must be finite, got (inf, 0.0, 0.0, 0.0)"),
+    ("unicycle-leader", ("agents", 0, "x0"), math.nan,
+     "agents[0].x0 must be finite, got (nan, 0.0, 0.0)"),
+])
+def test_non_finite_x0_exits_2_before_certifying(tmp_path, capsys, monkeypatch, name, path,
+                                                 value, message):
+    # Such a file once loaded: validate certified it and exited 0, and run
+    # refused its state only after certifying, without naming the key.
+    from bracket_steer import builtin_scenario, scenario_to_dict, scenarios
+    monkeypatch.setattr(scenarios, "validate_selection", _no_certifying)
+    d = scenario_to_dict(builtin_scenario(name))
+    block = d
+    for key in path:
+        block = block[key]
+    block[:] = [value] + [0.0] * (len(block) - 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    for args in (["validate", str(bad)], ["run", str(bad), "--out", str(tmp_path / "x.csv")]):
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error:ScenarioFormatError:{message}\n"
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -395,8 +395,9 @@ def test_number_fields_refuse_strings_and_bools(where, value):
         assert type(got) is float and got == 5.0, (ok, got)
 
 
-# Each constructor's refusal, as the loader reports it, and each registry
-# refusal, pinned as exact (type, message) pairs.
+# Each constructor's refusal, as the loader reports it, the leader's x0 (the
+# loader refuses it itself, before the agents), and each registry refusal,
+# pinned as exact (type, message) pairs.
 _EXACT_ERRORS = {
     "gains": (lambda: scenario_from_dict(_edited("rolling-disc", ("gains", "epsilon"), -1.0)),
               ScenarioFormatError, "gains: epsilon must be finite and > 0, got -1.0"),
@@ -413,7 +414,7 @@ _EXACT_ERRORS = {
         ScenarioFormatError, "agents[0]: gamma must be a real number, got 'x'"),
     "leader": (lambda: scenario_from_dict(
         _edited("unicycle-leader", ("leader", "x0"), [math.inf, 0.0, 0.0])),
-        ScenarioFormatError, "leader: x0 must be finite, got (inf, 0.0, 0.0)"),
+        ScenarioFormatError, "leader.x0 must be finite, got (inf, 0.0, 0.0)"),
     "system-duplicate": (lambda: library.register_system(library.system("unicycle")),
                          InvalidInputError, "system 'unicycle' is already registered"),
     "leader-field-duplicate": (
@@ -443,10 +444,10 @@ def test_exact_loader_and_registry_errors(monkeypatch, case):
 # Every value field of a scenario file, fed a non-number and a value out of
 # its range, with the loader's exact message: the block's name and the
 # message of the constructor that types the value, or the full path alone
-# where the loader types it (x0 entries, the leader's before the agents,
-# and expected values).  None marks a value the loader takes: it has no
-# range rule for x0 entries or expected values (run refuses a non-finite
-# x0, and a rho that is not finite and > 0).
+# where the loader types it (x0 entries, finite, the leader's before the
+# agents, and expected values).  None marks a value the loader takes: it
+# has no range rule for expected values (run refuses a rho that is not
+# finite and > 0).
 _LOADER_MESSAGES = [
     ("rolling-disc", ("gains", "epsilon"), "x", "gains: epsilon must be a real number, got 'x'"),
     ("rolling-disc", ("gains", "epsilon"), -1, "gains: epsilon must be finite and > 0, got -1"),
@@ -476,14 +477,16 @@ _LOADER_MESSAGES = [
     ("unicycle-leader", ("agents", 0, "x0"), [0.0, None, 0.0],
      "agents[0].x0 entry must be a real number, got None"),
     ("unicycle-leader", ("agents", 0, "x0"), [0.0, 0.0], "agents[0].x0 has dimension 2, expected 3"),
-    ("unicycle-leader", ("agents", 0, "x0"), [math.inf, 0.0, 0.0], None),
+    ("unicycle-leader", ("agents", 0, "x0"), [math.inf, 0.0, 0.0],
+     "agents[0].x0 must be finite, got (inf, 0.0, 0.0)"),
     ("unicycle-leader", ("leader", "x0"), [0.0, False, 0.0],
      "leader.x0 entry must be a real number, got False"),
     ("unicycle-leader", ("leader", "x0"), [math.inf, 0.0, 0.0],
-     "leader: x0 must be finite, got (inf, 0.0, 0.0)"),
+     "leader.x0 must be finite, got (inf, 0.0, 0.0)"),
     ("rolling-disc", ("x0",), [0.0, 0.0, 0.0, "x"], "x0 entry must be a real number, got 'x'"),
     ("rolling-disc", ("x0",), [0.0, 0.0], "x0 has dimension 2, expected 4"),
-    ("rolling-disc", ("x0",), [math.inf, 0.0, 0.0, 0.0], None),
+    ("rolling-disc", ("x0",), [math.inf, 0.0, 0.0, 0.0],
+     "x0 must be finite, got (inf, 0.0, 0.0, 0.0)"),
     ("rolling-disc", ("expected", "rho"), [0.1], "expected.rho must be a real number, got [0.1]"),
     ("rolling-disc", ("expected", "rho"), -1.0, None),
 ]

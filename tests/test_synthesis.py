@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import json
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,10 +14,11 @@ from numpy.linalg import _umath_linalg
 
 from bracket_steer import (ROLLING_DISC, UNICYCLE, BracketSelection, ControllerGains,
                            FollowerAgent, InvalidInputError, NonFiniteError, PartitionedSystem,
-                           RankDegeneracyError, SelectionShapeError, builtin_scenario,
-                           check_selection, control_value, extension_matrix,
+                           RankDegeneracyError, SelectionShapeError, SimConfig, builtin_scenario,
+                           check_selection, control_value, epsilon_sweep, extension_matrix,
                            follower_controller, follower_steering, held_control,
-                           steering_coefficients, validate_selection)
+                           simulate_formation, simulate_pi_epsilon, steering_coefficients,
+                           validate_selection)
 from bracket_steer import formation, library, model, synthesis
 from bracket_steer.model import as_state
 from bracket_steer.scenarios import SINGLE, probe_states
@@ -421,7 +424,7 @@ def test_held_control_refuses_non_finite_time(disc_sel):
     (1, math.nan, 2, [1.0, 2.0], "epsilon must be finite and > 0, got nan"),
     (1, 0.25, 1, [1.0, 2.0], r"selection index 2 outside 1..m, m = 1"),
     (1, 0.25, 2, [1.0], r"a has shape \(1,\), expected \(sel.width,\) = \(2,\)"),
-    (1, 0.25, 2, [1.0, math.nan], r"a must be finite, got \[1.0, nan\]"),
+    (1, 0.25, 2, [1.0, math.nan], r"a must be finite, got \(1.0, nan\)"),
     (-1, 0.25, 2, [1.0, 2.0], "kappa entry -1 must be >= 1"),
     (1, 0.25, 1e308, [1.0, 2.0], r"m=1e\+308 exceeds the budget MAX_ROW_SUBSTEPS = 10000000"),
     (1, 0.25, 2, [1.0, "2"], "a entry must be a real number, got '2'"),
@@ -699,12 +702,17 @@ BUILTIN_CASES = ("rolling-disc", "unicycle-leader", "unicycle-permuted", "unicyc
 
 
 def _matches_reference(monkeypatch, pinch, case):
+    """Assert the case's steering layer is the reference's to the bit, and
+    return the model._jac calls its own matrices made."""
     probes, sys, sel, gains, steer = _reference_cases(pinch)[case]
+    jac_calls = _counting(monkeypatch, model, "_jac", lambda *_: 1)
     got = _steering_layer(sys, sel, gains, probes, steer)
+    own = len(jac_calls)
     want, calls = _with_reference(monkeypatch, lambda: _steering_layer(
         sys, sel, gains, probes, steer))
     assert calls == (3 if steer else 2) * len(probes)
     assert got == want
+    return own
 
 
 @pytest.mark.parametrize("case", BUILTIN_CASES + ("pinch", "pinch-bracket"))
@@ -718,9 +726,12 @@ def test_extension_matrix_matches_reference_bitwise(monkeypatch, pinch, case):
 @pytest.mark.parametrize("case", BUILTIN_CASES)
 def test_generic_extension_matrix_matches_reference_bitwise(monkeypatch, pinch, case):
     # The built-ins again with the fused table emptied: the generic
-    # construction on their fields.
+    # construction on their fields, two Jacobians per bracket of every
+    # matrix (the memo starts empty, so no fused plan is kept).
     monkeypatch.setattr(library, "_FUSED_COLUMNS", {})
-    _matches_reference(monkeypatch, pinch, case)
+    probes, _, sel, _, steer = _reference_cases(pinch)[case]
+    jacs = _matches_reference(monkeypatch, pinch, case)
+    assert jacs == 2 * len(sel.s2) * (3 if steer else 2) * len(probes)
 
 
 def _heading_states(n, seed=15):
@@ -765,9 +776,13 @@ def test_fused_extension_matrices_match_generic_bitwise(monkeypatch):
                 jac_calls.clear()
                 got = synthesis.extension_matrix(sys, sel, x)
                 assert jac_calls == []
+                # The memo is cleared on each side of the swap: a kept
+                # plan keeps the table it was built with.
                 with monkeypatch.context() as m:
                     m.setattr(library, "_FUSED_COLUMNS", {})
+                    synthesis._plan.cache_clear()
                     want = synthesis.extension_matrix(sys, sel, x)
+                synthesis._plan.cache_clear()
                 assert jac_calls or not sel.s2
                 assert got.flags.c_contiguous and got.shape == want.shape == (sys.n1, sys.n1)
                 assert got.tobytes() == want.tobytes(), (name, sel, x.tolist())
@@ -943,24 +958,127 @@ def test_steering_contract_hypothesis(x1, x2, th):
 
 def test_steering_entries_check_each_input_once(monkeypatch, disc, disc_sel, disc_gains,
                                                 uni, uni_sel, uni_gains):
-    # as_state and check_selection are counted in every namespace that
-    # calls them: one state and one selection check per single-system
-    # solve, two states (agent, leader) and one selection per follower.
+    # as_state is counted in every namespace that calls it, check_selection
+    # where _plan calls it: every call checks its states, one for a
+    # single-system solve and two (agent, leader) for a follower's, but a
+    # (system, selection) pair's selection is checked once, by the call
+    # that builds its plan, and an equal selection is the same pair.
     counts = {"as_state": 0, "check_selection": 0}
-    for module in (synthesis, formation):
-        for name in counts:
-            def counted(*args, _orig=getattr(module, name), _name=name):
-                counts[_name] += 1
-                return _orig(*args)
-            monkeypatch.setattr(module, name, counted)
+    for module, name in ((synthesis, "as_state"), (formation, "as_state"),
+                         (synthesis, "check_selection")):
+        def counted(*args, _orig=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(module, name, counted)
     agent = FollowerAgent(uni, uni_sel, 2.0, (0.5, 0.0, 0.0))
     for _ in range(3):
         steering_coefficients(disc, disc_sel, disc_gains, [2.0, 1.0, 0.0, 3.0])
-    assert counts == {"as_state": 3, "check_selection": 3}
+    assert counts == {"as_state": 3, "check_selection": 1}
     counts.update(as_state=0, check_selection=0)
     for _ in range(3):
         follower_steering(agent, uni_gains, [0.1, 0.2, 0.3], [0.0, 0.0, 0.0])
-    assert counts == {"as_state": 6, "check_selection": 3}
+    assert counts == {"as_state": 6, "check_selection": 1}
+    counts.update(as_state=0, check_selection=0)
+    equal = BracketSelection(s1=list(disc_sel.s1), s2=[list(p) for p in disc_sel.s2])
+    extension_matrix(disc, equal, [2.0, 1.0, 0.0, 3.0])
+    validate_selection(disc, equal, [[2.0, 1.0, 0.0, 3.0]], disc_gains)
+    assert counts == {"as_state": 1, "check_selection": 0}
+
+
+def _plan_entries(disc, disc_sel, disc_gains, uni, uni_sel, uni_gains):
+    """One call of each public entry that steers through a plan, by name."""
+    agent = FollowerAgent(uni, uni_sel, 2.0, (0.5, 0.0, 0.0))
+    x, p, origin = [2.0, 1.0, 0.0, 3.0], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0]
+    return {
+        "extension_matrix": lambda: extension_matrix(disc, disc_sel, x),
+        "steering_coefficients": lambda: steering_coefficients(disc, disc_sel, disc_gains, x),
+        "control_value": lambda: control_value(disc, disc_sel, disc_gains, 0.3, x),
+        "validate_selection": lambda: validate_selection(disc, disc_sel, [x], disc_gains),
+        "follower_steering": lambda: follower_steering(agent, uni_gains, p, origin),
+        "follower_controller": lambda: follower_controller(agent, uni_gains)(0.3, p, origin),
+    }
+
+
+def test_public_entries_build_one_plan_per_pair(monkeypatch, disc, disc_sel, disc_gains,
+                                                uni, uni_sel, uni_gains):
+    # 1000 calls of each entry build one plan per (system, selection) pair,
+    # and the runs on the pairs build none.
+    built = []
+
+    class Counted(synthesis._SteeringPlan):
+        def __init__(self, sys, sel):
+            built.append((sys, sel))
+            super().__init__(sys, sel)
+
+    monkeypatch.setattr(synthesis, "_SteeringPlan", Counted)
+    for name, call in _plan_entries(disc, disc_sel, disc_gains, uni, uni_sel,
+                                    uni_gains).items():
+        for _ in range(1000):
+            call()
+    assert built == [(disc, disc_sel), (uni, uni_sel)]
+    cfg = SimConfig(t_final=2.0)
+    agent = FollowerAgent(uni, uni_sel, 2.0, (0.5, 0.0, 0.0))
+    leader = builtin_scenario("unicycle-leader").leader
+    for _ in range(2):
+        simulate_pi_epsilon(disc, disc_sel, disc_gains, [2.0, 1.0, 0.0, 3.0], cfg)
+        epsilon_sweep(disc, disc_sel, disc_gains, [2.0, 1.0, 0.0, 3.0], 2.0, [1.0, 0.5])
+        simulate_formation([agent, agent], leader, [[0.1, 0.2, 0.3]] * 2, uni_gains, cfg)
+    assert built == [(disc, disc_sel), (uni, uni_sel)]
+    assert synthesis._plan.cache_info().currsize == 2
+
+
+def test_bad_selection_raises_every_call_and_is_never_kept(disc, disc_sel, disc_gains,
+                                                          uni, uni_sel, uni_gains):
+    # lru_cache keeps no exception: a pair that fails check_selection
+    # raises on every call, through every entry, and adds nothing.
+    bad_disc = BracketSelection(s1=(1,), s2=((1, 1),))
+    bad_uni = BracketSelection(s1=(1, 2), s2=((2, 2),))
+    entries = _plan_entries(disc, bad_disc, disc_gains, uni, bad_uni, uni_gains)
+    synthesis._plan(disc, disc_sel)
+    for name, call in entries.items():
+        for _ in range(3):
+            with pytest.raises(SelectionShapeError, match="bracket pair invariant violated"):
+                call()
+        assert synthesis._plan.cache_info().currsize == 1, name
+
+
+def test_plan_memo_is_bounded():
+    # More distinct systems than the bound keep at most the bound, and a
+    # system dropped from the memo is freed: the memo holds no more.
+    sel = BracketSelection(s1=(1, 2), s2=((1, 2),))
+    size = synthesis.PLAN_CACHE_SIZE
+    assert synthesis._plan.cache_info().maxsize == size
+    first = dataclasses.replace(UNICYCLE)
+    alive = weakref.ref(first)
+    extension_matrix(first, sel, [0.1, 0.2, 0.3])
+    del first
+    for _ in range(size + 10):
+        extension_matrix(dataclasses.replace(UNICYCLE), sel, [0.1, 0.2, 0.3])
+        assert synthesis._plan.cache_info().currsize <= size
+    assert synthesis._plan.cache_info().currsize == size
+    gc.collect()
+    assert alive() is None
+
+
+def test_memoized_solves_are_a_fresh_plans_bitwise(disc, disc_sel, disc_gains, uni, uni_sel,
+                                                   uni_gains, pinch, pinch_sel):
+    # The memo's plan is the one every call shares, and each of its solves
+    # and matrices is a freshly built plan's to the bit.
+    rng = np.random.default_rng(33)
+    pinch_gains = ControllerGains(epsilon=0.1, gamma=1.0, y_star=(0.0, 0.0))
+    for sys, sel, gains in ((disc, disc_sel, disc_gains), (uni, uni_sel, uni_gains),
+                            (pinch, pinch_sel, pinch_gains)):
+        kept = synthesis._plan(sys, sel)
+        assert synthesis._plan(sys, dataclasses.replace(sel)) is kept
+        for x in rng.uniform(0.5, 3.0, (50, sys.n)):
+            fresh = synthesis._SteeringPlan(sys, sel)
+            r = [v - t for v, t in zip(x.tolist(), gains.y_star)]
+            want = fresh.solve(x, r, gains.gamma, gains.cond_cap)
+            for _ in range(2):
+                got = steering_coefficients(sys, sel, gains, x)
+                assert got.tobytes() == want.tobytes()
+                assert extension_matrix(sys, sel, x).tobytes() == fresh.matrix(x).tobytes()
+        assert synthesis._plan(sys, sel) is kept
 
 
 # (type, message) pairs as the public entries raised them before they
