@@ -24,8 +24,8 @@ import numpy as np
 
 from . import library
 from .errors import InvalidInputError, NonFiniteError
-from .model import (BLOCK_VALUES, _as_finite_reals, _as_int, _as_list, _as_positive, _as_reals,
-                    as_state)
+from .model import (BLOCK_VALUES, _as_count, _as_finite_reals, _as_int, _as_list, _as_positive,
+                    _as_reals, as_state)
 from .simulate import (SampledTrajectory, SimConfig, _check_field_length, _check_field_lengths,
                        _error_norms, _run_sampled)
 from .synthesis import _plan, held_control
@@ -137,12 +137,10 @@ def follower_controller(agent, gains):
     the displacement from the leader-plus-offset target.
     """
     _plan(agent.system, agent.selection)
-    m = agent.system.m
-    eps = gains.epsilon
 
     def controller(t, x_agent, x_leader):
         a = follower_steering(agent, gains, x_agent, x_leader)
-        return held_control(agent.selection, eps, m, a, t)
+        return held_control(agent.selection, gains.epsilon, agent.system.m, a, t)
 
     return controller
 
@@ -191,9 +189,7 @@ def simulate_leader(leader, gains, cfg=None, kappa_max=1):
     Returns (dense_times, dense_states) with every sub-step recorded; used
     by the scenario validator when no full formation run is wanted.
     """
-    kappa_max = _as_int(kappa_max, "kappa_max")
-    if kappa_max < 1:
-        raise InvalidInputError(f"kappa_max must be >= 1, got {kappa_max}")
+    kappa_max = _as_count(kappa_max, "kappa_max")
     cfg = replace(SimConfig() if cfg is None else cfg, record_stride=1)
     ftraj = _simulate_stacked((), leader, (), gains, cfg, kappa_max)
     return ftraj.dense_times, ftraj.leader_states

@@ -61,6 +61,14 @@ def _as_int(value, what):
     raise InvalidInputError(f"{what} must be an integer, got {value!r}")
 
 
+def _as_count(value, what):
+    """value as _as_int's int, refused with InvalidInputError naming what unless >= 1."""
+    count = _as_int(value, what)
+    if count < 1:
+        raise InvalidInputError(f"{what} must be >= 1, got {value}")
+    return count
+
+
 def _as_real(value, what):
     """value as a float: a real number (int, float, Fraction, a numpy
     integer or floating) that float() takes.  A bool, a numpy bool or any

@@ -20,7 +20,8 @@ import numpy as np
 from . import library
 from .errors import InvalidInputError, ScenarioFormatError, UnknownScenarioError
 from .formation import FollowerAgent, LeaderModel
-from .model import BLOCK_VALUES, _as_finite_reals, _as_int, _as_real, _within_budget, block_rows
+from .model import (BLOCK_VALUES, _as_count, _as_finite_reals, _as_int, _as_real, _within_budget,
+                    block_rows)
 from .simulate import SimConfig
 from .synthesis import BracketSelection, ControllerGains, check_selection, validate_selection
 
@@ -552,9 +553,7 @@ def save_scenario(bundle, path):
 
 def probe_states(bundle, n_probes=DEFAULT_PROBES, seed=PROBE_SEED):
     """Deterministic uniform probe states drawn from the bundle's probe box."""
-    n_probes = _within_budget(_as_int(n_probes, "n_probes"), "n_probes")
-    if n_probes < 1:
-        raise InvalidInputError("at least one probe state is required")
+    n_probes = _within_budget(_as_count(n_probes, "n_probes"), "n_probes")
     seed = _as_int(seed, "seed")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")

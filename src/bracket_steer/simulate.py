@@ -65,7 +65,7 @@ from . import library
 from .errors import DivergenceError, InvalidInputError, RankDegeneracyError
 # MAX_ROW_SUBSTEPS is read here by name, so patching simulate.MAX_ROW_SUBSTEPS
 # moves the run's budget.
-from .model import (MAX_ROW_SUBSTEPS, _as_int, _as_list, _as_positive, _as_real, _as_reals,
+from .model import (MAX_ROW_SUBSTEPS, _as_count, _as_list, _as_positive, _as_real, _as_reals,
                     _count, as_state, block_rows)
 from .synthesis import _check_target, _plan, frozen_control
 # Not called here: perfbench/tracer.py wraps simulate.held_control and
@@ -105,13 +105,9 @@ class SimConfig:
         if self.t_final is not None:
             object.__setattr__(self, "t_final", _as_positive(self.t_final, "t_final"))
         if self.substeps_per_period is not None:
-            nsub = _as_int(self.substeps_per_period, "substeps_per_period")
-            if nsub < 1:
-                raise InvalidInputError("substeps_per_period must be >= 1")
-            object.__setattr__(self, "substeps_per_period", nsub)
-        object.__setattr__(self, "record_stride", _as_int(self.record_stride, "record_stride"))
-        if self.record_stride < 1:
-            raise InvalidInputError("record_stride must be >= 1")
+            object.__setattr__(self, "substeps_per_period",
+                               _as_count(self.substeps_per_period, "substeps_per_period"))
+        object.__setattr__(self, "record_stride", _as_count(self.record_stride, "record_stride"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +164,7 @@ def default_t_final(gains):
 
 
 def default_substeps(kappa_max):
-    return 40 * _as_int(kappa_max, "kappa_max")
+    return 40 * _as_count(kappa_max, "kappa_max")
 
 
 def resolve_config(cfg, gains, kappa_max):
@@ -576,15 +572,21 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
                         [(("state",), sys.drift, sys.control_fields)], steer, build)
 
 
+def _averaged_flow(y0, gains, times):
+    """y* + exp(-gamma t) (y0 - y*), a row per t in times: math.exp per t, then elementwise."""
+    y_star = gains.y_star_vec()
+    decay = np.array([math.exp(-gains.gamma * t) for t in times])
+    return y_star + decay[:, None] * (y0 - y_star)
+
+
 def averaged_reference(y0, gains, t):
-    """The averaged flow y* + exp(-gamma t) (y0 - y*) the control emulates."""
+    """The averaged flow y* + exp(-gamma t) (y0 - y*) the control emulates, at t >= 0."""
     t = _as_real(t, "t")
-    if t < 0:
+    if not t >= 0:
         raise InvalidInputError(f"t must be >= 0, got {t}")
     y0 = as_state(_as_reals(y0, "y0"))
     _check_target(gains, len(y0))
-    y_star = gains.y_star_vec()
-    return y_star + math.exp(-gains.gamma * t) * (y0 - y_star)
+    return _averaged_flow(y0, gains, [t])[0]
 
 
 def decay_report(traj, gains, rho):
@@ -639,9 +641,9 @@ def _sweep_epsilons(eps_list):
 
 def _max_deviation(y0, gains, times, ys):
     """max_j ||ys[j] - averaged_reference(y0, gains, times[j])||, at least 0.0,
-    bitwise the per-sample loop's: the references in one array pass of
-    averaged_reference's own operations (math.exp per time, then
-    elementwise), and the maximum over each row's np.linalg.norm.
+    bitwise the per-sample loop's: the references in one _averaged_flow
+    pass, averaged_reference's own, and the maximum over each row's
+    np.linalg.norm.
 
     That norm's length-n dot product rounds its sum of squares unlike an
     array sum, but each is within gamma_n = n u / (1 - n u) of the exact sum
@@ -652,9 +654,7 @@ def _max_deviation(y0, gains, times, ys):
     overflow voids that bound, every row does.  A NaN row is never the
     maximum, as in the loop's max.
     """
-    y_star = gains.y_star_vec()
-    decay = np.array([math.exp(-gains.gamma * t) for t in times])
-    residuals = ys - (y_star + decay[:, None] * (y0 - y_star))
+    residuals = ys - _averaged_flow(y0, gains, times)
     with np.errstate(over="ignore"):  # an inf square sends every row to the norm
         squares = (residuals * residuals).sum(axis=1)
     top = np.fmax.reduce(squares, initial=0.0)
@@ -711,7 +711,7 @@ def _one_clock_sweep(sys, sel, runs, x0, plans):
             and scales[-1] <= _MAX_SCALE
             and _in_range([eps0, runs[-1].epsilon, runs[0].gamma, sel.kappa_max], _SWEEP_RANGE)):
         return None
-    n1, m, size = sys.n1, sys.m, len(runs)
+    n1, size = sys.n1, len(runs)
     ends = [n_int for _, _, n_int, _, _ in reversed(plans)]
     gammas = [runs[0].gamma / c for c in reversed(scales)]
     labels = (None,) * size
@@ -727,7 +727,7 @@ def _one_clock_sweep(sys, sel, runs, x0, plans):
         if not _in_range(chain(X.ravel().tolist(), R.ravel().tolist(), a.ravel().tolist()),
                          _STEP_RANGE):
             raise _OutOfScale
-        return [frozen_control(plan.terms, eps0, m, a)]
+        return [frozen_control(plan.terms, eps0, a)]
 
     try:
         plan = _plan(sys, sel)

@@ -5,32 +5,32 @@ The control drives the y-block toward y* by realizing the average motion
 high-frequency cos/sin pairs whose second-order interaction moves the state
 along the selected Lie brackets in S2.
 
-Every extension matrix and steering solve goes through one private plan
-per (system, selection) pair, _SteeringPlan, which _plan checks and builds
-once and keeps in a memo of at most PLAN_CACHE_SIZE pairs, the least
-recently used dropped first: every public call, validation and run on a
-pair shares its plan.  For the built-in unicycle and rolling disc, chosen
-by the identity of their exact fields and Jacobians, the plan picks the
-selection's entries from library's fused columns once: one matrix
-takes a cos, a sin and one np.array, and a stack of them one np.cos and one
-np.sin over the stack, each bitwise the generic construction.  Every other
-registered system takes that construction, the definition: one model field
-per S1 column and one model bracket per S2 column, each bracket evaluating
-its own fields and Jacobians, row by row; no benchmark workload reaches it.
+A selection's rules are written once: check_selection's width, and the
+rest in _control_terms, one memo per (selection, m) of the control
+family's constants.  Every extension matrix and steering solve goes
+through one plan per (system, selection) pair, _SteeringPlan, which _plan
+checks, builds once and keeps in a memo of at most PLAN_CACHE_SIZE pairs,
+the least recently used dropped first.  For the built-in unicycle and
+rolling disc, chosen by the identity of their exact fields and Jacobians,
+the plan picks the selection's entries from library's fused columns once:
+one matrix takes a cos, a sin and one np.array, and a stack one np.cos and
+one np.sin, each bitwise the generic construction.  Every other registered
+system takes the definition: one model field per S1 column and one model
+bracket per S2 column, row by row; no benchmark workload reaches it.
 validate_selection checks its probes in one pass (or per probe, in order)
 and certifies them by one stacked build and SVD per PROBE_CHUNK matrices;
 each steering solve keeps one SVD for its condition guard and one LU
-solve, and a stack of solves (solve_many) one of each for the whole stack.
-Both are the LAPACK gufuncs that np.linalg.svd and np.linalg.solve call,
-called without those wrappers: the same routines, so the same bytes, but a
-failure comes back as NaN, never as LinAlgError, and the guards below test
-for it.  At each sampling instant every run steers by one step per group
-of rows, the plan's held: a single system is a group of one row.
+solve, and a stack of solves (solve_many) one of each.  Both are the
+LAPACK gufuncs that np.linalg.svd and np.linalg.solve call, without those
+wrappers: the same bytes, but a failure comes back as NaN, never as
+LinAlgError, and the guards below test for it.  At each sampling instant
+every run steers by one step per group of rows (a single system is one
+row), the plan's held.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 from sys import float_info
 from typing import Optional
@@ -41,8 +41,8 @@ from numpy.linalg._umath_linalg import svd as _lapack_svd
 
 from .errors import InvalidInputError, NonFiniteError, RankDegeneracyError, SelectionShapeError
 from .library import _FUSED_KEYS, _fused_columns
-from .model import (_as_finite_reals, _as_int, _as_list, _as_positive, _as_real, _bracket,
-                    _field, _within_budget, as_state, block_rows)
+from .model import (_as_count, _as_finite_reals, _as_int, _as_list, _as_positive, _as_real,
+                    _bracket, _field, _within_budget, as_state, block_rows)
 # Not called here: perfbench/tracer.py wraps synthesis.lie_bracket by name.
 from .model import lie_bracket  # noqa: F401
 
@@ -102,28 +102,12 @@ class BracketSelection:
 
 
 def check_selection(sys, sel):
-    """Raise SelectionShapeError naming the violated invariant, if any."""
+    """Raise SelectionShapeError naming the violated invariant: width, then _control_terms's."""
     if sel.width != sys.n1:
         raise SelectionShapeError(
             f"selection shape invariant violated: |S1| + |S2| = {sel.width} "
             f"must equal n1 = {sys.n1}")
-    for i in sel.s1:
-        if not 1 <= i <= sys.m:
-            raise SelectionShapeError(f"S1 index invariant violated: {i} outside 1..{sys.m}")
-    for (i1, i2) in sel.s2:
-        if i1 == i2:
-            raise SelectionShapeError(
-                f"bracket pair invariant violated: pair ({i1}, {i2}) has i1 = i2, "
-                "and the bracket of a field with itself vanishes")
-        if not (1 <= i1 <= sys.m and 1 <= i2 <= sys.m):
-            raise SelectionShapeError(
-                f"S2 index invariant violated: pair ({i1}, {i2}) outside 1..{sys.m}")
-    for k in sel.kappa:
-        if k < 1:
-            raise SelectionShapeError(f"kappa positivity invariant violated: {k} < 1")
-    if len(set(sel.kappa)) != len(sel.kappa):
-        raise SelectionShapeError(
-            f"kappa distinctness invariant violated: duplicate values in {sel.kappa}")
+    _control_terms(sel, sys.m)
 
 
 @dataclass(frozen=True)
@@ -176,12 +160,13 @@ def extension_matrix(sys, sel, x):
 
 
 class _ControlTerms:
-    """A selection's constants in its control family, for frozen_control:
-    each S1 entry's (coefficient index, 0-based input), each S2 pair's
-    (coefficient index, i1, i2, pi kappa) for its amplitude and its
-    (0-based i1, 0-based i2, 2 pi kappa) for its table."""
+    """A selection's constants in its control family for m inputs, for
+    frozen_control: m, each S1 entry's (coefficient index, 0-based input),
+    each S2 pair's (coefficient index, i1, i2, pi kappa) for its amplitude
+    and its (0-based i1, 0-based i2, 2 pi kappa) for its table."""
 
-    def __init__(self, sel):
+    def __init__(self, sel, m):
+        self.m = m
         self.s1 = [(idx, i - 1) for idx, i in enumerate(sel.s1)]
         off = len(sel.s1)
         self.pairs = [(off + p, i1, i2, math.pi * float(kap))
@@ -190,28 +175,59 @@ class _ControlTerms:
                       for (i1, i2), kap in zip(sel.s2, sel.kappa)]
 
 
+# Entries each memo (_plan, _control_terms) keeps, the least recently used
+# dropped first.  A plan holds its system, and so its functions, alive, so
+# the bound caps the memo's memory; a workload steers a few pairs, and past
+# the bound a pair is checked and built again, the same.
+PLAN_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _control_terms(sel, m):
+    """The _ControlTerms of sel for m inputs, memoized as _plan is, after the
+    rules that need no system, in order: S1 indices in 1..m; per S2 pair,
+    i1 != i2, then both in 1..m; every kappa >= 1; distinct kappas.  A
+    failing pair raises SelectionShapeError on every call and is never kept."""
+    for i in sel.s1:
+        if not 1 <= i <= m:
+            raise SelectionShapeError(f"S1 index invariant violated: {i} outside 1..{m}")
+    for (i1, i2) in sel.s2:
+        if i1 == i2:
+            raise SelectionShapeError(
+                f"bracket pair invariant violated: pair ({i1}, {i2}) has i1 = i2, "
+                "and the bracket of a field with itself vanishes")
+        if not (1 <= i1 <= m and 1 <= i2 <= m):
+            raise SelectionShapeError(
+                f"S2 index invariant violated: pair ({i1}, {i2}) outside 1..{m}")
+    for k in sel.kappa:
+        if k < 1:
+            raise SelectionShapeError(f"kappa positivity invariant violated: {k} < 1")
+    if len(set(sel.kappa)) != len(sel.kappa):
+        raise SelectionShapeError(
+            f"kappa distinctness invariant violated: duplicate values in {sel.kappa}")
+    return _ControlTerms(sel, m)
+
+
 class _SteeringPlan:
     """The steering layer of one (system, selection) pair that
     check_selection passed: its extension matrices and steering solves.
 
     Only _plan builds it, once per pair while its memo keeps the pair, and
-    every public call, validate_selection, simulate_pi_epsilon run and
-    formation group on the pair shares it: nothing in it changes after
-    construction but terms, cached from the selection alone.  It resolves
-    once the system's fused columns (library's rule for exactly the
-    built-in unicycle's and disc's fields and Jacobians, chosen by their
-    identity) and the entries of the rule's 3 x 4 matrix that the
-    selection picks; a run steers through its held, which takes
-    the selection's control constants (terms) for frozen_control.  Every
-    other system takes the definition: model's _field for each S1 column
-    and _bracket, J_i2 f_i1 - J_i1 f_i2, for each S2 pair; no benchmark
-    workload reaches it.  Every state it is given has passed as_state, so no finite check
-    is made here: cos and sin of a finite float are finite.
+    every public call, validate_selection, run and formation group on the
+    pair shares it; nothing in it changes after construction.  It takes
+    its control constants (terms) from _control_terms, and resolves once
+    the system's fused columns (library's rule for exactly the built-in
+    unicycle's and disc's fields and Jacobians, chosen by their identity)
+    and the entries of the rule's 3 x 4 matrix that the selection picks.
+    Every other system takes the definition: model's _field per S1 column
+    and _bracket, J_i2 f_i1 - J_i1 f_i2, per S2 pair.  Every state it is
+    given has passed as_state, so no finite check is made here.
     """
 
     def __init__(self, sys, sel):
         self.sys = sys
         self.sel = sel
+        self.terms = _control_terms(sel, sys.m)
         self.columns = _fused_columns(sys)
         if self.columns is not None:
             # F's entries, row-major: row i picks the selection's columns
@@ -220,11 +236,6 @@ class _SteeringPlan:
             cols = [_FUSED_KEYS[key] for key in (*sel.s1, *sel.s2)]
             self.flat = [i + c for i in range(0, 4 * sys.n1, 4) for c in cols]
             self.take = itemgetter(*self.flat)
-
-    @cached_property
-    def terms(self):
-        """The selection's control constants, for frozen_control."""
-        return _ControlTerms(self.sel)
 
     def matrix(self, x):
         """The extension matrix (n1, n1) at a state x (n,)."""
@@ -301,7 +312,7 @@ class _SteeringPlan:
             a = []
             for k, (r, gamma, label) in enumerate(zip(R.tolist(), gammas, labels)):
                 if k:
-                    frozen_control(self.terms, eps, self.sys.m, a[-1])
+                    frozen_control(self.terms, eps, a[-1])
                 try:
                     a.append(self.solve(X[k], r, gamma, cond_cap))
                 except RankDegeneracyError as exc:
@@ -313,17 +324,8 @@ class _SteeringPlan:
     def held(self, X, R, gammas, cond_cap, eps, labels):
         """A group's frozen control at a sampling instant: frozen_control of
         its coefficients."""
-        return frozen_control(self.terms, eps, self.sys.m,
+        return frozen_control(self.terms, eps,
                               self.coefficients(X, R, gammas, cond_cap, eps, labels))
-
-
-# Steering plans _plan keeps, the least recently used dropped first.  A
-# plan is a few short lists, but it holds its system (and so the system's
-# functions) alive, so the bound caps the memo's memory at a few dozen
-# systems.  A workload steers one pair per built-in and a formation one
-# per distinct follower pair, far fewer, so no run rebuilds a plan; past
-# the bound a pair is checked and built again, the same plan.
-PLAN_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -419,7 +421,7 @@ def _sign(v):
     return math.copysign(1.0, v) if v != 0.0 else 0.0
 
 
-def frozen_control(terms, epsilon, m, a):
+def frozen_control(terms, epsilon, a):
     """The control family t -> u for coefficients a held over an interval.
 
     u_k(t) = sum_{i in S1} delta_{ki} a_i
@@ -427,15 +429,13 @@ def frozen_control(terms, epsilon, m, a):
              [ delta_{k,i1} cos(2 pi kappa t / eps)
                + delta_{k,i2} sign(a_{i1i2}) sin(2 pi kappa t / eps) ].
 
-    terms are a selection's _ControlTerms (its index pairs, pi kappa and
-    2 pi kappa), which a run takes once from its steering plan.  a is one
-    coefficient vector (sel.width,) or a block (k, sel.width) of them, one
-    per row.  The S1 part and each pair's amplitude and signed amplitude
-    per row depend only on a, so they are computed here once, in Python
-    float arithmetic, row by row; an amplitude that is not finite (a
+    terms are _control_terms(sel, m), which a run takes from its plan.  a
+    is one coefficient vector (sel.width,) or a block (k, sel.width) of
+    them, one per row.  The S1 part and each pair's amplitude and signed
+    amplitude per row depend only on a, so they are computed here once, in
+    Python float arithmetic, row by row; an amplitude that is not finite (a
     subnormal epsilon or a huge coefficient overflows it) raises
-    NonFiniteError naming epsilon, and the coefficient unless epsilon is
-    subnormal.
+    NonFiniteError naming epsilon, and the coefficient unless epsilon is subnormal.
     The returned table(ts) maps a 1-d float64 array of times to the
     time-major (len(ts), m) float64 array of u at each, or (len(ts), k, m)
     for a block: one cos and one sin pass over the times per pair, shared
@@ -449,6 +449,7 @@ def frozen_control(terms, epsilon, m, a):
     a = np.asarray(a, dtype=float)
     rows = [a.tolist()] if a.ndim == 1 else a.tolist()
     eps = float(epsilon)
+    m = terms.m
     base = []
     amps = []  # (amplitude, signed amplitude) per row and pair
     for r in rows:
@@ -499,26 +500,20 @@ def held_control(sel, epsilon, m, a, t):
     """Evaluate the control family at absolute time t for held coefficients a.
 
     The frozen control's table at the one time t.  Each input is checked
-    here and a bad one raises InvalidInputError naming it: t finite, epsilon
-    finite and > 0, m an integer covering every selection index, each kappa
-    >= 1, and a finite (_as_finite_reals) with sel.width entries.
+    here, in order, and a bad one raises InvalidInputError naming it: t
+    finite, epsilon finite and > 0, m a count within the work budget, the
+    selection by _control_terms, and a finite a with sel.width entries.
     frozen_control, the sampled loop's path, takes them unchecked.
     """
     t = _as_real(t, "t")
     if not math.isfinite(t):
         raise InvalidInputError(f"t must be finite, got {t}")
     epsilon = _as_positive(epsilon, "epsilon")
-    m = _within_budget(_as_int(m, "m"), "m")
-    for i in (*sel.s1, *(i for pair in sel.s2 for i in pair)):
-        if not 1 <= i <= m:
-            raise InvalidInputError(f"selection index {i} outside 1..m, m = {m}")
-    for k in sel.kappa:
-        if k < 1:
-            raise InvalidInputError(f"kappa entry {k} must be >= 1")
+    terms = _control_terms(sel, _within_budget(_as_count(m, "m"), "m"))
     a = np.array(_as_finite_reals(a, "a"))
     if a.shape != (sel.width,):
         raise InvalidInputError(f"a has shape {a.shape}, expected (sel.width,) = ({sel.width},)")
-    return frozen_control(_ControlTerms(sel), epsilon, m, a)(np.array([t]))[0]
+    return frozen_control(terms, epsilon, a)(np.array([t]))[0]
 
 
 def control_value(sys, sel, gains, t, x_hold):

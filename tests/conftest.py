@@ -9,9 +9,11 @@ from bracket_steer import (BracketSelection, ControllerGains, PartitionedSystem,
 
 @pytest.fixture(autouse=True)
 def _fresh_plans():
-    """Every test starts with an empty steering-plan memo, so a plan kept by
-    an earlier test never hides a patch of library's tables or of model."""
+    """Every test starts with empty steering-plan and control-terms memos,
+    so a plan kept by an earlier test never hides a patch of library's
+    tables or of model, nor kept terms a patch of synthesis."""
     synthesis._plan.cache_clear()
+    synthesis._control_terms.cache_clear()
 
 
 @pytest.fixture

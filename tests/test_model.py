@@ -589,16 +589,18 @@ def test_float32_horizon_runs_as_its_float():
 def test_each_gate_rule_is_written_once():
     # model's gates raise InvalidInputError only; a caller that needs
     # another error maps it (scenarios._constructing), so no gate takes an
-    # error parameter.  Their three rules are written in model alone: any
-    # other module that refuses a value for its type, or for not being
-    # finite and > 0, calls a gate.
+    # error parameter.  Their four rules are written in model alone: any
+    # other module that refuses a value for its type, for not being finite
+    # and > 0, or a count below 1, calls a gate.
     from bracket_steer import model
     gates = [name for name, value in vars(model).items()
              if name.startswith("_as_") and inspect.isfunction(value)]
-    assert {"_as_int", "_as_real", "_as_reals", "_as_list", "_as_positive"} <= set(gates)
+    assert {"_as_int", "_as_count", "_as_real", "_as_reals", "_as_list",
+            "_as_positive"} <= set(gates)
     assert [name for name in gates
             if "error" in inspect.signature(getattr(model, name)).parameters] == []
-    rules = ("must be finite and > 0", "must be a real number", "must be an integer")
+    rules = ("must be finite and > 0", "must be a real number", "must be an integer",
+             "must be >= 1")
     written = {path.name: [rule for rule in rules if rule in path.read_text()]
                for path in sorted(Path(model.__file__).parent.glob("*.py"))}
     assert {name: found for name, found in written.items() if found} == {"model.py": list(rules)}

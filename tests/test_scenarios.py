@@ -74,8 +74,8 @@ def test_validate_bundle_disc():
 
 
 @pytest.mark.parametrize("n_probes, message", [
-    (0, "at least one probe state is required"),
-    (-1, "at least one probe state is required"),
+    (0, "n_probes must be >= 1, got 0"),
+    (-1, "n_probes must be >= 1, got -1"),
     (1.5, "n_probes must be an integer, got 1.5"),
     (True, "n_probes must be an integer, got True"),
     # Refused before any probe is drawn: the work budget bounds the count.
@@ -402,7 +402,7 @@ _EXACT_ERRORS = {
     "gains": (lambda: scenario_from_dict(_edited("rolling-disc", ("gains", "epsilon"), -1.0)),
               ScenarioFormatError, "gains: epsilon must be finite and > 0, got -1.0"),
     "sim": (lambda: scenario_from_dict(_edited("rolling-disc", ("sim", "record_stride"), 0)),
-            ScenarioFormatError, "sim: record_stride must be >= 1"),
+            ScenarioFormatError, "sim: record_stride must be >= 1, got 0"),
     "selection": (lambda: scenario_from_dict(
         _edited("rolling-disc", ("selection", "kappa"), [1, 2])),
         ScenarioFormatError, "selection: kappa has 2 entries for 1 bracket pairs"),
@@ -464,9 +464,10 @@ _LOADER_MESSAGES = [
     ("rolling-disc", ("sim", "t_final"), 0, "sim: t_final must be finite and > 0, got 0"),
     ("rolling-disc", ("sim", "substeps_per_period"), 2.5,
      "sim: substeps_per_period must be an integer, got 2.5"),
-    ("rolling-disc", ("sim", "substeps_per_period"), 0, "sim: substeps_per_period must be >= 1"),
+    ("rolling-disc", ("sim", "substeps_per_period"), 0,
+     "sim: substeps_per_period must be >= 1, got 0"),
     ("rolling-disc", ("sim", "record_stride"), "2", "sim: record_stride must be an integer, got '2'"),
-    ("rolling-disc", ("sim", "record_stride"), -1, "sim: record_stride must be >= 1"),
+    ("rolling-disc", ("sim", "record_stride"), -1, "sim: record_stride must be >= 1, got -1"),
     ("unicycle-leader", ("agents", 0, "gamma"), "x", "agents[0]: gamma must be a real number, got 'x'"),
     ("unicycle-leader", ("agents", 0, "gamma"), math.inf,
      "agents[0]: gamma must be finite and > 0, got inf"),

@@ -23,6 +23,10 @@ def test_defaults():
     # 50 * eps * ceil(1/(gamma eps)) = 50 * 0.25 * 2 = 25.
     assert default_t_final(gains) == pytest.approx(25.0)
     assert default_substeps(3) == 120
+    # A count below 1 once gave 0 or a negative sub-step count.
+    for kappa_max in (0, -1):
+        with pytest.raises(InvalidInputError, match=f"^kappa_max must be >= 1, got {kappa_max}$"):
+            default_substeps(kappa_max)
 
 
 def test_interval_grid_snaps_float_quotients():
@@ -738,6 +742,11 @@ def test_averaged_reference():
     assert np.array_equal(averaged_reference(y0, gains, 0.0), y0)
     with pytest.raises(InvalidInputError):
         averaged_reference(y0, gains, -0.1)
+    # A NaN t once passed the t < 0 test and gave a NaN reference; inf is
+    # the flow's limit, y*, bitwise.
+    with pytest.raises(InvalidInputError, match="^t must be >= 0, got nan$"):
+        averaged_reference(y0, gains, math.nan)
+    assert averaged_reference(y0, gains, math.inf).tobytes() == gains.y_star_vec().tobytes()
 
 
 def test_averaged_reference_refuses_a_y_star_of_another_dimension():

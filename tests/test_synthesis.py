@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from bracket_steer import formation, library, model, synthesis
 from bracket_steer.model import as_state
 from bracket_steer.scenarios import SINGLE, probe_states
 from bracket_steer.simulate import interval_grid
-from bracket_steer.synthesis import _ControlTerms, frozen_control
+from bracket_steer.synthesis import _ControlTerms, _control_terms, frozen_control
 
 from oracles import (antisym_iterated_integral, control_series, disc_extension,
                      extension_matrix_reference, held_control_reference, steering,
@@ -370,7 +371,7 @@ def test_frozen_control_matches_reference_bitwise(sel, m):
                 *rng.uniform(0.0, 1e6, size=40)]
         grids.append(grid)
         for a in coeffs:
-            table = frozen_control(_ControlTerms(sel), eps, m, a)
+            table = frozen_control(_control_terms(sel, m), eps, a)
             for ts in grids:
                 got = table(np.array(ts))
                 assert got.shape == (len(ts), m)
@@ -399,16 +400,16 @@ def test_frozen_control_block_matches_each_row_bitwise(sel, m):
                       + [rng.normal(scale=3.0, size=sel.width) for _ in range(12)])
     eps = 0.1
     ts = np.array(_interval_times(7 * eps, eps / 40, 40, 8 * eps) + [0.0, 1e6, 37.25])
-    got = frozen_control(_ControlTerms(sel), eps, m, coeffs)(ts)
+    got = frozen_control(_control_terms(sel, m), eps, coeffs)(ts)
     assert got.shape == (len(ts), len(coeffs), m)
     for row, a in enumerate(coeffs):
-        alone = frozen_control(_ControlTerms(sel), eps, m, a)(ts)
+        alone = frozen_control(_control_terms(sel, m), eps, a)(ts)
         assert alone.shape == (len(ts), m)
         assert got[:, row].tobytes() == alone.tobytes(), a
     if sel.s2:
         coeffs[[3, 5], len(sel.s1)] = [1e308, -1.5e308]
         with pytest.raises(NonFiniteError, match=r"at a=1e\+308, epsilon=0\.1$"):
-            frozen_control(_ControlTerms(sel), eps, m, coeffs)
+            frozen_control(_control_terms(sel, m), eps, coeffs)
 
 
 def test_held_control_refuses_non_finite_time(disc_sel):
@@ -422,14 +423,15 @@ def test_held_control_refuses_non_finite_time(disc_sel):
     (1, 0.0, 2, [1.0, 2.0], "epsilon must be finite and > 0, got 0.0"),
     (1, -0.5, 2, [1.0, 2.0], "epsilon must be finite and > 0, got -0.5"),
     (1, math.nan, 2, [1.0, 2.0], "epsilon must be finite and > 0, got nan"),
-    (1, 0.25, 1, [1.0, 2.0], r"selection index 2 outside 1..m, m = 1"),
+    (1, 0.25, 1, [1.0, 2.0], r"S2 index invariant violated: pair \(1, 2\) outside 1..1"),
     (1, 0.25, 2, [1.0], r"a has shape \(1,\), expected \(sel.width,\) = \(2,\)"),
     (1, 0.25, 2, [1.0, math.nan], r"a must be finite, got \(1.0, nan\)"),
-    (-1, 0.25, 2, [1.0, 2.0], "kappa entry -1 must be >= 1"),
+    (-1, 0.25, 2, [1.0, 2.0], "kappa positivity invariant violated: -1 < 1"),
     (1, 0.25, 1e308, [1.0, 2.0], r"m=1e\+308 exceeds the budget MAX_ROW_SUBSTEPS = 10000000"),
     (1, 0.25, 2, [1.0, "2"], "a entry must be a real number, got '2'"),
+    (1, 0.25, 0, [1.0, 2.0], "m must be >= 1, got 0"),
 ], ids=["epsilon-zero", "epsilon-negative", "epsilon-nan", "m-below-index", "a-short",
-        "a-nan", "kappa-negative", "m-over-budget", "a-string"])
+        "a-nan", "kappa-negative", "m-over-budget", "a-string", "m-zero"])
 def test_held_control_refuses_bad_inputs(kappa, epsilon, m, a, match):
     # Each once failed untyped (ZeroDivisionError, math domain error,
     # IndexError, OverflowError from a huge m, ValueError from a string) or
@@ -1079,6 +1081,97 @@ def test_memoized_solves_are_a_fresh_plans_bitwise(disc, disc_sel, disc_gains, u
                 assert got.tobytes() == want.tobytes()
                 assert extension_matrix(sys, sel, x).tobytes() == fresh.matrix(x).tobytes()
         assert synthesis._plan(sys, sel) is kept
+
+
+def test_held_control_builds_its_terms_once(monkeypatch, disc_sel):
+    # 1000 held_control calls on one (selection, m) build one _ControlTerms,
+    # an equal selection shares it, and another m is another pair.
+    built = []
+
+    class Counted(synthesis._ControlTerms):
+        def __init__(self, sel, m):
+            built.append((sel, m))
+            super().__init__(sel, m)
+
+    synthesis._control_terms.cache_clear()
+    monkeypatch.setattr(synthesis, "_ControlTerms", Counted)
+    a = [-1.5, 2.75]
+    want = held_control(disc_sel, 0.25, 2, a, 0.3)
+    for _ in range(1000):
+        assert held_control(disc_sel, 0.25, 2, a, 0.3).tobytes() == want.tobytes()
+    held_control(dataclasses.replace(disc_sel), 0.25, np.int64(2), a, 0.3)
+    assert built == [(disc_sel, 2)]
+    held_control(disc_sel, 0.25, 3, a, 0.3)
+    assert built == [(disc_sel, 2), (disc_sel, 3)]
+
+
+@pytest.mark.parametrize("sel, message", [
+    (BracketSelection(s1=(1,), s2=((2, 2),)), "bracket pair invariant violated: pair (2, 2)"),
+    (BracketSelection(s1=(), s2=((1, 2), (2, 1)), kappa=(3, 3)),
+     "kappa distinctness invariant violated: duplicate values in (3, 3)"),
+    (BracketSelection(s1=(3,), s2=((1, 2),)), "S1 index invariant violated: 3 outside 1..2"),
+    (BracketSelection(s1=(1,), s2=((1, 3),)),
+     "S2 index invariant violated: pair (1, 3) outside 1..2"),
+], ids=["self-pair", "repeated-kappa", "s1-index", "s2-index"])
+def test_bad_selection_terms_raise_every_call_and_are_never_kept(disc, disc_sel, sel, message):
+    # Every entry to the selection rules raises the same SelectionShapeError
+    # on every call, and neither memo grows.
+    synthesis._control_terms.cache_clear()
+    held_control(disc_sel, 0.25, 2, [1.0, 2.0], 0.3)
+    calls = [lambda: held_control(sel, 0.25, 2, [1.0] * sel.width, 0.3),
+             lambda: check_selection(disc, sel), lambda: synthesis._plan(disc, sel)]
+    want = _raised(calls[0])
+    assert want[0] is SelectionShapeError and want[1].startswith(message)
+    for call in calls:
+        for _ in range(3):
+            assert _raised(call) == want
+    assert synthesis._control_terms.cache_info().currsize == 1
+    assert synthesis._plan.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("sel, m", [
+    (BracketSelection(s1=(1,), s2=((1, 2),), kappa=(1,)), 2),
+    (BracketSelection(s1=(1, 1), s2=(), kappa=()), 2),
+    (BracketSelection(s1=(3,), s2=((1, 2), (1, 3)), kappa=(3, 1)), 4),
+])
+def test_memoized_terms_tabulate_as_fresh_terms_bitwise(sel, m):
+    # The memo's terms are the ones every call shares, and their tables are
+    # a freshly built _ControlTerms's to the bit, for one row and a block.
+    rng = np.random.default_rng(34)
+    kept = _control_terms(sel, m)
+    assert _control_terms(dataclasses.replace(sel), m) is kept and kept.m == m
+    ts = np.array(_interval_times(3 * 0.1, 0.1 / 40, 40, 4 * 0.1) + [0.0, 1e6, 37.25])
+    coeffs = rng.normal(scale=3.0, size=(8, sel.width))
+    for a in (coeffs[0], coeffs):
+        got = frozen_control(kept, 0.1, a)(ts)
+        want = frozen_control(_ControlTerms(sel, m), 0.1, a)(ts)
+        assert got.tobytes() == want.tobytes()
+    for t in ts:
+        want = frozen_control(_ControlTerms(sel, m), 0.1, coeffs[0])(np.array([t]))[0]
+        assert held_control(sel, 0.1, m, coeffs[0], t).tobytes() == want.tobytes()
+
+
+def test_empty_selection_with_a_bad_m_is_refused_typed():
+    # A selection with no index let a negative m reach np.empty, which
+    # raised a bare ValueError.
+    for m in (-1, 0):
+        with pytest.raises(InvalidInputError, match=f"^m must be >= 1, got {m}$"):
+            held_control(BracketSelection(s1=(), s2=()), 0.5, m, [], 0.1)
+    assert held_control(BracketSelection(s1=(), s2=()), 0.5, 2, [], 0.1).tolist() == [0.0, 0.0]
+
+
+def test_each_selection_invariant_is_written_once():
+    # The selection's rules live in check_selection (the width) and
+    # _control_terms (the rest): each message is written once in the
+    # package, so no entry keeps a copy of a rule.
+    invariants = ("selection shape invariant violated", "S1 index invariant violated",
+                  "bracket pair invariant violated", "S2 index invariant violated",
+                  "kappa positivity invariant violated", "kappa distinctness invariant violated")
+    texts = {path.name: path.read_text()
+             for path in sorted(Path(synthesis.__file__).parent.glob("*.py"))}
+    for message in invariants:
+        found = {name: text.count(message) for name, text in texts.items() if message in text}
+        assert found == {"synthesis.py": 1}, message
 
 
 # (type, message) pairs as the public entries raised them before they
