@@ -5,7 +5,8 @@ the leader's state plus a fixed offset.  Stacking the displacement
 variables y_l = x_l - x_L - d_l turns the formation into one partial
 stabilization problem whose extension matrix is block-diagonal.  A run
 hands simulate's sampled-loop engine the rows (x_L, x_1, ..., x_N): row 0
-is the leader's field with no control, row l + 1 agent l's f0 + sum_k u_k f_k
+is the leader's field with no control, an open-loop row the engine advances
+a chunk of table blocks at a time, row l + 1 agent l's f0 + sum_k u_k f_k
 held at its own frozen pair (x_l(tau_j), x_L(tau_j)).  The blocks are
 independent, so the followers are steered and advanced in groups: each run
 of consecutive agents that share one system object and an equal selection
@@ -195,11 +196,6 @@ def simulate_leader(leader, gains, cfg=None, kappa_max=1):
     return ftraj.dense_times, ftraj.leader_states
 
 
-def _no_control(ts):
-    """The leader's control table: one row with no entries at any time."""
-    return np.empty((len(ts), 1, 0))
-
-
 def _follower_groups(agents):
     """The runs of consecutive agents that share one system object and an
     equal selection, as (index of the first, agents) pairs."""
@@ -220,8 +216,10 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
     pair's steering plan (synthesis._plan) for the run: at each sampling
     instant a group takes the plan's held, one control table for all its
     agents from their residuals x_l - x_L - d_l, and the engine advances
-    it by one block kernel call per table block.  held raises the first
-    failure in agent order, a RankDegeneracyError naming its agent_index.
+    it by one block kernel call per table block.  The leader, row 0, has
+    no control fields, so steer gives it no control: the engine advances
+    it as an open-loop row.  held raises the first failure in agent order,
+    a RankDegeneracyError naming its agent_index.
     """
     eps = gains.epsilon
     x0 = np.array([leader.x0_vec(), *x0s])
@@ -239,7 +237,7 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
     gammas = [[agent.gamma for agent in group] for _, group in groups]
 
     def steer(X):
-        held = [_no_control]
+        held = []
         for (lo, group), plan, d, gamma in zip(groups, plans, offsets, gammas):
             Xg = X[lo + 1:lo + 1 + len(group)]
             held.append(plan.held(Xg, Xg - X[0] - d, gamma, gains.cond_cap, eps,

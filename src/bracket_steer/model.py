@@ -162,14 +162,12 @@ class PartitionedSystem:
     domain_check: Optional[Callable[[np.ndarray], bool]] = None
 
     def __post_init__(self):
-        for key in ("n", "n1", "n2", "m"):
-            object.__setattr__(self, key, _as_int(getattr(self, key), key))
-        if self.n1 < 1 or self.n2 < 0 or self.n1 + self.n2 != self.n:
+        for key, gate in (("n", _as_int), ("n1", _as_count), ("n2", _as_int), ("m", _as_count)):
+            object.__setattr__(self, key, gate(getattr(self, key), key))
+        if self.n2 < 0 or self.n1 + self.n2 != self.n:
             raise InvalidInputError(
                 f"partition invariant violated: n1={self.n1}, n2={self.n2}, n={self.n} "
-                "(need n1 >= 1, n2 >= 0, n1 + n2 = n)")
-        if self.m < 1:
-            raise InvalidInputError("at least one control field is required")
+                "(need n2 >= 0, n1 + n2 = n)")
         for key in ("control_fields", "control_jacobians"):
             object.__setattr__(self, key, tuple(_as_list(getattr(self, key), key)))
         if len(self.control_fields) != self.m or len(self.control_jacobians) != self.m:

@@ -16,22 +16,25 @@ those of arrays.
 
 At each sampling instant each steered group, a single system's row too,
 takes one steering step (synthesis._SteeringPlan.held), whose held
-controls are evaluated once, as one time-major table (len(ts), k, m) of
-its k rows' controls over every time the interval uses
+controls are evaluated once per table block, as one time-major table
+(len(ts), k, m) of its k rows' controls over every time the block uses
 (synthesis.frozen_control), and each row's sub-step (t, x, h, u0, uh, u1)
 takes its controls at the start, midpoint and end from its rows of that
-table.  The generic sub-step is _rk4_step on the
-stage (t, x, u) -> f0(t, x) + sum_k u_k f_k(x) (_row_stage), on the row as
-a list of floats.  Fields receive their row as a 1-d float64 ndarray and
-may return any sequence of numbers, each entry taken as a float64.  Groups
-of the built-in unicycle and rolling disc, and the figure-eight leader,
-skip that contract: their exact function objects select a block kernel in
-library (_row_integrators), which advances all the group's rows over a
-whole table block in one numpy pass and repeats the generic sub-steps'
-operations bit for bit on each row.  The driver does the same for every
+table.  The leader is an open-loop row: no control, no table.  The clock,
+every time the sub-steps use, is tabulated a chunk of consecutive table
+blocks at a time, each block's times a slice of the chunk's.  The generic
+sub-step is _rk4_step on the stage (t, x, u) -> f0(t, x) + sum_k u_k f_k(x)
+(_row_stage), on the row as a list of floats.  Fields receive their row as
+a 1-d float64 ndarray and may return any sequence of numbers, each entry
+taken as a float64.  Groups of the built-in unicycle and rolling disc, and
+the figure-eight leader, skip that contract: their exact function objects
+select a block kernel in library (_row_integrators), which advances all
+the group's rows over a whole table block in one numpy pass and repeats
+the generic sub-steps' operations bit for bit on each row.  The driver does the same for every
 table block: advance it, append its due dense points in one strided
 append, and raise the failure handed back.  When every group has a kernel,
-a block is one kernel call per group and one vector guard
+the open-loop rows advance a whole chunk in one kernel call, and a block
+is their slice, one kernel call per steered group and one vector guard
 (_advance_block); otherwise, or when that block is not finite and well
 inside the guard's cap, it is the generic sub-steps of all rows together,
 guarded after each (_generic_block), so a failure is raised as they raise
@@ -240,8 +243,9 @@ class _Recorder:
         ends = slice(3 * subs.start, 3 * subs.stop, 3 * subs.step)
         self.times.frombytes(ts[ends].tobytes())
         self.states.frombytes(states[subs.start - 1:subs.stop - 1:subs.step].tobytes())
-        self.controls.frombytes(np.concatenate(
-            [tab[ends].reshape(len(subs), tab[0].size) for tab in tables], axis=1).tobytes())
+        if tables:
+            self.controls.frombytes(np.concatenate(
+                [tab[ends].reshape(len(subs), tab[0].size) for tab in tables], axis=1).tobytes())
         self.intervals.extend([j] * len(subs))
 
     def sample(self, t, X):
@@ -338,17 +342,20 @@ def _row_integrators(groups):
     return steps, (blocks if all(blocks) else None)
 
 
-def _advance_block(blocks, Xs, h, ts, tables):
+def _advance_block(blocks, Xs, h, ts, tables, ahead=None):
     """The stacked states (n, width) after each of a table block's n
     sub-steps, from one block kernel call per group on its rows Xs[g]
-    (k, p) and its table (len(ts), k, m), or None unless every entry is
-    finite and max |v| * sqrt(width) < _GUARD_PASS_NORM.  That bounds every
+    (k, p) and its table (len(ts), k, m), after ahead, the leading
+    open-loop rows' states (n, columns) over the block when they were
+    advanced ahead, or None unless every entry is finite and
+    max |v| * sqrt(width) < _GUARD_PASS_NORM.  That bounds every
     sub-step's stacked norm well inside the cap, so no row would fail its
     exact guard; a block that fails the test is redone by the generic
     sub-steps, so any failure is raised as the generic path raises it."""
     with np.errstate(all="ignore"):
-        states = np.concatenate([block(X, h, ts, tab).reshape(len(ts) // 3, -1)
-                                 for block, X, tab in zip(blocks, Xs, tables)], axis=1)
+        parts = [block(X, h, ts, tab).reshape(len(ts) // 3, -1)
+                 for block, X, tab in zip(blocks, Xs, tables)]
+        states = np.concatenate(parts if ahead is None else [ahead, *parts], axis=1)
         if np.abs(states).max() * math.sqrt(states.shape[1]) < _GUARD_PASS_NORM:
             return states
     return None
@@ -356,13 +363,15 @@ def _advance_block(blocks, Xs, h, ts, tables):
 
 def _generic_block(steps, Xs, h, ts, tables, names):
     """A table block by every row's generic sub-step (its group's, on its
-    own rows of the group's table), all rows guarded (_guard_rows) after
-    each: the stacked states (k, width) after each sub-step that passed,
-    and None, or the DivergenceError of the first sub-step that failed.
-    An exception a field raises propagates."""
+    own rows of the group's table, or with no controls where the table is
+    None), all rows guarded (_guard_rows) after each: the stacked states
+    (k, width) after each sub-step that passed, and None, or the
+    DivergenceError of the first sub-step that failed.  An exception a
+    field raises propagates."""
     width = sum(X.size for X in Xs)
     tl = ts.tolist()
-    rows = [(step, tab[:, r].tolist())
+    free = [()] * len(tl)
+    rows = [(step, free if tab is None else tab[:, r].tolist())
             for step, X, tab in zip(steps, Xs, tables) for r in range(len(X))]
     xs = [x for X in Xs for x in X.tolist()]
     done, error = [], None
@@ -407,36 +416,54 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build, ends=None):
 
     x0 is (n_rows, p), its rows in group order, and groups[g] =
     (names, drift, fields) describes the consecutive rows, one per name,
-    that share the functions drift and fields.  At each sampling instant
-    tau_j = j * epsilon, steer(X), X the rows' states (n_rows, p), returns
-    one frozen control per group, a function from an array of times to the
-    time-major table (len(ts), k, m) of each of its k rows' u at each
-    (synthesis.frozen_control).  It is evaluated once per interval (per
-    TABLE_SUBSTEPS sub-steps of a longer one) at every time the interval
-    uses: each sub-step's start tau_j + (i - 1) h, midpoint and end, and
-    the interval's end.  Each group's integrators are looked up once per
-    run (_row_integrators: _rk4_step on the stage drift + sum_k u_k
-    fields[k], and the built-ins' block kernels).  Over
-    [tau_j, tau_j + epsilon) each row advances by its own sub-step, nsub
-    per interval, taking u at the sub-step's start, midpoint and end from
-    its table, while the time argument runs on; one RuntimeWarning per run
-    says when nsub gives kappa_max fewer than 20 sub-steps.  A final
-    partial interval ends exactly at t_final.
+    that share the functions drift and fields.  Groups with no control
+    fields are open-loop rows (a formation's leader) and lead the stack.
+    At each sampling instant tau_j = j * epsilon, steer(X), X the rows'
+    states (n_rows, p), returns one frozen control per steered group (each
+    group after the open-loop ones), a function from an array of times to
+    the time-major table (len(ts), k, m) of each of its k rows' u at each
+    (synthesis.frozen_control).  It is evaluated once per table block of
+    an interval (TABLE_SUBSTEPS sub-steps, or the whole of a shorter
+    interval) at every time the block uses: each sub-step's start
+    tau_j + (i - 1) h, midpoint and end, and the block's end.  Each group's
+    integrators are looked up once per run (_row_integrators: _rk4_step on
+    the stage drift + sum_k u_k fields[k], and the built-ins' block
+    kernels).  Over [tau_j, tau_j + epsilon) each row advances by its own
+    sub-step, nsub per interval, taking u at the sub-step's start, midpoint
+    and end from its table, while the time argument runs on; one
+    RuntimeWarning per run says when nsub gives kappa_max fewer than 20
+    sub-steps.  A final partial interval ends exactly at t_final.
 
-    Every interval, and the end of a horizon without a tail (an interval of
-    length 0), begins with one step: sample, steer, tabulate and record the
-    start when due.  Each
-    table block is then advanced whole, by one block kernel call per group
-    (_advance_block) or, when a group has none or the kernels' vector guard
-    fails, by _generic_block: every row's generic sub-step, after each of
-    which one norm test of the stacked state passes every row and only
-    when it fails is each row guarded, under its name, by the exact
-    _guard_state (_guard_rows).  The block's due dense points are appended
-    at once, and then a failure it handed back is raised.  A dense point
-    (t, rows, interval, each row's held control at t) is recorded at t = 0,
-    every cfg.record_stride sub-steps and at the end of the horizon.
-    Returns build(recorder); a DivergenceError or RankDegeneracyError
-    leaves with build(recorder) of the run so far attached as .partial.
+    The clock is tabulated a chunk of consecutive table blocks at a time,
+    in one pass: the start j epsilon + i h, midpoint and end of every
+    sub-step, and the chunk's end, j epsilon + hi h inside an interval,
+    else (j + 1) epsilon or t_final.  Each block's times are a contiguous
+    slice of the chunk's, ending at the next block's start, the same
+    value.  A chunk holds the whole intervals' blocks, or the tail's, or
+    the end of a horizon without a tail (an interval of length 0, h = 0,
+    a chunk of that one time), as many as keep its largest arrays (the
+    3 times per sub-step, and the open-loop rows' 4 stage rates per
+    sub-step and column) within one model.block_rows block, and one block
+    at least.  When every group has a kernel, the open-loop groups advance
+    the whole chunk in one kernel call each, and each block takes its
+    slice of those states.
+
+    Every interval, and the end of a horizon without a tail, begins with
+    one step: sample, steer, tabulate and record the start when due.  Each
+    table block is then advanced whole, by one block kernel call per
+    steered group beside the open-loop rows' slice (_advance_block) or,
+    when a group has no kernel or the kernels' vector guard fails, by
+    _generic_block from the block's start for every row: every row's
+    generic sub-step, after each of which one norm test of the stacked
+    state passes every row and only when it fails is each row guarded,
+    under its name, by the exact _guard_state (_guard_rows).  The block's
+    due dense points are appended at once, and then a failure it handed
+    back is raised, so states computed ahead past it are never recorded.
+    A dense point (t, rows, interval, each steered row's held control at
+    t) is recorded at t = 0, every cfg.record_stride sub-steps and at the
+    end of the horizon.  Returns build(recorder); a DivergenceError or
+    RankDegeneracyError leaves with build(recorder) of the run so far
+    attached as .partial.
 
     ends, given for one group whose rows are separate runs of one clock
     with no tail, holds each row's own interval count, non-increasing in
@@ -460,69 +487,92 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build, ends=None):
     p = x0.shape[1]
     bounds = [0, *accumulate(len(group) for group, _, _ in groups)]
     steps, blocks = _row_integrators(groups)
+    n_open = sum(not fields for _, _, fields in groups)
+    per_interval = -(-nsub // TABLE_SUBSTEPS)  # table blocks per interval
+    per_chunk = block_rows(max(3, 4 * bounds[n_open] * p) * min(TABLE_SUBSTEPS, nsub))
 
-    def tabulate(held, j, lo):
-        """Interval j's sub-step length, the times its sub-steps lo + 1 .. hi
-        use, and each group's held control at each (its first len(X) rows),
-        as arrays: every sub-step's start base_t + (i - 1) h, midpoint and
-        end, then the block's end (the next sub-step's start, or the
-        interval's end).  A tail-less horizon's end is interval n_int, h = 0."""
-        base_t = j * eps
-        is_tail = j == n_int
-        h = (tail if is_tail else eps) / nsub
-        hi = min(lo + TABLE_SUBSTEPS, nsub)
-        starts = base_t + np.arange(lo, hi) * h
-        n = 3 * (hi - lo)
-        times = np.empty(n + 1)
-        times[0:n:3] = starts
-        times[1:n:3] = starts + 0.5 * h
-        times[2:n:3] = starts + h
-        # Boundary instants use the grid expression, not accumulated
-        # sub-steps, to match the sampling clock exactly.
-        times[n] = (base_t + hi * h if hi < nsub
-                    else t_final if is_tail else (j + 1) * eps)
-        return h, times, [control(times)[:, :len(X)] for control in held]
+    def chunks():
+        """The run's table blocks (j, lo, n), interval j's sub-steps
+        lo + 1 .. lo + n, in chunks of per_chunk blocks at most that share
+        one sub-step length: the whole intervals', the tail's, and the end
+        of a tail-less horizon, (n_int, 0, 0), alone."""
+        whole = n_int * per_interval
+        for first, stop in ((0, whole), (whole, n_intervals * per_interval)):
+            for c in range(first, stop, per_chunk):
+                yield [(b // per_interval, lo, min(TABLE_SUBSTEPS, nsub - lo))
+                       for b in range(c, min(c + per_chunk, stop))
+                       for lo in [b % per_interval * TABLE_SUBSTEPS]]
+        if n_intervals == n_int:
+            yield [(n_int, 0, 0)]
+
+    def clock(chunk):
+        """The chunk's sub-step length and times, in one pass: every
+        sub-step's start j eps + i h, midpoint and end, then the chunk's end
+        in the grid expression, not accumulated sub-steps, to match the
+        sampling clock exactly."""
+        (j, lo, _), (last, last_lo, n) = chunk[0], chunk[-1]
+        hi = last_lo + n
+        h = (tail if j == n_int else eps) / nsub
+        jj, ii = np.divmod(np.arange(j * nsub + lo, last * nsub + hi), nsub)
+        starts = jj * eps + ii * h
+        end = 3 * len(starts)
+        times = np.empty(end + 1)
+        times[0:end:3] = starts
+        times[1:end:3] = starts + 0.5 * h
+        times[2:end:3] = starts + h
+        times[end] = (last * eps + hi * h if hi < nsub
+                      else t_final if last == n_int else (last + 1) * eps)
+        return h, times
 
     rec = _Recorder(build)
     X = x0
     g = 0  # sub-steps done, drives record_stride
     try:
-        for j in range(n_int + 1):
-            # Sampling instant tau_j: sample, resample the held controls and
-            # record the interval's start when due.
-            t = j * eps
-            rec.sample(t, X)
-            held = steer(X)
-            if j in retire:
-                X = X[:retire[j]]
-            h, ts, tables = tabulate(held, j, 0)
-            if dense and (g % stride == 0 or g == total_substeps):
-                rec.record(t, X, j, tables, 0)
-            if j == n_intervals:
-                break
-            for lo in range(0, nsub, TABLE_SUBSTEPS):
-                if lo:
-                    h, ts, tables = tabulate(held, j, lo)
-                end = len(ts) - 1  # the block's end in its tables
+        for chunk in chunks():
+            h, times = clock(chunk)
+            if blocks and n_open and len(times) > 1:
+                # The open-loop rows over the whole chunk, one kernel call per group.
+                with np.errstate(all="ignore"):
+                    ahead = np.concatenate(
+                        [block(X[a:b], h, times, None).reshape(len(times) // 3, (b - a) * p)
+                         for block, a, b in zip(blocks, bounds, bounds[1:n_open + 1])], axis=1)
+            s = 0  # the block's first sub-step in the chunk
+            for j, lo, n in chunk:
+                ts = times[3 * s:3 * (s + n) + 1]
+                if lo == 0:
+                    # Sampling instant tau_j: sample, resample the held
+                    # controls and record the interval's start when due.
+                    t = j * eps
+                    rec.sample(t, X)
+                    held = steer(X)
+                    if j in retire:
+                        X = X[:retire[j]]
+                tables = [control(ts)[:, :len(X)] for control in held]
+                if lo == 0 and dense and (g % stride == 0 or g == total_substeps):
+                    rec.record(t, X, j, tables, 0)
+                if n == 0:  # the end of a tail-less horizon
+                    break
                 Xs = [X[a:b] for a, b in zip(bounds, bounds[1:])]
-                states = blocks and _advance_block(blocks, Xs, h, ts, tables)
+                states = blocks and _advance_block(blocks[n_open:], Xs[n_open:], h, ts, tables,
+                                                   ahead[s:s + n] if n_open else None)
                 error = None
                 if states is None:
-                    states, error = _generic_block(steps, Xs, h, ts, tables, names)
+                    states, error = _generic_block(steps, Xs, h, ts, [None] * n_open + tables,
+                                                   names)
                 # The due sub-steps among those done, in one append, but not
                 # the interval's last: the next interval's start records
                 # that point, or after a tail the final record.
-                recordable = end // 3 - (lo + TABLE_SUBSTEPS >= nsub)
                 if dense:
                     rec.record_block(ts, states, j, tables, range(
-                        stride - g % stride, min(len(states), recordable) + 1, stride))
+                        stride - g % stride, min(len(states), n - (lo + n == nsub)) + 1, stride))
                 if error is not None:
                     raise error
-                g += end // 3
+                g += n
+                s += n
                 X = states[-1].reshape(len(X), p)
-        else:
+        if tail:
             # The tail ran to t_final: its end is the final point.
-            rec.record(float(ts[end]), X, n_int, tables, end)
+            rec.record(float(ts[-1]), X, n_int, tables, len(ts) - 1)
     except (DivergenceError, RankDegeneracyError) as exc:
         exc.partial = rec.build()
         raise

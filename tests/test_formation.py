@@ -440,6 +440,9 @@ def test_one_solve_table_and_kernel_call_per_group(monkeypatch, uni_agent, form_
     # agents each) takes one _lapack_svd and one frozen_control per group
     # per sampling instant, and one block kernel call per group per table
     # block, whose stack holds all the group's rows: no per-agent work.
+    # The leader, an open-loop row, takes one kernel call per chunk of
+    # table blocks: 4 blocks of 80 sub-steps keep its 4 x 80 x 3 stage
+    # rates within BLOCK_VALUES (4 x 4 x 80 x 3 = 3840), 5 would not.
     from bracket_steer import synthesis
     counts = {"svd": 0, "table": 0}
     kernel_rows = []
@@ -473,11 +476,41 @@ def test_one_solve_table_and_kernel_call_per_group(monkeypatch, uni_agent, form_
     agents = [dataclasses.replace(uni_agent, selection=fast if i >= 8 else uni_agent.selection,
                                   offset=tuple(rng.uniform(-1.0, 1.0, 3))) for i in range(16)]
     x0s = list(rng.uniform(-2.0, 2.0, (16, 3)))
-    # 5 intervals of 80 sub-steps (kappa_max 2), one table block each, and
-    # 6 sampling instants with the end.
+    # 5 intervals of 80 sub-steps (kappa_max 2), one table block each, in
+    # chunks of 4 and 1, and 6 sampling instants with the end.
     simulate_formation(agents, fig8_leader, x0s, form_gains, SimConfig(t_final=0.5))
     assert counts == {"svd": 6 * 2, "table": 6 * 2}
-    assert kernel_rows == [1, 8, 8] * 5
+    assert kernel_rows == [1, *[8, 8] * 4, 1, 8, 8]
+
+
+def test_builtin_leader_takes_one_kernel_call_per_chunk(monkeypatch):
+    # The built-in formation run (600 intervals of 40 sub-steps) advances
+    # its figure-eight leader 8 intervals at a time, 4 x 8 x 40 x 3 = 3840
+    # stage rates within BLOCK_VALUES: 75 kernel calls, not one per
+    # interval, while the follower keeps one call per table block.  The
+    # run is bitwise the uncounted one.
+    uni = builtin_scenario("unicycle-leader")
+    calls = {}
+
+    def counted(name, block):
+        def wrapped(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return block(*args)
+        return wrapped
+
+    def run():
+        ftraj = simulate_formation(uni.agents, uni.leader, uni.agent_x0s, uni.gains, uni.sim)
+        return [ftraj.dense_times.tobytes(), ftraj.leader_states.tobytes(),
+                ftraj.agent_trajs[0].dense_states.tobytes(),
+                ftraj.agent_trajs[0].dense_controls.tobytes()]
+
+    want = run()
+    leader_key = library._identity_key(library._figure_eight)
+    monkeypatch.setattr(library, "_BLOCK_STEPS", {
+        key: counted("leader" if key == leader_key else "follower", block)
+        for key, block in library._BLOCK_STEPS.items()})
+    assert run() == want
+    assert calls == {"leader": 75, "follower": 600}
 
 
 def test_solve_many_only_for_groups_of_more_than_one(monkeypatch, uni_agent, form_gains,

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -49,6 +50,14 @@ def test_partitioned_system_validation():
     with pytest.raises(InvalidInputError):
         PartitionedSystem(name="bad", n=2, n1=1, n2=1, m=2, drift=drift,
                           control_fields=(f,), control_jacobians=(J,))
+    # n1 and m are counts (model._as_count); the partition rule keeps the rest.
+    for kw, message in ((dict(n1=0, n2=2), "n1 must be >= 1, got 0"),
+                        (dict(n1=1, n2=1, m=0), "m must be >= 1, got 0"),
+                        (dict(n1=3, n2=-1), "partition invariant violated: n1=3, n2=-1, n=2 "
+                                            "(need n2 >= 0, n1 + n2 = n)")):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            PartitionedSystem(**dict(dict(name="bad", n=2, m=1, drift=drift,
+                                          control_fields=(f,), control_jacobians=(J,)), **kw))
 
 
 def test_split(disc):

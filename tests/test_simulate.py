@@ -10,7 +10,8 @@ from bracket_steer import (ControllerGains, DivergenceError, InvalidInputError,
                            averaged_reference, decay_report, default_substeps,
                            default_t_final, epsilon_sweep, held_control,
                            simulate_pi_epsilon, steering_coefficients)
-from bracket_steer import FollowerAgent, LeaderModel, leader_field, simulate_formation
+from bracket_steer import (FollowerAgent, LeaderModel, leader_field, simulate_formation,
+                           simulate_leader)
 from bracket_steer import builtin_scenario, library, synthesis
 from bracket_steer import simulate as simulate_module
 from bracket_steer.simulate import interval_grid
@@ -335,6 +336,13 @@ def test_control_tables_in_blocks_match_whole_intervals(monkeypatch):
     # long one never holds all its controls at once; blocks of 1, 7 and 40
     # sub-steps (a last block shorter than the rest, and the whole interval)
     # give every output bitwise, with a partial tail and a record stride.
+    # The clock, and the leader's states, are taken a chunk of blocks at a
+    # time: 8 intervals of the built-in formation at 256 and 40, 48 blocks
+    # of 7 and 341 of 1, so 5.25 time units span six chunks and more,
+    # chunks that end inside an interval, and a tail.  The leader alone
+    # records every sub-step, each at the grid expression j epsilon + i h
+    # (at sub-step 2046, a chunk's end at blocks of 1, an accumulated
+    # (j epsilon + (i - 1) h) + h would differ from it).
     assert simulate_module.TABLE_SUBSTEPS == 256
     disc = builtin_scenario("rolling-disc")
     uni = builtin_scenario("unicycle-leader")
@@ -344,7 +352,21 @@ def test_control_tables_in_blocks_match_whole_intervals(monkeypatch):
                                      np.array(disc.x0), SimConfig(t_final=2.5, record_stride=3))
         form = simulate_formation(uni.agents, uni.leader, uni.agent_x0s, uni.gains,
                                   SimConfig(t_final=0.35, record_stride=3))
-        return _arrays(single), [*_arrays(form.agent_trajs[0]), form.leader_states.tobytes()]
+        chunked = simulate_formation(uni.agents, uni.leader, uni.agent_x0s, uni.gains,
+                                     SimConfig(t_final=5.25, record_stride=7))
+        # The leader alone, recorded at every sub-step, is the formation's
+        # leader at each of its points.
+        times, leader = simulate_leader(uni.leader, uni.gains, SimConfig(t_final=5.25))
+        at = np.searchsorted(times, chunked.dense_times)
+        assert times[at].tobytes() == chunked.dense_times.tobytes()
+        assert leader[at].tobytes() == chunked.leader_states.tobytes()
+        eps = uni.gains.epsilon
+        tail = 5.25 - 52 * eps
+        assert times.tolist() == [j * eps + i * (eps / 40) for j in range(52) for i in range(40)] + [
+            52 * eps + i * (tail / 40) for i in range(40)] + [5.25]
+        return (_arrays(single), [*_arrays(form.agent_trajs[0]), form.leader_states.tobytes()],
+                [*_arrays(chunked.agent_trajs[0]), chunked.leader_states.tobytes()],
+                [times.tobytes(), leader.tobytes()])
 
     want = runs()
 
@@ -375,11 +397,14 @@ def test_control_tables_in_blocks_match_whole_intervals(monkeypatch):
     agents = [dataclasses.replace(agent, gamma=50.0) for agent in uni.agents] * 2
     failures = [single(1e300, 2.0), single(100.0, 15.5, 3), degenerate,
                 lambda: simulate_formation(agents, uni.leader, uni.agent_x0s * 2, uni.gains,
-                                           SimConfig(t_final=2.0, record_stride=7))]
+                                           SimConfig(t_final=2.0, record_stride=7)),
+                *_leaders_past_the_cap(uni)]
     outcomes = [_run_outcome(run) for run in failures]
-    assert [type(got) for got in outcomes] == [tuple] * 4
+    assert [type(got) for got in outcomes] == [tuple] * 6
     assert [got[0] for got in outcomes] == [DivergenceError] * 2 + [RankDegeneracyError,
-                                                                    DivergenceError]
+                                                                    *[DivergenceError] * 3]
+    # The leader crosses the cap inside the second chunk at every block size.
+    assert [0.86 < got[2] < 1.6 for got in outcomes[4:]] == [True, True]
 
     for block in (1, 7, 40):
         monkeypatch.setattr(simulate_module, "TABLE_SUBSTEPS", block)
@@ -391,13 +416,28 @@ def test_control_tables_in_blocks_match_whole_intervals(monkeypatch):
                 assert _run_outcome(run) == got, block
 
 
+def _leaders_past_the_cap(uni):
+    """A figure-eight leader started just inside DIVERGENCE_NORM_CAP, whose
+    norm grows by 0.2 per unit time until it crosses the cap near t = 1.1,
+    alone (simulate_leader) and followed by the built-in's agent at its
+    offset: runs that raise DivergenceError."""
+    x0 = (0.0, 0.22 - simulate_module.DIVERGENCE_NORM_CAP, 0.0)
+    leader = dataclasses.replace(uni.leader, x0=x0)
+    cfg = SimConfig(t_final=2.65, record_stride=7)
+    agent_x0 = [np.add(x0, agent.offset) for agent in uni.agents]
+    return [lambda: simulate_leader(leader, uni.gains, cfg),
+            lambda: simulate_formation(uni.agents, leader, agent_x0, uni.gains, cfg)]
+
+
 def _run_outcome(run):
     """A run's every output array, or its error's type, message, t, state
     and every array of its .partial (and .agent_index, when set)."""
     def arrays(traj):
+        if isinstance(traj, tuple):  # simulate_leader's (dense_times, dense_states)
+            return [a.tobytes() for a in traj]
         if hasattr(traj, "agent_trajs"):
-            return [traj.leader_states.tobytes(), *(a for agent in traj.agent_trajs
-                                                    for a in _arrays(agent))]
+            return [traj.dense_times.tobytes(), traj.leader_states.tobytes(),
+                    *(a for agent in traj.agent_trajs for a in _arrays(agent))]
         return _arrays(traj)
 
     try:
@@ -469,8 +509,15 @@ def test_runs_match_the_generic_path_bitwise(monkeypatch):
                 return run()
         return patched
 
+    # Chunks of the clock and of the leader's states: a horizon of three
+    # chunks and more with a tail and a record stride, the leader alone
+    # over it, and leaders that cross the cap inside a chunk.
+    chunked = [formation(10.0, 5.25, 7),
+               lambda: simulate_leader(uni.leader, uni.gains, SimConfig(t_final=5.25)),
+               *_leaders_past_the_cap(uni)]
     runs = [single(5.0, 7.5, 3), formation(10.0, 0.35, 3), single(1e300, 2.0),
             formation(50.0, 2.0), formation(50.0, 2.0, 7),
+            *chunked,
             failing(single(5.0, 7.0), 4),
             falling_back(formation(10.0, 1.0), 5)]
     kinds = []
@@ -480,7 +527,8 @@ def test_runs_match_the_generic_path_bitwise(monkeypatch):
             m.setattr(library, "_BLOCK_STEPS", {})
             assert _run_outcome(run) == got
         kinds.append(got[0] if isinstance(got, tuple) else "done")
-    assert kinds == ["done", "done", *[DivergenceError] * 3, *[RankDegeneracyError] * 2]
+    assert kinds == ["done", "done", *[DivergenceError] * 3, "done", "done",
+                     *[DivergenceError] * 2, *[RankDegeneracyError] * 2]
     assert got[4] == 0
 
 
