@@ -144,11 +144,6 @@ def _csv_chunks(header, columns):
         yield head
 
 
-def _csv_table(header, columns):
-    """The CSV text of _csv_chunks(header, columns)."""
-    return "".join(_csv_chunks(header, columns))
-
-
 def _csv_single(traj, n, m):
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] \
         + [f"u{k}" for k in range(1, m + 1)] + ["err_y"]

@@ -5,14 +5,15 @@ The closed loop is integrated as a sampled solution: on each interval
 x(tau_j) while its time argument advances continuously.  One private
 driver, _run_sampled, owns that clock and the stacked rows for every
 caller: the interval grid and its partial tail, the sub-step and boundary
-times, each row's step, divergence guard and control record, resampling at
-each sampling instant, the record stride, and the partial trajectory
-attached to a failure.  It runs one system (simulate_pi_epsilon, one row)
-or the formation's rows, in groups of consecutive rows that share their
-functions: the leader, then each run of followers that share one system
-and selection.  Each row is advanced by its own fixed-step RK4 sub-step in
-the operation order of the float64 array form, so results are bitwise
-those of arrays.
+times, each row's step and divergence guard, resampling at each sampling
+instant, handing each table block once to the recorder (_Recorder, which
+keeps the record stride and the horizon's end point), and the partial
+trajectory attached to a failure.  It runs one system
+(simulate_pi_epsilon, one row) or the formation's rows, in groups of
+consecutive rows that share their functions: the leader, then each run
+of followers that share one system and selection.  Each row is advanced by
+its own fixed-step RK4 sub-step in the operation order of the float64
+array form, so results are bitwise those of arrays.
 
 At each sampling instant each steered group, a single system's row too,
 takes one steering step (synthesis._SteeringPlan.held), whose held
@@ -30,12 +31,12 @@ taken as a float64.  Groups of the built-in unicycle and rolling disc, and
 the figure-eight leader, skip that contract: their exact function objects
 select a block kernel in library (_row_integrators), which advances all
 the group's rows over a whole table block in one numpy pass and repeats
-the generic sub-steps' operations bit for bit on each row.  The driver does the same for every
-table block: advance it, append its due dense points in one strided
-append, and raise the failure handed back.  When every group has a kernel,
-the open-loop rows advance a whole chunk in one kernel call, and a block
-is their slice, one kernel call per steered group and one vector guard
-(_advance_block); otherwise, or when that block is not finite and well
+the generic sub-steps' operations bit for bit on each row.  The driver
+does the same for every table block: advance it, hand it to the recorder
+in one call, and raise the failure handed back.  When every group has a
+kernel, the open-loop rows advance a whole chunk in one kernel call, and a
+block is their slice, one kernel call per steered group and one vector
+guard (_advance_block); otherwise, or when that block is not finite and well
 inside the guard's cap, it is the generic sub-steps of all rows together,
 guarded after each (_generic_block), so a failure is raised as they raise
 it.  Every other system or leader field, and a copy with any function
@@ -208,20 +209,24 @@ def _rk4_step(stage, t, x, h, u0, uh, u1):
 class _Recorder:
     """Flat float64 buffers of the dense grid and sampling instants of one run.
 
-    record() appends one dense point, t, the rows' states X (n_rows, p),
-    each row's held control at t from the group tables and the interval
-    index: an interval's start, or t_final after a tail; record_block()
-    appends a table block's due sub-step ends at once; sample() appends a
-    sampling instant and the rows' states there; build() hands the recorder
-    to the caller's build, which wraps each buffer with np.frombuffer, no
-    copy, and reshapes it into the caller's trajectory type.  The buffers so
-    become the trajectory: nothing is appended after build, which either
-    ends the run or makes the failure's .partial (and an array.array that
-    exports its buffer refuses to grow).
+    record() is handed each table block of the run once, in order, and
+    appends its due dense points: t, the rows' states X (n_rows, p), each
+    steered row's held control at t from the group tables, and the interval
+    index.  A dense point is recorded at t = 0, every stride
+    (cfg.record_stride) sub-steps and at the end of the horizon; with
+    stride None (the one-clock sweep) only sampling instants are.
+    sample() appends a sampling instant and the rows' states there; build()
+    hands the recorder to the caller's build, which wraps each buffer with
+    np.frombuffer, no copy, and reshapes it into the caller's trajectory
+    type.  The buffers so become the trajectory: nothing is appended after
+    build, which either ends the run or makes the failure's .partial (and
+    an array.array that exports its buffer refuses to grow).
     """
 
-    def __init__(self, build):
+    def __init__(self, build, stride):
         self._build = build
+        self._stride = stride
+        self._substeps = 0  # handed over so far
         self.times = array("d")
         self.states = array("d")
         self.controls = array("d")
@@ -229,24 +234,36 @@ class _Recorder:
         self.sample_times = array("d")
         self.sample_states = array("d")
 
-    def record(self, t, X, j, tables, e):
-        self.times.append(t)
-        self.states.frombytes(X.tobytes())
-        for tab in tables:
-            self.controls.frombytes(tab[e].tobytes())
-        self.intervals.append(j)
-
-    def record_block(self, ts, states, j, tables, subs):
-        """record() at the end of each sub-step in the range subs (1-based)
-        of a table block, from its times and group tables and its stacked
-        states (n, width) after each sub-step, as strided slices."""
-        ends = slice(3 * subs.start, 3 * subs.stop, 3 * subs.step)
-        self.times.frombytes(ts[ends].tobytes())
-        self.states.frombytes(states[subs.start - 1:subs.stop - 1:subs.step].tobytes())
-        if tables:
-            self.controls.frombytes(np.concatenate(
-                [tab[ends].reshape(len(subs), tab[0].size) for tab in tables], axis=1).tobytes())
-        self.intervals.extend([j] * len(subs))
+    def record(self, ts, X, states, j, tables, last):
+        """Append the due boundaries of a table block of interval j: its
+        times ts, rows' start X, stacked states (done, width) after each
+        sub-step done and group tables.  Boundary i is X at i = 0, else
+        states[i - 1], at ts[3 i] with controls tab[3 i], and is due when
+        the run's sub-step count there is a multiple of the stride.  The
+        block's end is the next block's start, so it is appended only when
+        last, the run's last block, and then due or not; a failed block
+        appends its due boundaries up to its last sub-step done."""
+        if self._stride is None:
+            return
+        n, done = len(ts) // 3, len(states)
+        due = range(-self._substeps % self._stride, done + (done < n or last), self._stride)
+        self._substeps += n
+        # As strided slices; then, for the last block, its end when not due.
+        for rows in (due, range(n, n + (last and done == n and n not in due))):
+            if not rows:
+                continue
+            at = slice(3 * rows.start, 3 * rows.stop, 3 * rows.step)
+            self.times.frombytes(ts[at].tobytes())
+            if rows.start == 0:
+                self.states.frombytes(X.tobytes())
+            # Past the start, rows' first boundary is rows.step when it holds the start.
+            self.states.frombytes(
+                states[(rows.start or rows.step) - 1:rows.stop - 1:rows.step].tobytes())
+            if tables:
+                parts = [tab[at].reshape(len(rows), -1) for tab in tables]
+                block = np.concatenate(parts, axis=1) if parts[1:] else parts[0]
+                self.controls.frombytes(block.tobytes())
+            self.intervals.extend([j] * len(rows))
 
     def sample(self, t, X):
         self.sample_times.append(t)
@@ -449,28 +466,28 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build, ends=None):
     slice of those states.
 
     Every interval, and the end of a horizon without a tail, begins with
-    one step: sample, steer, tabulate and record the start when due.  Each
-    table block is then advanced whole, by one block kernel call per
-    steered group beside the open-loop rows' slice (_advance_block) or,
-    when a group has no kernel or the kernels' vector guard fails, by
-    _generic_block from the block's start for every row: every row's
-    generic sub-step, after each of which one norm test of the stacked
-    state passes every row and only when it fails is each row guarded,
-    under its name, by the exact _guard_state (_guard_rows).  The block's
-    due dense points are appended at once, and then a failure it handed
-    back is raised, so states computed ahead past it are never recorded.
-    A dense point (t, rows, interval, each steered row's held control at
-    t) is recorded at t = 0, every cfg.record_stride sub-steps and at the
-    end of the horizon.  Returns build(recorder); a DivergenceError or
-    RankDegeneracyError leaves with build(recorder) of the run so far
-    attached as .partial.
+    one step: sample, steer and tabulate.  Each table block is then
+    advanced whole, by one block kernel call per steered group beside the
+    open-loop rows' slice (_advance_block) or, when a group has no kernel,
+    the kernels' vector guard fails or the block has no sub-steps (the end
+    of a horizon without a tail), by _generic_block from the block's start
+    for every row: every row's generic sub-step, after each of which one
+    norm test of the stacked state passes every row and only when it fails
+    is each row guarded, under its name, by the exact _guard_state
+    (_guard_rows).  The block is handed to the recorder once
+    (_Recorder.record, which keeps the record policy), and then a failure
+    it handed back is raised, so states computed ahead past it are never
+    recorded.  Returns build(recorder); a
+    DivergenceError or RankDegeneracyError leaves with build(recorder) of
+    the run so far attached as .partial.
 
     ends, given for one group whose rows are separate runs of one clock
     with no tail, holds each row's own interval count, non-increasing in
     row order, the first the run's: row k takes its steering step at
     tau_{ends[k]} and then leaves, so the stack shrinks to its first rows.
-    Such a run records its sampling instants only, and its caller budgets
-    and warns for each row's run (the plan here checks the first row).
+    Such a run records its sampling instants only (a _Recorder of stride
+    None), and its caller budgets and warns for each row's run (the plan
+    here checks the first row).
     """
     cfg = SimConfig() if cfg is None else cfg
     eps = gains.epsilon
@@ -481,8 +498,6 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build, ends=None):
         _warn_substeps(nsub, kappa_max)
     # The rows left after each instant at which some retire.
     retire = {} if dense else {e: sum(f > e for f in ends) for e in ends if e < n_int}
-    total_substeps = n_intervals * nsub
-    stride = cfg.record_stride
     names = [name for group, _, _ in groups for name in group]
     p = x0.shape[1]
     bounds = [0, *accumulate(len(group) for group, _, _ in groups)]
@@ -524,9 +539,8 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build, ends=None):
                       else t_final if last == n_int else (last + 1) * eps)
         return h, times
 
-    rec = _Recorder(build)
+    rec = _Recorder(build, cfg.record_stride if dense else None)
     X = x0
-    g = 0  # sub-steps done, drives record_stride
     try:
         for chunk in chunks():
             h, times = clock(chunk)
@@ -540,39 +554,28 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build, ends=None):
             for j, lo, n in chunk:
                 ts = times[3 * s:3 * (s + n) + 1]
                 if lo == 0:
-                    # Sampling instant tau_j: sample, resample the held
-                    # controls and record the interval's start when due.
-                    t = j * eps
-                    rec.sample(t, X)
+                    # Sampling instant tau_j: sample and resample the held controls.
+                    rec.sample(j * eps, X)
                     held = steer(X)
                     if j in retire:
                         X = X[:retire[j]]
                 tables = [control(ts)[:, :len(X)] for control in held]
-                if lo == 0 and dense and (g % stride == 0 or g == total_substeps):
-                    rec.record(t, X, j, tables, 0)
-                if n == 0:  # the end of a tail-less horizon
-                    break
                 Xs = [X[a:b] for a, b in zip(bounds, bounds[1:])]
-                states = blocks and _advance_block(blocks[n_open:], Xs[n_open:], h, ts, tables,
-                                                   ahead[s:s + n] if n_open else None)
+                states = (_advance_block(blocks[n_open:], Xs[n_open:], h, ts, tables,
+                                         ahead[s:s + n] if n_open else None)
+                          if blocks and n else None)
                 error = None
                 if states is None:
                     states, error = _generic_block(steps, Xs, h, ts, [None] * n_open + tables,
                                                    names)
-                # The due sub-steps among those done, in one append, but not
-                # the interval's last: the next interval's start records
-                # that point, or after a tail the final record.
-                if dense:
-                    rec.record_block(ts, states, j, tables, range(
-                        stride - g % stride, min(len(states), n - (lo + n == nsub)) + 1, stride))
+                # The run's last block: the tail's, or the end of a tail-less horizon.
+                rec.record(ts, X, states, j, tables, j == n_int and lo + n in (0, nsub))
                 if error is not None:
                     raise error
-                g += n
+                if n == 0:  # the end of a tail-less horizon
+                    break
                 s += n
                 X = states[-1].reshape(len(X), p)
-        if tail:
-            # The tail ran to t_final: its end is the final point.
-            rec.record(float(ts[-1]), X, n_int, tables, len(ts) - 1)
     except (DivergenceError, RankDegeneracyError) as exc:
         exc.partial = rec.build()
         raise

@@ -306,7 +306,7 @@ def test_csv_table_matches_percent_formatting(family, cols):
     values = np.concatenate([values, -values])
     table = np.resize(values, (-(-values.size // cols), cols))
     header = [f"c{i}" for i in range(cols)]
-    assert cli._csv_table(header, [table]) == csv_text_reference(header, [table])
+    assert "".join(cli._csv_chunks(header, [table])) == csv_text_reference(header, [table])
 
 
 # Rows per float_text block of a 4-column table.
@@ -318,7 +318,7 @@ def test_csv_table_row_counts_around_the_chunk(rows):
     pool = np.concatenate(list(_CSV_FAMILIES.values()))
     columns = [np.resize(pool[i::4], rows) for i in range(4)]
     header = ["a", "b", "c", "d"]
-    assert cli._csv_table(header, columns) == csv_text_reference(header, columns)
+    assert "".join(cli._csv_chunks(header, columns)) == csv_text_reference(header, columns)
 
 
 @pytest.mark.parametrize("cols", [1, 2, 3, 11, 26])
@@ -345,7 +345,7 @@ def test_csv_chunks_at_the_block_boundary(cols, offset):
 def test_csv_table_matches_percent_formatting_hypothesis(values, cols):
     table = np.resize(np.array(values), (-(-len(values) // cols), cols))
     header = [f"c{i}" for i in range(cols)]
-    assert cli._csv_table(header, [table]) == csv_text_reference(header, [table])
+    assert "".join(cli._csv_chunks(header, [table])) == csv_text_reference(header, [table])
 
 
 def _near_midpoints():

@@ -513,6 +513,31 @@ def test_builtin_leader_takes_one_kernel_call_per_chunk(monkeypatch):
     assert calls == {"leader": 75, "follower": 600}
 
 
+def test_recorder_takes_one_call_per_table_block(monkeypatch):
+    # The driver hands the recorder each table block once: at blocks of 7
+    # sub-steps the built-in run's 600 intervals of 40 are 6 blocks each,
+    # and the end of the tail-less horizon is one more.  The record policy
+    # lives in that one method; there is no second appending method.
+    assert not hasattr(simulate._Recorder, "record_block")
+    uni = builtin_scenario("unicycle-leader")
+    want = simulate_formation(uni.agents, uni.leader, uni.agent_x0s, uni.gains, uni.sim)
+    calls = []
+    real = simulate._Recorder.record
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "TABLE_SUBSTEPS", 7)
+    monkeypatch.setattr(simulate._Recorder, "record", counted)
+    got = simulate_formation(uni.agents, uni.leader, uni.agent_x0s, uni.gains, uni.sim)
+    assert len(calls) == 600 * 6 + 1
+    assert got.dense_times.tobytes() == want.dense_times.tobytes()
+    assert got.leader_states.tobytes() == want.leader_states.tobytes()
+    assert (got.agent_trajs[0].dense_controls.tobytes()
+            == want.agent_trajs[0].dense_controls.tobytes())
+
+
 def test_solve_many_only_for_groups_of_more_than_one(monkeypatch, uni_agent, form_gains,
                                                      fig8_leader):
     # A group of one is steered by the plan's solve alone; a group of eight

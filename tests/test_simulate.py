@@ -647,8 +647,10 @@ def test_sample_and_hold_fidelity(disc, disc_sel, disc_gains_moderate):
         assert np.array_equal(u, traj.dense_controls[i])
 
 
-def test_record_stride(disc, disc_sel, disc_gains_moderate):
+def test_record_stride(monkeypatch, disc, disc_sel, disc_gains_moderate):
     x0 = np.array([1.0, 0.5, 0.0, 0.0])
+    builtin = builtin_scenario("rolling-disc")
+    steep = dataclasses.replace(builtin.gains, gamma=100.0)
     full = simulate_pi_epsilon(disc, disc_sel, disc_gains_moderate, x0,
                                SimConfig(t_final=1.0))
     thin = simulate_pi_epsilon(disc, disc_sel, disc_gains_moderate, x0,
@@ -662,6 +664,41 @@ def test_record_stride(disc, disc_sel, disc_gains_moderate):
     # Thinned points agree with the dense run where they coincide.
     common = np.isin(full.dense_times, thin.dense_times)
     assert np.array_equal(full.dense_states[common], thin.dense_states)
+
+    # Exactly the due boundaries, with and without a tail, at every table
+    # block size (one sub-step, blocks that do not divide an interval of
+    # 40, the whole interval, and one longer than it) and every stride,
+    # one longer than the run too.
+    for block in (1, 7, 40, 256):
+        monkeypatch.setattr(simulate_module, "TABLE_SUBSTEPS", block)
+        for t_final, stride in itertools.product((1.0, 1.1), (1, 3, 7, 40, 41, 1000)):
+            traj = simulate_pi_epsilon(disc, disc_sel, disc_gains_moderate, x0,
+                                       SimConfig(t_final, 40, stride))
+            assert (list(zip(traj.dense_times.tolist(), traj.interval_index.tolist()))
+                    == _due_points(t_final, 0.25, 40, stride)), (block, t_final, stride)
+        # A run that diverges in sub-step 12 of interval 13, inside a table
+        # block at sizes 7, 40 and 256, keeps the due boundaries before it.
+        with pytest.raises(DivergenceError) as info:
+            simulate_pi_epsilon(builtin.system, builtin.selection, steep, np.array(builtin.x0),
+                                SimConfig(15.5, 40, 3))
+        assert info.value.t == 13 * 1.0 + 12 * 0.025
+        partial = info.value.partial
+        assert list(zip(partial.dense_times.tolist(), partial.interval_index.tolist())) == [
+            point for point in _due_points(15.5, 1.0, 40, 3) if point[0] < info.value.t], block
+
+
+def _due_points(t_final, eps, nsub, stride):
+    """(time, interval) of every boundary b = j nsub + i, b sub-steps from
+    the start, with b % stride == 0, at the grid expression j eps + i h,
+    and of the horizon's end: t_final after a tail, else n_int eps."""
+    n_int, tail = interval_grid(t_final, eps)
+    total = (n_int + (tail > 0.0)) * nsub
+    points = []
+    for b in [*range(0, total, stride), total]:
+        j, i = divmod(b, nsub)
+        h = (tail if j == n_int else eps) / nsub
+        points.append((t_final if b == total and tail else j * eps + i * h, min(j, n_int)))
+    return points
 
 
 def test_substeps_warning(disc, disc_sel, disc_gains_moderate):

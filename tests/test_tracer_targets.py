@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from bracket_steer import cli
+from bracket_steer import builtin_scenario, cli, default_substeps, simulate
+from bracket_steer.simulate import interval_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -86,11 +87,17 @@ def test_unused_imports_are_tracer_targets():
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_traced_run_writes_the_untraced_bytes(tmp_path, fmt):
+def test_traced_run_writes_the_untraced_bytes(monkeypatch, tmp_path, fmt):
     # The tracer counts the bytes of cli._write_text as len(args[1]), so
     # that writer is only ever handed text; streamed output goes through
     # cli._write_chunks.  A traced run exits 0 and writes what an untraced
-    # one does.
+    # one does.  Its recorder span sees every table block: at blocks of 7
+    # sub-steps, 5 intervals of 40 sub-steps are 6 blocks each, and the end
+    # of the tail-less horizon is one more.
+    monkeypatch.setattr(simulate, "TABLE_SUBSTEPS", 7)
+    uni = builtin_scenario("unicycle-leader")
+    assert interval_grid(0.5, uni.gains.epsilon) == (5, 0.0)
+    assert default_substeps(uni.agents[0].selection.kappa_max) == 40
     tracer = _load_tracer().Tracer()
     argv = ["run", "unicycle-leader", "--t-final", "0.5", "--format", fmt]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -108,3 +115,4 @@ def test_traced_run_writes_the_untraced_bytes(tmp_path, fmt):
     metrics = tracer.per_layer(1, 1.0, 1)
     assert metrics["trace.spans"]["value"] > 0
     assert metrics["cli.integrate_s"]["value"] > 0
+    assert metrics["simulate.recorder.rows"]["value"] == 5 * 6 + 1
