@@ -250,7 +250,12 @@ def _cmd_run(args):
     if as_csv:
         _write_chunks(out, body)
         side_path = out.with_name(out.stem + ".report.json")
-        _write_text(side_path, scenarios.json_text(sidecar))
+        try:
+            _write_text(side_path, scenarios.json_text(sidecar))
+        except BaseException:  # a failed run leaves no output file
+            if out.is_file():  # never a device such as /dev/null
+                out.unlink()
+            raise
         print(f"wrote {out} and {side_path}")
     else:
         sidecar["trajectory"] = body

@@ -135,7 +135,8 @@ def _count(n):
 
 
 def _within_budget(n, what):
-    """An int count n, refused past MAX_ROW_SUBSTEPS before anything of its size exists."""
+    """An int count n of what, refused past MAX_ROW_SUBSTEPS before anything
+    of its size exists: the package's one work-budget check and message."""
     if n > MAX_ROW_SUBSTEPS:
         raise InvalidInputError(
             f"{what}={_count(n)} exceeds the budget MAX_ROW_SUBSTEPS = {MAX_ROW_SUBSTEPS}")

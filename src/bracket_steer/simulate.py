@@ -67,10 +67,8 @@ import numpy as np
 
 from . import library
 from .errors import DivergenceError, InvalidInputError, RankDegeneracyError
-# MAX_ROW_SUBSTEPS is read here by name, so patching simulate.MAX_ROW_SUBSTEPS
-# moves the run's budget.
-from .model import (MAX_ROW_SUBSTEPS, _as_count, _as_list, _as_positive, _as_real, _as_reals,
-                    _count, as_state, block_rows)
+from .model import (_as_count, _as_list, _as_positive, _as_real, _as_reals, _count,
+                    _within_budget, as_state, block_rows)
 from .synthesis import _check_target, _plan, frozen_control
 # Not called here: perfbench/tracer.py wraps simulate.held_control and
 # simulate.steering_coefficients by name.
@@ -421,10 +419,8 @@ def _plan_run(cfg, gains, kappa_max, n_rows):
     n_intervals = n_int + (1 if tail > 0.0 else 0)
     if n_intervals == 0:
         raise InvalidInputError(f"t_final={t_final} is too short for epsilon={eps}")
-    if n_intervals * nsub * n_rows > MAX_ROW_SUBSTEPS:
-        raise InvalidInputError(
-            f"{_count(n_intervals)} intervals x {_count(nsub)} sub-steps x {_count(n_rows)} rows "
-            f"exceed the budget MAX_ROW_SUBSTEPS = {MAX_ROW_SUBSTEPS}")
+    _within_budget(n_intervals * nsub * n_rows, f"{_count(n_intervals)} intervals x "
+                   f"{_count(nsub)} sub-steps x {_count(n_rows)} rows")
     return t_final, nsub, n_int, tail, n_intervals
 
 
@@ -812,9 +808,9 @@ def epsilon_sweep(sys, sel, gains_base, x0, t_final, eps_list,
     rows.  Every run uses SimConfig(t_final, substeps_per_period); None
     fields take the defaults.
     Every entry is planned before the first run, and the sweep as a whole
-    must stay within MAX_ROW_SUBSTEPS.  An eligible sweep runs on one clock
-    (_one_clock_sweep); any other, or one whose stacked run raises or leaves
-    its exact-scaling range, runs each epsilon by simulate_pi_epsilon.
+    must stay within model.MAX_ROW_SUBSTEPS.  An eligible sweep runs on one
+    clock (_one_clock_sweep); any other, or one whose stacked run raises or
+    leaves its exact-scaling range, runs each epsilon by simulate_pi_epsilon.
     Either way the rows, and any failure, are the per-epsilon runs'.
     """
     eps_list = _sweep_epsilons(eps_list)
@@ -823,10 +819,7 @@ def epsilon_sweep(sys, sel, gains_base, x0, t_final, eps_list,
     runs = [replace(gains_base, epsilon=e) for e in eps_list]
     # Every entry is refused here, before the first run, if it is bad.
     plans = [_plan_run(cfg, gains, sel.kappa_max, 1) for gains in runs]
-    total = sum(nsub * n_intervals for _, nsub, _, _, n_intervals in plans)
-    if total > MAX_ROW_SUBSTEPS:
-        raise InvalidInputError(f"the sweep's {_count(total)} row sub-steps exceed the budget "
-                                f"MAX_ROW_SUBSTEPS = {MAX_ROW_SUBSTEPS}")
+    _within_budget(sum(nsub * n for _, nsub, _, _, n in plans), "the sweep's row sub-steps")
     rows = _one_clock_sweep(sys, sel, runs, x0, plans)
     if rows is not None:
         for _ in runs:  # the warning each entry's own run gives

@@ -18,7 +18,9 @@ one np.sin, each bitwise the generic construction.  Every other registered
 system takes the definition: one model field per S1 column and one model
 bracket per S2 column, row by row; no benchmark workload reaches it.
 validate_selection checks its probes in one pass (or per probe, in order)
-and certifies them by one stacked build and SVD per PROBE_CHUNK matrices;
+and certifies them by one stacked build and SVD per model.block_rows block
+of matrices (1024 of the disc's 2x2, 455 of the unicycle's 3x3), so the
+stack's memory does not grow with the probe count;
 each steering solve keeps one SVD for its condition guard and one LU
 solve, and a stack of solves (solve_many) one of each.  Both are the
 LAPACK gufuncs that np.linalg.svd and np.linalg.solve call, without those
@@ -47,11 +49,6 @@ from .model import (_as_count, _as_finite_reals, _as_int, _as_list, _as_positive
 from .model import lie_bracket  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
-# Probe matrices per SVD call in validate_selection, at most one block of
-# model.BLOCK_VALUES entries unless a single matrix is larger: the stack's
-# memory does not grow with the probe count (the built-ins' 2x2 and 3x3
-# matrices go 256 at a time, an n1 > 4 system's fewer, down to one).
-PROBE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -546,12 +543,12 @@ def validate_selection(sys, sel, probes, gains):
     The probes are checked in one pass (_probe_array); if that fails, a
     pre-pass checks each by as_state and builds its matrix alone, so errors
     keep the per-probe order, and probes that pass go on as the rows.  The
-    rows' matrices (the plan's matrices) fill one reused stack of at most
-    PROBE_CHUNK matrices and one block_rows block of entries (but at least
-    one matrix).  Each full stack, then the rest, takes one _conditioning
-    call and one max of its ratios and of its 1 / smin, which is the per-probe
-    loop's result to the bit.  A zero or NaN (not converged) smallest
-    singular value fails the rank and makes both inf.
+    rows' matrices (the plan's matrices) fill one reused stack of
+    block_rows(n1 * n1) matrices: one block of model.BLOCK_VALUES entries,
+    or one matrix if it is larger.  Each full stack, then the rest, takes
+    one _conditioning call and one max of its ratios and of its 1 / smin,
+    which is the per-probe loop's result to the bit.  A zero or NaN (not
+    converged) smallest singular value fails the rank and makes both inf.
     """
     plan = _plan(sys, sel)
     probes = _as_list(probes, "probes")
@@ -566,7 +563,7 @@ def validate_selection(sys, sel, probes, gains):
             rows.append(as_state(x, sys.n))
             plan.matrix(rows[-1])
         rows = np.array(rows)
-    chunk = min(PROBE_CHUNK, block_rows(sys.n1 * sys.n1))
+    chunk = block_rows(sys.n1 * sys.n1)
     stack = np.empty((chunk, sys.n1, sys.n1))
     for start in range(0, len(rows), chunk):
         block = rows[start:start + chunk]

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson, solve_ivp
+from scipy.special import jv
 
 from bracket_steer.model import as_state, eval_field, lie_bracket
 from bracket_steer.simulate import SimConfig, averaged_reference, simulate_pi_epsilon
@@ -215,6 +216,26 @@ def antisym_iterated_integral(u1, u2, eps, n=1 << 15):
     i12 = simpson(v1 * inner2, x=s)
     i21 = simpson(v2 * inner1, x=s)
     return 0.5 * (i21 - i12)
+
+
+# ---------------------------------------------------------------------------
+# the rolling disc's exact sampled map, in closed form
+
+def disc_interval_map(x0, a, eps):
+    """The built-in disc's state after one whole period eps from x0, with
+    no integrator: the selection S1 = (1,), S2 = ((1, 2),), kappa = (1,)
+    holds u1 = a1 + A cos wt and u2 = s A sin wt, A = 2 sqrt(pi |a2| / eps),
+    w = 2 pi / eps, s = sign(a2).  The heading is then
+    theta0 + c (1 - cos wt), c = s sqrt(|a2| eps / pi), and the
+    Jacobi-Anger expansion of exp(-i c cos wt) leaves, over a whole period,
+    delta(x1 + i x2) = eps exp(i (theta0 + c)) (a1 J0(c) - i A J1(c)),
+    delta x3 = 0 and delta x4 = eps a1."""
+    x0 = np.asarray(x0, dtype=float)
+    a1, a2 = (float(v) for v in a)
+    amp = 2.0 * math.sqrt(math.pi * abs(a2) / eps)
+    c = math.copysign(math.sqrt(abs(a2) * eps / math.pi), a2) if a2 else 0.0
+    dz = eps * np.exp(1j * (x0[2] + c)) * (a1 * jv(0, c) - 1j * amp * jv(1, c))
+    return x0 + np.array([dz.real, dz.imag, 0.0, eps * a1])
 
 
 # ---------------------------------------------------------------------------

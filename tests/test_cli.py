@@ -147,18 +147,20 @@ def test_budget_message_writes_huge_counts_short_exit_2(tmp_path, capsys):
     # of 401 digits).  Smaller counts are written in full.
     out = tmp_path / "x.csv"
     huge = "1" + "0" * 400
-    for args, counts in ((["sweep", "rolling-disc", "--epsilon", "1e-300"], "5e+301 x 40 x 1"),
+    for args, counts in ((["sweep", "rolling-disc", "--epsilon", "1e-300"],
+                          "5e+301 x 40 x 1=2e+303"),
                          (["sweep", "rolling-disc", "--epsilon", "0.1", "--substeps", huge],
-                          "500 x 1e+400 x 1"),
+                          "500 x 1e+400 x 1=5e+402"),
                          (["run", "rolling-disc", "--substeps", "999999999999999"],
-                          "50 x 999999999999999 x 1"),
+                          "50 x 999999999999999 x 1=5e+16"),
                          (["run", "unicycle-leader", "--substeps", "1000000000000000"],
-                          "600 x 1e+15 x 2")):
+                          "600 x 1e+15 x 2=1.2e+18")):
         assert main([*args, "--out", str(out)]) == 2
-        intervals, substeps, rows = counts.split(" x ")
+        factors, work = counts.split("=")
+        intervals, substeps, rows = factors.split(" x ")
         assert capsys.readouterr().err == (
-            f"error:InvalidInputError:{intervals} intervals x {substeps} sub-steps x {rows} rows "
-            "exceed the budget MAX_ROW_SUBSTEPS = 10000000\n")
+            f"error:InvalidInputError:{intervals} intervals x {substeps} sub-steps x {rows} "
+            f"rows={work} exceeds the budget MAX_ROW_SUBSTEPS = 10000000\n")
     assert not out.exists()
 
 
@@ -944,6 +946,18 @@ def test_failed_export_exit_4_leaves_no_file(tmp_path, capsys, monkeypatch, fmt)
                  "--out", str(out)]) == 4
     assert capsys.readouterr().err == "error:OSError:disk full\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_report_exit_4_leaves_no_csv(tmp_path, capsys):
+    # The CSV is whole when its .report.json write fails (here the report's
+    # path is a directory): the run exits 4 and removes the CSV too.
+    out = tmp_path / "x.csv"
+    (tmp_path / "x.report.json").mkdir()
+    assert main(["run", "rolling-disc", "--t-final", "2", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:IsADirectoryError:") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["x.report.json"]
+    assert not any((tmp_path / "x.report.json").iterdir())
 
 
 def _recorder_bytes_per_substep(monkeypatch):

@@ -5,18 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from bracket_steer import (ControllerGains, DivergenceError, InvalidInputError,
+from bracket_steer import (BracketSelection, ControllerGains, DivergenceError, InvalidInputError,
                            RankDegeneracyError, SampledTrajectory, SimConfig,
                            averaged_reference, decay_report, default_substeps,
                            default_t_final, epsilon_sweep, held_control,
                            simulate_pi_epsilon, steering_coefficients)
 from bracket_steer import (FollowerAgent, LeaderModel, leader_field, simulate_formation,
                            simulate_leader)
-from bracket_steer import builtin_scenario, library, synthesis
+from bracket_steer import builtin_scenario, library, model, synthesis
 from bracket_steer import simulate as simulate_module
+from bracket_steer.scenarios import probe_states
 from bracket_steer.simulate import interval_grid
 
-from oracles import control_series, pi_eps_solve, sweep_reference
+from oracles import control_series, disc_interval_map, pi_eps_solve, sweep_reference
 
 
 def test_defaults():
@@ -41,7 +42,7 @@ def test_work_budget_is_intervals_x_substeps_x_rows(monkeypatch, disc, disc_sel,
                                                    disc_gains_moderate, uni, uni_sel):
     # Each run is allowed at a budget of exactly its own work and refused
     # one row sub-step below it, before anything is integrated.
-    assert simulate_module.MAX_ROW_SUBSTEPS == 10_000_000
+    assert model.MAX_ROW_SUBSTEPS == 10_000_000
     x0 = np.array([1.0, 0.5, 0.0, 0.0])
     still = LeaderModel(name="stationary", dynamics=leader_field("stationary"),
                         x0=(0.0, 0.0, 0.0))
@@ -60,13 +61,46 @@ def test_work_budget_is_intervals_x_substeps_x_rows(monkeypatch, disc, disc_sel,
          SimConfig(0.3, 20)),
     ]
     for work, factors, run, cfg in cases:
-        monkeypatch.setattr(simulate_module, "MAX_ROW_SUBSTEPS", work)
+        monkeypatch.setattr(model, "MAX_ROW_SUBSTEPS", work)
         run(cfg)
-        monkeypatch.setattr(simulate_module, "MAX_ROW_SUBSTEPS", work - 1)
+        monkeypatch.setattr(model, "MAX_ROW_SUBSTEPS", work - 1)
         with pytest.raises(InvalidInputError) as info:
             run(cfg)
         assert str(info.value) == (
-            f"{factors} exceed the budget MAX_ROW_SUBSTEPS = {work - 1}")
+            f"{factors}={work} exceeds the budget MAX_ROW_SUBSTEPS = {work - 1}")
+
+
+def test_model_owns_every_work_budget(monkeypatch, disc, disc_sel, disc_gains_moderate):
+    # model.MAX_ROW_SUBSTEPS is the one patch point, and model._within_budget
+    # the one check, of a sweep's total, held_control's m and probe_states'
+    # n_probes, as of a run's (test_work_budget_is_intervals_x_substeps_x_rows).
+    assert not hasattr(simulate_module, "MAX_ROW_SUBSTEPS")
+    assert not hasattr(synthesis, "PROBE_CHUNK")
+    x0 = np.array([1.0, 0.5, 0.0, 0.0])
+
+    def refusal(budget, fn, *args):
+        monkeypatch.setattr(model, "MAX_ROW_SUBSTEPS", budget)
+        with pytest.raises(InvalidInputError) as info:
+            fn(*args)
+        return str(info.value)
+
+    # A sweep of 2 x 20 and 4 x 20 row sub-steps: admitted at a budget of
+    # its total 120, refused one sub-step below, where each entry alone fits.
+    sweep = (disc, disc_sel, disc_gains_moderate, x0, 1.0, [0.5, 0.25], 20)
+    monkeypatch.setattr(model, "MAX_ROW_SUBSTEPS", 120)
+    assert len(epsilon_sweep(*sweep)) == 2
+    assert refusal(119, epsilon_sweep, *sweep) == (
+        "the sweep's row sub-steps=120 exceeds the budget MAX_ROW_SUBSTEPS = 119")
+    sel = BracketSelection(s1=(1,), s2=((1, 2),))
+    monkeypatch.setattr(model, "MAX_ROW_SUBSTEPS", 3)
+    assert len(held_control(sel, 0.25, 3, [1.0, 2.0], 0.1)) == 3
+    assert refusal(2, held_control, sel, 0.25, 3, [1.0, 2.0], 0.1) == (
+        "m=3 exceeds the budget MAX_ROW_SUBSTEPS = 2")
+    bundle = builtin_scenario("rolling-disc")
+    monkeypatch.setattr(model, "MAX_ROW_SUBSTEPS", 7)
+    assert probe_states(bundle, 7).shape == (7, 4)
+    assert refusal(6, probe_states, bundle, 7) == (
+        "n_probes=7 exceeds the budget MAX_ROW_SUBSTEPS = 6")
 
 
 def test_wrong_length_drift_fails_the_run(disc, disc_sel, disc_gains_moderate):
@@ -781,6 +815,21 @@ def test_divergent_gains_match_oracle(disc, disc_sel, disc_gains):
     # The sampled error grows rather than contracts at these gains.
     errs = np.linalg.norm(traj.sample_states[:, :2], axis=1)
     assert errs[1] > errs[0]
+
+
+def test_rk4_converges_to_the_disc_closed_form_map(disc, disc_sel, disc_gains):
+    # Criterion 1's first interval (epsilon = 1, gamma = 5) against the
+    # integrator-free map: its gain is the 3.333 the acceptance test reports,
+    # and the fixed-step RK4 state's largest error (2.3e-5 at 40 sub-steps)
+    # falls 16-fold per halving of the sub-step, RK4's fourth order.
+    x0 = np.array([2.0, 1.0, 0.0, math.pi])
+    eps = disc_gains.epsilon
+    want = disc_interval_map(x0, steering_coefficients(disc, disc_sel, disc_gains, x0), eps)
+    assert np.linalg.norm(want[:2]) / np.linalg.norm(x0[:2]) == pytest.approx(3.33347, abs=5e-6)
+    errs = [np.abs(simulate_pi_epsilon(disc, disc_sel, disc_gains, x0, SimConfig(eps, nsub))
+                   .sample_states[1] - want).max() for nsub in (40, 80, 160, 320)]
+    for coarse, fine in itertools.pairwise(errs):
+        assert 15.5 <= coarse / fine <= 16.5, errs
 
 
 def test_divergence_guard(runaway, runaway_sel):

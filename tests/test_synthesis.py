@@ -245,7 +245,7 @@ def test_direct_gufuncs_match_public_linalg_bitwise():
     assert synthesis._lapack_solve1 is _umath_linalg.solve1
     rng = np.random.default_rng(18)
     for n in (2, 3, 8):
-        for shape in ((n, n), (synthesis.PROBE_CHUNK, n, n)):
+        for shape in ((n, n), (synthesis.block_rows(n * n), n, n)):
             F = rng.normal(size=shape)
             want = np.linalg.svd(F, compute_uv=False)
             assert _umath_linalg.svd(F, signature="d->d").tobytes() == want.tobytes()
@@ -541,11 +541,12 @@ def _counting(monkeypatch, module, name, record):
 
 def test_validate_selection_chunks_match_per_probe(monkeypatch, disc, disc_sel, disc_gains,
                                                    pinch, pinch_sel):
-    # The probes' matrices go through one SVD per chunk of PROBE_CHUNK; at
-    # every count around a chunk boundary the certificate, sampled states
-    # included, is the per-probe loop's to the bit.
-    C = synthesis.PROBE_CHUNK
-    assert C == 256
+    # The probes' matrices go through one SVD per chunk of block_rows(n1 * n1),
+    # one block of BLOCK_VALUES entries; at every count around a chunk
+    # boundary the certificate, sampled states included, is the per-probe
+    # loop's to the bit.
+    C = synthesis.block_rows(2 * 2)
+    assert C == 1024
     rng = np.random.default_rng(15)
     shapes = _counting(monkeypatch, synthesis, "_lapack_svd", lambda F, *_: np.shape(F))
     for count in (1, C - 1, C, C + 1, 2 * C + 1):
@@ -824,7 +825,8 @@ def test_unicycle_certificate_at_chunk_boundaries_matches_per_probe():
     # count around a chunk boundary the certificate, sampled states
     # included, is the per-probe loop's to the bit, for every fused
     # unicycle selection, the singular repeated-pairs one among them.
-    C = synthesis.PROBE_CHUNK
+    C = synthesis.block_rows(3 * 3)
+    assert C == 455
     rng = np.random.default_rng(24)
     gains = ControllerGains(epsilon=0.1, gamma=10.0, y_star=(0.0, 0.0, 0.0))
     edges = np.array(_heading_states(3))
@@ -843,8 +845,8 @@ def test_unicycle_certificate_at_chunk_boundaries_matches_per_probe():
 @pytest.mark.parametrize("name", ["rolling-disc", "unicycle-leader"])
 def test_validate_selection_peak_memory_is_one_stack(name):
     # 4000 probes: above the certificate returned, the traced peak holds
-    # the probes' state lists and one stack of PROBE_CHUNK matrices, about
-    # 0.37 MB (unicycle) and 0.39 MB (disc), never all 4000 matrices: a
+    # the probes' state lists and one stack of block_rows(n1 * n1) matrices,
+    # about 0.39 MB (unicycle) and 0.43 MB (disc), never all 4000 matrices: a
     # stack of 4000 3 x 3 matrices alone takes 0.29 MB more, and a batched
     # SVD over every probe once raised a whole operation's peak by 1.25 MB.
     b = builtin_scenario(name)
