@@ -22,9 +22,17 @@ import numpy as np
 from . import library, scenarios
 from .errors import (BracketSteerError, InvalidInputError, NumericError,
                      RankDegeneracyError, UnknownScenarioError)
-from .formation import gain_condition_report, simulate_formation, simulate_leader
+from .formation import _leader_fold, _SpeedFold
 from .model import _as_positive
-from .simulate import _sweep_epsilons, decay_report, epsilon_sweep, simulate_pi_epsilon
+from .simulate import _sweep_epsilons, decay_report, epsilon_sweep
+# The runs behind `run`: simulate_formation's and simulate_pi_epsilon's,
+# each also given its recorder's drain (a CSV) and the run's folds.  They
+# keep the public names, under which perfbench/tracer.py times cli's
+# integration phase.
+from .formation import _simulate_formation as simulate_formation
+from .simulate import _simulate_single as simulate_pi_epsilon
+# Not called here: perfbench/tracer.py wraps cli.gain_condition_report by name.
+from .formation import gain_condition_report  # noqa: F401
 
 log = logging.getLogger("bracket_steer.cli")
 
@@ -101,28 +109,53 @@ def _rho_for(bundle, args):
     return _as_positive(bundle.expected.get("rho", 0.1) if args.rho is None else args.rho, "rho")
 
 
+class _Output:
+    """A UTF-8 file written a str chunk at a time.
+
+    A path whose directory does not exist is refused with OSError here.
+    The file is opened by the first write, so until then the path is as it
+    was.  Once opened, discard() removes it: a failed export leaves no file
+    behind."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        if self.path.parent and not self.path.parent.exists():
+            raise OSError(f"output directory {self.path.parent} does not exist")
+        self._fh = None
+
+    def write(self, chunk):
+        if self._fh is None:
+            self._fh = open(self.path, "w", encoding="utf-8")
+        self._fh.write(chunk)
+
+    def close(self):
+        self._fh.close()
+
+    def discard(self):
+        if self._fh is not None:
+            self._fh.close()
+            if self.path.is_file():  # never a device such as /dev/null
+                self.path.unlink()
+
+
 def _write_chunks(path, chunks):
-    """Write an iterable of str chunks to path as one UTF-8 file.
+    """Write an iterable of str chunks to path as one UTF-8 file (_Output).
 
     The file is opened once the first chunk is formed, so a first chunk
     that raises leaves the path as it was.  A later chunk that raises, or a
-    write or close that fails, removes the partial file and re-raises: a
-    failed export leaves no file behind."""
-    path = Path(path)
-    if path.parent and not path.parent.exists():
-        raise OSError(f"output directory {path.parent} does not exist")
+    write or close that fails, removes the partial file and re-raises."""
+    out = _Output(path)
     chunks = iter(chunks)
     first = next(chunks, "")
-    fh = open(path, "w", encoding="utf-8")
     try:
-        with fh:
-            fh.write(first)
-            fh.writelines(chunks)
+        out.write(first)
+        for chunk in chunks:
+            out.write(chunk)
+        out.close()
     except BaseException:
-        if path.is_file():  # never a device such as /dev/null
-            path.unlink()
+        out.discard()
         raise
-    return path
+    return out.path
 
 
 def _write_text(path, text):
@@ -132,10 +165,11 @@ def _write_text(path, text):
 def _csv_chunks(header, columns):
     """CSV text in chunks: the rows of the column-stacked arrays, one
     float_text block per chunk, each value as "%.17g" writes it, the first
-    led by the header line.  Only a block's rows are ever stacked."""
+    led by the header line (none when header is None).  Only a block's rows
+    are ever stacked."""
     cols = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
     step = scenarios.block_rows(cols)
-    head = ",".join(header) + "\n"
+    head = "" if header is None else ",".join(header) + "\n"
     for start in range(0, len(columns[0]), step):
         block = np.column_stack([c[start:start + step] for c in columns])
         yield head + scenarios.float_text(block, False, ",", "\n")
@@ -144,26 +178,68 @@ def _csv_chunks(header, columns):
         yield head
 
 
-def _csv_single(traj, n, m):
+def _single_table(n, m):
+    """The single-system CSV's header, and its columns of a trajectory."""
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] \
         + [f"u{k}" for k in range(1, m + 1)] + ["err_y"]
-    return _csv_chunks(header, [traj.dense_times, traj.dense_states,
-                                traj.dense_controls, traj.y_error])
+    return header, lambda traj: [traj.dense_times, traj.dense_states,
+                                 traj.dense_controls, traj.y_error]
 
 
-def _csv_formation(ftraj, agents):
+def _formation_table(agents):
+    """The formation CSV's header, and its columns of a FormationTrajectory."""
     # State/control block is agent 1's; every agent contributes an error
     # column; full per-agent trajectories are available via --format json.
-    first = ftraj.agent_trajs[0]
-    p = first.dense_states.shape[1]
-    m = agents[0].system.m
+    p, m = agents[0].system.n, agents[0].system.m
     header = ["t"] + [f"x{i}" for i in range(1, p + 1)] \
         + [f"u{k}" for k in range(1, m + 1)] + ["err_y"] \
         + [f"xL{i}" for i in range(1, p + 1)] \
         + [f"err_{a + 1}" for a in range(len(agents))]
-    return _csv_chunks(header, [ftraj.dense_times, first.dense_states,
-                                first.dense_controls, first.y_error,
-                                ftraj.leader_states, *ftraj.error_series])
+
+    def columns(ftraj):
+        first = ftraj.agent_trajs[0]
+        return [ftraj.dense_times, first.dense_states, first.dense_controls, first.y_error,
+                ftraj.leader_states, *ftraj.error_series]
+
+    return header, columns
+
+
+def _csv_single(traj, n, m):
+    """A recorded trajectory's CSV chunks: the bytes run --format csv streams."""
+    header, columns = _single_table(n, m)
+    return _csv_chunks(header, columns(traj))
+
+
+def _csv_formation(ftraj, agents):
+    """A recorded formation trajectory's CSV chunks, as _csv_single's."""
+    header, columns = _formation_table(agents)
+    return _csv_chunks(header, columns(ftraj))
+
+
+# float_text blocks of rows per CSV drain.  Draining each block as it was
+# recorded, between table blocks of the run, took the built-in formation
+# run about 20% longer than formatting its whole record at the end (paired
+# in-process runs); sixteen at a time, about 5% longer, for about 0.7 MB
+# more held: the rows and their build.
+_DRAIN_BLOCKS = 16
+
+
+class _CsvDrain:
+    """run --format csv's drain (simulate._Recorder): each block of at most
+    rows recorded points, as the run's build of them, written to out as
+    CSV rows (_csv_chunks of table's columns), the header with the first.
+    So the run keeps _DRAIN_BLOCKS float_text blocks of rows, not its
+    trajectory."""
+
+    def __init__(self, path, table):
+        self.out = _Output(path)
+        self._header, self._columns = table
+        self.rows = _DRAIN_BLOCKS * scenarios.block_rows(len(self._header))
+
+    def __call__(self, traj):
+        for chunk in _csv_chunks(self._header, self._columns(traj)):
+            self.out.write(chunk)
+        self._header = None
 
 
 def _traj_json_single(traj):
@@ -197,17 +273,14 @@ def _cert_json(bundle, certs):
     return certs[0].to_dict()
 
 
-def _gain_condition(bundle, rho, ftraj=None):
-    """The gain_condition rows along the leader's path at every sub-step: a
-    run's own leader record when it kept every sub-step (record_stride 1),
-    else the leader alone (simulate_leader), so run and validate agree."""
-    if ftraj is not None and bundle.sim.record_stride == 1:
-        times, states = ftraj.dense_times, ftraj.leader_states
-    else:
+def _gain_condition(bundle, rho, fold=None):
+    """The gain_condition rows along the leader's path at every sub-step,
+    whatever the record stride: a run's own _SpeedFold, else (validate)
+    the fold of the leader alone, so run and validate agree."""
+    if fold is None:
         kmax = max(a.selection.kappa_max for a in bundle.agents)
-        times, states = simulate_leader(bundle.leader, bundle.gains, bundle.sim, kmax)
-    return [row.to_dict() for row in gain_condition_report(
-        bundle.leader, bundle.agents, rho, times, states)]
+        fold = _leader_fold(bundle.leader, bundle.gains, bundle.sim, kmax)
+    return [row.to_dict() for row in fold.rows(bundle.agents, rho)]
 
 
 def _cmd_run(args):
@@ -227,38 +300,42 @@ def _cmd_run(args):
         "overrides": overrides,
         "certificate": _cert_json(bundle, certs),
     }
-    as_csv = args.format == "csv"
-
-    if bundle.kind == scenarios.SINGLE:
-        log.info("running single-system scenario %s", bundle.name)
-        traj = simulate_pi_epsilon(bundle.system, bundle.selection, bundle.gains,
-                                   np.array(bundle.x0), bundle.sim)
-        report = decay_report(traj, bundle.gains, rho)
-        sidecar["decay_report"] = report.to_dict()
-        body = (_csv_single(traj, bundle.system.n, bundle.system.m) if as_csv
-                else _traj_json_single(traj))
-    else:
-        log.info("running formation scenario %s", bundle.name)
-        ftraj = simulate_formation(bundle.agents, bundle.leader, bundle.agent_x0s,
-                                   bundle.gains, bundle.sim)
-        report = decay_report(ftraj.displacement_trajs[0], bundle.gains, rho)
-        sidecar["decay_report"] = report.to_dict()
-        sidecar["gain_condition"] = _gain_condition(bundle, rho, ftraj)
-        body = _csv_formation(ftraj, bundle.agents) if as_csv else _traj_json_formation(ftraj)
-
+    single = bundle.kind == scenarios.SINGLE
     out = Path(args.out or f"{bundle.name}.{args.format}")
-    if as_csv:
-        _write_chunks(out, body)
-        side_path = out.with_name(out.stem + ".report.json")
-        try:
+    # A CSV is written as the run records it, so its directory is checked
+    # before the run, and a failure after its first block removes it.
+    csv = None
+    if args.format == "csv":
+        csv = _CsvDrain(out, _single_table(bundle.system.n, bundle.system.m) if single
+                        else _formation_table(bundle.agents))
+    try:
+        if single:
+            log.info("running single-system scenario %s", bundle.name)
+            traj = simulate_pi_epsilon(bundle.system, bundle.selection, bundle.gains,
+                                       np.array(bundle.x0), bundle.sim, csv)
+            report = decay_report(traj, bundle.gains, rho)
+        else:
+            log.info("running formation scenario %s", bundle.name)
+            fold = _SpeedFold(bundle.leader)
+            traj = simulate_formation(bundle.agents, bundle.leader, bundle.agent_x0s,
+                                      bundle.gains, bundle.sim, csv, [fold])
+            report = decay_report(traj.displacement_trajs[0], bundle.gains, rho)
+        sidecar["decay_report"] = report.to_dict()
+        if not single:
+            sidecar["gain_condition"] = _gain_condition(bundle, rho, fold)
+        if csv is not None:
+            csv.out.close()
+            side_path = out.with_name(out.stem + ".report.json")
             _write_text(side_path, scenarios.json_text(sidecar))
-        except BaseException:  # a failed run leaves no output file
-            if out.is_file():  # never a device such as /dev/null
-                out.unlink()
-            raise
+    except BaseException:  # a failed run leaves no output file
+        if csv is not None:
+            csv.out.discard()
+        raise
+
+    if csv is not None:
         print(f"wrote {out} and {side_path}")
     else:
-        sidecar["trajectory"] = body
+        sidecar["trajectory"] = _traj_json_single(traj) if single else _traj_json_formation(traj)
         _write_chunks(out, scenarios.json_chunks(sidecar))
         print(f"wrote {out}")
 

@@ -18,7 +18,7 @@ have alone.  simulate_leader is the same run with no followers.
 """
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,9 +26,9 @@ import numpy as np
 from . import library
 from .errors import InvalidInputError, NonFiniteError
 from .model import (BLOCK_VALUES, _as_count, _as_finite_reals, _as_int, _as_list, _as_positive,
-                    _as_reals, as_state)
+                    _as_reals, as_state, block_rows)
 from .simulate import (SampledTrajectory, SimConfig, _check_field_length, _check_field_lengths,
-                       _error_norms, _run_sampled)
+                       _due, _error_norms, _Recorder, _run_sampled)
 from .synthesis import _plan, held_control
 # Not called here: perfbench/tracer.py wraps formation._guard, _rk4_step,
 # extension_matrix and _solve_steering by name.
@@ -166,6 +166,12 @@ def simulate_formation(agents, leader, x0s, gains, cfg=None):
     up to the failure as .partial; a RankDegeneracyError also names the
     agent in .agent_index.
     """
+    return _simulate_formation(agents, leader, x0s, gains, cfg)
+
+
+def _simulate_formation(agents, leader, x0s, gains, cfg, drain=None, folds=()):
+    """simulate_formation's run, its _Recorder given drain, and each table
+    block handed to folds too."""
     agents = tuple(_as_list(agents, "agents"))
     if not agents:
         raise InvalidInputError("at least one agent is required")
@@ -181,19 +187,27 @@ def simulate_formation(agents, leader, x0s, gains, cfg=None):
         raise InvalidInputError(
             f"leader state has dimension {len(leader.x0)}, agents have {p}")
     kappa_max = max(agent.selection.kappa_max for agent in agents)
-    return _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max)
+    cfg = SimConfig() if cfg is None else cfg
+    return _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max, lambda build: [
+        _Recorder(build, cfg.record_stride, drain), *folds])
 
 
 def simulate_leader(leader, gains, cfg=None, kappa_max=1):
     """Integrate the leader alone on the sampling-aligned grid.
 
-    Returns (dense_times, dense_states) with every sub-step recorded; used
-    by the scenario validator when no full formation run is wanted.
+    Returns (dense_times, dense_states) with every sub-step recorded.
     """
     kappa_max = _as_count(kappa_max, "kappa_max")
-    cfg = replace(SimConfig() if cfg is None else cfg, record_stride=1)
-    ftraj = _simulate_stacked((), leader, (), gains, cfg, kappa_max)
+    ftraj = _simulate_stacked((), leader, (), gains, cfg, kappa_max,
+                              lambda build: [_Recorder(build, 1)])
     return ftraj.dense_times, ftraj.leader_states
+
+
+def _leader_fold(leader, gains, cfg, kappa_max):
+    """The _SpeedFold of the leader alone on cfg's grid, every sub-step
+    folded and none recorded: validate's gain condition."""
+    return _simulate_stacked((), leader, (), gains, cfg, kappa_max,
+                             lambda build: [_SpeedFold(leader)])
 
 
 def _follower_groups(agents):
@@ -209,8 +223,11 @@ def _follower_groups(agents):
     return groups
 
 
-def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
-    """Run the stacked state, row 0 the leader and row l + 1 agent l.
+def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max, consumers):
+    """Run the stacked state, row 0 the leader and row l + 1 agent l, and
+    return the build() of its first consumer; consumers(build) gives the
+    run's consumers (simulate._run_sampled), build the FormationTrajectory
+    of a _Recorder.
 
     The followers advance in groups (_follower_groups), each with its
     pair's steering plan (synthesis._plan) for the run: at each sampling
@@ -285,7 +302,7 @@ def _simulate_stacked(agents, leader, x0s, gains, cfg, kappa_max):
             error_series=tuple(errors),
         )
 
-    return _run_sampled(cfg, gains, kappa_max, x0, rows, steer, build)
+    return _run_sampled(cfg, gains, kappa_max, x0, rows, steer, consumers(build))
 
 
 def _leader_speeds(leader, dense_times, leader_states):
@@ -341,6 +358,63 @@ def gain_condition_report(leader, agents, rho, dense_times, leader_states):
     dense_times = _as_list(dense_times, "dense_times")
     leader_states = _as_list(leader_states, "leader_states")
     sup = float(_leader_speeds(leader, dense_times, leader_states).max(initial=0.0))
+    return _gain_rows(agents, rho, sup)
+
+
+def _gain_rows(agents, rho, sup):
     return tuple(GainConditionRow(agent_index=idx, gamma=agent.gamma, sup_leader_speed=sup,
                                   rho=rho, satisfied=agent.gamma > sup / rho)
                  for idx, agent in enumerate(agents))
+
+
+class _SpeedFold:
+    """The leader's speed ||f(t, x_L(t))|| folded over every sub-step of a
+    stacked run, whatever its record stride: a consumer of its table blocks
+    (simulate._run_sampled), row 0 the leader.  It takes each block's
+    boundaries as a stride-1 record does (simulate._due), the horizon's end
+    included, and holds the table blocks of at most one model.block_rows
+    block of (t, x_L) points past one table block.  It keeps the supremum
+    of their _leader_speeds and the NonFiniteError of the first NaN speed,
+    which rows() raises after the run, where gain_condition_report would."""
+
+    def __init__(self, leader):
+        self._leader = leader
+        self._p = len(leader.x0)
+        self._rows = block_rows(1 + self._p)
+        self._held = []  # the blocks not yet folded
+        self._count = 0  # their points
+        self._sup = 0.0
+        self._error = None
+
+    def sample(self, t, X):
+        pass
+
+    def record(self, ts, X, states, j, tables, last):
+        self._held.append((ts, X, states, last))
+        self._count += len(states) + 1
+        if self._count >= self._rows or last:
+            if self._error is None:
+                self._fold()
+            self._held, self._count = [], 0
+
+    def _fold(self):
+        """Fold the held blocks' boundaries 0 .. k - 1 (_due) into the supremum."""
+        times, xs = [], []
+        for ts, X, states, last in self._held:
+            k = _due(len(ts) // 3, len(states), last).stop
+            times.append(ts[:3 * k:3])
+            xs += [X[:1], states[:k - 1, :self._p]]
+        try:
+            speeds = _leader_speeds(self._leader, np.concatenate(times), np.concatenate(xs))
+            self._sup = max(self._sup, float(speeds.max(initial=0.0)))
+        except NonFiniteError as exc:
+            self._error = exc
+
+    def build(self):
+        return self
+
+    def rows(self, agents, rho):
+        """The gain condition's rows for agents at rho over the run's path."""
+        if self._error is not None:
+            raise self._error
+        return _gain_rows(agents, rho, self._sup)

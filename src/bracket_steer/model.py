@@ -134,12 +134,13 @@ def _count(n):
     return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
 
 
-def _within_budget(n, what):
-    """An int count n of what, refused past MAX_ROW_SUBSTEPS before anything
-    of its size exists: the package's one work-budget check and message."""
-    if n > MAX_ROW_SUBSTEPS:
-        raise InvalidInputError(
-            f"{what}={_count(n)} exceeds the budget MAX_ROW_SUBSTEPS = {MAX_ROW_SUBSTEPS}")
+def _within_budget(n, what, cap="MAX_ROW_SUBSTEPS"):
+    """An int count n of what, refused past the limit named cap (the work
+    budget MAX_ROW_SUBSTEPS, or BLOCK_VALUES) before anything of its size
+    exists: the package's one budget check and message."""
+    limit = globals()[cap]
+    if n > limit:
+        raise InvalidInputError(f"{what}={_count(n)} exceeds the budget {cap} = {limit}")
     return n
 
 

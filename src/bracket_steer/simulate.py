@@ -6,9 +6,10 @@ x(tau_j) while its time argument advances continuously.  One private
 driver, _run_sampled, owns that clock and the stacked rows for every
 caller: the interval grid and its partial tail, the sub-step and boundary
 times, each row's step and divergence guard, resampling at each sampling
-instant, handing each table block once to the recorder (_Recorder, which
-keeps the record stride and the horizon's end point), and the partial
-trajectory attached to a failure.  It runs one system
+instant, handing each table block once to the run's consumers (the
+recorder, _Recorder, which keeps the record stride and the horizon's end
+point, and any fold of the run's path), and the partial trajectory
+attached to a failure.  It runs one system
 (simulate_pi_epsilon, one row) or the formation's rows, in groups of
 consecutive rows that share their functions: the leader, then each run
 of followers that share one system and selection.  Each row is advanced by
@@ -32,7 +33,7 @@ the figure-eight leader, skip that contract: their exact function objects
 select a block kernel in library (_row_integrators), which advances all
 the group's rows over a whole table block in one numpy pass and repeats
 the generic sub-steps' operations bit for bit on each row.  The driver
-does the same for every table block: advance it, hand it to the recorder
+does the same for every table block: advance it, hand it to each consumer
 in one call, and raise the failure handed back.  When every group has a
 kernel, the open-loop rows advance a whole chunk in one kernel call, and a
 block is their slice, one kernel call per steered group and one vector
@@ -61,6 +62,7 @@ from array import array
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import accumulate, chain
+from sys import maxsize
 from typing import Optional
 
 import numpy as np
@@ -204,26 +206,43 @@ def _rk4_step(stage, t, x, h, u0, uh, u1):
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4, strict=True)]
 
 
+def _due(n, done, last, start=0, stride=1):
+    """The boundaries of a table block of n sub-steps, done of them passed,
+    taken every stride from start: boundary i is the block's start at
+    i = 0, else the state after its i-th sub-step.  They run to the last
+    sub-step done; the block's end, i = n, is the next block's start, so
+    it is taken only when last, the run's last block."""
+    return range(start, done + (done < n or last), stride)
+
+
 class _Recorder:
     """Flat float64 buffers of the dense grid and sampling instants of one run.
 
-    record() is handed each table block of the run once, in order, and
-    appends its due dense points: t, the rows' states X (n_rows, p), each
-    steered row's held control at t from the group tables, and the interval
-    index.  A dense point is recorded at t = 0, every stride
-    (cfg.record_stride) sub-steps and at the end of the horizon; with
-    stride None (the one-clock sweep) only sampling instants are.
-    sample() appends a sampling instant and the rows' states there; build()
-    hands the recorder to the caller's build, which wraps each buffer with
-    np.frombuffer, no copy, and reshapes it into the caller's trajectory
-    type.  The buffers so become the trajectory: nothing is appended after
-    build, which either ends the run or makes the failure's .partial (and
-    an array.array that exports its buffer refuses to grow).
+    A consumer of _run_sampled's blocks.  record() is handed each table
+    block of the run once, in order, and appends its due dense points: t,
+    the rows' states X (n_rows, p), each steered row's held control at t
+    from the group tables, and the interval index.  A dense point is
+    recorded at t = 0, every stride (cfg.record_stride) sub-steps and at
+    the end of the horizon; with stride None (the one-clock sweep) only
+    sampling instants are.  sample() appends a sampling instant and the
+    rows' states there; build() hands the recorder to the caller's build,
+    which wraps each buffer with np.frombuffer, no copy, and reshapes it
+    into the caller's trajectory type.  The buffers so become the
+    trajectory: nothing is appended after build, which either ends the run
+    or makes the failure's .partial (and an array.array that exports its
+    buffer refuses to grow).
+
+    With a drain, the recorder holds at most drain.rows dense points: each
+    time it holds that many, and at the end of the horizon, it hands them
+    to drain as the build of a recorder holding only them, and keeps none.
+    Its own build then holds the sampling instants alone.
     """
 
-    def __init__(self, build, stride):
+    def __init__(self, build, stride, drain=None):
         self._build = build
         self._stride = stride
+        self._drain = drain
+        self._rows = maxsize if drain is None else drain.rows
         self._substeps = 0  # handed over so far
         self.times = array("d")
         self.states = array("d")
@@ -237,31 +256,49 @@ class _Recorder:
         times ts, rows' start X, stacked states (done, width) after each
         sub-step done and group tables.  Boundary i is X at i = 0, else
         states[i - 1], at ts[3 i] with controls tab[3 i], and is due when
-        the run's sub-step count there is a multiple of the stride.  The
-        block's end is the next block's start, so it is appended only when
-        last, the run's last block, and then due or not; a failed block
-        appends its due boundaries up to its last sub-step done."""
+        the run's sub-step count there is a multiple of the stride (_due).
+        The end of the horizon is appended when last, due or not; a failed
+        block appends its due boundaries up to its last sub-step done."""
         if self._stride is None:
             return
         n, done = len(ts) // 3, len(states)
-        due = range(-self._substeps % self._stride, done + (done < n or last), self._stride)
+        due = _due(n, done, last, -self._substeps % self._stride, self._stride)
         self._substeps += n
-        # As strided slices; then, for the last block, its end when not due.
+        # As strided slices, each filling the drain's block at most; then,
+        # for the last block, its end when not due.
         for rows in (due, range(n, n + (last and done == n and n not in due))):
-            if not rows:
-                continue
-            at = slice(3 * rows.start, 3 * rows.stop, 3 * rows.step)
-            self.times.frombytes(ts[at].tobytes())
-            if rows.start == 0:
-                self.states.frombytes(X.tobytes())
-            # Past the start, rows' first boundary is rows.step when it holds the start.
-            self.states.frombytes(
-                states[(rows.start or rows.step) - 1:rows.stop - 1:rows.step].tobytes())
-            if tables:
-                parts = [tab[at].reshape(len(rows), -1) for tab in tables]
-                block = np.concatenate(parts, axis=1) if parts[1:] else parts[0]
-                self.controls.frombytes(block.tobytes())
-            self.intervals.extend([j] * len(rows))
+            while rows:
+                room = self._rows - len(self.times)
+                self._append(rows[:room], ts, X, states, j, tables)
+                rows = rows[room:]
+                if len(self.times) == self._rows:
+                    self._flush()
+        if last and self.times and self._drain is not None:
+            self._flush()
+
+    def _append(self, rows, ts, X, states, j, tables):
+        at = slice(3 * rows.start, 3 * rows.stop, 3 * rows.step)
+        self.times.frombytes(ts[at].tobytes())
+        if rows.start == 0:
+            self.states.frombytes(X.tobytes())
+        # Past the start, rows' first boundary is rows.step when it holds the start.
+        self.states.frombytes(
+            states[(rows.start or rows.step) - 1:rows.stop - 1:rows.step].tobytes())
+        if tables:
+            parts = [tab[at].reshape(len(rows), -1) for tab in tables]
+            block = np.concatenate(parts, axis=1) if parts[1:] else parts[0]
+            self.controls.frombytes(block.tobytes())
+        self.intervals.extend([j] * len(rows))
+
+    def _flush(self):
+        """Hand the dense points held to the drain, as the build of a
+        recorder that holds them and no sampling instant, and keep none."""
+        block = _Recorder(self._build, None)
+        for name in ("times", "states", "controls", "intervals"):
+            empty = getattr(block, name)
+            setattr(block, name, getattr(self, name))
+            setattr(self, name, empty)
+        self._drain(block.build())
 
     def sample(self, t, X):
         self.sample_times.append(t)
@@ -424,7 +461,7 @@ def _plan_run(cfg, gains, kappa_max, n_rows):
     return t_final, nsub, n_int, tail, n_intervals
 
 
-def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build, ends=None):
+def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, consumers, ends=None):
     """Integrate a sampled closed loop from x0; the package's one clock.
 
     x0 is (n_rows, p), its rows in group order, and groups[g] =
@@ -470,12 +507,15 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build, ends=None):
     for every row: every row's generic sub-step, after each of which one
     norm test of the stacked state passes every row and only when it fails
     is each row guarded, under its name, by the exact _guard_state
-    (_guard_rows).  The block is handed to the recorder once
-    (_Recorder.record, which keeps the record policy), and then a failure
-    it handed back is raised, so states computed ahead past it are never
-    recorded.  Returns build(recorder); a
-    DivergenceError or RankDegeneracyError leaves with build(recorder) of
-    the run so far attached as .partial.
+    (_guard_rows).  The block is handed once to each of the run's
+    consumers, in order, as record(ts, X, states, j, tables, last), and
+    then a failure it handed back is raised, so states computed ahead past
+    it are never seen; each sampling instant is handed to them as
+    sample(t, X) before its steering step.  The consumers are the run's
+    only output: a _Recorder, which keeps the record policy, and any folds
+    (formation._SpeedFold).  Returns the first consumer's build(); a
+    DivergenceError or RankDegeneracyError leaves with its build() of the
+    run so far attached as .partial.
 
     ends, given for one group whose rows are separate runs of one clock
     with no tail, holds each row's own interval count, non-increasing in
@@ -535,7 +575,6 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build, ends=None):
                       else t_final if last == n_int else (last + 1) * eps)
         return h, times
 
-    rec = _Recorder(build, cfg.record_stride if dense else None)
     X = x0
     try:
         for chunk in chunks():
@@ -551,7 +590,8 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build, ends=None):
                 ts = times[3 * s:3 * (s + n) + 1]
                 if lo == 0:
                     # Sampling instant tau_j: sample and resample the held controls.
-                    rec.sample(j * eps, X)
+                    for consumer in consumers:
+                        consumer.sample(j * eps, X)
                     held = steer(X)
                     if j in retire:
                         X = X[:retire[j]]
@@ -565,7 +605,9 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build, ends=None):
                     states, error = _generic_block(steps, Xs, h, ts, [None] * n_open + tables,
                                                    names)
                 # The run's last block: the tail's, or the end of a tail-less horizon.
-                rec.record(ts, X, states, j, tables, j == n_int and lo + n in (0, nsub))
+                last = j == n_int and lo + n in (0, nsub)
+                for consumer in consumers:
+                    consumer.record(ts, X, states, j, tables, last)
                 if error is not None:
                     raise error
                 if n == 0:  # the end of a tail-less horizon
@@ -573,9 +615,9 @@ def _run_sampled(cfg, gains, kappa_max, x0, groups, steer, build, ends=None):
                 s += n
                 X = states[-1].reshape(len(X), p)
     except (DivergenceError, RankDegeneracyError) as exc:
-        exc.partial = rec.build()
+        exc.partial = consumers[0].build()
         raise
-    return rec.build()
+    return consumers[0].build()
 
 
 def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
@@ -585,6 +627,12 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
     state attached) if the extension matrix degenerates at a sampling
     instant, and DivergenceError if the state leaves the guarded region.
     """
+    return _simulate_single(sys, sel, gains, x0, cfg)
+
+
+def _simulate_single(sys, sel, gains, x0, cfg, drain=None):
+    """simulate_pi_epsilon's run, its _Recorder given drain."""
+    cfg = SimConfig() if cfg is None else cfg
     plan = _plan(sys, sel)
     x0 = as_state(x0, sys.n)
     _check_field_lengths(sys, x0)
@@ -618,7 +666,8 @@ def simulate_pi_epsilon(sys, sel, gains, x0, cfg=None):
         )
 
     return _run_sampled(cfg, gains, sel.kappa_max, x0[None],
-                        [(("state",), sys.drift, sys.control_fields)], steer, build)
+                        [(("state",), sys.drift, sys.control_fields)], steer,
+                        [_Recorder(build, cfg.record_stride, drain)])
 
 
 def _averaged_flow(y0, gains, times):
@@ -784,7 +833,7 @@ def _one_clock_sweep(sys, sel, runs, x0, plans):
         _check_target(runs[0], n1)
         rec = _run_sampled(cfg, runs[0], sel.kappa_max, np.tile(x0, (size, 1)),
                            [(("state",) * size, sys.drift, sys.control_fields)],
-                           steer, lambda rec: rec, ends)
+                           steer, [_Recorder(lambda rec: rec, None)], ends)
     except Exception:  # the per-epsilon runs raise it again, as they raise it
         return None
     samples = np.frombuffer(rec.sample_states).reshape(-1, sys.n)

@@ -498,7 +498,8 @@ def held_control(sel, epsilon, m, a, t):
 
     The frozen control's table at the one time t.  Each input is checked
     here, in order, and a bad one raises InvalidInputError naming it: t
-    finite, epsilon finite and > 0, m a count within the work budget, the
+    finite, epsilon finite and > 0, m a count within the work budget and
+    at most model.BLOCK_VALUES (one block of values per time), the
     selection by _control_terms, and a finite a with sel.width entries.
     frozen_control, the sampled loop's path, takes them unchecked.
     """
@@ -506,7 +507,8 @@ def held_control(sel, epsilon, m, a, t):
     if not math.isfinite(t):
         raise InvalidInputError(f"t must be finite, got {t}")
     epsilon = _as_positive(epsilon, "epsilon")
-    terms = _control_terms(sel, _within_budget(_as_count(m, "m"), "m"))
+    m = _within_budget(_within_budget(_as_count(m, "m"), "m"), "m", "BLOCK_VALUES")
+    terms = _control_terms(sel, m)
     a = np.array(_as_finite_reals(a, "a"))
     if a.shape != (sel.width,):
         raise InvalidInputError(f"a has shape {a.shape}, expected (sel.width,) = ({sel.width},)")

@@ -990,22 +990,47 @@ def _trajectory_bytes(monkeypatch):
     return sizes
 
 
+def _float_text_block_transient():
+    """Traced peak of one float_text call on a block of the formation CSV's
+    11 columns, its tables already built."""
+    block = np.random.default_rng(0).uniform(-3.0, 3.0, (scenarios.block_rows(11), 11))
+    scenarios.float_text(block, False, ",", "\n")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scenarios.float_text(block, False, ",", "\n")
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_run_peak_memory_grows_with_the_record_not_the_text(tmp_path, monkeypatch, fmt):
     # Traced peak of `run unicycle-leader` at four horizons: 4800 and 9600
     # sub-steps, both past every float_text block (4096 values at most), and
-    # 24 000 and 48 000.  The run keeps its record, about 81 recorder bytes
-    # per sub-step.  The trajectory built from it holds those buffers
-    # themselves (np.frombuffer) and the displacements and error series:
-    # about 113 traced bytes per sub-step.  Everything else (norms, leader
-    # speeds, text) is made one block at a time, so the peak grows by under
-    # twice the recorder's bytes per sub-step, and by under 1.3 times the
-    # trajectory's.  A whole CSV text was held twice (about 430 bytes per
-    # sub-step) and a whole JSON text about 830; with the export streamed,
-    # the build's copies of the buffers and the whole-run norm and speed
-    # temporaries still made about 226 bytes per sub-step.
-    sizes = _recorder_bytes_per_substep(monkeypatch)
-    held = _trajectory_bytes(monkeypatch)
+    # 24 000 and 48 000.
+    #
+    # A CSV run keeps no record: its rows go to the file a drained block at
+    # a time, and the gain condition is folded as the run goes.  It holds
+    # its sampling instants (about 56 bytes an interval) and at most one
+    # drained block of rows, so a horizon ten times as long peaks within
+    # one float_text block's transient (about 0.44 MB) of the short one.
+    # Its whole record grew the peak by about 113 bytes per sub-step,
+    # 4.9 MB from 4800 to 48 000 sub-steps.
+    #
+    # A JSON run keeps its record, about 81 recorder bytes per sub-step.
+    # The trajectory built from it holds those buffers themselves
+    # (np.frombuffer) and the displacements and error series: about 113
+    # traced bytes per sub-step.  Everything else (norms, leader speeds,
+    # text) is made one block at a time, so the peak grows by under twice
+    # the recorder's bytes per sub-step, and by under 1.3 times the
+    # trajectory's.  A whole JSON text was held (about 830 bytes per
+    # sub-step); with the export streamed, the build's copies of the
+    # buffers and the whole-run norm and speed temporaries still made
+    # about 226 bytes per sub-step.
+    if fmt == "json":
+        sizes = _recorder_bytes_per_substep(monkeypatch)
+        held = _trajectory_bytes(monkeypatch)
     peaks = {}
     for t_final in (12, 12, 24, 60, 120):  # the first run warms every cache
         argv = ["run", "unicycle-leader", "--t-final", str(t_final), "--format", fmt,
@@ -1017,6 +1042,10 @@ def test_run_peak_memory_grows_with_the_record_not_the_text(tmp_path, monkeypatc
             peaks[t_final] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+    if fmt == "csv":
+        transient = _float_text_block_transient()
+        assert 0 < peaks[120] - peaks[12] <= transient, (peaks, transient)
+        return
     short = (peaks[24] - peaks[12]) / 4800
     long = (peaks[120] - peaks[60]) / 24_000
     built = (held[-1] - held[-2]) / 24_000

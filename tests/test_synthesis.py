@@ -1238,3 +1238,18 @@ def test_steering_entries_bad_input_errors(case):
     call, expected = _bad_input_calls()[case]
     got = _raised(call)
     assert got is not None and (got[0].__name__, got[1]) == expected
+
+
+def test_held_control_width_is_at_most_one_block():
+    # m is bounded by model.BLOCK_VALUES, one block of values per time, not
+    # only by the work budget: m = 1 000 000 once built an m-wide table per
+    # call (16 MB traced).  The bound itself is admitted.
+    sel = BracketSelection(s1=(1,), s2=((1, 2),))
+    u = held_control(sel, 0.5, model.BLOCK_VALUES, [1.0, 2.0], 0.1)
+    assert u.shape == (model.BLOCK_VALUES,) and not u[2:].any()
+    assert u.tobytes() == held_control_reference(sel, 0.5, model.BLOCK_VALUES,
+                                                 np.array([1.0, 2.0]), 0.1).tobytes()
+    for m in (model.BLOCK_VALUES + 1, 1_000_000):
+        with pytest.raises(InvalidInputError) as info:
+            held_control(sel, 0.5, m, [1.0, 2.0], 0.1)
+        assert str(info.value) == f"m={m} exceeds the budget BLOCK_VALUES = 4096"
